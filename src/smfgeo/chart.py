@@ -8,7 +8,7 @@ the Scalars context so the same code runs in float and exact mode.
 
 from __future__ import annotations
 
-from .numbers import Scalars
+from .numbers import COS_SIN30_FLOAT, Scalars, q3_rotate
 
 
 def corners(ctx: Scalars):
@@ -49,7 +49,9 @@ def dot(ax, ay, bx, by):
 
 def rotate(ctx: Scalars, k30: int, x, y):
     """Rotate (x, y) by k30 * 30 degrees counterclockwise."""
-    c, s = ctx.cos_sin_deg(30 * (k30 % 12))
+    if ctx.exact:
+        return q3_rotate(k30, x, y)
+    c, s = COS_SIN30_FLOAT[k30 % 12]
     return (c * x - s * y, s * x + c * y)
 
 
@@ -90,6 +92,29 @@ class Isometry:
 
     def __repr__(self):
         return f"Isometry(k={self.k}, t=({self.tx}, {self.ty}))"
+
+
+def gluing(ctx: Scalars, e: int, e2: int) -> Isometry:
+    """Rigid motion from a chart to its neighbor's across local edge e.
+
+    The neighbor meets edge e with its local edge e2, so the motion
+    depends only on (e, e2).  The nine motions are built once per context
+    and shared; an Isometry is never mutated.  Threads that race to build
+    the table build equal ones, so the last write is as good as any.
+    """
+    table = ctx.gluings
+    if table is None:
+        cs = corners(ctx)
+        table = []
+        for a in range(3):
+            for b in range(3):
+                k = (4 * b + 6 - 4 * a) % 12
+                px, py = cs[a]
+                qx, qy = cs[(b + 1) % 3]
+                rx, ry = rotate(ctx, k, px, py)
+                table.append(Isometry(ctx, k, qx - rx, qy - ry))
+        ctx.gluings = table
+    return table[3 * e + e2]
 
 
 def segment_intersection(ctx: Scalars, a0, a1, b0, b1):

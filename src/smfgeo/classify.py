@@ -780,7 +780,6 @@ class _Partitioner:
         self.unknowns = []    # (u, v)
         self.boundaries = {}  # key -> (dvec, probe)
         self.corner_keys = set()
-        self.flip_keys = set()
         self.splits = 0
 
     def probe(self, d, collect_frames=True) -> Probe:
@@ -928,8 +927,6 @@ class _Partitioner:
                 continue
             pts = [u] + sorted(cands.values(),
                                key=lambda w_: _cone_angle_deg(u, w_)) + [v]
-            for w_ in cands.values():
-                self.flip_keys.add(self._key(w_))
             for i in range(len(pts) - 1):
                 a, b = pts[i], pts[i + 1]
                 wm = _blend(ctx, a, b, 1, 2)

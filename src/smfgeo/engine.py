@@ -17,6 +17,7 @@ from .chart import Isometry, cross, dot
 from .numbers import Scalars
 from .surface import (
     FrontierVertex,
+    SurfaceError,
     SurfacePoint,
     Triangulation,
     UnmatchedEdge,
@@ -524,7 +525,7 @@ def _try_grow(surf: Triangulation, growth_budget: int):
         return None
     try:
         grown = grow_frontier(surf, 1)
-    except Exception:
+    except SurfaceError:
         return None
     if len(grown.tris) > growth_budget:
         return None

@@ -4,69 +4,114 @@ Two number modes, fixed per run:
 
 * float mode: ordinary doubles, all equality decisions made against a
   configurable tolerance ``eps`` (edge-length units).
-* exact mode: elements of Q(sqrt 3), kept as a pair of Fractions.  This
-  field is closed under the chart transfer isometries and under rotation
-  by any multiple of 30 degrees, so the whole engine can run exactly.
+* exact mode: elements of Q(sqrt 3), kept as three integers
+  (a + b*sqrt 3) / d in lowest terms.  This field is closed under the
+  chart transfer isometries and under rotation by any multiple of 30
+  degrees, so the whole engine can run exactly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 
 SQRT3 = math.sqrt(3.0)
 
 
 class Q3:
-    """Exact scalar a + b*sqrt(3) with rational a, b."""
+    """Exact scalar (a + b*sqrt(3)) / d with integers a, b, d.
 
-    __slots__ = ("a", "b")
+    The form is canonical: d > 0 and gcd(a, b, d) == 1, so two values are
+    equal exactly when their triples are.  The constructor takes ints and
+    Fractions, Q3(a, b) = a + b*sqrt(3); ``.a`` and ``.b`` read the
+    rational parts back as Fractions.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, a=0, b=0):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
+        if type(a) is int and type(b) is int:
+            self._a, self._b, self._d = a, b, 1
+            return
+        a = a if isinstance(a, Fraction) else Fraction(a)
+        b = b if isinstance(b, Fraction) else Fraction(b)
+        da, db = a.denominator, b.denominator
+        d = math.lcm(da, db)
+        # Both parts are in lowest terms, so over their lcm the triple is too.
+        self._a = a.numerator * (d // da)
+        self._b = b.numerator * (d // db)
+        self._d = d
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __repr__(self):
         return f"Q3({self.a}, {self.b})"
 
     def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return Q3(self.a + o.a, self.b + o.b)
+        if type(other) is not Q3:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _q3(self._a + other._a, self._b + other._b, d1)
+        return _q3(self._a * d2 + other._a * d1,
+                   self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return Q3(self.a - o.a, self.b - o.b)
+        if type(other) is not Q3:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _q3(self._a - other._a, self._b - other._b, d1)
+        return _q3(self._a * d2 - other._a * d1,
+                   self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return Q3(o.a - self.a, o.b - self.b)
+        return o.__sub__(self)
 
     def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return Q3(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
+        if type(other) is not Q3:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _q3(a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2,
+                   self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.a * o.a - 3 * o.b * o.b
-        if d == 0:
+        if type(other) is not Q3:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        # Multiply through by the conjugate a2 - b2 sqrt3.
+        n = a2 * a2 - 3 * b2 * b2
+        if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 3)")
-        na = (self.a * o.a - 3 * self.b * o.b) / d
-        nb = (self.b * o.a - self.a * o.b) / d
-        return Q3(na, nb)
+        d2 = other._d
+        a = (a1 * a2 - 3 * b1 * b2) * d2
+        b = (b1 * a2 - a1 * b2) * d2
+        d = self._d * n
+        if d < 0:
+            a, b, d = -a, -b, -d
+        return _q3(a, b, d)
 
     def __rtruediv__(self, other):
         o = _coerce(other)
@@ -75,7 +120,7 @@ class Q3:
         return o.__truediv__(self)
 
     def __neg__(self):
-        return Q3(-self.a, -self.b)
+        return _raw(-self._a, -self._b, self._d)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -93,72 +138,109 @@ class Q3:
         return self if self.sign() >= 0 else -self
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(3)."""
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # Mixed signs: compare a^2 with 3 b^2.
-        d = a * a - 3 * b * b
-        if a > 0:  # b < 0
-            return 1 if d > 0 else (-1 if d < 0 else 0)
-        # a < 0, b > 0
-        return -1 if d > 0 else (1 if d < 0 else 0)
+        """Exact sign of (a + b*sqrt(3)) / d."""
+        return _sign(self._a, self._b)
+
+    def _cmp(self, other):
+        """Sign of self - other, or None when other is not a field element."""
+        if type(other) is not Q3:
+            other = _coerce(other)
+            if other is None:
+                return None
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _sign(self._a - other._a, self._b - other._b)
+        return _sign(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1)
 
     def __eq__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if type(other) is not Q3:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
     def __lt__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        # A rational value hashes like the int or Fraction it equals; an
+        # irrational one equals neither, so its triple is enough.
+        if self._b == 0:
+            if self._d == 1:
+                return hash(self._a)
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __float__(self):
-        return float(self.a) + float(self.b) * SQRT3
+        # int / int is correctly rounded, as float(Fraction) is.
+        d = self._d
+        return self._a / d + (self._b / d) * SQRT3
 
-    def is_rational(self) -> bool:
-        return self.b == 0
+
+_new = object.__new__
+
+
+def _raw(a, b, d):
+    """Q3 from a triple already in canonical form."""
+    q = _new(Q3)
+    q._a = a
+    q._b = b
+    q._d = d
+    return q
+
+
+def _q3(a, b, d):
+    """Q3 from integers with d > 0, reduced to canonical form."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    q = _new(Q3)
+    q._a = a
+    q._b = b
+    q._d = d
+    return q
+
+
+def _sign(a, b):
+    """Exact sign of a + b*sqrt(3) for integers a, b."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a >= 0 and b > 0:
+        return 1
+    if a <= 0 and b < 0:
+        return -1
+    # Mixed signs: compare a^2 with 3 b^2 (never equal, sqrt 3 is irrational).
+    n = a * a - 3 * b * b
+    return 1 if (n > 0) == (a > 0) else -1
 
 
 def _coerce(x):
     if isinstance(x, Q3):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Q3(x)
+    if isinstance(x, int):
+        return _raw(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _raw(x.numerator, 0, x.denominator)
     return None
 
 
@@ -212,6 +294,39 @@ _SIN30 = [
     Q3(0), Q3(_HALF), Q3(0, _HALF), Q3(1), Q3(0, _HALF), Q3(_HALF),
     Q3(0), Q3(-_HALF), Q3(0, -_HALF), Q3(-1), Q3(0, -_HALF), Q3(-_HALF),
 ]
+# The same table as floats, for float-mode rotations.
+COS_SIN30_FLOAT = [(float(c), float(s)) for c, s in zip(_COS30, _SIN30)]
+
+
+def q3_rotate(k30: int, x, y):
+    """Rotate the exact vector (x, y) by k30 * 30 degrees counterclockwise.
+
+    Quarter turns only swap and negate.  The 30 or 60 degrees left over
+    halve the vector and multiply one part by sqrt 3, which on the
+    integer form is the swap (a, b) -> (3b, a).
+    """
+    if type(x) is not Q3:
+        x = _coerce(x)
+    if type(y) is not Q3:
+        y = _coerce(y)
+    q, r = divmod(k30 % 12, 3)
+    if r:
+        xa, xb, xd = x._a, x._b, x._d
+        ya, yb, yd = y._a, y._b, y._d
+        if xd != yd:
+            xa, xb, ya, yb, xd = xa * yd, xb * yd, ya * xd, yb * xd, xd * yd
+        d = 2 * xd
+        if r == 1:  # (sqrt3 x - y, x + sqrt3 y) / 2
+            x, y = _q3(3 * xb - ya, xa - yb, d), _q3(xa + 3 * yb, xb + ya, d)
+        else:       # (x - sqrt3 y, sqrt3 x + y) / 2
+            x, y = _q3(xa - 3 * yb, xb - ya, d), _q3(3 * xb + ya, xa + yb, d)
+    if q == 0:
+        return (x, y)
+    if q == 1:
+        return (-y, x)
+    if q == 2:
+        return (-x, -y)
+    return (y, -x)
 
 
 class Scalars:
@@ -230,6 +345,7 @@ class Scalars:
         self.mode = mode
         self.eps = eps
         self.exact = mode == "exact"
+        self.gluings = None  # chart.gluing's table, built on first use
         if self.exact:
             self.zero = Q3(0)
             self.one = Q3(1)
@@ -265,9 +381,6 @@ class Scalars:
             return Q3(Fraction(num, den))
         return num / den
 
-    def to_float(self, x) -> float:
-        return float(x)
-
     def sign(self, x) -> int:
         """Sign with tolerance snap in float mode, exact otherwise."""
         if self.exact:
@@ -295,7 +408,7 @@ class Scalars:
         k = (deg // 30) % 12
         if self.exact:
             return _COS30[k], _SIN30[k]
-        return float(_COS30[k]), float(_SIN30[k])
+        return COS_SIN30_FLOAT[k]
 
     def direction(self, theta_deg: float):
         """Unit direction vector for an angle in degrees.

@@ -221,13 +221,7 @@ class Triangulation:
         nbr = self.adj.get((t, e))
         if nbr is None:
             raise UnmatchedEdge(f"edge {e} of triangle {t} is unmatched")
-        t2, e2 = nbr
-        k = (4 * e2 + 6 - 4 * e) % 12
-        cs = chart.corners(ctx)
-        px, py = cs[e]
-        qx, qy = cs[(e2 + 1) % 3]
-        rx, ry = chart.rotate(ctx, k, px, py)
-        return chart.Isometry(ctx, k, qx - rx, qy - ry)
+        return chart.gluing(ctx, e, nbr[1])
 
 
 # -- canonical points ----------------------------------------------------

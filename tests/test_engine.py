@@ -410,6 +410,35 @@ class TestTrace:
         from smfgeo.engine import GrowthLimit
         assert any(isinstance(ev, GrowthLimit) for _, ev in path.events)
 
+    def test_growth_bug_propagates(self, monkeypatch):
+        # Only surface errors mean "cannot grow"; any other error inside
+        # growth is a bug and must not become a silent GrowthLimit.
+        from smfgeo import engine
+
+        def broken(surf, rings):
+            raise RuntimeError("bug inside growth")
+
+        monkeypatch.setattr(engine, "grow_frontier", broken)
+        surf = build_flat_plane(1)
+        ray = make_ray(surf, FLOAT, 0, CENTROID, FLOAT.direction(11.0))
+        with pytest.raises(RuntimeError, match="bug inside growth"):
+            trace(ray, surf, FLOAT, arc_budget=50.0, growth_budget=10**5)
+
+    def test_growth_limit_exceeded_ends_trace(self, monkeypatch):
+        from smfgeo import engine
+        from smfgeo.engine import GrowthLimit
+        from smfgeo.surface import GrowthLimitExceeded
+
+        def over_budget(surf, rings):
+            raise GrowthLimitExceeded("triangle budget reached")
+
+        monkeypatch.setattr(engine, "grow_frontier", over_budget)
+        surf = build_flat_plane(1)
+        ray = make_ray(surf, FLOAT, 0, CENTROID, FLOAT.direction(11.0))
+        path = trace(ray, surf, FLOAT, arc_budget=50.0, growth_budget=10**5)
+        assert isinstance(path.events[-1][1], GrowthLimit)
+        assert path.surface is surf
+
 
 class TestStraddle:
     def test_elliptic_straddle_lines_converge_and_meet(self, semi5):

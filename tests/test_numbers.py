@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from smfgeo import chart, numbers
 from smfgeo.numbers import Q3, Scalars, q3_sqrt
 
 rationals = st.fractions(max_denominator=50)
@@ -103,3 +104,171 @@ class TestScalars:
         # norm sqrt(1 + 3*4) = sqrt(13): not in the field
         ux, uy, ok = ectx.try_unit(Q3(1), Q3(0, 2))
         assert not ok
+
+
+# -- the integer kernel against a reference model --------------------------
+#
+# The reference keeps a + b*sqrt(3) as a pair of Fractions and does the
+# field operations on the pair directly.
+
+small_ints = st.integers(-10**6, 10**6)
+nonzero_q3s = q3s.filter(lambda q: q.sign() != 0)
+
+
+def ref(q):
+    return (q.a, q.b)
+
+
+def ref_mul(x, y):
+    (a1, b1), (a2, b2) = x, y
+    return (a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2)
+
+
+def ref_sign(x):
+    a, b = x
+    if a == 0 and b == 0:
+        return 0
+    if a >= 0 and b >= 0:
+        return 1
+    if a <= 0 and b <= 0:
+        return -1
+    d = a * a - 3 * b * b
+    return (1 if d > 0 else -1) if a > 0 else (-1 if d > 0 else 1)
+
+
+def assert_canonical(q):
+    assert type(q._a) is int and type(q._b) is int and type(q._d) is int
+    assert q._d > 0
+    assert math.gcd(q._a, q._b, q._d) == 1
+
+
+class TestQ3Kernel:
+    @given(a=rationals, b=rationals)
+    def test_constructor_round_trip(self, a, b):
+        q = Q3(a, b)
+        assert_canonical(q)
+        assert ref(q) == (a, b)
+        assert isinstance(q.a, Fraction) and isinstance(q.b, Fraction)
+
+    @given(a=small_ints, b=small_ints)
+    def test_int_constructor(self, a, b):
+        q = Q3(a, b)
+        assert_canonical(q)
+        assert ref(q) == (a, b)
+
+    @given(x=q3s, y=q3s)
+    def test_ring_operations(self, x, y):
+        rx, ry = ref(x), ref(y)
+        for got, want in ((x + y, (rx[0] + ry[0], rx[1] + ry[1])),
+                          (x - y, (rx[0] - ry[0], rx[1] - ry[1])),
+                          (x * y, ref_mul(rx, ry)),
+                          (-x, (-rx[0], -rx[1]))):
+            assert_canonical(got)
+            assert ref(got) == want
+
+    @given(x=q3s, y=nonzero_q3s)
+    def test_division(self, x, y):
+        (a1, b1), (a2, b2) = ref(x), ref(y)
+        n = a2 * a2 - 3 * b2 * b2
+        q = x / y
+        assert_canonical(q)
+        assert ref(q) == ((a1 * a2 - 3 * b1 * b2) / n, (b1 * a2 - a1 * b2) / n)
+
+    @given(x=q3s)
+    def test_division_by_zero(self, x):
+        with pytest.raises(ZeroDivisionError):
+            x / Q3(0)
+
+    @given(x=q3s, n=st.integers(0, 6))
+    def test_pow(self, x, n):
+        want = (Fraction(1), Fraction(0))
+        for _ in range(n):
+            want = ref_mul(want, ref(x))
+        got = x ** n
+        assert_canonical(got)
+        assert ref(got) == want
+
+    @given(x=q3s, y=q3s)
+    def test_sign_and_comparisons(self, x, y):
+        assert x.sign() == ref_sign(ref(x))
+        s = ref_sign((x.a - y.a, x.b - y.b))
+        assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+        assert (x == y) == (s == 0) and (x != y) == (s != 0)
+
+    @given(r=rationals, n=small_ints, b=rationals.filter(lambda b: b != 0))
+    def test_mixed_operands(self, r, n, b):
+        assert Q3(r) == r and r == Q3(r) and Q3(n) == n
+        assert Q3(r, b) != r and Q3(n, b) != n
+        assert ref(Q3(r) + n) == (r + n, 0) and ref(n - Q3(0, b)) == (n, -b)
+        assert ref(r * Q3(0, b)) == (0, r * b)
+        assert (Q3(r) < n) == (r < n) and (n <= Q3(r)) == (n <= r)
+
+    @given(r=rationals, n=small_ints, x=q3s, y=q3s)
+    def test_hash_contract(self, r, n, x, y):
+        assert hash(Q3(r)) == hash(r)
+        assert hash(Q3(n)) == hash(n)
+        if x == y:
+            assert hash(x) == hash(y)
+        assert hash(Q3(x.a, x.b)) == hash(x)
+
+    @given(x=q3s)
+    def test_float_bit_identical(self, x):
+        assert float(x) == float(x.a) + float(x.b) * math.sqrt(3.0)
+
+    @given(x=q3s)
+    def test_sqrt_results(self, x):
+        r = q3_sqrt(x)
+        if r is not None:
+            assert r.sign() >= 0 and r * r == x
+        assert q3_sqrt(x * x) == abs(x)
+        assert q3_sqrt(3 * x * x) == abs(x) * Q3(0, 1)
+
+    def test_sqrt_pinned(self):
+        assert q3_sqrt(Q3(Fraction(9, 4))) == Q3(Fraction(3, 2))
+        assert q3_sqrt(Q3(Fraction(4, 3))) == Q3(0, Fraction(2, 3))
+        assert q3_sqrt(Q3(7, 4)) == Q3(2, 1)       # (2 + sqrt3)^2
+        assert q3_sqrt(Q3(2)) is None
+        assert q3_sqrt(Q3(1, 1)) is None
+        assert q3_sqrt(Q3(0)) == Q3(0)
+
+    def test_repr_unchanged(self):
+        assert repr(Q3(Fraction(1, 2), -3)) == "Q3(1/2, -3)"
+        assert repr(Q3(0, Fraction(-2, 6))) == "Q3(0, -1/3)"
+
+
+class TestKernelTables:
+    @settings(deadline=None)
+    @given(x=q3s, y=q3s)
+    def test_exact_rotate_matches_generic(self, x, y):
+        ctx = Scalars("exact")
+        for k in range(-12, 24):
+            c, s = numbers._COS30[k % 12], numbers._SIN30[k % 12]
+            got = chart.rotate(ctx, k, x, y)
+            assert got == (c * x - s * y, s * x + c * y)
+            for q in got:
+                assert_canonical(q)
+
+    def test_exact_rotate_coerces_rationals(self):
+        ctx = Scalars("exact")
+        for k in range(12):
+            got = chart.rotate(ctx, k, 1, Fraction(1, 2))
+            assert all(type(q) is Q3 for q in got)
+            assert got == chart.rotate(ctx, k, Q3(1), Q3(Fraction(1, 2)))
+
+    def test_float_cos_sin_table(self):
+        ctx = Scalars("float")
+        for k in range(-12, 24):
+            want = (float(numbers._COS30[k % 12]), float(numbers._SIN30[k % 12]))
+            assert ctx.cos_sin_deg(30 * k) == want
+
+    @given(x=st.floats(-1e6, 1e6), y=st.floats(-1e6, 1e6))
+    def test_float_rotate_matches_generic(self, x, y):
+        ctx = Scalars("float")
+        for k in range(-12, 24):
+            c, s = float(numbers._COS30[k % 12]), float(numbers._SIN30[k % 12])
+            got = chart.rotate(ctx, k, x, y)
+            want = (c * x - s * y, s * x + c * y)
+            # Bit-equal, signed zeros included.
+            assert [math.copysign(1.0, v) for v in got] == \
+                [math.copysign(1.0, v) for v in want]
+            assert got == want

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smfgeo import chart, numbers
 from smfgeo.builders import build_flat_plane, build_semi_paradoxist, build_silo
 from smfgeo.numbers import Scalars
 from smfgeo.surface import (
@@ -314,3 +315,48 @@ class TestMutationSuite:
         bad = self._clone(surf, adj=adj)
         rep = validate(bad)
         assert "EdgeUnmatched" in rep.kinds()
+
+
+def _glued_pair(e, e2):
+    """Two triangles whose edge e and edge e2 are glued to each other."""
+    t0 = (0, 1, 2)
+    u, v = t0[e], t0[(e + 1) % 3]
+    t1 = [None] * 3
+    t1[e2], t1[(e2 + 1) % 3], t1[(e2 + 2) % 3] = v, u, 3
+    adj = {(0, e): (1, e2), (1, e2): (0, e)}
+    return Triangulation([t0, tuple(t1)], adj, {}, frozenset(), (), (), {})
+
+
+class TestTransferTable:
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_all_edge_pairs_match_corner_formula(self, ctx):
+        cs = chart.corners(ctx)
+        for e in range(3):
+            for e2 in range(3):
+                iso = _glued_pair(e, e2).transfer(ctx, 0, e)
+                # Corner formula: rotate by k*30 degrees, then carry
+                # corner e onto the neighbor's corner e2 + 1.
+                k = (4 * e2 + 6 - 4 * e) % 12
+                c, s = (numbers._COS30[k], numbers._SIN30[k]) if ctx.exact \
+                    else (float(numbers._COS30[k]), float(numbers._SIN30[k]))
+                px, py = cs[e]
+                qx, qy = cs[(e2 + 1) % 3]
+                assert iso.k == k
+                assert (iso.tx, iso.ty) == (qx - (c * px - s * py),
+                                            qy - (s * px + c * py))
+                # The shared edge lands on itself, endpoints swapped.
+                if ctx.exact:
+                    assert iso.apply(*cs[e]) == cs[(e2 + 1) % 3]
+                    assert iso.apply(*cs[(e + 1) % 3]) == cs[e2]
+                else:
+                    for got, want in ((iso.apply(*cs[e]), cs[(e2 + 1) % 3]),
+                                      (iso.apply(*cs[(e + 1) % 3]), cs[e2])):
+                        assert got == pytest.approx(want, abs=1e-15)
+
+    def test_table_is_per_context_and_shared(self, flat2):
+        ctx = Scalars("exact")
+        t, e = next(iter(flat2.adj))
+        a = flat2.transfer(ctx, t, e)
+        assert flat2.transfer(ctx, t, e) is a
+        assert a.ctx is ctx
+        assert flat2.transfer(Scalars("exact"), t, e) is not a
