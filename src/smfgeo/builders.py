@@ -234,7 +234,7 @@ def _silo_fixtures(surf: Triangulation, hyperbolic_rings: int):
     # l runs along the ring-2 cycle, cap on its left.
     cyc = surf.rings[2]
     a, bb = cyc[0], cyc[1]
-    t, e = _directed_edge(surf, a, bb)
+    t, e = surf.directed_edge(a, bb)
     half = Fraction(1, 2)
     bary = [Fraction(0)] * 3
     bary[e] = half
@@ -244,11 +244,11 @@ def _silo_fixtures(surf: Triangulation, hyperbolic_rings: int):
     dy = cs[(e + 1) % 3][1] - cs[e][1]
     labels["l"] = LineFixture(t, tuple(bary), dirvec=(dx, dy))
     # P: centroid of the cylinder-row triangle under l's base edge.
-    t_down, _ = _directed_edge(surf, bb, a)
+    t_down, _ = surf.directed_edge(bb, a)
     labels["P"] = PointFixture(t_down, _CENTROID)
     if hyperbolic_rings >= 1:
         cyc3 = surf.rings[3]
-        t_q, _ = _directed_edge(surf, cyc3[1], cyc3[0])
+        t_q, _ = surf.directed_edge(cyc3[1], cyc3[0])
         labels["Q"] = PointFixture(t_q, _CENTROID)
         labels["I"] = VertexFixture(cyc3[0])
         labels["F"] = VertexFixture(cyc3[1])
@@ -276,36 +276,6 @@ def _silo_far_points(surf: Triangulation, ctx: Scalars, vertex_i: int):
 
 
 # -- geometric helpers used by the builders --------------------------------
-
-
-def _directed_edge(surf: Triangulation, u: int, v: int):
-    for t, tv in enumerate(surf.tris):
-        for e in range(3):
-            if tv[e] == u and tv[(e + 1) % 3] == v:
-                return t, e
-    raise RuntimeError(f"directed edge ({u},{v}) not found")
-
-
-def _vertex_bary_frac(p: SurfacePoint):
-    return tuple(Fraction(1) if i == _one_slot(p) else Fraction(0)
-                 for i in range(3))
-
-
-def _one_slot(p: SurfacePoint) -> int:
-    return max(range(3), key=lambda i: float(p.bary[i]))
-
-
-def _vertex_dir_ray(surf, ctx, v, d, tri=None) -> engine.Ray:
-    """Canonical ray leaving vertex v along direction d, where d is given
-    in the chart of `tri` (default: v's lowest incident triangle)."""
-    if tri is None:
-        tri, s = surf.incident(v)
-    else:
-        s = surf.vertex_slot(tri, v)
-    b = [ctx.zero, ctx.zero, ctx.zero]
-    b[s] = ctx.one
-    return engine.ray_canonical(surf, ctx, SurfacePoint(tri, tuple(b)),
-                                (ctx.of(d[0]), ctx.of(d[1])))
 
 
 def _vertex_bisector_ray(surf, ctx, v, toward_ring) -> engine.Ray:
@@ -368,7 +338,7 @@ def _ring_crossing(surf: Triangulation, ctx, ray: engine.Ray, ring: int):
 
 def point_on_edge(surf: Triangulation, ctx, u: int, v: int, t) -> SurfacePoint:
     """The point at parameter t from u to v along the edge (u, v)."""
-    tri, e = _directed_edge(surf, u, v)
+    tri, e = surf.directed_edge(u, v)
     tt = ctx.of(t)
     b = [ctx.zero, ctx.zero, ctx.zero]
     b[e] = ctx.one - tt

@@ -20,9 +20,18 @@ from dataclasses import dataclass, field
 
 from . import chart, engine, farfield
 from .chart import cross, dot
-from .engine import Closure, EdgeCrossing, Ray, VertexCrossing
+from .engine import (
+    Closure,
+    EdgeCrossing,
+    EngineError,
+    GrowthLimit,
+    Ray,
+    Segment,
+    VertexCrossing,
+)
 from .numbers import Scalars
 from .surface import (
+    SurfaceError,
     SurfacePoint,
     Triangulation,
     canonicalize_point,
@@ -107,15 +116,6 @@ class PointClassification:
     parallel_arcs: int = 0
     crossing_arcs: int = 0
     unknown_arcs: int = 0
-
-    def summary(self):
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "parallel_arcs": self.parallel_arcs,
-            "crossing_arcs": self.crossing_arcs,
-            "unknown_arcs": self.unknown_arcs,
-        }
 
 
 # -- model analysis ----------------------------------------------------------
@@ -251,7 +251,8 @@ def build_line_context(surf: Triangulation, ctx: Scalars, ray: Ray,
                            escape_ring=core)
         if res_f.kind != "escaped" or res_b.kind != "escaped":
             raise ValueError("reference line must escape the core ring")
-        path = _stitch(ray, res_f, res_b, surf)
+        path = engine.stitch(ray, surf, (res_f.segments, res_f.events, res_f.arc),
+                             (res_b.segments, res_b.events, res_b.arc))
         lctx = LineContext(ray, path, surf, ctx, _index_segments(path),
                            farfield.max_ring_of_path(surf, path.segments),
                            closed=False, core_ring=core,
@@ -290,15 +291,6 @@ def _default_core_ring(surf, analysis, min_core=None):
     raise ValueError("no audited convex ring encloses the core")
 
 
-def _stitch(ray, res_f, res_b, surf):
-    path = engine.GeodesicPath(start=ray, two_sided=True, surface=surf)
-    path.segments = [engine.Segment(s.tri, s.b, s.a)
-                     for s in reversed(res_b.segments)] + res_f.segments
-    path.events = [(-a, ev) for a, ev in reversed(res_b.events)] + res_f.events
-    path.arc_length = res_f.arc + res_b.arc
-    return path
-
-
 def _cut_ray(surf, ctx, analysis, budgets, core_ring):
     has_core = any(d != 6 for v, d in surf.degree.items()
                    if v not in surf.frontier)
@@ -310,15 +302,25 @@ def _cut_ray(surf, ctx, analysis, budgets, core_ring):
     from .builders import resolve_ray
     ray = resolve_ray(surf, ctx, fx)
     res = _trace_end(surf, ctx, ray, analysis, budgets, None,
-                     escape_ring=core_ring, follow_past_escape=True)
-    if res.tail is None:
-        raise ValueError("cut ray failed to escape the core ring")
-    cut_edges = set()
-    for a, ev in res.events:
-        if isinstance(ev, EdgeCrossing) and a >= res.tail.arc0 - 1e-12:
-            cut_edges.add(frozenset(surf.edge_vertices(ev.tri, ev.edge)))
+                     escape_ring=core_ring)
     t = res.tail
-    return (frozenset(cut_edges), t.escape_tri, t.xy, t.dir)
+    if t is None:
+        raise ValueError("cut ray failed to escape the core ring")
+    # The cut runs on straight past the escape, up to six arc budgets.
+    crossed = [ev for a, ev in res.events if a >= t.arc0 - 1e-12]
+    arc = res.arc
+    for item, _, _ in engine.walk(res.end, surf, ctx):
+        if isinstance(item, Segment):
+            arc += item.length()
+            continue
+        if isinstance(item, GrowthLimit):
+            break
+        crossed.append(item)
+        if arc >= 6 * budgets.arc:
+            break
+    cut_edges = frozenset(frozenset(surf.edge_vertices(ev.tri, ev.edge))
+                          for ev in crossed if isinstance(ev, EdgeCrossing))
+    return (cut_edges, t.escape_tri, t.xy, t.dir)
 
 
 def _developed_tail(fc, tail: TailInfo) -> farfield.TailData:
@@ -329,7 +331,7 @@ def _developed_tail(fc, tail: TailInfo) -> farfield.TailData:
     return farfield.TailData(base, d, tail.arc0, speed)
 
 
-# -- one-end tracing with hooks ----------------------------------------------
+# -- one-end tracing ----------------------------------------------------
 
 
 @dataclass
@@ -351,11 +353,14 @@ class EndResult:
     carrier_xy: tuple = None  # ray base point in the carrier chart
     band_tokens: tuple = ()   # collapsed band transit outcomes
     tokens: tuple = ()        # concrete itinerary tokens before any transit
+    end: Ray = None           # the ray the trace stopped at
 
 
 def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
-               escape_ring=None, follow_past_escape=False,
-               collect_frames=False) -> EndResult:
+               escape_ring=None, collect_frames=False) -> EndResult:
+    """One end of the line through `ray`, walked until it crosses the
+    reference line, closes, escapes a certified ring or runs out of
+    budget; silo bands are crossed in one transit each."""
     segments = []
     events = []
     frames = []
@@ -369,24 +374,23 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
     rot = 0
     frame = chart.Isometry.identity(ctx)
     start_xy = chart.xy_of_bary(ctx, ray.point.bary)
-    start_tri = ray.point.tri
-    start_dir = ray.dir
     monitor = analysis.monitor
     in_band_mode = False  # suppress edge tokens once a transit happened
     vstates = {}
 
-    def vertex_arrival(v, arc_at, outgoing):
+    def vertex_arrival(v, outgoing):
         """Crossing when v lies on the reference line; closure on a
-        repeated (vertex, outgoing direction) state."""
+        repeated (vertex, outgoing direction) state; else None."""
         if lctx is not None and v in lctx.on_vertices:
             from .surface import vertex_point
-            return ("crossed", vertex_point(surf, ctx, v))
+            return result("crossed",
+                          crossing=(vertex_point(surf, ctx, v), arc, "vertex"))
         key = (v, outgoing.point.tri,
                _dirkey(ctx, outgoing.dir))
         prev = vstates.get(key)
-        if prev is not None and arc_at - prev > 1e-7:
-            return ("closed", arc_at - prev)
-        vstates[key] = arc_at
+        if prev is not None and arc - prev > engine.MIN_PERIOD:
+            return result("closed", closure_period=arc - prev)
+        vstates[key] = arc
         return None
 
     def result(kind, **kw):
@@ -397,7 +401,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                          rot=rot, band_entry=band_entry,
                          carrier=ray.point.tri, carrier_xy=start_xy,
                          band_tokens=tuple(band_tokens),
-                         tokens=tuple(tokens), **kw)
+                         tokens=tuple(tokens), end=cur, **kw)
 
     def certified(k):
         if escape_ring is not None and k >= escape_ring:
@@ -409,144 +413,119 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
         if band is not None:
             if band_entry is None:
                 band_entry = (cur.point.tri, rot)
-            hop = _band_hop(surf, ctx, band, cur, arc, events, via_vertices)
             in_band_mode = True
-            if hop[0] == "closed":
-                arc = hop[1]
+            exit_ = band.transit(surf, ctx, cur.point.tri,
+                                 chart.xy_of_bary(ctx, cur.point.bary), cur.dir)
+            if exit_.kind == "closed":
+                period = float(band.period)
+                arc += period
+                events.append((arc, Closure(period)))
                 band_tokens.append(("closed", band.top))
-                return result("closed", closure_period=hop[2])
-            if hop[0] == "unknown":
-                return result("unknown")
-            if hop[0] in ("top", "bottom"):
-                pt, a2, ray2 = hop[1], hop[2], hop[3]
-                arc = a2
-                band_tokens.append((hop[0], band.top))
+                return result("closed", closure_period=period)
+            if exit_.kind in ("top_vertex", "bottom_vertex"):
+                vtx = exit_.vertex
+                if vtx in surf.frontier:
+                    return result("unknown")
+                tri_in, d_in = _band_arrival(surf, ctx, band, vtx, exit_.dir_in)
+                try:
+                    cur, ev = engine.cross_vertex(surf, ctx, vtx, tri_in, d_in)
+                except (EngineError, SurfaceError):
+                    return result("unknown")
+                arc += exit_.arc
+                events.append((arc, ev))
+                via_vertices.append(vtx)
+                band_tokens.append(("v", vtx))
+                done = vertex_arrival(vtx, cur)
+                if done is not None:
+                    return done
+            else:
+                from .builders import point_on_edge
+                (u, v), tpar, d_strip = exit_.ray
+                pt = point_on_edge(surf, ctx, u, v, tpar)
+                if exit_.kind == "top":
+                    # The band triangle carries directed edge (v, u) on the
+                    # top cycle.
+                    u, v, tpar = v, u, ctx.one - tpar
+                cur = _band_boundary_ray(surf, ctx, band, u, v, tpar, d_strip)
+                arc += exit_.arc
+                band_tokens.append((exit_.kind, band.top))
                 if lctx is not None and _point_on_line(ctx, pt, lctx):
-                    return result("crossed", crossing=(pt, a2, "band"))
-                if hop[0] == "bottom":
+                    return result("crossed", crossing=(pt, arc, "band"))
+                if exit_.kind == "bottom":
                     kring = band.top + 1
                     rings_crossed.append(kring)
                     if certified(kring):
-                        tail = TailInfo(ray2.point.tri,
-                                        chart.xy_of_bary(ctx, ray2.point.bary),
-                                        ray2.dir, arc, 0)
+                        tail = TailInfo(cur.point.tri,
+                                        chart.xy_of_bary(ctx, cur.point.bary),
+                                        cur.dir, arc, 0)
                         return result("escaped", tail=tail, escape_ring=kring)
-                cur = ray2
-                rot = None
-                continue
-            if hop[0] == "vertex_resume":
-                cur, arc = hop[1], hop[2]
-                band_tokens.append(("v", via_vertices[-1]))
-                got = vertex_arrival(via_vertices[-1], arc, cur)
-                if got is not None:
-                    if got[0] == "crossed":
-                        return result("crossed",
-                                      crossing=(got[1], arc, "vertex"))
-                    return result("closed", closure_period=got[1])
-                rot = None
-                continue
-            return result("unknown")
+            rot = None
+            continue
         if collect_frames:
             frames.append((cur.point.tri, frame))
-        try:
-            seg, hit = engine.step(cur, surf, ctx)
-        except engine.FrontierReached:
-            return result("unknown")
-        segments.append(seg)
-        if lctx is not None:
-            got = _hit_reference(ctx, seg, lctx)
-            if got is not None:
-                x, y = got
-                bpt = normalize_bary(ctx, chart.bary_of_xy(ctx, x, y))
-                pt = canonicalize_point(SurfacePoint(seg.tri, bpt), surf, ctx)
-                d = math.hypot(float(x) - float(seg.a[0]),
-                               float(y) - float(seg.a[1]))
-                arc = arc + d
-                return result("crossed", crossing=(pt, arc, "traced"))
-        if len(segments) > 1 and seg.tri == start_tri:
-            trec = engine._segment_recurrence(ctx, seg, start_xy, start_dir)
-            if trec is not None:
-                period = arc + trec * seg.length()
-                if period > 1e-7:
-                    arc += seg.length()
-                    events.append((period, Closure(period)))
-                    return result("closed", closure_period=period)
-        arc += seg.length()
-        exit_b = normalize_bary(ctx, chart.bary_of_xy(ctx, *seg.b))
-        if hit[0] == "vertex":
-            v = hit[1]
-            if v in surf.frontier:
+        for item, cur, _ in engine.walk(cur, surf, ctx):
+            if isinstance(item, Segment):
+                seg = item
+                segments.append(seg)
+                if lctx is not None:
+                    got = _hit_reference(ctx, seg, lctx)
+                    if got is not None:
+                        x, y = got
+                        bpt = normalize_bary(ctx, chart.bary_of_xy(ctx, x, y))
+                        pt = canonicalize_point(SurfacePoint(seg.tri, bpt),
+                                                surf, ctx)
+                        arc += math.hypot(float(x) - float(seg.a[0]),
+                                          float(y) - float(seg.a[1]))
+                        return result("crossed", crossing=(pt, arc, "traced"))
+                if len(segments) > 1:
+                    period = engine.closure_period(ctx, ray, start_xy, seg, arc)
+                    if period is not None:
+                        arc += seg.length()
+                        events.append((period, Closure(period)))
+                        return result("closed", closure_period=period)
+                arc += seg.length()
+                continue
+            if isinstance(item, GrowthLimit):
                 return result("unknown")
-            nxt, ev = engine.cross_vertex(surf, ctx, v, seg.tri, cur.dir)
-            events.append((arc, ev))
-            via_vertices.append(v)
-            if not in_band_mode:
-                tokens.append(("v", v))
-            got = vertex_arrival(v, arc, nxt)
-            if got is not None:
-                if got[0] == "crossed":
-                    return result("crossed", crossing=(got[1], arc, "vertex"))
-                return result("closed", closure_period=got[1])
-            ring_info = monitor.vertex_passage(v, seg.tri, nxt.point.tri)
+            events.append((arc, item))
+            if isinstance(item, VertexCrossing):
+                v = item.vertex
+                via_vertices.append(v)
+                if not in_band_mode:
+                    tokens.append(("v", v))
+                done = vertex_arrival(v, cur)
+                if done is not None:
+                    return done
+                ring_info = monitor.vertex_passage(v, item.tri_in, item.tri_out)
+                if collect_frames:
+                    link = engine.link_iso(surf, ctx, item.tri_in, item.tri_out)
+                    frame = frame.compose(link.inverse())
+                rot = None
+            else:
+                ring_info = monitor.crossing(item.tri, item.edge)
+                iso = surf.transfer(ctx, item.tri, item.edge)
+                if not in_band_mode:
+                    tokens.append((item.tri, item.edge))
+                if collect_frames:
+                    frame = frame.compose(iso.inverse())
+                if rot is not None:
+                    rot = (rot + iso.k) % 12
+            if ring_info is not None:
+                k, outward = ring_info
+                if outward:
+                    rings_crossed.append(k)
+                    if certified(k):
+                        tail = TailInfo(cur.point.tri,
+                                        chart.xy_of_bary(ctx, cur.point.bary),
+                                        cur.dir, arc,
+                                        rot if rot is not None else 0)
+                        return result("escaped", tail=tail, escape_ring=k)
+            if arc >= budgets.arc:
+                return result("unknown")
+            if cur.point.tri in analysis.band_tris:
+                break  # the band transit restarts the walk from its exit
             if collect_frames:
-                link = engine.link_iso(surf, ctx, seg.tri, nxt.point.tri)
-                frame = frame.compose(link.inverse())
-            rot = None
-            cur = nxt
-        else:
-            e = hit[1]
-            ring_info = monitor.crossing(seg.tri, e)
-            iso = surf.transfer(ctx, seg.tri, e)
-            nxt = engine.transfer_edge(surf, ctx, seg.tri, e, exit_b, cur.dir)
-            events.append((arc, EdgeCrossing(seg.tri, e,
-                                             SurfacePoint(seg.tri, exit_b))))
-            if not in_band_mode:
-                tokens.append((seg.tri, e))
-            if collect_frames:
-                frame = frame.compose(iso.inverse())
-            if rot is not None:
-                rot = (rot + iso.k) % 12
-            cur = nxt
-        if ring_info is not None:
-            k, outward = ring_info
-            if outward:
-                rings_crossed.append(k)
-                if certified(k):
-                    tail = TailInfo(cur.point.tri,
-                                    chart.xy_of_bary(ctx, cur.point.bary),
-                                    cur.dir, arc, rot if rot is not None else 0)
-                    if follow_past_escape:
-                        res = _follow_straight(surf, ctx, cur, arc, budgets,
-                                               segments, events)
-                        res.tail = tail
-                        return res
-                    return result("escaped", tail=tail, escape_ring=k)
-        if arc >= budgets.arc:
-            return result("unknown")
-
-
-def _follow_straight(surf, ctx, cur, arc, budgets, segments, events):
-    while True:
-        try:
-            seg, hit = engine.step(cur, surf, ctx)
-        except engine.FrontierReached:
-            return EndResult("unknown", segments, events, arc)
-        segments.append(seg)
-        arc += seg.length()
-        exit_b = normalize_bary(ctx, chart.bary_of_xy(ctx, *seg.b))
-        if hit[0] == "vertex":
-            v = hit[1]
-            if v in surf.frontier:
-                return EndResult("unknown", segments, events, arc)
-            cur, ev = engine.cross_vertex(surf, ctx, v, seg.tri, cur.dir)
-            events.append((arc, ev))
-        else:
-            events.append((arc, EdgeCrossing(seg.tri, hit[1],
-                                             SurfacePoint(seg.tri, exit_b))))
-            cur = engine.transfer_edge(surf, ctx, seg.tri, hit[1], exit_b,
-                                       cur.dir)
-        if arc >= 6 * budgets.arc:
-            return EndResult("unknown", segments, events, arc)
+                frames.append((cur.point.tri, frame))
 
 
 def _dirkey(ctx, d):
@@ -572,35 +551,6 @@ def _point_on_line(ctx, pt: SurfacePoint, lctx: LineContext) -> bool:
     return False
 
 
-def _band_hop(surf, ctx, band, cur, arc, events, via_vertices):
-    xy = chart.xy_of_bary(ctx, cur.point.bary)
-    exit_ = band.transit(surf, ctx, cur.point.tri, xy, cur.dir)
-    if exit_.kind == "closed":
-        period = float(band.period)
-        events.append((arc + period, Closure(period)))
-        return ("closed", arc + period, period)
-    if exit_.kind in ("top_vertex", "bottom_vertex"):
-        vtx = exit_.vertex
-        if vtx in surf.frontier:
-            return ("unknown",)
-        tri_in, d_in = _band_arrival(surf, ctx, band, vtx, exit_.dir_in)
-        try:
-            nxt, ev = engine.cross_vertex(surf, ctx, vtx, tri_in, d_in)
-        except Exception:
-            return ("unknown",)
-        events.append((arc + exit_.arc, ev))
-        via_vertices.append(vtx)
-        return ("vertex_resume", nxt, arc + exit_.arc)
-    (u, v), tpar, d_strip = exit_.ray
-    from .builders import point_on_edge
-    pt = point_on_edge(surf, ctx, u, v, tpar)
-    if exit_.kind == "top":
-        ray2 = _band_top_ray(surf, ctx, band, u, v, tpar, d_strip)
-        return ("top", pt, arc + exit_.arc, ray2)
-    ray2 = _band_bottom_ray(surf, ctx, band, u, v, tpar, d_strip)
-    return ("bottom", pt, arc + exit_.arc, ray2)
-
-
 def _band_arrival(surf, ctx, band, vtx, d_strip):
     for t, s in surf.fan_ccw(vtx):
         if t in band.frames:
@@ -620,15 +570,6 @@ def _band_boundary_ray(surf, ctx, band, u, v, tpar, d_strip) -> Ray:
                 d = band.frames[t].inverse().apply_vec(*d_strip)
                 return engine.transfer_edge(surf, ctx, t, e, tuple(b), d)
     raise ValueError(f"band boundary edge ({u},{v}) not found")
-
-
-def _band_bottom_ray(surf, ctx, band, u, v, tpar, d_strip) -> Ray:
-    return _band_boundary_ray(surf, ctx, band, u, v, tpar, d_strip)
-
-
-def _band_top_ray(surf, ctx, band, u, v, tpar, d_strip) -> Ray:
-    # The band triangle carries directed edge (v, u) on the top cycle.
-    return _band_boundary_ray(surf, ctx, band, v, u, ctx.one - tpar, d_strip)
 
 
 # -- direction-level classification --------------------------------------------
@@ -667,7 +608,7 @@ def _probe(P: SurfacePoint, d, lctx, analysis, budgets,
         return Probe(d, fwd, fwd, status)
     try:
         back = engine.reverse_ray(surf, ctx, ray)
-    except Exception:
+    except (EngineError, SurfaceError):
         return Probe(d, fwd, fwd, Unknown("reverse ray unavailable"))
     bwd = _trace_end(surf, ctx, back, analysis, budgets, lctx,
                      escape_ring=lctx.core_ring,
@@ -775,7 +716,6 @@ class _Partitioner:
         self.ctx = analysis.ctx
         self.surf = analysis.surf
         self.cache = {}
-        self.P_xy = chart.xy_of_bary(analysis.ctx, P.bary)
         self.intervals = []   # (u, v, probe) closed uniform
         self.unknowns = []    # (u, v)
         self.boundaries = {}  # key -> (dvec, probe)

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 from . import classify as cls_mod
@@ -65,7 +64,8 @@ def _build_parser():
     common.add_argument("--arc-budget", type=float, default=None)
     common.add_argument("--growth-budget", type=int, default=None)
     common.add_argument("--threads", type=int, default=None,
-                        help="max concurrent direction evaluations")
+                        help="accepted for compatibility; queries run "
+                             "sequentially")
     common.add_argument("-o", "--out", default=None, help="output path")
     p = argparse.ArgumentParser(
         prog="smfgeo", parents=[common],
@@ -120,18 +120,15 @@ def _read(path):
         return fh.read()
 
 
-def _load_surface(path, out):
+def _load_surface(path):
+    """The triangulation of an SMF file, or None after printing its
+    diagnostics."""
     doc, diags = smf.parse_manifold(_read(path))
-    if diags:
-        for d in diags:
-            print(f"{path}:{d}", file=sys.stderr)
-        return None
-    surf, diags = smf.to_triangulation(doc)
-    if diags:
-        for d in diags:
-            print(f"{path}:{d}", file=sys.stderr)
-        return None
-    return surf
+    if not diags:
+        surf, diags = smf.to_triangulation(doc)
+    for d in diags:
+        print(f"{path}:{d}", file=sys.stderr)
+    return None if diags else surf
 
 
 def _emit(text, out_path):
@@ -166,23 +163,15 @@ def main(argv=None) -> int:
 def _dispatch(args, config: RunConfig) -> int:
     ctx = config.scalars()
     budgets = config.budgets()
-    if args.command == "validate":
-        doc, diags = smf.parse_manifold(_read(args.smf))
-        if not diags:
-            surf, diags = smf.to_triangulation(doc)
-        if diags:
-            for d in diags:
-                print(f"{args.smf}:{d}", file=sys.stderr)
+    surf = None
+    if args.command in ("validate", "trace", "classify", "render", "audit"):
+        surf = _load_surface(args.smf)
+        if surf is None:
             return 1
+    if args.command == "validate":
         print(f"ok: {surf.n_triangles()} triangles, "
               f"{surf.n_vertices()} vertices, hash {surf.content_hash()}")
         return 0
-
-    surf = None
-    if args.command in ("validate", "trace", "classify", "render", "audit"):
-        surf = _load_surface(args.smf, args.out)
-        if surf is None:
-            return 1
 
     if args.command == "audit":
         lo, hi = (args.rings.split("..") + [args.rings])[:2] \
@@ -282,11 +271,9 @@ def _dispatch(args, config: RunConfig) -> int:
                 cls, b, config.number_mode, s2.content_hash(),
                 asdict(config))
 
-        if config.threads > 1 and len(cqs) > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as ex:
-                reports = list(ex.map(run_one, cqs))
-        else:
-            reports = [run_one(q) for q in cqs]
+        # Threads do not speed up this pure-Python work, so --threads is
+        # accepted and the queries run one after another.
+        reports = [run_one(q) for q in cqs]
         _emit(json.dumps({"reports": reports}, indent=2, sort_keys=True) + "\n",
               args.out)
         return 0

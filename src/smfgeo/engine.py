@@ -5,12 +5,17 @@ edges by the gluing isometry (so that unfolding two adjacent triangles
 makes the segments collinear) and continued across a vertex of degree d
 so that the angle on each side of the line equals half the cone angle
 d * 60 degrees.
+
+`walk` is the one stepping loop: it yields each chord and each crossing
+in turn, and every tracer (`trace` here, the classifier's one-end
+traces) is a consumer that adds its own stopping rules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import chart
 from .chart import Isometry, cross, dot
@@ -52,16 +57,21 @@ class Ray:
         return f"Ray({self.point}, dir=({self.dir[0]}, {self.dir[1]}))"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     tri: int
     a: tuple  # entry point, chart coords
     b: tuple  # exit point, chart coords
+    _length: float = field(init=False, repr=False, compare=False)
 
-    def length(self) -> float:
+    def __post_init__(self):
+        # Computed once: the walk's stall guard and every consumer need it.
         dx = float(self.b[0]) - float(self.a[0])
         dy = float(self.b[1]) - float(self.a[1])
-        return math.hypot(dx, dy)
+        object.__setattr__(self, "_length", math.hypot(dx, dy))
+
+    def length(self) -> float:
+        return self._length
 
 
 # -- path events -----------------------------------------------------------
@@ -107,16 +117,6 @@ class GeodesicPath:
     arc_length: float = 0.0
     two_sided: bool = False
     surface: Triangulation = None
-
-    def terminal_events(self):
-        return [ev for _, ev in self.events
-                if isinstance(ev, (Closure, ArcBudgetExhausted, GrowthLimit))]
-
-    def by_triangle(self):
-        d = {}
-        for i, seg in enumerate(self.segments):
-            d.setdefault(seg.tri, []).append(i)
-        return d
 
 
 @dataclass
@@ -188,8 +188,7 @@ def ray_canonical(surf: Triangulation, ctx: Scalars, point: SurfacePoint, d) -> 
     p = canonicalize_point(p, surf, ctx)
     if p.tri != point.tri:
         # Direction must follow the point into the canonical triangle.
-        path_iso = _edge_move_iso(surf, ctx, point, p)
-        d = path_iso.apply_vec(*d)
+        d = link_iso(surf, ctx, point.tri, p.tri).apply_vec(*d)
     zeros = [i for i in range(3) if ctx.is_zero(p.bary[i])]
     if zeros:
         e = (zeros[0] + 1) % 3
@@ -200,34 +199,27 @@ def ray_canonical(surf: Triangulation, ctx: Scalars, point: SurfacePoint, d) -> 
         if c < 0 or (c == 0 and ctx.sign(dot(ex, ey, d[0], d[1])) < 0):
             # Direction leaves the triangle (or runs along the edge with
             # this triangle on the right): carry by the neighbor.
-            nbr = surf.adj.get((p.tri, e))
-            if nbr is not None:
-                iso = surf.transfer(ctx, p.tri, e)
-                t2, e2 = nbr
-                nb = [ctx.zero, ctx.zero, ctx.zero]
-                nb[e2] = p.bary[(e + 1) % 3]
-                nb[(e2 + 1) % 3] = p.bary[e]
-                return Ray(SurfacePoint(t2, tuple(nb)), iso.apply_vec(*d))
+            if (p.tri, e) in surf.adj:
+                return _across(surf, ctx, p.tri, e, p.bary, d)
     return Ray(p, tuple(d))
 
 
-def _edge_move_iso(surf, ctx, old: SurfacePoint, new: SurfacePoint) -> Isometry:
-    """Isometry chart(old.tri) -> chart(new.tri) when canonicalization moved p."""
-    for e in range(3):
-        nbr = surf.adj.get((old.tri, e))
-        if nbr and nbr[0] == new.tri:
-            return surf.transfer(ctx, old.tri, e)
-    # Vertex move: go through the fan.
-    v = point_at_vertex(surf, new, ctx)
-    if v is None:
-        raise EngineError("canonicalization moved point between non-adjacent triangles")
-    s_old = surf.vertex_slot(old.tri, v)
-    frames = fan_frames(surf, ctx, v, (old.tri, s_old))
-    f0 = frames[0][2]
-    for t, s, frame in frames:
-        if t == new.tri:
-            return frame.inverse().compose(f0)
-    raise EngineError("vertex fan does not reach canonical triangle")
+def _nearest_first(n):
+    """Fan positions in the order 0, 1, n-1, 2, n-2, ..."""
+    order = [0]
+    for k in range(1, n // 2 + 1):
+        order.append(k)
+        if k != n - k:
+            order.append(n - k)
+    return order
+
+
+def _sector_edges(cs, frames, j):
+    """The edges of fan triangle j leaving the fan vertex, in the fan plane
+    (`cs` are the chart corners)."""
+    _, s, frame = frames[j]
+    (x0, y0), (x1, y1), (x2, y2) = cs[s], cs[(s + 1) % 3], cs[(s + 2) % 3]
+    return frame.apply_vec(x1 - x0, y1 - y0), frame.apply_vec(x2 - x0, y2 - y0)
 
 
 def _vertex_ray(surf, ctx, v, d, slot, tri) -> Ray:
@@ -236,18 +228,9 @@ def _vertex_ray(surf, ctx, v, d, slot, tri) -> Ray:
     frames = fan_frames(surf, ctx, v, (tri, slot))
     w = frames[0][2].apply_vec(*d)
     cs = chart.corners(ctx)
-    n = len(frames)
-    order = [0]
-    for k in range(1, n // 2 + 1):
-        order.append(k)
-        if k != n - k:
-            order.append(n - k)
-    for j in order:
-        t, s, frame = frames[j % n]
-        u1x, u1y = frame.apply_vec(cs[(s + 1) % 3][0] - cs[s][0],
-                                   cs[(s + 1) % 3][1] - cs[s][1])
-        u2x, u2y = frame.apply_vec(cs[(s + 2) % 3][0] - cs[s][0],
-                                   cs[(s + 2) % 3][1] - cs[s][1])
+    for j in _nearest_first(len(frames)):
+        t, s, frame = frames[j]
+        (u1x, u1y), (u2x, u2y) = _sector_edges(cs, frames, j)
         if _sector_take(ctx, u1x, u1y, w[0], w[1], u2x, u2y):
             b = [ctx.zero, ctx.zero, ctx.zero]
             b[s] = ctx.one
@@ -306,14 +289,19 @@ def step(ray: Ray, surf: Triangulation, ctx: Scalars):
 def transfer_edge(surf: Triangulation, ctx: Scalars, tri: int, edge: int,
                   exit_b, d) -> Ray:
     """Re-express an edge-exit ray in the neighbor's chart."""
-    nbr = surf.adj.get((tri, edge))
-    if nbr is None:
+    if (tri, edge) not in surf.adj:
         raise UnmatchedEdge(f"edge {edge} of triangle {tri}")
-    t2, e2 = nbr
-    iso = surf.transfer(ctx, tri, edge)
+    return _across(surf, ctx, tri, edge, exit_b, d)
+
+
+def _across(surf, ctx, tri, edge, bary, d) -> Ray:
+    """The point `bary` on edge `edge` of `tri` and direction `d`, in the
+    chart of the neighbor across that edge."""
+    t2, e2 = surf.adj[(tri, edge)]
     nb = [ctx.zero, ctx.zero, ctx.zero]
-    nb[e2] = exit_b[(edge + 1) % 3]
-    nb[(e2 + 1) % 3] = exit_b[edge]
+    nb[e2] = bary[(edge + 1) % 3]
+    nb[(e2 + 1) % 3] = bary[edge]
+    iso = surf.transfer(ctx, tri, edge)
     return Ray(SurfacePoint(t2, tuple(nb)), iso.apply_vec(*d))
 
 
@@ -340,25 +328,13 @@ def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
     bx, by = frames[0][2].apply_vec(-d[0], -d[1])
     cs = chart.corners(ctx)
 
-    def sector_edges(j):
-        t, s, frame = frames[j]
-        u1 = frame.apply_vec(cs[(s + 1) % 3][0] - cs[s][0],
-                             cs[(s + 1) % 3][1] - cs[s][1])
-        u2 = frame.apply_vec(cs[(s + 2) % 3][0] - cs[s][0],
-                             cs[(s + 2) % 3][1] - cs[s][1])
-        return u1, u2
-
     # Anchor at the sector actually containing the back direction; the
     # arrival label can be off by a step after a degenerate microchord.
     # Nearest-first keeps the 420-degree overlap unambiguous.
-    order = [0]
-    for k in range(1, deg // 2 + 1):
-        order.append(k % deg)
-        if (deg - k) % deg not in order:
-            order.append(deg - k)
+    order = _nearest_first(deg)
     j0 = None
     for j in order:
-        (u1x, u1y), (u2x, u2y) = sector_edges(j)
+        (u1x, u1y), (u2x, u2y) = _sector_edges(cs, frames, j)
         c0 = ctx.sign(cross(u1x, u1y, bx, by))
         c60 = ctx.sign(cross(bx, by, u2x, u2y))
         if c0 >= 0 and c60 >= 0:
@@ -369,7 +345,7 @@ def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
         best = None
         n = math.hypot(float(bx), float(by))
         for j in order:
-            (u1x, u1y), (u2x, u2y) = sector_edges(j)
+            (u1x, u1y), (u2x, u2y) = _sector_edges(cs, frames, j)
             worst = min(float(cross(u1x, u1y, bx, by)),
                         float(cross(bx, by, u2x, u2y))) / n
             if best is None or worst > best[1]:
@@ -378,7 +354,7 @@ def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
             j0 = best[0]
     if j0 is None:
         raise EngineError(f"arrival direction not inside the fan at vertex {v}")
-    (u1x, u1y), (u2x, u2y) = sector_edges(j0)
+    (u1x, u1y), (u2x, u2y) = _sector_edges(cs, frames, j0)
     c0 = ctx.sign(cross(u1x, u1y, bx, by))
     c60 = ctx.sign(cross(bx, by, u2x, u2y))
     mx, my = chart.rotate(ctx, 1, u1x, u1y)
@@ -410,8 +386,6 @@ def reverse_ray(surf: Triangulation, ctx: Scalars, ray: Ray) -> Ray:
     d = (-ray.dir[0], -ray.dir[1])
     if v is None:
         return ray_canonical(surf, ctx, ray.point, d)
-    if v in surf.frontier:
-        raise FrontierVertex(f"vertex {v} has an incomplete fan")
     out, _ = cross_vertex(surf, ctx, v, ray.point.tri, d)
     return out
 
@@ -419,14 +393,22 @@ def reverse_ray(surf: Triangulation, ctx: Scalars, ray: Ray) -> Ray:
 # -- tracing ---------------------------------------------------------------
 
 
-def _segment_recurrence(ctx, seg: Segment, start_xy, start_dir):
-    """Parameter in [0, 1] where the segment passes through the start ray,
-    or None.  Float mode uses a drift-tolerant threshold."""
+# Shortest arc length after which a return through the start ray (or a
+# repeated vertex state) counts as a closure.
+MIN_PERIOD = 1e-7
+
+
+def closure_period(ctx, start: Ray, start_xy, seg: Segment, arc):
+    """Period when `seg`, reached at arc length `arc`, passes back through
+    the start ray (`start_xy` is its base point in chart coordinates).
+    Float mode uses a drift-tolerant threshold."""
+    if seg.tri != start.point.tri:
+        return None
     sdx = seg.b[0] - seg.a[0]
     sdy = seg.b[1] - seg.a[1]
     tol = None if ctx.exact else max(ctx.eps, 1e-7)
-    cx = cross(sdx, sdy, start_dir[0], start_dir[1])
-    dt = dot(sdx, sdy, start_dir[0], start_dir[1])
+    cx = cross(sdx, sdy, start.dir[0], start.dir[1])
+    dt = dot(sdx, sdy, start.dir[0], start.dir[1])
     if tol is None:
         if ctx.sign(cx) != 0 or ctx.sign(dt) <= 0:
             return None
@@ -445,77 +427,89 @@ def _segment_recurrence(ctx, seg: Segment, start_xy, start_dir):
         return None
     t = float(dot(sdx, sdy, wx, wy)) / uu
     lo = -1e-12 if tol is None else -tol
-    hi = 1.0 - lo
-    if lo <= t <= hi:
-        return min(max(t, 0.0), 1.0)
-    return None
+    if not lo <= t <= 1.0 - lo:
+        return None
+    period = arc + min(max(t, 0.0), 1.0) * seg.length()
+    return period if period > MIN_PERIOD else None
+
+
+def walk(ray: Ray, surf: Triangulation, ctx: Scalars, grow=None):
+    """Step the geodesic through `ray`, chord by chord.
+
+    Yields (item, ray, surface) triples: first the chord inside the
+    current triangle (a Segment, with the ray it was stepped from), then
+    the crossing at its end (an EdgeCrossing at the exit point of that
+    triangle, or a VertexCrossing) with the ray leaving it.  A consumer
+    may stop between the two.  At the frontier the surface is replaced by
+    `grow(surface)`; when there is no `grow` or it returns None, and
+    after a run of degenerate chords, the walk ends with a GrowthLimit.
+    """
+    stalled = 0
+    seg = None
+    while True:
+        if seg is not None and seg.length() < 1e-12:
+            stalled += 1
+            if stalled > 6:
+                yield GrowthLimit("degenerate stall"), ray, surf
+                return
+        else:
+            stalled = 0
+        try:
+            seg, hit = step(ray, surf, ctx)
+        except FrontierReached as fr:
+            grown = grow(surf) if grow else None
+            if grown is None:
+                yield GrowthLimit(str(fr)), ray, surf
+                return
+            surf = grown
+            continue
+        yield seg, ray, surf
+        exit_b = normalize_bary(ctx, chart.bary_of_xy(ctx, seg.b[0], seg.b[1]))
+        if hit[0] == "vertex":
+            v = hit[1]
+            if v in surf.frontier:
+                grown = grow(surf) if grow else None
+                if grown is None:
+                    yield GrowthLimit(f"frontier vertex {v}"), ray, surf
+                    return
+                surf = grown
+            ray, ev = cross_vertex(surf, ctx, v, seg.tri, ray.dir)
+        else:
+            e = hit[1]
+            ev = EdgeCrossing(seg.tri, e, SurfacePoint(seg.tri, exit_b))
+            ray = transfer_edge(surf, ctx, seg.tri, e, exit_b, ray.dir)
+        yield ev, ray, surf
 
 
 def _trace_one_way(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget,
-                   growth_budget, watch_closure=True, hooks=None):
-    """Forward trace; returns (segments, events, arc, final surf, final ray)."""
+                   growth_budget, watch_closure=True):
+    """Forward trace; returns ((segments, events, arc), final surf)."""
     segments = []
     events = []
     arc = 0.0
     start_xy = chart.xy_of_bary(ctx, ray.point.bary)
-    start_tri = ray.point.tri
-    start_dir = ray.dir
-    cur = ray
-    stalled = 0
-    while True:
-        if len(segments) and segments[-1].length() < 1e-12:
-            stalled += 1
-            if stalled > 6:
-                events.append((arc, GrowthLimit("degenerate stall")))
-                return segments, events, arc, surf, cur
-        else:
-            stalled = 0
-        try:
-            seg, hit = step(cur, surf, ctx)
-        except FrontierReached as fr:
-            surf2 = _try_grow(surf, growth_budget)
-            if surf2 is None:
-                events.append((arc, GrowthLimit(str(fr))))
-                return segments, events, arc, surf, cur
-            surf = surf2
-            cur = Ray(cur.point, cur.dir)  # same coordinates, new version
-            continue
-        segments.append(seg)
-        if watch_closure and len(segments) > 1 and seg.tri == start_tri:
-            t = _segment_recurrence(ctx, seg, start_xy, start_dir)
-            if t is not None and (t > 0 or arc > 0):
-                period = arc + t * seg.length()
-                if period > 10 * float(ctx.eps):
-                    arc += seg.length()
+    grow = partial(_try_grow, growth_budget=growth_budget)
+    for item, _, surf in walk(ray, surf, ctx, grow):
+        if isinstance(item, Segment):
+            segments.append(item)
+            if watch_closure and len(segments) > 1:
+                period = closure_period(ctx, ray, start_xy, item, arc)
+                if period is not None:
                     events.append((period, Closure(period)))
-                    return segments, events, arc, surf, cur
-        arc += seg.length()
-        exit_b = chart.bary_of_xy(ctx, seg.b[0], seg.b[1])
-        exit_b = normalize_bary(ctx, exit_b)
-        if hit[0] == "vertex":
-            v = hit[1]
-            if v in surf.frontier:
-                surf2 = _try_grow(surf, growth_budget)
-                if surf2 is None:
-                    events.append((arc, GrowthLimit(f"frontier vertex {v}")))
-                    return segments, events, arc, surf, cur
-                surf = surf2
-            nxt, ev = cross_vertex(surf, ctx, v, seg.tri, cur.dir)
-            events.append((arc, ev))
-            cur = nxt
-        else:
-            e = hit[1]
-            nxt = transfer_edge(surf, ctx, seg.tri, e, exit_b, cur.dir)
-            pt = canonicalize_point(SurfacePoint(seg.tri, exit_b), surf, ctx)
-            events.append((arc, EdgeCrossing(seg.tri, e, pt)))
-            cur = nxt  # transversal transfer lands in canonical ray form
-        if hooks:
-            res = hooks(surf, cur, arc, segments, events)
-            if res == "stop":
-                return segments, events, arc, surf, cur
+                    return (segments, events, arc + item.length()), surf
+            arc += item.length()
+            continue
+        if isinstance(item, GrowthLimit):
+            events.append((arc, item))
+            break
+        if isinstance(item, EdgeCrossing):
+            item = EdgeCrossing(item.tri, item.edge,
+                                canonicalize_point(item.point, surf, ctx))
+        events.append((arc, item))
         if arc >= arc_budget:
             events.append((arc, ArcBudgetExhausted(arc)))
-            return segments, events, arc, surf, cur
+            break
+    return (segments, events, arc), surf
 
 
 def _try_grow(surf: Triangulation, growth_budget: int):
@@ -532,31 +526,37 @@ def _try_grow(surf: Triangulation, growth_budget: int):
     return grown
 
 
+def stitch(start: Ray, surf: Triangulation, fwd, back=None,
+           two_sided=True) -> GeodesicPath:
+    """Path of one traced end, `fwd` = (segments, events, arc); the end
+    `back` traced from the reversed ray, if given, goes in front of it,
+    reversed and at negative arc positions."""
+    segments, events, arc = fwd
+    path = GeodesicPath(start, list(segments), list(events), arc, two_sided,
+                        surf)
+    if back is not None:
+        bsegs, bevents, barc = back
+        path.segments[:0] = [Segment(s.tri, s.b, s.a) for s in reversed(bsegs)]
+        path.events[:0] = [(-a, ev) for a, ev in reversed(bevents)]
+        path.arc_length = barc + arc
+    return path
+
+
 def trace(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget=200.0,
-          growth_budget=1_000_000, two_sided=False, hooks=None) -> GeodesicPath:
+          growth_budget=1_000_000, two_sided=False) -> GeodesicPath:
     """Trace the geodesic through `ray` until a terminal event.
 
     Lazy surfaces are grown on demand within `growth_budget` triangles.
     With `two_sided`, the reversed ray is traced as well and stitched in
     front with negative arc positions.
     """
-    segments, events, arc, surf, _ = _trace_one_way(
-        ray, surf, ctx, arc_budget, growth_budget, hooks=hooks)
-    path = GeodesicPath(start=ray, two_sided=two_sided, surface=surf)
-    if two_sided and not any(isinstance(ev, Closure) for _, ev in events):
-        back = reverse_ray(surf, ctx, ray)
-        bsegs, bevents, barc, surf, _ = _trace_one_way(
-            back, surf, ctx, arc_budget, growth_budget,
-            watch_closure=False, hooks=hooks)
-        path.surface = surf
-        path.segments = [Segment(s.tri, s.b, s.a) for s in reversed(bsegs)]
-        path.events = [(-a, ev) for a, ev in reversed(bevents)]
-        path.arc_length = barc + arc
-    else:
-        path.arc_length = arc
-    path.segments += segments
-    path.events += events
-    return path
+    fwd, surf = _trace_one_way(ray, surf, ctx, arc_budget, growth_budget)
+    back = None
+    if two_sided and not any(isinstance(ev, Closure) for _, ev in fwd[1]):
+        back, surf = _trace_one_way(reverse_ray(surf, ctx, ray), surf, ctx,
+                                    arc_budget, growth_budget,
+                                    watch_closure=False)
+    return stitch(ray, surf, fwd, back, two_sided)
 
 
 def detect_closure(path: GeodesicPath):
@@ -632,8 +632,7 @@ def unfold_strip(path: GeodesicPath, surf: Triangulation, ctx: Scalars) -> Unfol
     frames = [Isometry.identity(ctx)]
     segs = path.segments
     for k in range(1, len(segs)):
-        prev, curn = segs[k - 1], segs[k]
-        iso = _strip_link(surf, ctx, prev, curn)
+        iso = link_iso(surf, ctx, segs[k - 1].tri, segs[k].tri)
         frames.append(frames[-1].compose(iso.inverse()))
     cs = chart.corners(ctx)
     placed = []
@@ -670,7 +669,3 @@ def link_iso(surf, ctx, tri_a: int, tri_b: int) -> Isometry:
             return frame.inverse().compose(f0)
     raise EngineError(f"fan walk from {tri_a} never reaches {tri_b}")
 
-
-def _strip_link(surf, ctx, prev: Segment, curn: Segment) -> Isometry:
-    """Chart(prev.tri) -> chart(curn.tri), unfolding CCW around vertices."""
-    return link_iso(surf, ctx, prev.tri, curn.tri)

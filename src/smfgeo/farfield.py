@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import chart
 from .chart import Isometry, cross
 from .numbers import Scalars
-from .surface import SurfacePoint, Triangulation, IncompleteRing
+from .surface import Triangulation, IncompleteRing
 
 
 # -- ring audits -------------------------------------------------------------
@@ -145,12 +145,10 @@ class FlatSeparationCertificate:
 @dataclass
 class BandExit:
     kind: str        # "top", "bottom", "top_vertex", "bottom_vertex", "closed"
-    ray: object = None        # surface ray at the exit (kind top/bottom)
+    ray: object = None        # ((u, v), t, strip direction) at the exit edge
     vertex: int = None
-    tri_in: int = None
     dir_in: tuple = None
     arc: float = 0.0
-    point: SurfacePoint = None
 
 
 class BandFrame:
@@ -178,16 +176,12 @@ class BandFrame:
                 band.add(t)
         self.tris = band
         self.frames = {}
-        # Anchor: the top cycle's first edge runs along y = h, +x direction.
+        # Anchor: the top cycle's first edge (a, b) runs along y = h, +x
+        # direction.  The band triangle under it carries the directed edge
+        # (b, a); its frame maps b to (1, h) and a to (0, h), band below.
         a, b = cyc_top[0], cyc_top[1]
-        t0 = self._directed_tri(a, b)
-        e0 = self._edge_of(t0, a, b)
+        t0, e0 = surf.directed_edge(b, a)
         cs = chart.corners(ctx)
-        # Wanted: corner e0 of t0 at (0, h), corner e0+1 at (1, h), band below.
-        # The band triangle under the top edge contains the directed edge
-        # (b, a); build its frame instead.
-        t0 = self._directed_tri(b, a)
-        e0 = self._edge_of(t0, b, a)
         px, py = cs[e0]
         qx, qy = cs[(e0 + 1) % 3]
         # map p -> (1, h), q -> (0, h): rotation aligning (q - p) to (-1, 0)
@@ -205,7 +199,6 @@ class BandFrame:
                 iso = surf.transfer(ctx, t, e)
                 cand = self.frames[t].compose(iso.inverse())
                 t2 = nbr[0]
-                # Refuse wrap-around re-placements (the cycle closes).
                 self.frames[t2] = cand
                 stack.append(t2)
         self.top_edges = self._cycle_edges(cyc_top)
@@ -216,22 +209,6 @@ class BandFrame:
         for i in range(len(cyc)):
             out.append((cyc[i], cyc[(i + 1) % len(cyc)]))
         return out
-
-    def _directed_tri(self, u, v):
-        surf = self.surf
-        for t in range(surf.n_triangles()):
-            tv = surf.tris[t]
-            for e in range(3):
-                if tv[e] == u and tv[(e + 1) % 3] == v:
-                    return t
-        raise ValueError(f"directed edge ({u},{v}) missing")
-
-    def _edge_of(self, t, u, v):
-        tv = self.surf.tris[t]
-        for e in range(3):
-            if tv[e] == u and tv[(e + 1) % 3] == v:
-                return e
-        raise ValueError
 
     @staticmethod
     def _rot_to(ctx, ax, ay, bx, by):
@@ -309,7 +286,6 @@ class BandFrame:
                             dir_in=(dxv, dyv))
         return BandExit("top" if target_top else "bottom",
                         arc=seg_len,
-                        point=None,
                         ray=((u, v), tpar, (dxv, dyv)))
 
 

@@ -32,10 +32,6 @@ class FrontierVertex(SurfaceError):
     pass
 
 
-class InvalidDegree(SurfaceError):
-    pass
-
-
 class UnmatchedEdge(SurfaceError):
     pass
 
@@ -145,6 +141,14 @@ class Triangulation:
         tv = self.tris[t]
         return tv[e], tv[(e + 1) % 3]
 
+    def directed_edge(self, u: int, v: int):
+        """(triangle, edge) of the directed edge u -> v."""
+        for t, tv in enumerate(self.tris):
+            for e in range(3):
+                if tv[e] == u and tv[(e + 1) % 3] == v:
+                    return t, e
+        raise SurfaceError(f"directed edge ({u},{v}) not found")
+
     def vertex_slot(self, t: int, v: int) -> int:
         tv = self.tris[t]
         for i in range(3):
@@ -197,9 +201,6 @@ class Triangulation:
             head.append((t, s))
         head.reverse()
         return head + fan
-
-    def triangle_ring(self, t: int) -> int:
-        return max(self.ring_of[v] for v in self.tris[t])
 
     # -- identity ------------------------------------------------------
 

@@ -380,3 +380,65 @@ class TestModeAgreement:
             cf, surf_f, _, _ = classify_labeled(surf_f, FLOAT, name, "l", B)
             ce, surf_e, _, _ = classify_labeled(surf_e, EXACT, name, "l", B)
             assert cf.kind == ce.kind, name
+
+
+class TestSteppingErrors:
+    """On the stepping path only engine and surface errors mean Unknown;
+    any other exception is a bug and propagates."""
+
+    @pytest.fixture(scope="class")
+    def semi_probe(self):
+        _, surf, analysis, lctx = classify_labeled(
+            build_semi_paradoxist(4), FLOAT, "P", "l", B)
+        return resolve_point(surf, FLOAT, surf.labels["P"]), lctx, analysis
+
+    @staticmethod
+    def band_vertex_ray():
+        # From a band triangle's centroid straight at one of its corners:
+        # the band transit ends at that vertex.
+        surf = build_silo(4)
+        analysis = ModelAnalysis(surf, EXACT)
+        t = min(analysis.bands[0].tris)
+        cs = chart.corners(EXACT)
+        third = EXACT.frac(1, 3)
+        d = (-(cs[1][0] + cs[2][0]) * third, -(cs[1][1] + cs[2][1]) * third)
+        ray = engine.ray_canonical(
+            surf, EXACT, SurfacePoint(t, (third, third, third)), d)
+        return surf, analysis, ray
+
+    @staticmethod
+    def raising(exc):
+        def fn(*args, **kwargs):
+            raise exc
+        return fn
+
+    def test_band_vertex_crossing_bug_propagates(self, monkeypatch):
+        surf, analysis, ray = self.band_vertex_ray()
+        monkeypatch.setattr(engine, "cross_vertex",
+                            self.raising(RuntimeError("bug in cross_vertex")))
+        with pytest.raises(RuntimeError, match="bug in cross_vertex"):
+            C._trace_end(surf, EXACT, ray, analysis, B, None)
+
+    def test_band_vertex_crossing_engine_error_is_unknown(self, monkeypatch):
+        surf, analysis, ray = self.band_vertex_ray()
+        assert C._trace_end(surf, EXACT, ray, analysis, B,
+                            None).band_tokens[0][0] == "v"
+        monkeypatch.setattr(engine, "cross_vertex",
+                            self.raising(engine.EngineError("no fan")))
+        res = C._trace_end(surf, EXACT, ray, analysis, B, None)
+        assert res.kind == "unknown"
+        assert res.band_tokens == () and res.via_vertices == ()
+
+    def test_reverse_ray_bug_propagates(self, semi_probe, monkeypatch):
+        P, lctx, analysis = semi_probe
+        monkeypatch.setattr(engine, "reverse_ray",
+                            self.raising(RuntimeError("bug in reverse_ray")))
+        with pytest.raises(RuntimeError, match="bug in reverse_ray"):
+            C._probe(P, FLOAT.direction(40.0), lctx, analysis, B)
+
+    def test_reverse_ray_engine_error_is_unknown(self, semi_probe, monkeypatch):
+        P, lctx, analysis = semi_probe
+        monkeypatch.setattr(engine, "reverse_ray",
+                            self.raising(engine.EngineError("no reverse")))
+        probe = C._probe(P, FLOAT.direction(40.0), lctx, analysis, B)
+        assert probe.status == C.Unknown("reverse ray unavailable")

@@ -541,3 +541,71 @@ class TestUnfold:
                         if abs(p[0] - q[0]) < 1e-9 and abs(p[1] - q[1]) < 1e-9:
                             shared += 1
                 assert shared == 2
+
+
+class TestConsumerAgreement:
+    """`trace` and the classifier's one-end trace both consume `walk`;
+    wherever both run, their crossings and closures must agree exactly."""
+
+    @staticmethod
+    def crossings(events):
+        out = []
+        for arc, ev in events:
+            if isinstance(ev, EdgeCrossing):
+                out.append((arc, "edge", ev.tri, ev.edge))
+            elif isinstance(ev, VertexCrossing):
+                out.append((arc, "vertex", ev.vertex))
+        return out
+
+    @staticmethod
+    def classifier_end(surf, ctx, ray, arc):
+        from smfgeo.classify import Budgets, ModelAnalysis, _trace_end
+        return _trace_end(surf, ctx, ray, ModelAnalysis(surf, ctx),
+                          Budgets(arc=arc), None)
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_semi_events_match(self, ctx):
+        surf = build_semi_paradoxist(4)
+        cs = chart.corners(ctx)
+        # The last direction points from the centroid at corner 0, so
+        # that line runs through vertices.
+        dirs = [(3, 1), (1, 4), (-2, 5),
+                (-ctx.half, -cs[2][1] * ctx.frac(1, 3))]
+        vertices = 0
+        for d in dirs:
+            ray = make_ray(surf, ctx, 0, CENTROID, d)
+            path = trace(ray, surf, ctx, arc_budget=12.0,
+                         growth_budget=len(surf.tris))
+            end = self.classifier_end(surf, ctx, ray, 12.0)
+            a = self.crossings(path.events)
+            b = self.crossings(end.events)
+            n = min(len(a), len(b))
+            assert n >= 8
+            assert a[:n] == b[:n]
+            vertices += sum(1 for ev in a[:n] if ev[1] == "vertex")
+        assert vertices > 0
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_silo_closed_period_matches(self, ctx, silo3):
+        ray = resolve_ray(silo3, ctx, silo3.labels["l"])
+        path = trace(ray, silo3, ctx, arc_budget=20.0,
+                     growth_budget=len(silo3.tris))
+        end = self.classifier_end(silo3, ctx, ray, 20.0)
+        assert end.kind == "closed"
+        assert end.closure_period == detect_closure(path)
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_icosahedron_closed_period_matches(self, ctx):
+        # No band on a closed surface: both periods come from the walk.
+        from smfgeo import smf
+        from tests.test_surface import ICOSAHEDRON
+        text = "smf 1\n" + "".join(f"t {a} {b} {c}\n" for a, b, c in ICOSAHEDRON)
+        doc, _ = smf.parse_manifold(text + "line m 0 1/2 1/2 0 30\n")
+        surf, _ = smf.to_triangulation(doc)
+        ray = resolve_ray(surf, ctx, surf.labels["m"])
+        path = trace(ray, surf, ctx, arc_budget=40.0,
+                     growth_budget=len(surf.tris))
+        end = self.classifier_end(surf, ctx, ray, 40.0)
+        assert end.kind == "closed"
+        assert end.closure_period == detect_closure(path)
+        assert self.crossings(end.events) == self.crossings(path.events)
