@@ -307,17 +307,11 @@ def _cut_ray(surf, ctx, analysis, budgets, core_ring):
     if t is None:
         raise ValueError("cut ray failed to escape the core ring")
     # The cut runs on straight past the escape, up to six arc budgets.
+    (_, after, _), _ = engine._trace_one_way(
+        res.end, surf, ctx, 6 * budgets.arc - res.arc, len(surf.tris),
+        watch_closure=False)
     crossed = [ev for a, ev in res.events if a >= t.arc0 - 1e-12]
-    arc = res.arc
-    for item, _, _ in engine.walk(res.end, surf, ctx):
-        if isinstance(item, Segment):
-            arc += item.length()
-            continue
-        if isinstance(item, GrowthLimit):
-            break
-        crossed.append(item)
-        if arc >= 6 * budgets.arc:
-            break
+    crossed += [ev for _, ev in after]
     cut_edges = frozenset(frozenset(surf.edge_vertices(ev.tri, ev.edge))
                           for ev in crossed if isinstance(ev, EdgeCrossing))
     return (cut_edges, t.escape_tri, t.xy, t.dir)
@@ -477,13 +471,12 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                         arc += math.hypot(float(x) - float(seg.a[0]),
                                           float(y) - float(seg.a[1]))
                         return result("crossed", crossing=(pt, arc, "traced"))
-                if len(segments) > 1:
-                    period = engine.closure_period(ctx, ray, start_xy, seg, arc)
-                    if period is not None:
-                        arc += seg.length()
-                        events.append((period, Closure(period)))
-                        return result("closed", closure_period=period)
+                period = engine.closure_period(ctx, ray, start_xy, seg, arc,
+                                               len(segments))
                 arc += seg.length()
+                if period is not None:
+                    events.append((period, Closure(period)))
+                    return result("closed", closure_period=period)
                 continue
             if isinstance(item, GrowthLimit):
                 return result("unknown")

@@ -115,7 +115,6 @@ class GeodesicPath:
     segments: list = field(default_factory=list)
     events: list = field(default_factory=list)  # (signed arc position, event)
     arc_length: float = 0.0
-    two_sided: bool = False
     surface: Triangulation = None
 
 
@@ -398,11 +397,13 @@ def reverse_ray(surf: Triangulation, ctx: Scalars, ray: Ray) -> Ray:
 MIN_PERIOD = 1e-7
 
 
-def closure_period(ctx, start: Ray, start_xy, seg: Segment, arc):
-    """Period when `seg`, reached at arc length `arc`, passes back through
-    the start ray (`start_xy` is its base point in chart coordinates).
-    Float mode uses a drift-tolerant threshold."""
-    if seg.tri != start.point.tri:
+def closure_period(ctx, start: Ray, start_xy, seg: Segment, arc, nth):
+    """Period when `seg`, the `nth` chord (from 1) of a trace from `start`
+    and reached at arc length `arc`, passes back through the start ray
+    (`start_xy` is its base point in chart coordinates).  The first chord
+    leaves the start itself and never closes.  Float mode uses a
+    drift-tolerant threshold."""
+    if nth < 2 or seg.tri != start.point.tri:
         return None
     sdx = seg.b[0] - seg.a[0]
     sdy = seg.b[1] - seg.a[1]
@@ -492,12 +493,12 @@ def _trace_one_way(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget,
     for item, _, surf in walk(ray, surf, ctx, grow):
         if isinstance(item, Segment):
             segments.append(item)
-            if watch_closure and len(segments) > 1:
-                period = closure_period(ctx, ray, start_xy, item, arc)
-                if period is not None:
-                    events.append((period, Closure(period)))
-                    return (segments, events, arc + item.length()), surf
+            period = (closure_period(ctx, ray, start_xy, item, arc,
+                                     len(segments)) if watch_closure else None)
             arc += item.length()
+            if period is not None:
+                events.append((period, Closure(period)))
+                break
             continue
         if isinstance(item, GrowthLimit):
             events.append((arc, item))
@@ -526,14 +527,12 @@ def _try_grow(surf: Triangulation, growth_budget: int):
     return grown
 
 
-def stitch(start: Ray, surf: Triangulation, fwd, back=None,
-           two_sided=True) -> GeodesicPath:
+def stitch(start: Ray, surf: Triangulation, fwd, back=None) -> GeodesicPath:
     """Path of one traced end, `fwd` = (segments, events, arc); the end
     `back` traced from the reversed ray, if given, goes in front of it,
     reversed and at negative arc positions."""
     segments, events, arc = fwd
-    path = GeodesicPath(start, list(segments), list(events), arc, two_sided,
-                        surf)
+    path = GeodesicPath(start, list(segments), list(events), arc, surf)
     if back is not None:
         bsegs, bevents, barc = back
         path.segments[:0] = [Segment(s.tri, s.b, s.a) for s in reversed(bsegs)]
@@ -556,7 +555,7 @@ def trace(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget=200.0,
         back, surf = _trace_one_way(reverse_ray(surf, ctx, ray), surf, ctx,
                                     arc_budget, growth_budget,
                                     watch_closure=False)
-    return stitch(ray, surf, fwd, back, two_sided)
+    return stitch(ray, surf, fwd, back)
 
 
 def detect_closure(path: GeodesicPath):

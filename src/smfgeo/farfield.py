@@ -194,6 +194,8 @@ class BandFrame:
             t = stack.pop()
             for e in range(3):
                 nbr = surf.adj.get((t, e))
+                # Refuse wrap-around re-placements: the band is a cycle, and
+                # placing a triangle again would shift its frame by the period.
                 if not nbr or nbr[0] not in band or nbr[0] in self.frames:
                     continue
                 iso = surf.transfer(ctx, t, e)
