@@ -18,7 +18,7 @@ from smfgeo.builders import (build_flat_plane, build_semi_paradoxist,
 from smfgeo import classify as C
 from smfgeo import engine as E
 from smfgeo import chart as ch
-from smfgeo.surface import SurfacePoint
+from smfgeo.surface import SurfacePoint, develop
 
 FLOAT = Scalars("float")
 SHORT = {
@@ -30,24 +30,13 @@ SHORT = {
 
 def dev_positions(surf, ctx, base_tri, max_ring):
     """Approximate developed centroid per triangle via BFS (winding-naive)."""
-    frames = {base_tri: ch.Isometry.identity(ctx)}
-    order = [base_tri]
-    qi = 0
-    while qi < len(order):
-        t = order[qi]
-        qi += 1
-        for e in range(3):
-            nbr = surf.adj.get((t, e))
-            if not nbr or nbr[0] in frames:
-                continue
-            if max(surf.ring_of[v] for v in surf.tris[nbr[0]]) > max_ring:
-                continue
-            frames[nbr[0]] = frames[t].compose(surf.transfer(ctx, t, e).inverse())
-            order.append(nbr[0])
+    frames = develop(surf, ctx, base_tri, ch.Isometry.identity(ctx),
+                     lambda t, e, t2: max(surf.ring_of[v]
+                                          for v in surf.tris[t2]) <= max_ring)
     cs = ch.corners(ctx)
     cx = sum(c[0] for c in cs) / 3
     cy = sum(c[1] for c in cs) / 3
-    return {t: tuple(float(x) for x in f.apply(cx, cy)) for t, f in frames.items()}
+    return {t: tuple(float(x) for x in f.apply(cx, cy)) for t, f in frames}
 
 
 def survey_semi(max_ring=4):

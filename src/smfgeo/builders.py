@@ -20,6 +20,7 @@ from .surface import (
     Triangulation,
     _Builder,
     canonicalize_point,
+    develop,
     grow_frontier,
 )
 
@@ -182,28 +183,18 @@ def _triangle_near(surf: Triangulation, xy) -> int:
     """Triangle whose developed centroid is closest to xy, in a winding
     naive float development anchored at triangle 0."""
     ctx = Scalars("float")
-    frames = {0: chart.Isometry.identity(ctx)}
-    order = [0]
-    qi = 0
-    best = (float("inf"), 0)
     cs = chart.corners(ctx)
     cx = sum(c[0] for c in cs) / 3
     cy = sum(c[1] for c in cs) / 3
-    while qi < len(order):
-        t = order[qi]
-        qi += 1
-        px, py = frames[t].apply(cx, cy)
-        d = (px - xy[0]) ** 2 + (py - xy[1]) ** 2
+    dist = {}
+    best = (float("inf"), 0)
+    # Development stops at triangles whose centroid lies farther than 8.
+    for t, frame in develop(surf, ctx, 0, chart.Isometry.identity(ctx),
+                            lambda t, e, t2: dist[t] <= 64.0):
+        px, py = frame.apply(cx, cy)
+        dist[t] = d = (px - xy[0]) ** 2 + (py - xy[1]) ** 2
         if d < best[0] - 1e-9:
             best = (d, t)
-        for e in range(3):
-            nbr = surf.adj.get((t, e))
-            if not nbr or nbr[0] in frames:
-                continue
-            if (px - xy[0]) ** 2 + (py - xy[1]) ** 2 > 64.0:
-                continue
-            frames[nbr[0]] = frames[t].compose(surf.transfer(ctx, t, e).inverse())
-            order.append(nbr[0])
     return best[1]
 
 

@@ -131,7 +131,6 @@ class ModelAnalysis:
         self.audits = {}
         self.bands = []
         self.band_tris = {}
-        self.flatc = None
         rule = surf.rule.name if surf.rule else ""
         if rule == "silo":
             self.kind = "compact_target"
@@ -158,10 +157,7 @@ class ModelAnalysis:
             return False
         if any(v in self.surf.frontier for v in self.surf.rings[ring]):
             return False
-        try:
-            return self.audit(ring).passed
-        except Exception:
-            return False
+        return self.audit(ring).passed
 
     def escape_certifiable(self, ring: int, target_max_ring: int) -> bool:
         if target_max_ring >= ring:
@@ -170,28 +166,6 @@ class ModelAnalysis:
                 not self.surf.rule.nonpositive_defect_outside(ring):
             return False
         return self.audited_pass(ring)
-
-    def flat_complement_for(self, lctx: "LineContext") -> farfield.FlatComplement:
-        if self.flatc is not None:
-            return self.flatc
-        surf, ctx = self.surf, self.ctx
-        fc = farfield.FlatComplement(surf, ctx, lctx.core_ring,
-                                     lctx.tails[0].escape_tri)
-        if lctx.cut_ray is not None:
-            cut_edges, base_tri, xy, d = lctx.cut_ray
-            fc.set_cut_edges(cut_edges)
-            frame = fc.corridor_frame(base_tri)
-            fc.set_cut_geometry(frame.apply(*xy), frame.apply_vec(*d))
-            fc.set_holonomy(fc.compute_holonomy())
-            fc.calibrate_cut()
-            # The calibrated per-crossing shift must match the holonomy
-            # translation in magnitude (its direction is frame relative).
-            dn = math.hypot(float(fc.delta[0]), float(fc.delta[1]))
-            bn = math.hypot(float(fc.b[0]), float(fc.b[1]))
-            if abs(dn - bn) > 1e-6:
-                raise ValueError("cut calibration disagrees with holonomy")
-        self.flatc = fc
-        return fc
 
 
 # -- reference line context --------------------------------------------------
@@ -220,7 +194,7 @@ class LineContext:
     tails: list = None          # TailInfo per end (flat-complement models)
     tail_pieces: list = None    # developed TailData pieces
     tail_dirs: list = None      # developed tail directions
-    cut_ray: tuple = None
+    flat_complement: farfield.FlatComplement = None  # developed far field
     on_vertices: frozenset = frozenset()  # vertices the line passes through
 
     def segments_in(self, tri):
@@ -258,8 +232,9 @@ def build_line_context(surf: Triangulation, ctx: Scalars, ray: Ray,
                            closed=False, core_ring=core,
                            tails=[res_f.tail, res_b.tail],
                            on_vertices=_path_vertices(path))
-        lctx.cut_ray = _cut_ray(surf, ctx, analysis, budgets, core)
-        fc = analysis.flat_complement_for(lctx)
+        fc = lctx.flat_complement = farfield.FlatComplement(
+            surf, ctx, core, res_f.tail.escape_tri,
+            _cut_ray(surf, ctx, analysis, budgets, core))
         pieces = []
         dirs = []
         for t in lctx.tails:
@@ -629,8 +604,8 @@ def _assemble(fwd: EndResult, bwd: EndResult, lctx: LineContext,
         return Unknown(f"budget exhausted ({fwd.kind}/{bwd.kind})")
     # Both ends escaped (or one closed without crossing, handled above).
     certs = []
-    if analysis.kind == "flat_complement":
-        fc = analysis.flat_complement_for(lctx)
+    fc = lctx.flat_complement
+    if fc is not None:
         hits = []
         for res in (fwd, bwd):
             td = _developed_tail(fc, res.tail)
@@ -827,11 +802,8 @@ class _Partitioner:
         tail of the reference line (or to the silo band's circles)."""
         ctx = self.ctx
         surf = self.surf
-        targets = []
-        fc = None
-        if self.analysis.kind == "flat_complement":
-            fc = self.analysis.flat_complement_for(self.lctx)
-            targets = [d for d in self.lctx.tail_dirs]
+        fc = self.lctx.flat_complement
+        targets = self.lctx.tail_dirs if fc is not None else []
         out = []
         for (u, v, _) in self.intervals:
             w = _blend(ctx, u, v, 1, 2)

@@ -19,6 +19,7 @@ from . import classify as cls_mod
 from . import engine, netdraw, smf
 from .builders import VertexFixture, resolve_point, resolve_ray
 from .numbers import Scalars
+from .surface import SurfaceError
 
 CONFIG_ENV = "SMFGEO_CONFIG"
 
@@ -190,7 +191,7 @@ def _dispatch(args, config: RunConfig) -> int:
                     "outward_angles": list(a.outward_angles)})
                 if not a.passed:
                     code = 1
-            except Exception as exc:
+            except SurfaceError as exc:
                 out["audits"].append({"ring": k, "error": str(exc)})
                 code = 1
         _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
@@ -308,7 +309,8 @@ def _dispatch(args, config: RunConfig) -> int:
                     continue
                 try:
                     sp = resolve_point(surf, ctx, fx)
-                except Exception:
+                except (SurfaceError, TypeError):
+                    # TypeError: a decimal barycentric has no exact value
                     continue
                 if sp.tri in inset:
                     point_labels.append((name, sp))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import chart
 from .chart import Isometry, cross
 from .numbers import Scalars
-from .surface import Triangulation, IncompleteRing
+from .surface import IncompleteRing, Triangulation, develop, seams
 
 
 # -- ring audits -------------------------------------------------------------
@@ -175,7 +175,6 @@ class BandFrame:
             if rs <= {top, top + 1} and len(rs) == 2:
                 band.add(t)
         self.tris = band
-        self.frames = {}
         # Anchor: the top cycle's first edge (a, b) runs along y = h, +x
         # direction.  The band triangle under it carries the directed edge
         # (b, a); its frame maps b to (1, h) and a to (0, h), band below.
@@ -188,21 +187,10 @@ class BandFrame:
         k = self._rot_to(ctx, qx - px, qy - py, ctx.of(-1), ctx.zero)
         rx, ry = chart.rotate(ctx, k, px, py)
         base = Isometry(ctx, k, ctx.one - rx, self.h - ry)
-        self.frames[t0] = base
-        stack = [t0]
-        while stack:
-            t = stack.pop()
-            for e in range(3):
-                nbr = surf.adj.get((t, e))
-                # Refuse wrap-around re-placements: the band is a cycle, and
-                # placing a triangle again would shift its frame by the period.
-                if not nbr or nbr[0] not in band or nbr[0] in self.frames:
-                    continue
-                iso = surf.transfer(ctx, t, e)
-                cand = self.frames[t].compose(iso.inverse())
-                t2 = nbr[0]
-                self.frames[t2] = cand
-                stack.append(t2)
+        # Each triangle is placed once: the band is a cycle, and placing a
+        # triangle again would shift its frame by the period.
+        self.frames = dict(develop(surf, ctx, t0, base,
+                                   lambda t, e, t2: t2 in band))
         self.top_edges = self._cycle_edges(cyc_top)
         self.bot_edges = self._cycle_edges(cyc_bot)
 
@@ -313,10 +301,13 @@ class FlatComplement:
     degree 6 and the total defect inside is zero, so the outside
     holonomy is a pure translation b.  A cut ray keeps developments
     single valued; crossing it shifts the developed picture by b.
+
+    `cut` is (cut edges, base triangle, base point, direction) of the
+    cut ray, or None when the core carries no curvature.
     """
 
     def __init__(self, surf: Triangulation, ctx: Scalars, ring: int,
-                 anchor_tri: int):
+                 anchor_tri: int, cut):
         if surf.rule is None or not surf.rule.flat_outside(0):
             raise ValueError("flat complement needs an all-degree-6 exterior rule")
         self.surf = surf
@@ -332,102 +323,60 @@ class FlatComplement:
                         if max(surf.ring_of[v] for v in surf.tris[t]) > ring}
         if anchor_tri not in self.outside:
             raise ValueError("anchor triangle must lie outside the ring")
-        self.frames = {}
-        self._bfs_queue = []
-        self._bfs_qi = 0
         self.cut = None       # (base, dir) developed cut ray, or None
-        self.cut_edges = frozenset()
+        self.cut_edges = frozenset() if cut is None else cut[0]
         self.delta = (ctx.zero, ctx.zero)
         self.b = (ctx.zero, ctx.zero)
-
-    # Frames are developed lazily along explicit corridors so the cut
-    # can block them; see corridor_frame.
-
-    def set_cut_edges(self, cut_edges):
-        if self.frames:
-            raise ValueError("cut must be set before any development")
-        self.cut_edges = frozenset(cut_edges)
-
-    def set_cut_geometry(self, cut_base, cut_dir):
-        self.cut = (cut_base, cut_dir)
-
-    def set_holonomy(self, b):
-        self.b = b
+        # All frames come from one BFS forest rooted at the anchor that never
+        # steps across the cut or into the inside, so every placement is
+        # single valued over the cut complement.
+        self.frames = dict(develop(
+            surf, ctx, anchor_tri, Isometry.identity(ctx),
+            lambda t, e, t2: t2 in self.outside and frozenset(
+                surf.edge_vertices(t, e)) not in self.cut_edges))
+        if cut is None:
+            return
+        _, base_tri, xy, d = cut
+        frame = self.corridor_frame(base_tri)
+        self.cut = (frame.apply(*xy), frame.apply_vec(*d))
+        self.b = self.compute_holonomy()
+        self.calibrate_cut()
+        # The calibrated per-crossing shift must match the holonomy
+        # translation in magnitude (its direction is frame relative).
+        dn = math.hypot(float(self.delta[0]), float(self.delta[1]))
+        bn = math.hypot(float(self.b[0]), float(self.b[1]))
+        if abs(dn - bn) > 1e-6:
+            raise ValueError("cut calibration disagrees with holonomy")
 
     def corridor_frame(self, target_tri: int) -> Isometry:
-        """Placement of a triangle's chart in the developed plane.
-
-        All frames come from one persistent BFS forest rooted at the
-        anchor that never steps across the cut or into the inside, so
-        every placement is single valued over the cut complement.
-        """
+        """Placement of a triangle's chart in the developed plane."""
         got = self.frames.get(target_tri)
-        if got is not None:
-            return got
-        surf, ctx = self.surf, self.ctx
-        if target_tri not in self.outside:
-            raise ValueError(f"triangle {target_tri} is not outside ring {self.ring}")
-        if not self.frames:
-            self.frames[self.anchor] = Isometry.identity(ctx)
-            self._bfs_queue = [self.anchor]
-            self._bfs_qi = 0
-        while self._bfs_qi < len(self._bfs_queue):
-            t = self._bfs_queue[self._bfs_qi]
-            self._bfs_qi += 1
-            for e in range(3):
-                nbr = surf.adj.get((t, e))
-                if not nbr:
-                    continue
-                t2 = nbr[0]
-                if t2 in self.frames or t2 not in self.outside:
-                    continue
-                if frozenset(surf.edge_vertices(t, e)) in self.cut_edges:
-                    continue
-                iso = surf.transfer(ctx, t, e)
-                self.frames[t2] = self.frames[t].compose(iso.inverse())
-                self._bfs_queue.append(t2)
-            if target_tri in self.frames:
-                return self.frames[target_tri]
-        if target_tri not in self.frames:
+        if got is None:
+            if target_tri not in self.outside:
+                raise ValueError(
+                    f"triangle {target_tri} is not outside ring {self.ring}")
             raise ValueError(f"no corridor reaches triangle {target_tri}")
-        return self.frames[target_tri]
+        return got
 
     def compute_holonomy(self):
-        """Translation discrepancy of a full BFS over the outside region.
+        """Translation discrepancy of a full development of the outside.
 
-        Developing every outside triangle without the cut produces one
+        Developing every outside triangle without the cut leaves one
         inconsistent non-tree adjacency per winding; its discrepancy is
         the holonomy translation.
         """
         surf, ctx = self.surf, self.ctx
-        frames = {self.anchor: Isometry.identity(ctx)}
-        order = [self.anchor]
-        qi = 0
+        frames = dict(develop(surf, ctx, self.anchor, Isometry.identity(ctx),
+                              lambda t, e, t2: t2 in self.outside))
         best = None
-        while qi < len(order):
-            t = order[qi]
-            qi += 1
-            for e in range(3):
-                nbr = surf.adj.get((t, e))
-                if not nbr or nbr[0] not in self.outside:
-                    continue
-                t2 = nbr[0]
-                iso = surf.transfer(ctx, t, e)
-                cand = frames[t].compose(iso.inverse())
-                if t2 not in frames:
-                    frames[t2] = cand
-                    order.append(t2)
-                    continue
-                have = frames[t2]
-                dk = (cand.k - have.k) % 12
-                dx = cand.tx - have.tx
-                dy = cand.ty - have.ty
-                if dk != 0:
-                    raise ValueError("outside holonomy has a rotation part")
-                if not (ctx.is_zero(dx) and ctx.is_zero(dy)):
-                    mag = float(dx) ** 2 + float(dy) ** 2
-                    if best is None or mag > best[0]:
-                        best = (mag, (dx, dy))
+        for _, _, cand, have in seams(surf, ctx, frames):
+            if cand.k != have.k:
+                raise ValueError("outside holonomy has a rotation part")
+            dx = cand.tx - have.tx
+            dy = cand.ty - have.ty
+            mag = float(dx) ** 2 + float(dy) ** 2
+            if best is None or mag > best[0]:
+                best = (mag, (dx, dy))
         if best is None:
             return (ctx.zero, ctx.zero)
         return best[1]
@@ -440,9 +389,6 @@ class FlatComplement:
         per crossing of geometric sign +1 is stored as `delta`.
         """
         surf, ctx = self.surf, self.ctx
-        if self.cut is None:
-            self.delta = (ctx.zero, ctx.zero)
-            return
         for edge_key in self.cut_edges:
             hit = None
             for t in self.outside:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import chart, engine
 from .numbers import Scalars
-from .surface import Triangulation
+from .surface import Triangulation, develop, seams
 
 
 class RegionNotUnfoldable(Exception):
@@ -56,35 +56,15 @@ def unfold_region(surf: Triangulation, ctx: Scalars, tris, base: int = None):
         raise ValueError("empty region")
     inset = set(region)
     base = region[0] if base is None else base
-    placements = {base: chart.Isometry.identity(ctx)}
-    order = [base]
-    qi = 0
-    while qi < len(order):
-        t = order[qi]
-        qi += 1
-        for e in range(3):
-            nbr = surf.adj.get((t, e))
-            if not nbr or nbr[0] not in inset or nbr[0] in placements:
-                continue
-            placements[nbr[0]] = placements[t].compose(
-                surf.transfer(ctx, t, e).inverse())
-            order.append(nbr[0])
+    placements = dict(develop(surf, ctx, base, chart.Isometry.identity(ctx),
+                              lambda t, e, t2: t2 in inset))
     if len(placements) != len(inset):
         missing = sorted(inset - set(placements))
         raise ValueError(f"region is not connected: {missing} unreachable")
     cuts = []
-    for t in region:
-        for e in range(3):
-            nbr = surf.adj.get((t, e))
-            if not nbr or nbr[0] not in inset:
-                continue
-            t2, e2 = nbr
-            direct = placements[t].compose(surf.transfer(ctx, t, e).inverse())
-            have = placements[t2]
-            if direct.k != have.k or not ctx.is_zero(direct.tx - have.tx) \
-                    or not ctx.is_zero(direct.ty - have.ty):
-                if (t2, e2) not in cuts:
-                    cuts.append((t, e))
+    for t, e, _, _ in seams(surf, ctx, {t: placements[t] for t in region}):
+        if surf.adj[(t, e)] not in cuts:
+            cuts.append((t, e))
     _check_overlaps(surf, ctx, placements)
     return placements, cuts
 

@@ -26,7 +26,7 @@ from .builders import (
     build_semi_paradoxist,
     build_silo,
 )
-from .surface import Triangulation, _Builder, validate
+from .surface import SurfaceError, Triangulation, _Builder, validate
 
 SMF_VERSION = 1
 
@@ -222,13 +222,13 @@ def to_triangulation(doc: SmfDocument):
                         return None, diags
                 try:
                     b.add_triangle(v0, v1, v2)
-                except Exception as exc:
+                except SurfaceError as exc:
                     diags.append(Diagnostic(ln, 1, "EdgeShared3", str(exc)))
                     return None, diags
             boundary = b.boundary_cycle() if b.pending else ()
             b.rings = [boundary]
             surf = b.freeze(None, {}, boundary=boundary)
-        except Exception as exc:
+        except SurfaceError as exc:
             return None, [Diagnostic(1, 1, "BadTriangulation", str(exc))]
     for label, fx in doc.points.items():
         if fx.tri >= surf.n_triangles():

@@ -3,8 +3,8 @@
 A Triangulation stores oriented triangles (counterclockwise under one
 global orientation), edge adjacency, vertex degrees and the lazy growth
 frontier.  All geometry lives in per-triangle canonical charts; this
-module owns the combinatorics, canonical point forms and the ring
-grower used by the model builders.
+module owns the combinatorics, canonical point forms, planar development
+and the ring grower used by the model builders.
 """
 
 from __future__ import annotations
@@ -223,6 +223,50 @@ class Triangulation:
         if nbr is None:
             raise UnmatchedEdge(f"edge {e} of triangle {t} is unmatched")
         return chart.gluing(ctx, e, nbr[1])
+
+
+# -- planar development ----------------------------------------------------
+
+
+def develop(surf: Triangulation, ctx: Scalars, root: int,
+            frame: chart.Isometry, admit):
+    """Lay triangles flat in one plane, breadth first from `root`.
+
+    The neighbour t2 across edge e of a placed triangle t is placed once,
+    with t's frame carried across e, when ``admit(t, e, t2)`` holds.
+    Yields (triangle, frame) in placement order; a triangle is yielded
+    before its neighbours are looked at, so `admit` may read what the
+    consumer recorded for it.
+    """
+    frames = {root: frame}
+    order = [root]
+    for t in order:
+        f = frames[t]
+        yield t, f
+        for e in range(3):
+            nbr = surf.adj.get((t, e))
+            if nbr and nbr[0] not in frames and admit(t, e, nbr[0]):
+                frames[nbr[0]] = f.compose(surf.transfer(ctx, t, e).inverse())
+                order.append(nbr[0])
+
+
+def seams(surf: Triangulation, ctx: Scalars, frames):
+    """Edges between two placed triangles whose placements disagree.
+
+    Yields (t, e, direct, have) in `frames` order, once from each side:
+    `direct` places t's neighbour across e from t's frame, `have` is the
+    neighbour's own frame.
+    """
+    for t, f in frames.items():
+        for e in range(3):
+            nbr = surf.adj.get((t, e))
+            if not nbr or nbr[0] not in frames:
+                continue
+            direct = f.compose(surf.transfer(ctx, t, e).inverse())
+            have = frames[nbr[0]]
+            if direct.k != have.k or not ctx.is_zero(direct.tx - have.tx) \
+                    or not ctx.is_zero(direct.ty - have.ty):
+                yield t, e, direct, have
 
 
 # -- canonical points ----------------------------------------------------

@@ -78,6 +78,22 @@ class TestRingAudit:
         a = audit_ring_convexity(surf, 2)
         assert a.passed is True
 
+    def test_audited_pass_skips_incomplete_rings(self):
+        surf = build_semi_paradoxist(3)
+        an = ModelAnalysis(surf, FLOAT)
+        last = len(surf.rings) - 1  # the frontier ring
+        assert [an.audited_pass(k) for k in (0, last, last + 1)] \
+            == [False, False, False]
+        assert an.audited_pass(2) is True
+
+    def test_audited_pass_bug_propagates(self, monkeypatch):
+        def broken(surf, ring):
+            raise RuntimeError("bug in audit")
+        monkeypatch.setattr(C, "audit_ring_convexity", broken)
+        an = ModelAnalysis(build_semi_paradoxist(3), FLOAT)
+        with pytest.raises(RuntimeError, match="bug in audit"):
+            an.audited_pass(2)
+
 
 class TestSiloClassifications:
     @pytest.mark.parametrize("name,want,count", [
@@ -135,6 +151,23 @@ class TestSemiClassifications:
         cls, _, _, _ = classify_labeled(semi, FLOAT, name, "l", B)
         assert cls.kind == want
         assert cls.unknown_arcs == 0
+
+    def test_line_contexts_own_their_far_field(self):
+        # Two line contexts with different core rings on one analysis:
+        # the second must use its own flat complement, not the first's.
+        surf = C.ensure_rings(build_semi_paradoxist(4), 12)
+        lray = resolve_ray(surf, FLOAT, surf.labels["l"])
+        P = resolve_point(surf, FLOAT, surf.labels["P"])
+        an = ModelAnalysis(surf, FLOAT)
+        build_line_context(surf, FLOAT, lray, an, B, min_core=7)
+        lctx = build_line_context(surf, FLOAT, lray, an, B, min_core=4)
+        cls = classify_point(P, lctx, an, B)
+        fresh = ModelAnalysis(surf, FLOAT)
+        want = classify_point(
+            P, build_line_context(surf, FLOAT, lray, fresh, B, min_core=4),
+            fresh, B)
+        assert (cls.kind, cls.count) == (want.kind, want.count) \
+            == (C.EUCLIDEAN, 1)
 
 
 class TestFlat:

@@ -95,6 +95,48 @@ def test_audit(files, tmp_path):
     assert [a["passed"] for a in data["audits"]] == [True, True, True]
 
 
+def test_audit_missing_ring_is_an_error_entry(files, tmp_path):
+    out_path = tmp_path / "audit.json"
+    assert cli.main(["audit", files["silo.smf"], "--rings", "0..1",
+                     "-o", str(out_path)]) == 1
+    audits = json.loads(out_path.read_text())["audits"]
+    assert "error" in audits[0] and audits[1]["passed"] is True
+
+
+def test_audit_bug_propagates(files, monkeypatch):
+    from smfgeo import farfield
+
+    def broken(surf, ring):
+        raise RuntimeError("bug in audit")
+    monkeypatch.setattr(farfield, "audit_ring_convexity", broken)
+    with pytest.raises(RuntimeError, match="bug in audit"):
+        cli.main(["audit", files["silo.smf"], "--rings", "2..2"])
+
+
+def test_render_skips_labels_exact_mode_cannot_place(tmp_path, capsys):
+    # A decimal barycentric has no exact value: the label is left out.
+    model = tmp_path / "semi.smf"
+    model.write_text(SEMI_SMF + "point X 0 0.2 0.3 0.5\n")
+    scene = tmp_path / "r.scn"
+    scene.write_text("render fan E\n")
+    out_path = tmp_path / "fig.svg"
+    for flags, shown in (([], True), (["--exact"], False)):
+        assert cli.main(["render", *flags, str(model), str(scene),
+                         "-o", str(out_path)]) == 0
+        assert (">X</text>" in out_path.read_text()) is shown
+
+
+def test_render_label_bug_propagates(files, tmp_path, monkeypatch):
+    def broken(surf, ctx, fx):
+        raise RuntimeError("bug in resolve_point")
+    monkeypatch.setattr(cli, "resolve_point", broken)
+    scene = tmp_path / "r.scn"
+    scene.write_text("render fan E\n")
+    with pytest.raises(RuntimeError, match="bug in resolve_point"):
+        cli.main(["render", files["semi.smf"], str(scene),
+                  "-o", str(tmp_path / "fig.svg")])
+
+
 def test_byte_identical_across_thread_counts(files, tmp_path):
     scene = tmp_path / "c.scn"
     scene.write_text("classify P l\nclassify Q l\n")

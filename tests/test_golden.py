@@ -1,0 +1,43 @@
+"""The `smfgeo classify` reports of the named fixtures, byte for byte.
+
+Each file in tests/golden/ is the report of one model's fixture points
+classified against the line l, run from a directory holding the model
+as `<model>.smf`, so the report names the model by that bare file name.
+A change that alters a report on purpose regenerates its file the same
+way, for example:
+
+    PYTHONPATH=src python -m smfgeo.cli classify --exact semi.smf semi.scn \\
+        -o tests/golden/semi_exact.json
+"""
+
+from pathlib import Path
+
+import pytest
+
+from smfgeo import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+MODELS = {
+    "silo": ("model silo rings=6", ("P", "R", "Q", "Qp", "Qpp")),
+    "semi": ("model semi_paradoxist radius=4", ("P", "Q", "R")),
+    "flat": ("model flat radius=3", ("P",)),
+}
+
+
+@pytest.mark.parametrize("name,mode", [
+    ("silo", "float"), ("semi", "float"), ("flat", "float"),
+    ("silo", "exact"), ("semi", "exact"),
+])
+def test_report_matches_golden(name, mode, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    model, points = MODELS[name]
+    Path(f"{name}.smf").write_text(f"smf 1\n{model}\n")
+    Path(f"{name}.scn").write_text("".join(f"classify {p} l\n"
+                                           for p in points))
+    flags = ["--exact"] if mode == "exact" else []
+    assert cli.main(["classify", *flags, f"{name}.smf", f"{name}.scn",
+                     "-o", "report.json"]) == 0
+    want = (GOLDEN / f"{name}_{mode}.json").read_bytes()
+    assert Path("report.json").read_bytes() == want

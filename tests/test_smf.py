@@ -51,6 +51,22 @@ class TestParseManifold:
         assert surf is None
         assert any(d.code == "EdgeShared3" and d.line == 4 for d in diags)
 
+    def test_non_manifold_boundary_diagnostic(self):
+        # Two triangles meeting only at vertex 0.
+        doc, _ = smf.parse_manifold("smf 1\nt 0 1 2\nt 0 3 4\n")
+        surf, diags = smf.to_triangulation(doc)
+        assert surf is None
+        assert [d.code for d in diags] == ["BadTriangulation"]
+
+    @pytest.mark.parametrize("method", ["add_triangle", "boundary_cycle"])
+    def test_builder_bug_propagates(self, method, monkeypatch):
+        def broken(self, *args):
+            raise RuntimeError(f"bug in {method}")
+        monkeypatch.setattr(smf._Builder, method, broken)
+        doc, _ = smf.parse_manifold(GOOD_EXPLICIT)
+        with pytest.raises(RuntimeError, match=f"bug in {method}"):
+            smf.to_triangulation(doc)
+
     def test_round_trip_is_identity(self):
         for text in (GOOD_SILO, GOOD_EXPLICIT):
             doc, _ = smf.parse_manifold(text)
