@@ -56,20 +56,28 @@ def _load_env_defaults():
         return {}
 
 
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+def _common_options(default=None):
+    common = argparse.ArgumentParser(add_help=False, argument_default=default)
     common.add_argument("--exact", action="store_true",
                         help="run in the exact quadratic-field mode")
-    common.add_argument("--epsilon", type=float, default=None,
+    common.add_argument("--epsilon", type=float,
                         help="float-mode tolerance in edge lengths")
-    common.add_argument("--arc-budget", type=float, default=None)
-    common.add_argument("--growth-budget", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None,
+    common.add_argument("--arc-budget", type=float)
+    common.add_argument("--growth-budget", type=int)
+    common.add_argument("--threads", type=int,
                         help="accepted for compatibility; queries run "
                              "sequentially")
-    common.add_argument("-o", "--out", default=None, help="output path")
+    common.add_argument("-o", "--out", help="output path")
+    return common
+
+
+def _build_parser():
+    # The shared options are accepted before and after the subcommand.
+    # The subcommand's copy leaves unset options out of the namespace
+    # (SUPPRESS), so it does not reset a value given before it.
+    common = _common_options(argparse.SUPPRESS)
     p = argparse.ArgumentParser(
-        prog="smfgeo", parents=[common],
+        prog="smfgeo", parents=[_common_options()],
         description="Piecewise-flat S-manifolds: geodesics and the "
                     "parallel-postulate taxonomy.")
     sub = p.add_subparsers(dest="command")

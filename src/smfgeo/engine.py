@@ -30,6 +30,7 @@ from .surface import (
     grow_frontier,
     normalize_bary,
     point_at_vertex,
+    ring_size,
 )
 
 
@@ -516,15 +517,13 @@ def _trace_one_way(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget,
 def _try_grow(surf: Triangulation, growth_budget: int):
     if surf.rule is None or not surf.frontier:
         return None
-    if len(surf.tris) >= growth_budget:
-        return None
     try:
-        grown = grow_frontier(surf, 1)
+        # A ring that would pass the budget is refused before it is built.
+        if len(surf.tris) + ring_size(surf) > growth_budget:
+            return None
+        return grow_frontier(surf, 1)
     except SurfaceError:
         return None
-    if len(grown.tris) > growth_budget:
-        return None
-    return grown
 
 
 def stitch(start: Ray, surf: Triangulation, fwd, back=None) -> GeodesicPath:

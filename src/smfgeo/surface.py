@@ -128,6 +128,10 @@ class Triangulation:
         self.max_triangles = max_triangles
         self._vert_tri = None
         self._hash = None
+        # Open directed edges {(u, v): (t, e)}, handed over by
+        # _Builder.freeze so the next growth need not rescan every edge;
+        # None for a surface built directly.
+        self._open_edges = None
 
     # -- basic queries -------------------------------------------------
 
@@ -421,7 +425,11 @@ def validate(surf: Triangulation) -> ValidationReport:
 
 
 class _Builder:
-    """Mutable scratch space used by seeds and by grow_frontier."""
+    """Mutable scratch space used by seeds and by grow_frontier.
+
+    `freeze` hands the builder's containers to the new Triangulation, so
+    the builder must not be used after it.
+    """
 
     def __init__(self, max_triangles=1_000_000):
         self.tris = []
@@ -440,13 +448,15 @@ class _Builder:
         b.adj = dict(surf.adj)
         b.degree = dict(surf.degree)
         b.ring_of = dict(surf.ring_of)
-        b.rings = [tuple(r) for r in surf.rings]
+        b.rings = list(surf.rings)
         b.next_vertex = max(surf.degree) + 1 if surf.degree else 0
-        for t in range(len(b.tris)):
+        if surf._open_edges is not None:
+            b.pending = dict(surf._open_edges)
+            return b
+        for t, tv in enumerate(b.tris):
             for e in range(3):
                 if (t, e) not in b.adj:
-                    u, v = b.tris[t][e], b.tris[t][(e + 1) % 3]
-                    b.pending[(u, v)] = (t, e)
+                    b.pending[(tv[e], tv[(e + 1) % 3])] = (t, e)
         return b
 
     def new_vertex(self, ring: int) -> int:
@@ -457,22 +467,41 @@ class _Builder:
         return v
 
     def add_triangle(self, a: int, b: int, c: int) -> int:
-        if len(self.tris) >= self.max_triangles:
+        tris = self.tris
+        t = len(tris)
+        if t >= self.max_triangles:
             raise GrowthLimitExceeded(
                 f"triangle budget {self.max_triangles} reached")
-        t = len(self.tris)
-        self.tris.append((a, b, c))
-        for v in (a, b, c):
-            self.degree[v] = self.degree.get(v, 0) + 1
-        for e, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-            other = self.pending.pop((v, u), None)
-            if other is not None:
-                self.adj[(t, e)] = other
-                self.adj[other] = (t, e)
-            else:
-                if (u, v) in self.pending:
-                    raise SurfaceError(f"duplicate directed edge ({u},{v})")
-                self.pending[(u, v)] = (t, e)
+        tris.append((a, b, c))
+        degree = self.degree
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+        degree[c] = degree.get(c, 0) + 1
+        adj = self.adj
+        pending = self.pending
+        # Each edge's (t, e) tuple is at once its adj key, the other
+        # side's adj value and its pending entry: one object, not three.
+        te = (t, 0)
+        other = pending.pop((b, a), None)
+        if other is not None:
+            adj[te] = other
+            adj[other] = te
+        elif pending.setdefault((a, b), te) is not te:
+            raise SurfaceError(f"duplicate directed edge ({a},{b})")
+        te = (t, 1)
+        other = pending.pop((c, b), None)
+        if other is not None:
+            adj[te] = other
+            adj[other] = te
+        elif pending.setdefault((b, c), te) is not te:
+            raise SurfaceError(f"duplicate directed edge ({b},{c})")
+        te = (t, 2)
+        other = pending.pop((a, c), None)
+        if other is not None:
+            adj[te] = other
+            adj[other] = te
+        elif pending.setdefault((c, a), te) is not te:
+            raise SurfaceError(f"duplicate directed edge ({c},{a})")
         return t
 
     def boundary_cycle(self):
@@ -498,40 +527,64 @@ class _Builder:
 
     def freeze(self, rule, labels, boundary=None) -> Triangulation:
         bd = self.boundary_cycle() if boundary is None else boundary
-        return Triangulation(
-            tris=list(self.tris),
-            adj=dict(self.adj),
-            degree=dict(self.degree),
+        surf = Triangulation(
+            tris=self.tris,
+            adj=self.adj,
+            degree=self.degree,
             frontier=frozenset(bd),
             boundary=bd,
-            rings=tuple(tuple(r) for r in self.rings),
-            ring_of=dict(self.ring_of),
+            rings=tuple(self.rings),
+            ring_of=self.ring_of,
             rule=rule,
             labels=labels,
             max_triangles=self.max_triangles,
         )
+        surf._open_edges = self.pending
+        # The surface owns the containers now; a stray later use of the
+        # builder fails here instead of changing a frozen surface.
+        self.tris = self.adj = self.degree = self.ring_of = None
+        self.pending = self.rings = None
+        return surf
 
 
-def _grow_one_ring(b: _Builder, rule: GenerationRule) -> None:
-    """Complete every boundary vertex to its rule degree, one ring out.
-
-    Per boundary vertex v the gap outside is filled by k = target - deg(v)
-    triangles: one "up" triangle per flanking boundary edge plus m = k - 2
-    "down" triangles pivoting around v between fresh outer vertices.
-    """
-    cycle = b.boundary_cycle()
-    if not cycle:
-        raise SurfaceError("nothing to grow: empty frontier")
-    ring = len(b.rings)
-    n = len(cycle)
-    m = {}
+def _ring_gaps(rule: GenerationRule, cycle, degree, ring_of):
+    """{v: k} with k = target - deg(v), the triangles missing outside
+    each vertex v of the boundary `cycle`."""
+    gaps = {}
     for v in cycle:
-        target = rule.degree_for(v, b.ring_of[v])
-        k = target - b.degree[v]
+        k = rule.degree_for(v, ring_of[v]) - degree[v]
         if k < 2:
             raise SurfaceError(
                 f"rule {rule.name} leaves vertex {v} with gap {k} < 2")
-        m[v] = k - 2
+        gaps[v] = k
+    return gaps
+
+
+def _planned_size(gaps) -> int:
+    # A vertex with gap k gets k - 2 "down" triangles of its own and
+    # shares two "up" triangles with its boundary neighbours: k - 1 each.
+    return sum(gaps.values()) - len(gaps)
+
+
+def ring_size(surf: Triangulation) -> int:
+    """Number of triangles that growing `surf` by one ring adds."""
+    if surf.rule is None:
+        raise SurfaceError("surface has no generation rule")
+    return _planned_size(_ring_gaps(surf.rule, surf.boundary, surf.degree,
+                                    surf.ring_of))
+
+
+def _grow_one_ring(b: _Builder, rule: GenerationRule, cycle, gaps):
+    """Complete every vertex of the boundary `cycle` to its rule degree,
+    one ring out, and return the new boundary cycle.
+
+    Per boundary vertex v the gap outside is filled by k = gaps[v]
+    triangles: one "up" triangle per flanking boundary edge plus m = k - 2
+    "down" triangles pivoting around v between fresh outer vertices.
+    """
+    ring = len(b.rings)
+    n = len(cycle)
+    m = {v: k - 2 for v, k in gaps.items()}
     starts = [i for i, v in enumerate(cycle) if m[v] > 0]
     if not starts:
         raise SurfaceError("ring would close the surface; unsupported")
@@ -574,19 +627,36 @@ def _grow_one_ring(b: _Builder, rule: GenerationRule) -> None:
             raise SurfaceError(
                 f"growth bug: vertex {v} completed at degree {b.degree[v]},"
                 f" target {target}")
-    b.rings.append(b.boundary_cycle())
+    bd = b.boundary_cycle()
+    b.rings.append(bd)
+    return bd
 
 
 def grow_frontier(surf: Triangulation, rings: int) -> Triangulation:
-    """Push the frontier outward by `rings` layers under the surface rule."""
-    if surf.rule is None:
+    """Push the frontier outward by `rings` layers under the surface rule.
+
+    Each ring is planned before it is built: one that would take the
+    surface past `max_triangles` raises GrowthLimitExceeded before
+    anything of it is copied or added.
+    """
+    rule = surf.rule
+    if rule is None:
         raise SurfaceError("surface has no generation rule")
     if not surf.frontier:
         raise SurfaceError("surface has no frontier")
-    b = _Builder.from_surface(surf)
+    cycle = surf.boundary
+    b = None
     for _ in range(rings):
-        _grow_one_ring(b, surf.rule)
-    return b.freeze(surf.rule, surf.labels)
+        state = b or surf
+        gaps = _ring_gaps(rule, cycle, state.degree, state.ring_of)
+        total = len(state.tris) + _planned_size(gaps)
+        if total > surf.max_triangles:
+            raise GrowthLimitExceeded(
+                f"next ring would make {total} triangles, over the budget"
+                f" of {surf.max_triangles}")
+        b = b or _Builder.from_surface(surf)
+        cycle = _grow_one_ring(b, rule, cycle, gaps)
+    return (b or _Builder.from_surface(surf)).freeze(rule, surf.labels, cycle)
 
 
 def angle_defect_deg(surf: Triangulation, v: int) -> int:

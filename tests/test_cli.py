@@ -165,6 +165,19 @@ def test_exact_flag(files, tmp_path):
     assert data["reports"][0]["result"]["kind"] == "euclidean"
 
 
+def test_common_flags_before_subcommand(files, tmp_path):
+    # The subcommand's copy of the shared options must not reset a value
+    # given before the subcommand.
+    scene = tmp_path / "c.scn"
+    scene.write_text("classify P l\n")
+    out_path = tmp_path / "rep.json"
+    assert cli.main(["--exact", "--arc-budget", "150", "-o", str(out_path),
+                     "classify", files["silo.smf"], str(scene)]) == 0
+    rep = json.loads(out_path.read_text())["reports"][0]
+    assert rep["mode"] == "exact"
+    assert rep["config"]["arc_budget"] == 150.0
+
+
 def test_env_config(files, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"arc_budget": 123.0}))

@@ -424,6 +424,33 @@ class TestTrace:
         with pytest.raises(RuntimeError, match="bug inside growth"):
             trace(ray, surf, FLOAT, arc_budget=50.0, growth_budget=10**5)
 
+    @pytest.mark.parametrize("rings_before", [0, 1])
+    def test_ring_over_growth_budget_is_never_built(self, monkeypatch,
+                                                      rings_before):
+        # The budget admits `rings_before` rings and stops one triangle
+        # short of the next; that ring must be refused, not built.
+        from smfgeo import engine
+        from smfgeo.engine import GrowthLimit
+        from smfgeo.surface import grow_frontier, ring_size
+        surf = build_flat_plane(1)
+        last = grow_frontier(surf, rings_before) if rings_before else surf
+        budget = len(last.tris) + ring_size(last) - 1
+        calls = []
+
+        def counting(s, rings):
+            calls.append(len(s.tris))
+            return grow_frontier(s, rings)
+
+        monkeypatch.setattr(engine, "grow_frontier", counting)
+        ray = make_ray(surf, FLOAT, 0, CENTROID, FLOAT.direction(11.0))
+        path = trace(ray, surf, FLOAT, arc_budget=50.0, growth_budget=budget)
+        assert len(calls) == rings_before
+        assert isinstance(path.events[-1][1], GrowthLimit)
+        if rings_before:
+            assert path.surface.content_hash() == last.content_hash()
+        else:
+            assert path.surface is surf
+
     def test_growth_limit_exceeded_ends_trace(self, monkeypatch):
         from smfgeo import engine
         from smfgeo.engine import GrowthLimit

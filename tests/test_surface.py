@@ -183,6 +183,65 @@ class TestGrowthDeterminism:
         assert a.content_hash() == b.content_hash()
 
 
+def _growth_state(surf):
+    return (surf.tris, surf.adj, surf.degree, surf.rings, surf.ring_of,
+            surf.frontier, surf.content_hash())
+
+
+class TestSingleCopyGrowth:
+    def test_growing_twice_leaves_base_unchanged(self, silo3):
+        before = (list(silo3.tris), dict(silo3.adj), dict(silo3.degree),
+                  silo3.frontier, silo3.content_hash())
+        a = grow_frontier(silo3, 1)
+        b = grow_frontier(silo3, 1)
+        assert (silo3.tris, silo3.adj, silo3.degree, silo3.frontier,
+                silo3.content_hash()) == before
+        assert _growth_state(a) == _growth_state(b)
+        assert a.tris is not b.tris and a.adj is not b.adj
+
+    def test_rebuilt_surface_grows_like_frozen_one(self, semi4):
+        # A Triangulation built directly has no carried open-edge map, so
+        # its growth rescans the edges; the result must not differ.
+        rebuilt = Triangulation(
+            tris=list(semi4.tris), adj=dict(semi4.adj),
+            degree=dict(semi4.degree), frontier=semi4.frontier,
+            boundary=semi4.boundary, rings=semi4.rings,
+            ring_of=dict(semi4.ring_of), rule=semi4.rule,
+            labels=semi4.labels, max_triangles=semi4.max_triangles)
+        assert rebuilt._open_edges is None
+        assert semi4._open_edges is not None
+        assert _growth_state(grow_frontier(rebuilt, 2)) == \
+            _growth_state(grow_frontier(semi4, 2))
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_flat_plane(2),
+        lambda: build_semi_paradoxist(2),
+        lambda: build_silo(0),
+    ], ids=["flat", "semi", "silo"])
+    def test_ring_size_matches_growth(self, build):
+        from smfgeo.surface import ring_size
+        surf = build()
+        for _ in range(4):
+            planned = ring_size(surf)
+            grown = grow_frontier(surf, 1)
+            assert len(grown.tris) - len(surf.tris) == planned
+            surf = grown
+
+    def test_over_budget_ring_refused_before_copy(self, monkeypatch):
+        from smfgeo.surface import GrowthLimitExceeded, _Builder, ring_size
+        surf = build_flat_plane(2, max_triangles=53)
+        assert len(surf.tris) + ring_size(surf) == 54
+
+        def no_copy(cls, s):
+            raise AssertionError("builder created for a refused ring")
+        monkeypatch.setattr(_Builder, "from_surface", classmethod(no_copy))
+        with pytest.raises(GrowthLimitExceeded):
+            grow_frontier(surf, 1)
+        monkeypatch.undo()
+        exact = build_flat_plane(2, max_triangles=54)
+        assert len(grow_frontier(exact, 1).tris) == 54
+
+
 class TestSharedEdgeLength:
     def test_shared_edges_unit_length(self, silo3):
         # Both chart embeddings of every shared edge have length 1.
