@@ -16,7 +16,11 @@ certificate (see farfield).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cmp_to_key
+from operator import itemgetter
 
 from . import chart, engine, farfield
 from .chart import cross, dot
@@ -29,7 +33,7 @@ from .engine import (
     Segment,
     VertexCrossing,
 )
-from .numbers import Scalars
+from .numbers import Q3, Scalars
 from .surface import (
     SurfaceError,
     SurfacePoint,
@@ -55,6 +59,11 @@ REGULARLY_HYPERBOLIC = "regularly_hyperbolic"
 EXTREMELY_HYPERBOLIC = "extremely_hyperbolic"
 COMPLETELY_HYPERBOLIC = "completely_hyperbolic"
 UNDETERMINED = "undetermined"
+
+# Float mode merges corner directions closer than this many degrees and
+# drops corners this close to either end of their cone; exact mode
+# compares directions exactly.
+CORNER_GAP_DEG = 1e-7
 
 
 @dataclass(frozen=True)
@@ -315,7 +324,7 @@ class EndResult:
     escape_ring: int = None
     closure_period: float = None
     via_vertices: tuple = ()
-    frames: list = None       # (tri, Isometry) along the trace
+    frames: list = None       # (tri, Isometry, entered by a crossing)
     rot: int = 0              # rotation to the final chart, None after vertex
     band_entry: tuple = None  # (tri, rot) at first band entry
     carrier: int = None       # carrying triangle of the traced ray
@@ -431,7 +440,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
             rot = None
             continue
         if collect_frames:
-            frames.append((cur.point.tri, frame))
+            frames.append((cur.point.tri, frame, False))
         for item, cur, _ in engine.walk(cur, surf, ctx):
             if isinstance(item, Segment):
                 seg = item
@@ -493,7 +502,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
             if cur.point.tri in analysis.band_tris:
                 break  # the band transit restarts the walk from its exit
             if collect_frames:
-                frames.append((cur.point.tri, frame))
+                frames.append((cur.point.tri, frame, True))
 
 
 def _dirkey(ctx, d):
@@ -555,6 +564,7 @@ class Probe:
     fwd: EndResult
     bwd: EndResult
     status: object
+    corners: list = None      # see _Partitioner; None when traced frameless
 
     def signature(self):
         return (_sig(self.fwd), _sig(self.bwd))
@@ -675,7 +685,50 @@ def _blend(ctx, u, v, lam_num: int, lam_den: int):
     return (u[0] * a + v[0] * b, u[1] * a + v[1] * b)
 
 
+def _ccw_key(ctx):
+    """Exact sort key for directions within one half-plane: a comes
+    before b when b lies counterclockwise of a."""
+    return cmp_to_key(lambda a, b: -ctx.sign(cross(a[0], a[1], b[0], b[1])))
+
+
+def _ccw_sorted(ctx, u, ws):
+    """Directions strictly inside one cone from u, in CCW order from u:
+    exactly in exact mode, by float degrees in float mode."""
+    if ctx.exact:
+        return sorted(ws, key=_ccw_key(ctx))
+    return sorted(ws, key=lambda w: _cone_angle_deg(u, w))
+
+
+# tan(2 * CORNER_GAP_DEG) as an exact rational, for exact mode's slivers.
+_SLIVER_TAN = Q3(Fraction(math.tan(math.radians(2 * CORNER_GAP_DEG))))
+
+# Slack, in radians, around a cone's float fold angles when corners are
+# picked by bisection; far above the rounding of an angle, and the picked
+# corners still pass _strictly_between.
+_FOLD_SLACK = 1e-9
+
+
 class _Partitioner:
+    """Partition of the direction circle at P into uniform intervals.
+
+    Every probe that bounds a cone is traced with frames once, and its
+    corner list is built then: the directions from P, in P's chart, of
+    the triangle corners its two traces developed.  A corner list is
+
+    - built once per probe, when its keys enter `corner_keys`;
+    - deduplicated: one entry per direction key, placed where the key
+      was first met and holding the direction last met, and a vertex
+      shared with the previous strip triangle is not developed again;
+    - sorted by fold angle in [0, 180), exactly (`_ccw_key`) in exact
+      mode and by float angle in float mode, so that a cone takes its
+      corners by bisection;
+
+    and once it exists the probe drops the frames, segments and events of
+    both ends: the cache keeps only what the partition reads.  Probes
+    that only compare signatures or give a witness are traced without
+    frames, and traced again with them if they later bound a cone.
+    """
+
     def __init__(self, P, lctx, analysis, budgets):
         self.P = P
         self.lctx = lctx
@@ -689,13 +742,19 @@ class _Partitioner:
         self.boundaries = {}  # key -> (dvec, probe)
         self.corner_keys = set()
         self.splits = 0
+        self._fold_key = (_ccw_key(self.ctx) if self.ctx.exact else
+                          lambda h: math.atan2(h[1], h[0]))
 
-    def probe(self, d, collect_frames=True) -> Probe:
+    def probe(self, d, corners=True) -> Probe:
         key = self._key(d)
         got = self.cache.get(key)
-        if got is None:
+        if got is None or (corners and got.corners is None):
             got = _probe(self.P, d, self.lctx, self.analysis, self.budgets,
-                         collect_frames=collect_frames)
+                         collect_frames=corners)
+            if corners:
+                got.corners = self._corner_list(got)
+            for res in (got.fwd, got.bwd):
+                res.frames = res.segments = res.events = None
             self.cache[key] = got
         return got
 
@@ -706,29 +765,122 @@ class _Partitioner:
         n = math.hypot(float(d[0]), float(d[1])) or 1.0
         return (round(float(d[0]) / n, 12), round(float(d[1]) / n, 12))
 
-    # corner directions seen by a probe, strictly inside the open cone (u, v)
-    def _corners_inside(self, pr: Probe, u, v):
+    def _corner_list(self, pr: Probe):
+        """Corner list of a probe traced with frames: (fold key, order
+        met, direction) entries sorted by fold key."""
         ctx = self.ctx
         surf = self.surf
-        out = {}
         cs = chart.corners(ctx)
-        for res in (pr.fwd, pr.bwd):
-            if not res.frames:
-                continue
+        # direction key -> (order first met, folded, direction last met)
+        met = {}
+        for res in ((pr.fwd,) if pr.bwd is pr.fwd else (pr.fwd, pr.bwd)):
             inv = engine.link_iso(surf, ctx, self.P.tri, res.carrier).inverse()
             pcx, pcy = res.carrier_xy
-            for tri, frame in res.frames:
-                for c in cs:
+            prev = None
+            for tri, frame, crossed in res.frames:
+                # Across a crossing, the corners shared with the previous
+                # triangle develop where they did in it.
+                done = surf.tris[prev] if crossed else ()
+                prev = tri
+                for c, vtx in zip(cs, surf.tris[tri]):
+                    if vtx in done:
+                        continue
                     px, py = frame.apply(*c)
                     vx, vy = px - pcx, py - pcy
                     if ctx.sign(vx) == 0 and ctx.sign(vy) == 0:
                         continue
                     w0 = inv.apply_vec(vx, vy)
-                    self.corner_keys.add(self._key(_halfcirc(ctx, w0)))
-                    w = _orient_into(ctx, u, w0)
-                    if _strictly_between(ctx, u, v, w):
-                        out[self._key(_halfcirc(ctx, w))] = w
-        return list(out.values())
+                    h = _halfcirc(ctx, w0)
+                    key = self._key(h)
+                    seen = met.get(key)
+                    met[key] = (len(met) if seen is None else seen[0], h, w0)
+        self.corner_keys.update(met)
+        fold = self._fold_key
+        entries = [(fold(h), i, w0) for i, h, w0 in met.values()]
+        entries.sort(key=itemgetter(0))
+        return entries
+
+    def _corners_inside(self, pr: Probe, u, v):
+        """Corner directions of `pr` strictly inside the open cone (u, v),
+        turned into it, in the order the probe met them."""
+        ctx = self.ctx
+        entries = pr.corners
+        cw = ctx.sign(cross(u[0], u[1], v[0], v[1]))
+        if cw < 0 or not entries:
+            return []
+        spans = ((0, len(entries)),) if cw == 0 else \
+            self._fold_spans(entries, u, v)
+        got = []
+        for lo, hi in spans:
+            for k in range(lo, hi):
+                _, i, w0 = entries[k]
+                w = _orient_into(ctx, u, w0)
+                if _strictly_between(ctx, u, v, w):
+                    got.append((i, w))
+        got.sort(key=itemgetter(0))
+        return [w for _, w in got]
+
+    def _fold_spans(self, entries, u, v):
+        """Index ranges of a corner list that hold every corner strictly
+        inside the cone (u, v) of less than 180 degrees: exactly those in
+        exact mode, with _FOLD_SLACK more at each end in float mode."""
+        ctx = self.ctx
+        n = len(entries)
+        fold = self._fold_key
+        first = itemgetter(0)
+        hu, hv = _halfcirc(ctx, u), _halfcirc(ctx, v)
+        if ctx.exact:
+            lo = bisect_right(entries, fold(hu), key=first)
+            hi = bisect_left(entries, fold(hv), key=first)
+            if ctx.sign(cross(hu[0], hu[1], hv[0], hv[1])) > 0:
+                return ((lo, hi),)
+            return ((lo, n), (0, hi))
+        a = fold(hu) - _FOLD_SLACK
+        b = a + (fold(hv) - a) % math.pi + 2 * _FOLD_SLACK
+        if b - a >= math.pi:
+            return ((0, n),)
+        return [(bisect_left(entries, a + s, key=first),
+                 bisect_right(entries, b + s, key=first))
+                for s in (-math.pi, 0.0, math.pi)]
+
+    def _split_points(self, u, v, raw):
+        """Corners from `raw` (inside the cone (u, v)) in CCW order, one
+        per direction: exactly equal directions merge in exact mode; in
+        float mode those within CORNER_GAP_DEG of each other merge and
+        those within it of u or v are dropped."""
+        ctx = self.ctx
+        corners = []
+        if ctx.exact:
+            for w in _ccw_sorted(ctx, u, raw):
+                if not corners or ctx.sign(cross(*corners[-1], *w)) != 0:
+                    corners.append(w)
+            return corners
+        width = _cone_angle_deg(u, v)
+        cands = []
+        for w in raw:
+            dw = _cone_angle_deg(u, w)
+            if CORNER_GAP_DEG < dw < width - CORNER_GAP_DEG:
+                cands.append((dw, w))
+        cands.sort(key=lambda x: x[0])
+        last = None
+        for dw, w in cands:
+            if last is None or dw - last > CORNER_GAP_DEG:
+                corners.append(w)
+                last = dw
+        return corners
+
+    def _sliver(self, u, v) -> bool:
+        """Is the cone (u, v) narrower than 2 * CORNER_GAP_DEG?  Halving
+        stops there: a signature can change inside a cone without a
+        corner (where the line's crossing with the reference line moves
+        across an edge), and no halving lands on that direction.  Exact
+        mode compares cross(u, v) with tan(width) * dot(u, v) exactly."""
+        ctx = self.ctx
+        if not ctx.exact:
+            return _cone_angle_deg(u, v) < 2 * CORNER_GAP_DEG
+        c = cross(u[0], u[1], v[0], v[1])
+        d = dot(u[0], u[1], v[0], v[1])
+        return ctx.sign(d) > 0 and ctx.sign(c - _SLIVER_TAN * d) < 0
 
     def run(self):
         ctx = self.ctx
@@ -746,22 +898,9 @@ class _Partitioner:
             pv = self.probe(v)
             self.boundaries.setdefault(self._key(_halfcirc(ctx, u)), (u, pu))
             self.boundaries.setdefault(self._key(_halfcirc(ctx, v)), (v, pv))
-            width = _cone_angle_deg(u, v)
-            raw = self._corners_inside(pu, u, v) + \
-                self._corners_inside(pv, u, v)
-            cands = []
-            for w in raw:
-                w = _orient_into(ctx, u, w)
-                dw = _cone_angle_deg(u, w)
-                if 1e-7 < dw < width - 1e-7:
-                    cands.append((dw, w))
-            cands.sort(key=lambda x: x[0])
-            corners = []
-            last = None
-            for dw, w in cands:
-                if last is None or dw - last > 1e-7:
-                    corners.append(w)
-                    last = dw
+            corners = self._split_points(
+                u, v, self._corners_inside(pu, u, v) +
+                self._corners_inside(pv, u, v))
             if corners:
                 self.splits += len(corners)
                 if self.splits > 3000:
@@ -774,7 +913,7 @@ class _Partitioner:
             if pu.signature() == pv.signature():
                 self.intervals.append((u, v, None))
                 continue
-            if width < 2e-7:
+            if self._sliver(u, v):
                 self.intervals.append((u, v, None))
                 continue
             # A boundary endpoint (vertex hit or flip) shows a different
@@ -782,8 +921,8 @@ class _Partitioner:
             # is uniform just inside both ends.
             pa_d = _blend(ctx, u, v, 1, 1024)
             pb_d = _blend(ctx, u, v, 1023, 1024)
-            pra = self.probe(pa_d)
-            prb = self.probe(pb_d)
+            pra = self.probe(pa_d, corners=False)
+            prb = self.probe(pb_d, corners=False)
             if pra.signature() == prb.signature():
                 self.intervals.append((u, v, None))
                 continue
@@ -807,7 +946,7 @@ class _Partitioner:
         out = []
         for (u, v, _) in self.intervals:
             w = _blend(ctx, u, v, 1, 2)
-            pr = self.probe(w, collect_frames=False)
+            pr = self.probe(w, corners=False)
             cands = {}
             for res in (pr.fwd, pr.bwd):
                 inv = engine.link_iso(surf, ctx, self.P.tri,
@@ -830,17 +969,15 @@ class _Partitioner:
             if not cands:
                 out.append((u, v, pr))
                 continue
-            pts = [u] + sorted(cands.values(),
-                               key=lambda w_: _cone_angle_deg(u, w_)) + [v]
+            pts = [u] + _ccw_sorted(ctx, u, cands.values()) + [v]
             for i in range(len(pts) - 1):
                 a, b = pts[i], pts[i + 1]
                 wm = _blend(ctx, a, b, 1, 2)
-                out.append((a, b, self.probe(wm, collect_frames=False)))
+                out.append((a, b, self.probe(wm, corners=False)))
                 if i + 1 < len(pts) - 1:
                     self.boundaries.setdefault(
                         self._key(_halfcirc(ctx, pts[i + 1])),
-                        (pts[i + 1], self.probe(pts[i + 1],
-                                                collect_frames=False)))
+                        (pts[i + 1], self.probe(pts[i + 1], corners=False)))
         self.intervals = out
 
     def _finalize(self):
@@ -849,7 +986,7 @@ class _Partitioner:
         for (u, v, pr) in self.intervals:
             if pr is None:
                 w = _blend(ctx, u, v, 1, 2)
-                pr = self.probe(w, collect_frames=False)
+                pr = self.probe(w, corners=False)
             lo = _theta_deg(u)
             hi = _theta_deg(v)
             if hi <= lo:

@@ -64,6 +64,8 @@ class Segment:
     a: tuple  # entry point, chart coords
     b: tuple  # exit point, chart coords
     _length: float = field(init=False, repr=False, compare=False)
+    # Normalized barycentrics of `b` when `step` made the chord.
+    exit_b: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # Computed once: the walk's stall guard and every consumer need it.
@@ -275,7 +277,7 @@ def step(ray: Ray, surf: Triangulation, ctx: Scalars):
         ctx, (b[0] + db[0] * t_exit, b[1] + db[1] * t_exit, b[2] + db[2] * t_exit))
     a_xy = chart.xy_of_bary(ctx, b)
     b_xy = chart.xy_of_bary(ctx, exit_b)
-    seg = Segment(t, a_xy, b_xy)
+    seg = Segment(t, a_xy, b_xy, exit_b)
     zeros = [i for i in range(3) if ctx.is_zero(exit_b[i])]
     if len(zeros) >= 2:
         slot = next(i for i in range(3) if i not in zeros)
@@ -466,7 +468,7 @@ def walk(ray: Ray, surf: Triangulation, ctx: Scalars, grow=None):
             surf = grown
             continue
         yield seg, ray, surf
-        exit_b = normalize_bary(ctx, chart.bary_of_xy(ctx, seg.b[0], seg.b[1]))
+        exit_b = seg.exit_b
         if hit[0] == "vertex":
             v = hit[1]
             if v in surf.frontier:

@@ -475,3 +475,193 @@ class TestSteppingErrors:
                             self.raising(engine.EngineError("no reverse")))
         probe = C._probe(P, FLOAT.direction(40.0), lctx, analysis, B)
         assert probe.status == C.Unknown("reverse ray unavailable")
+
+
+# -- corner lists ------------------------------------------------------------
+
+
+def reference_corners_inside(part, pr, u, v):
+    """The corner search as it was before corner lists: every corner of
+    every framed triangle developed again for each cone.  Returns the
+    corners strictly inside (u, v) and the keys of every corner seen."""
+    ctx = part.ctx
+    surf = part.surf
+    out = {}
+    keys = set()
+    cs = chart.corners(ctx)
+    for res in (pr.fwd, pr.bwd):
+        if not res.frames:
+            continue
+        inv = engine.link_iso(surf, ctx, part.P.tri, res.carrier).inverse()
+        pcx, pcy = res.carrier_xy
+        for tri, frame, _ in res.frames:
+            for c in cs:
+                px, py = frame.apply(*c)
+                vx, vy = px - pcx, py - pcy
+                if ctx.sign(vx) == 0 and ctx.sign(vy) == 0:
+                    continue
+                w0 = inv.apply_vec(vx, vy)
+                keys.add(part._key(C._halfcirc(ctx, w0)))
+                w = C._orient_into(ctx, u, w0)
+                if C._strictly_between(ctx, u, v, w):
+                    out[part._key(C._halfcirc(ctx, w))] = w
+    return list(out.values()), keys
+
+
+def assert_same_corners(part, got, want):
+    """Exact mode: equal lists.  Float mode develops a vertex once where
+    the reference developed it again from each strip triangle, so the
+    directions may differ in the last bits: equal keys, and coordinates
+    equal to 1e-12 of the length."""
+    if part.ctx.exact:
+        assert got == want
+        return
+    def key(w):
+        return part._key(C._halfcirc(part.ctx, w))
+    assert [key(w) for w in got] == [key(w) for w in want]
+    for a, b in zip(got, want):
+        assert math.dist(a, b) <= 1e-12 * math.hypot(*b)
+
+
+class RecordingPartitioner(C._Partitioner):
+    """Keeps every cone's corner search: (u, v, probe direction, corners)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.searches = []
+
+    def _corners_inside(self, pr, u, v):
+        got = super()._corners_inside(pr, u, v)
+        self.searches.append((u, v, pr.dvec, got))
+        return got
+
+
+# Pinned from the partition before corner lists: the number of corner
+# keys, the first 16 hex digits of the SHA-256 of their sorted reprs, and
+# the critical directions (the same in both modes).
+PINNED_CORNERS = {
+    ("silo", "Q", "float"): (7, "5666e06635b36313"),
+    ("silo", "Q", "exact"): (10, "f7f9713468e947a2"),
+    ("semi", "P", "float"): (34, "95d5a86679c642de"),
+    ("semi", "P", "exact"): (50, "77ab336d267b19ea"),
+}
+PINNED_CRITICAL = {
+    "silo": [10.893394649, 16.102113752, 30.0, 90.0, 150.0, 169.106605351,
+             173.413224446],
+    "semi": [4.715003954, 6.586775554, 8.213210702, 10.893394649,
+             16.102113752, 21.051724435, 22.410910531, 24.182474356, 30.0,
+             38.948275565, 43.897886248, 49.106605351, 53.413224446,
+             55.284996046, 70.893394649, 76.102113752, 77.78365116,
+             81.051724435, 82.410910531, 84.791280897, 90.0, 97.589089469,
+             103.897886248, 109.106605351, 126.586775554, 130.893394649,
+             136.102113752, 150.0, 158.948275565, 163.897886248,
+             169.106605351, 173.413224446, 175.284996046, 176.329503492],
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PINNED_CORNERS),
+                ids=lambda case: "-".join(case))
+def corner_run(request):
+    model, name, mode = request.param
+    ctx = FLOAT if mode == "float" else EXACT
+    base = build_silo(6) if model == "silo" else build_semi_paradoxist(4)
+    _, surf, an, lctx = classify_labeled(base, ctx, name, "l", B)
+    P = resolve_point(surf, ctx, surf.labels[name])
+    return request.param, RecordingPartitioner(P, lctx, an, B).run()
+
+
+class TestCornerLists:
+    def test_every_cone_gets_the_reference_corners(self, corner_run):
+        _, part = corner_run
+        framed = {}
+        keys = set()
+        for u, v, d, got in part.searches:
+            key = part._key(d)
+            if key not in framed:
+                framed[key] = C._probe(part.P, d, part.lctx, part.analysis,
+                                       part.budgets, collect_frames=True)
+            want, seen = reference_corners_inside(part, framed[key], u, v)
+            assert_same_corners(part, got, want)
+            keys |= seen
+        assert len(framed) >= 5
+        assert keys == part.corner_keys
+
+    def test_corner_keys_and_critical_directions_pinned(self, corner_run):
+        import hashlib
+        case, part = corner_run
+        text = "\n".join(sorted(repr(k) for k in part.corner_keys))
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert (len(part.corner_keys), digest) == PINNED_CORNERS[case]
+        crit = critical_directions(part.P, part.lctx, part.analysis, B)
+        assert crit == PINNED_CRITICAL[case[0]]
+
+    def test_corner_lists_sorted_deduplicated_and_slim(self, corner_run):
+        _, part = corner_run
+        ctx = part.ctx
+        for pr in part.cache.values():
+            for res in (pr.fwd, pr.bwd):
+                assert res.frames is None
+                assert res.segments is None and res.events is None
+            if pr.corners is None:
+                continue
+            folded = [C._halfcirc(ctx, w0) for _, _, w0 in pr.corners]
+            keys = [part._key(h) for h in folded]
+            assert len(set(keys)) == len(keys)
+            for a, b in zip(folded, folded[1:]):
+                if ctx.exact:
+                    assert ctx.sign(chart.cross(a[0], a[1], b[0], b[1])) >= 0
+                else:
+                    assert math.atan2(a[1], a[0]) <= math.atan2(b[1], b[0])
+
+    @staticmethod
+    def flat_part(ctx):
+        # Arc budget 0.35 from a centroid: the corner list holds the three
+        # corners of P's own triangle, at 30, 90 and 150 degrees.
+        surf = C.ensure_rings(build_flat_plane(3), 9)
+        an = ModelAnalysis(surf, ctx)
+        lray = resolve_ray(surf, ctx, surf.labels["l"])
+        lctx = build_line_context(surf, ctx, lray, an, Budgets(30.0, 10**6))
+        third = ctx.frac(1, 3)
+        P = canonicalize_point(SurfacePoint(40, (third, third, third)),
+                               surf, ctx)
+        return C._Partitioner(P, lctx, an, Budgets(0.35, 10**6))
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_frameless_probe_is_traced_again_for_corners(self, ctx):
+        # A direction first probed only for its signature, then used as a
+        # cone's end, must still show the corners its lines pass.
+        part = self.flat_part(ctx)
+        d = ctx.cos_sin_deg(60)
+        assert part.probe(d, corners=False).corners is None
+        pr = part.probe(d)
+        assert pr.corners
+        u, v = ctx.cos_sin_deg(0), ctx.cos_sin_deg(120)
+        framed = C._probe(part.P, d, part.lctx, part.analysis, part.budgets,
+                          collect_frames=True)
+        got = part._corners_inside(pr, u, v)
+        assert_same_corners(
+            part, got, reference_corners_inside(part, framed, u, v)[0])
+        assert {round(C._theta_deg(w), 9) for w in got} == {30.0, 90.0}
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_bisection_picks_the_reference_corners(self, ctx):
+        part = self.flat_part(ctx)
+        d = ctx.cos_sin_deg(60)
+        pr = part.probe(d)
+        framed = C._probe(part.P, d, part.lctx, part.analysis, part.budgets,
+                          collect_frames=True)
+        cones = [(30 * k, 30 * k + 30) for k in range(12)]
+        # Cones across 180 degrees, whose corners wrap around the fold.
+        cones += [(90, 210), (120, 240), (150, 300)]
+        cones = [(ctx.cos_sin_deg(a), ctx.cos_sin_deg(b)) for a, b in cones]
+        # Cones a millionth of 60 degrees wide around each corner.
+        for c in (30, 90, 150):
+            lo, mid, hi = (ctx.cos_sin_deg(c + k) for k in (-30, 0, 30))
+            cones.append((C._blend(ctx, lo, mid, 999_999, 1_000_000),
+                          C._blend(ctx, mid, hi, 1, 1_000_000)))
+        for u, v in cones:
+            got = part._corners_inside(pr, u, v)
+            assert_same_corners(
+                part, got, reference_corners_inside(part, framed, u, v)[0])
+        for u, v in cones[-6:]:
+            assert part._corners_inside(pr, u, v)

@@ -636,3 +636,34 @@ class TestConsumerAgreement:
         assert end.kind == "closed"
         assert end.closure_period == detect_closure(path)
         assert self.crossings(end.events) == self.crossings(path.events)
+
+
+class TestWalkExitPoints:
+    """`walk` puts each edge crossing at the exit point its chord ends at."""
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_edge_crossing_is_chord_end(self, ctx):
+        from smfgeo.engine import Segment, walk
+        surf = build_semi_paradoxist(4)
+        cs = chart.corners(ctx)
+        # The last direction runs from the centroid through corner 0 and
+        # on through vertices only.
+        dirs = [(3, 1), (1, 4), (-2, 5),
+                (-ctx.half, -cs[2][1] * ctx.frac(1, 3))]
+        crossings = 0
+        for d in dirs:
+            ray = make_ray(surf, ctx, 0, CENTROID, d)
+            for item, _, _ in walk(ray, surf, ctx):
+                if isinstance(item, Segment):
+                    seg = item
+                elif isinstance(item, EdgeCrossing):
+                    crossings += 1
+                    assert item.tri == seg.tri
+                    want = normalize_bary(
+                        ctx, chart.bary_of_xy(ctx, seg.b[0], seg.b[1]))
+                    if ctx.exact:
+                        assert item.point.bary == want
+                    else:
+                        assert all(abs(a - b) <= 1e-12
+                                   for a, b in zip(item.point.bary, want))
+        assert crossings >= 24
