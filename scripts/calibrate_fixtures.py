@@ -40,18 +40,18 @@ def dev_positions(surf, ctx, base_tri, max_ring):
 
 
 def survey_semi(max_ring=4):
-    surf = build_semi_paradoxist(6)
+    session = C.Session(build_semi_paradoxist(6), FLOAT)
     budget = C.Budgets()
-    surf = C.ensure_rings(surf, max_ring + 5)
-    analysis = C.ModelAnalysis(surf, FLOAT)
-    lray = resolve_ray(surf, FLOAT, surf.labels["l"])
-    lctx = C.build_line_context(surf, FLOAT, lray, analysis, budget,
-                                min_core=max_ring + 1)
+    surf = session.grown(max_ring + 5, budget.growth)
     pos = dev_positions(surf, FLOAT, 0, max_ring)
+    points = {t: SurfacePoint(t, (FLOAT.of(1) / 3,) * 3) for t in pos}
+    analysis = session.analysis(surf)
+    lray = resolve_ray(surf, FLOAT, surf.labels["l"])
+    lctx = session.line_context(surf, lray, budget, points.values())
     rows = {}
     t0 = time.time()
     for t, (x, y) in sorted(pos.items()):
-        P = SurfacePoint(t, (FLOAT.of(1) / 3,) * 3)
+        P = points[t]
         try:
             cls = C.classify_point(P, lctx, analysis, budget)
             tag = SHORT[cls.kind]
@@ -78,9 +78,11 @@ def survey_named(model):
         surf = build_semi_paradoxist(6)
         names = ("P", "Q", "R")
     budget = C.Budgets()
+    session = C.Session(surf, FLOAT)
     for name in names:
         t0 = time.time()
-        cls, surf, _, _ = C.classify_labeled(surf, FLOAT, name, "l", budget)
+        cls, _, _, _ = C.classify_labeled(surf, FLOAT, name, "l", budget,
+                                          session)
         print(f"{name:4s} -> {cls.kind:24s} count={cls.count} "
               f"par={cls.parallel_arcs} cross={cls.crossing_arcs} "
               f"unk={cls.unknown_arcs} [{time.time() - t0:.1f}s]")

@@ -35,6 +35,7 @@ from .engine import (
 )
 from .numbers import Q3, Scalars
 from .surface import (
+    GrowthLimitExceeded,
     SurfaceError,
     SurfacePoint,
     Triangulation,
@@ -138,6 +139,7 @@ class ModelAnalysis:
         self.ctx = ctx
         self.monitor = RingMonitor(surf)
         self.audits = {}
+        self.passes = {}      # ring -> audited_pass(ring)
         self.bands = []
         self.band_tris = {}
         rule = surf.rule.name if surf.rule else ""
@@ -162,11 +164,14 @@ class ModelAnalysis:
         return a
 
     def audited_pass(self, ring: int) -> bool:
-        if ring < 1 or ring >= len(self.surf.rings) - 1:
-            return False
-        if any(v in self.surf.frontier for v in self.surf.rings[ring]):
-            return False
-        return self.audit(ring).passed
+        got = self.passes.get(ring)
+        if got is None:
+            surf = self.surf
+            got = self.passes[ring] = (
+                1 <= ring < len(surf.rings) - 1
+                and not any(v in surf.frontier for v in surf.rings[ring])
+                and self.audit(ring).passed)
+        return got
 
     def escape_certifiable(self, ring: int, target_max_ring: int) -> bool:
         if target_max_ring >= ring:
@@ -480,7 +485,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                 rot = None
             else:
                 ring_info = monitor.crossing(item.tri, item.edge)
-                iso = surf.transfer(ctx, item.tri, item.edge)
+                iso = item.gluing
                 if not in_band_mode:
                     tokens.append((item.tri, item.edge))
                 if collect_frames:
@@ -1213,37 +1218,104 @@ def find_unjoinable_pair(surf: Triangulation, ctx: Scalars,
     return None
 
 
-def ensure_rings(surf: Triangulation, n: int) -> Triangulation:
-    """Grow the surface until it has at least n ring cycles."""
+def ensure_rings(surf: Triangulation, n: int,
+                 budget: int = None) -> Triangulation:
+    """Grow the surface until it has at least n ring cycles; a ring that
+    would take it past `budget` triangles raises GrowthLimitExceeded
+    before it is built."""
     if len(surf.rings) >= n:
         return surf
-    return grow_frontier(surf, n - len(surf.rings))
+    return grow_frontier(surf, n - len(surf.rings), budget)
+
+
+class Session:
+    """What one command derives from one base surface and one Scalars,
+    each built once: the surface grown to each ring count its queries
+    need, one ModelAnalysis per grown surface, and one LineContext per
+    surface, line, core ring and budgets.  A session serves one command;
+    a grown surface is kept only when a query runs on it."""
+
+    def __init__(self, surf: Triangulation, ctx: Scalars):
+        self.base = surf
+        self.ctx = ctx
+        self.surfaces = {len(surf.rings): surf}   # ring count -> surface
+        self.analyses = {}                        # ring count -> analysis
+        self.lines = {}   # (ring count, line ray, core, budgets) -> context
+
+    def grown(self, rings: int, budget: int) -> Triangulation:
+        """The base surface with at least `rings` ring cycles, grown from
+        the largest smaller one held.  GrowthLimitExceeded when growth
+        would pass `budget` triangles; ring totals only rise, so a held
+        surface over the budget is refused too."""
+        held = self.surfaces
+        rings = max(rings, len(self.base.rings))
+        surf = held.get(rings)
+        if surf is None:
+            below = held[max(k for k in held if k < rings)]
+            surf = held[rings] = ensure_rings(below, rings, budget)
+        elif surf is not self.base and len(surf.tris) > budget:
+            raise GrowthLimitExceeded(
+                f"{len(surf.tris)} triangles, over the budget of {budget}")
+        return surf
+
+    def analysis(self, surf: Triangulation) -> ModelAnalysis:
+        rings = len(surf.rings)
+        got = self.analyses.get(rings)
+        if got is None:
+            got = self.analyses[rings] = ModelAnalysis(surf, self.ctx)
+        return got
+
+    def line_context(self, surf: Triangulation, lray: Ray, budgets: Budgets,
+                     points) -> LineContext:
+        """Context of the line through `lray` on `surf` for queries at
+        `points`; on flat-complement models its core ring lies outside
+        every point's triangle."""
+        analysis = self.analysis(surf)
+        core = None
+        if analysis.kind == "flat_complement":
+            core = _default_core_ring(surf, analysis, 1 + max(
+                surf.ring_of[v] for P in points for v in surf.tris[P.tri]))
+        key = (len(surf.rings), lray, core, budgets)
+        lctx = self.lines.get(key)
+        if lctx is None:
+            lctx = self.lines[key] = build_line_context(
+                surf, self.ctx, lray, analysis, budgets, min_core=core)
+        return lctx
 
 
 def classify_labeled(surf: Triangulation, ctx: Scalars, point_label: str,
-                     line_label: str, budgets: Budgets):
+                     line_label: str, budgets: Budgets,
+                     session: Session = None):
     """Classify a named fixture point against a named fixture line.
 
-    Grows the surface as needed (within the growth budget), then runs
-    the interval classifier.  Returns (classification, surf, analysis,
-    line context).
+    The query runs on `surf` grown to four rings past the point's ring,
+    and to at least seven; `session` (a Session on `surf` and `ctx`, a
+    new one when None) holds the grown surfaces, analyses and line
+    contexts that queries share.  Returns (classification, surf,
+    analysis, line context).  When those rings would pass the growth
+    budget, the classification is undetermined, with one unknown arc
+    that names the budget, and the base surface comes back with no
+    analysis or line context.
     """
     from .builders import resolve_point, resolve_ray
+    session = session or Session(surf, ctx)
     P0 = resolve_point(surf, ctx, surf.labels[point_label])
-    p_ring = max(surf.ring_of[v] for v in surf.tris[P0.tri])
-    need = max(p_ring + 4, 7)
-    if len(surf.rings) < need and surf.rule is not None:
-        want = min(need, len(surf.rings) + 64)
-        if len(surf.tris) < budgets.growth:
-            surf = ensure_rings(surf, want)
+    want = 0
+    if surf.rule is not None:
+        p_ring = max(surf.ring_of[v] for v in surf.tris[P0.tri])
+        want = max(p_ring + 4, 7)
+    try:
+        surf = session.grown(want, budgets.growth)
+    except GrowthLimitExceeded:
+        unknown = Unknown(f"growth budget: {want} rings pass "
+                          f"{budgets.growth} triangles")
+        arc = DirectionInterval(0.0, 180.0, unknown, (1.0, 0.0))
+        return (PointClassification(UNDETERMINED, intervals=[arc],
+                                    unknown_arcs=1), surf, None, None)
     P = resolve_point(surf, ctx, surf.labels[point_label])
     lray = resolve_ray(surf, ctx, surf.labels[line_label])
-    analysis = ModelAnalysis(surf, ctx)
-    min_core = None
-    if analysis.kind == "flat_complement":
-        min_core = max(surf.ring_of[v] for v in surf.tris[P.tri]) + 1
-    lctx = build_line_context(surf, ctx, lray, analysis, budgets,
-                              min_core=min_core)
+    lctx = session.line_context(surf, lray, budgets, [P])
+    analysis = session.analysis(surf)
     cls = classify_point(P, lctx, analysis, budgets)
     return cls, surf, analysis, lctx
 
@@ -1258,13 +1330,9 @@ def search_finitely_hyperbolic(configurations, budgets: Budgets):
     """
     out = []
     for (name, surf, ctx, lray, points) in configurations:
-        analysis = ModelAnalysis(surf, ctx)
-        min_core = None
-        if analysis.kind == "flat_complement":
-            min_core = max(max(surf.ring_of[v] for v in surf.tris[P.tri])
-                           for P in points) + 1
-        lctx = build_line_context(surf, ctx, lray, analysis, budgets,
-                                  min_core=min_core)
+        session = Session(surf, ctx)
+        analysis = session.analysis(surf)
+        lctx = session.line_context(surf, lray, budgets, points)
         for P in points:
             try:
                 cls = classify_point(P, lctx, analysis, budgets)

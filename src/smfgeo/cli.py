@@ -19,7 +19,7 @@ from . import classify as cls_mod
 from . import engine, netdraw, smf
 from .builders import VertexFixture, resolve_point, resolve_ray
 from .numbers import Scalars
-from .surface import SurfaceError
+from .surface import GrowthLimitExceeded, SurfaceError
 
 CONFIG_ENV = "SMFGEO_CONFIG"
 
@@ -221,7 +221,12 @@ def _dispatch(args, config: RunConfig) -> int:
                 s = builders[args.family](n)
             except ValueError:
                 continue
-            s = cls_mod.ensure_rings(s, min(12, n + 6))
+            try:
+                s = cls_mod.ensure_rings(s, min(12, n + 6), budgets.growth)
+            except GrowthLimitExceeded as exc:
+                print(f"note: {args.family}({n}) skipped: {exc}",
+                      file=sys.stderr)
+                continue
             pts = [resolve_point(s, ctx, fx) for name, fx in sorted(s.labels.items())
                    if name in ("P", "Q", "R", "Qp", "Qpp")]
             pts.extend(_probe_points_near_curvature(s, ctx))
@@ -269,12 +274,13 @@ def _dispatch(args, config: RunConfig) -> int:
 
     if args.command == "classify":
         cqs = [q for q in queries if isinstance(q, smf.ClassifyQuery)]
+        session = cls_mod.Session(surf, ctx)
 
         def run_one(q):
             b = cls_mod.Budgets(q.arc or config.arc_budget,
                                 q.growth or config.growth_budget)
             cls, s2, _, _ = cls_mod.classify_labeled(
-                surf, ctx, q.point_label, q.line_label, b)
+                surf, ctx, q.point_label, q.line_label, b, session)
             return smf.classification_report(
                 args.smf, f"classify {q.point_label} {q.line_label}",
                 cls, b, config.number_mode, s2.content_hash(),

@@ -85,6 +85,8 @@ class EdgeCrossing:
     tri: int
     edge: int
     point: SurfacePoint
+    # Isometry from chart(tri) to the neighbor's chart across `edge`.
+    gluing: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -289,21 +291,23 @@ def step(ray: Ray, surf: Triangulation, ctx: Scalars):
 
 
 def transfer_edge(surf: Triangulation, ctx: Scalars, tri: int, edge: int,
-                  exit_b, d) -> Ray:
-    """Re-express an edge-exit ray in the neighbor's chart."""
+                  exit_b, d, iso=None) -> Ray:
+    """Re-express an edge-exit ray in the neighbor's chart; `iso` is the
+    gluing across the edge when the caller has already looked it up."""
     if (tri, edge) not in surf.adj:
         raise UnmatchedEdge(f"edge {edge} of triangle {tri}")
-    return _across(surf, ctx, tri, edge, exit_b, d)
+    return _across(surf, ctx, tri, edge, exit_b, d, iso)
 
 
-def _across(surf, ctx, tri, edge, bary, d) -> Ray:
+def _across(surf, ctx, tri, edge, bary, d, iso=None) -> Ray:
     """The point `bary` on edge `edge` of `tri` and direction `d`, in the
     chart of the neighbor across that edge."""
     t2, e2 = surf.adj[(tri, edge)]
     nb = [ctx.zero, ctx.zero, ctx.zero]
     nb[e2] = bary[(edge + 1) % 3]
     nb[(e2 + 1) % 3] = bary[edge]
-    iso = surf.transfer(ctx, tri, edge)
+    if iso is None:
+        iso = surf.transfer(ctx, tri, edge)
     return Ray(SurfacePoint(t2, tuple(nb)), iso.apply_vec(*d))
 
 
@@ -480,8 +484,9 @@ def walk(ray: Ray, surf: Triangulation, ctx: Scalars, grow=None):
             ray, ev = cross_vertex(surf, ctx, v, seg.tri, ray.dir)
         else:
             e = hit[1]
-            ev = EdgeCrossing(seg.tri, e, SurfacePoint(seg.tri, exit_b))
-            ray = transfer_edge(surf, ctx, seg.tri, e, exit_b, ray.dir)
+            iso = surf.transfer(ctx, seg.tri, e)
+            ev = EdgeCrossing(seg.tri, e, SurfacePoint(seg.tri, exit_b), iso)
+            ray = transfer_edge(surf, ctx, seg.tri, e, exit_b, ray.dir, iso)
         yield ev, ray, surf
 
 
@@ -508,7 +513,8 @@ def _trace_one_way(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget,
             break
         if isinstance(item, EdgeCrossing):
             item = EdgeCrossing(item.tri, item.edge,
-                                canonicalize_point(item.point, surf, ctx))
+                                canonicalize_point(item.point, surf, ctx),
+                                item.gluing)
         events.append((arc, item))
         if arc >= arc_budget:
             events.append((arc, ArcBudgetExhausted(arc)))

@@ -73,11 +73,13 @@ class RingMonitor:
     def __init__(self, surf: Triangulation):
         self.surf = surf
         self.edge_ring = {}
+        self.on_own_cycle = set()   # vertices on the cycle of their ring
         for k in range(1, len(surf.rings)):
             cyc = surf.rings[k]
             n = len(cyc)
             for i in range(n):
                 self.edge_ring[frozenset((cyc[i], cyc[(i + 1) % n]))] = k
+            self.on_own_cycle.update(v for v in cyc if surf.ring_of[v] == k)
 
     def crossing(self, tri_from: int, edge: int):
         """(ring, outward?) when the crossed edge lies on a ring cycle."""
@@ -93,9 +95,9 @@ class RingMonitor:
     def vertex_passage(self, v: int, tri_in: int, tri_out: int):
         """(ring, outward?) when a vertex crossing steps over a ring cycle."""
         surf = self.surf
-        k = surf.ring_of.get(v)
-        if k is None or k < 1 or k >= len(surf.rings) or v not in set(surf.rings[k]):
+        if v not in self.on_own_cycle:
             return None
+        k = surf.ring_of[v]
         rin = max(surf.ring_of[w] for w in surf.tris[tri_in])
         rout = max(surf.ring_of[w] for w in surf.tris[tri_out])
         if rin <= k and rout > k:

@@ -632,28 +632,32 @@ def _grow_one_ring(b: _Builder, rule: GenerationRule, cycle, gaps):
     return bd
 
 
-def grow_frontier(surf: Triangulation, rings: int) -> Triangulation:
+def grow_frontier(surf: Triangulation, rings: int,
+                  budget: int = None) -> Triangulation:
     """Push the frontier outward by `rings` layers under the surface rule.
 
-    Each ring is planned before it is built: one that would take the
-    surface past `max_triangles` raises GrowthLimitExceeded before
-    anything of it is copied or added.
+    Each ring is planned before it is built (its size is `ring_size` of
+    the surface grown so far): one that would take the surface past
+    `budget` triangles, or past `max_triangles`, raises
+    GrowthLimitExceeded before anything of it is copied or added.
     """
     rule = surf.rule
     if rule is None:
         raise SurfaceError("surface has no generation rule")
     if not surf.frontier:
         raise SurfaceError("surface has no frontier")
+    limit = surf.max_triangles if budget is None else \
+        min(budget, surf.max_triangles)
     cycle = surf.boundary
     b = None
     for _ in range(rings):
         state = b or surf
         gaps = _ring_gaps(rule, cycle, state.degree, state.ring_of)
         total = len(state.tris) + _planned_size(gaps)
-        if total > surf.max_triangles:
+        if total > limit:
             raise GrowthLimitExceeded(
                 f"next ring would make {total} triangles, over the budget"
-                f" of {surf.max_triangles}")
+                f" of {limit}")
         b = b or _Builder.from_surface(surf)
         cycle = _grow_one_ring(b, rule, cycle, gaps)
     return (b or _Builder.from_surface(surf)).freeze(rule, surf.labels, cycle)
