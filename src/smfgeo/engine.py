@@ -203,7 +203,7 @@ def ray_canonical(surf: Triangulation, ctx: Scalars, point: SurfacePoint, d) -> 
         if c < 0 or (c == 0 and ctx.sign(dot(ex, ey, d[0], d[1])) < 0):
             # Direction leaves the triangle (or runs along the edge with
             # this triangle on the right): carry by the neighbor.
-            if (p.tri, e) in surf.adj:
+            if surf.neighbor(p.tri, e) is not None:
                 return _across(surf, ctx, p.tri, e, p.bary, d)
     return Ray(p, tuple(d))
 
@@ -283,9 +283,9 @@ def step(ray: Ray, surf: Triangulation, ctx: Scalars):
     zeros = [i for i in range(3) if ctx.is_zero(exit_b[i])]
     if len(zeros) >= 2:
         slot = next(i for i in range(3) if i not in zeros)
-        return seg, ("vertex", surf.tris[t][slot])
+        return seg, ("vertex", surf.triangle(t)[slot])
     e = (zeros[0] + 1) % 3
-    if (t, e) not in surf.adj:
+    if surf.neighbor(t, e) is None:
         raise FrontierReached(t, e)
     return seg, ("edge", e)
 
@@ -294,15 +294,16 @@ def transfer_edge(surf: Triangulation, ctx: Scalars, tri: int, edge: int,
                   exit_b, d, iso=None) -> Ray:
     """Re-express an edge-exit ray in the neighbor's chart; `iso` is the
     gluing across the edge when the caller has already looked it up."""
-    if (tri, edge) not in surf.adj:
-        raise UnmatchedEdge(f"edge {edge} of triangle {tri}")
     return _across(surf, ctx, tri, edge, exit_b, d, iso)
 
 
 def _across(surf, ctx, tri, edge, bary, d, iso=None) -> Ray:
     """The point `bary` on edge `edge` of `tri` and direction `d`, in the
     chart of the neighbor across that edge."""
-    t2, e2 = surf.adj[(tri, edge)]
+    nbr = surf.neighbor(tri, edge)
+    if nbr is None:
+        raise UnmatchedEdge(f"edge {edge} of triangle {tri}")
+    t2, e2 = nbr
     nb = [ctx.zero, ctx.zero, ctx.zero]
     nb[e2] = bary[(edge + 1) % 3]
     nb[(e2 + 1) % 3] = bary[edge]
@@ -324,13 +325,13 @@ def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
     planar sector tests are ambiguous in the overlap wedge.
     Returns (outgoing Ray, VertexCrossing event).
     """
-    if v in surf.frontier:
+    if surf.on_frontier(v):
         raise FrontierVertex(f"vertex {v} has an incomplete fan")
-    deg = surf.degree[v]
-    if deg not in (5, 6, 7):
-        raise EngineError(f"vertex {v} has degree {deg}")
     slot = surf.vertex_slot(arrival_tri, v)
     frames = fan_frames(surf, ctx, v, (arrival_tri, slot))
+    deg = len(frames)
+    if deg not in (5, 6, 7):
+        raise EngineError(f"vertex {v} has degree {deg}")
     bx, by = frames[0][2].apply_vec(-d[0], -d[1])
     cs = chart.corners(ctx)
 
@@ -441,16 +442,18 @@ def closure_period(ctx, start: Ray, start_xy, seg: Segment, arc, nth):
     return period if period > MIN_PERIOD else None
 
 
-def walk(ray: Ray, surf: Triangulation, ctx: Scalars, grow=None):
+def walk(ray: Ray, surf: Triangulation, ctx: Scalars, grow=None,
+         canonical=False):
     """Step the geodesic through `ray`, chord by chord.
 
     Yields (item, ray, surface) triples: first the chord inside the
     current triangle (a Segment, with the ray it was stepped from), then
     the crossing at its end (an EdgeCrossing at the exit point of that
-    triangle, or a VertexCrossing) with the ray leaving it.  A consumer
-    may stop between the two.  At the frontier the surface is replaced by
-    `grow(surface)`; when there is no `grow` or it returns None, and
-    after a run of degenerate chords, the walk ends with a GrowthLimit.
+    triangle, in canonical form with `canonical`, or a VertexCrossing)
+    with the ray leaving it.  A consumer may stop between the two.  At
+    the frontier the surface is replaced by `grow(surface)`; when there
+    is no `grow` or it returns None, and after a run of degenerate
+    chords, the walk ends with a GrowthLimit.
     """
     stalled = 0
     seg = None
@@ -475,7 +478,7 @@ def walk(ray: Ray, surf: Triangulation, ctx: Scalars, grow=None):
         exit_b = seg.exit_b
         if hit[0] == "vertex":
             v = hit[1]
-            if v in surf.frontier:
+            if surf.on_frontier(v):
                 grown = grow(surf) if grow else None
                 if grown is None:
                     yield GrowthLimit(f"frontier vertex {v}"), ray, surf
@@ -485,7 +488,10 @@ def walk(ray: Ray, surf: Triangulation, ctx: Scalars, grow=None):
         else:
             e = hit[1]
             iso = surf.transfer(ctx, seg.tri, e)
-            ev = EdgeCrossing(seg.tri, e, SurfacePoint(seg.tri, exit_b), iso)
+            point = SurfacePoint(seg.tri, exit_b)
+            if canonical:
+                point = canonicalize_point(point, surf, ctx)
+            ev = EdgeCrossing(seg.tri, e, point, iso)
             ray = transfer_edge(surf, ctx, seg.tri, e, exit_b, ray.dir, iso)
         yield ev, ray, surf
 
@@ -498,7 +504,7 @@ def _trace_one_way(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget,
     arc = 0.0
     start_xy = chart.xy_of_bary(ctx, ray.point.bary)
     grow = partial(_try_grow, growth_budget=growth_budget)
-    for item, _, surf in walk(ray, surf, ctx, grow):
+    for item, _, surf in walk(ray, surf, ctx, grow, canonical=True):
         if isinstance(item, Segment):
             segments.append(item)
             period = (closure_period(ctx, ray, start_xy, item, arc,
@@ -511,10 +517,6 @@ def _trace_one_way(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget,
         if isinstance(item, GrowthLimit):
             events.append((arc, item))
             break
-        if isinstance(item, EdgeCrossing):
-            item = EdgeCrossing(item.tri, item.edge,
-                                canonicalize_point(item.point, surf, ctx),
-                                item.gluing)
         events.append((arc, item))
         if arc >= arc_budget:
             events.append((arc, ArcBudgetExhausted(arc)))
@@ -523,11 +525,10 @@ def _trace_one_way(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget,
 
 
 def _try_grow(surf: Triangulation, growth_budget: int):
-    if surf.rule is None or not surf.frontier:
-        return None
     try:
-        # A ring that would pass the budget is refused before it is built.
-        if len(surf.tris) + ring_size(surf) > growth_budget:
+        # A ring that would pass the budget is refused before it is planned
+        # into a new surface; a surface without rule or frontier raises.
+        if surf.n_triangles() + ring_size(surf) > growth_budget:
             return None
         return grow_frontier(surf, 1)
     except SurfaceError:
@@ -660,10 +661,10 @@ def link_iso(surf, ctx, tri_a: int, tri_b: int) -> Isometry:
     if tri_a == tri_b:
         return Isometry.identity(ctx)
     for e in range(3):
-        nbr = surf.adj.get((tri_a, e))
+        nbr = surf.neighbor(tri_a, e)
         if nbr and nbr[0] == tri_b:
             return surf.transfer(ctx, tri_a, e)
-    shared = set(surf.tris[tri_a]) & set(surf.tris[tri_b])
+    shared = set(surf.triangle(tri_a)) & set(surf.triangle(tri_b))
     if not shared:
         raise EngineError(
             f"triangles {tri_a}, {tri_b} share no vertex")

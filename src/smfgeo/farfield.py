@@ -44,8 +44,9 @@ class RingAudit:
 
 def ring_inner_count(surf: Triangulation, v: int, k: int) -> int:
     """Incident triangles of a ring-k vertex lying on the inner side."""
+    ring_of, tris = surf.ring_of, surf.tris
     return sum(1 for t, _ in surf.fan_ccw(v)
-               if all(surf.ring_of[w] <= k for w in surf.tris[t]))
+               if all(ring_of[w] <= k for w in tris[t]))
 
 
 def audit_ring_convexity(surf: Triangulation, ring: int) -> RingAudit:
@@ -172,8 +173,9 @@ class BandFrame:
         self.period = len(cyc_top)
         self.h = ctx.half * ctx.sqrt3
         band = set()
-        for t in range(surf.n_triangles()):
-            rs = {surf.ring_of[v] for v in surf.tris[t]}
+        ring_of = surf.ring_of
+        for t, tv in enumerate(surf.tris):
+            rs = {ring_of[v] for v in tv}
             if rs <= {top, top + 1} and len(rs) == 2:
                 band.add(t)
         self.tris = band
@@ -321,8 +323,9 @@ class FlatComplement:
                      and surf.degree[v] != 6)
         if inside != 0:
             raise ValueError("flat complement needs zero enclosed defect")
-        self.outside = {t for t in range(surf.n_triangles())
-                        if max(surf.ring_of[v] for v in surf.tris[t]) > ring}
+        ring_of = surf.ring_of
+        self.outside = {t for t, tv in enumerate(surf.tris)
+                        if max(ring_of[v] for v in tv) > ring}
         if anchor_tri not in self.outside:
             raise ValueError("anchor triangle must lie outside the ring")
         self.cut = None       # (base, dir) developed cut ray, or None

@@ -1,16 +1,25 @@
 """Combinatorial surface of unit equilateral triangles.
 
 A Triangulation stores oriented triangles (counterclockwise under one
-global orientation), edge adjacency, vertex degrees and the lazy growth
+global orientation), edge adjacency, vertex degrees and the growth
 frontier.  All geometry lives in per-triangle canonical charts; this
 module owns the combinatorics, canonical point forms, planar development
-and the ring grower used by the model builders.
+and the ring growth used by the model builders.
+
+Growth plans rings instead of building them: a ring's size and the ids
+of all its triangles and vertices follow from the degree pattern of the
+boundary it grows on, and each of its sectors (the triangles outside
+one boundary vertex) is built the first time something reads it.
+Building never changes what a reader sees.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from . import chart
 from .numbers import Scalars
@@ -90,8 +99,11 @@ class GenerationRule:
         for sv, sd in self.special:
             if sv == v:
                 return sd
-        i = ring if ring < len(self.ring_degrees) else len(self.ring_degrees) - 1
-        return self.ring_degrees[i]
+        return self.ring_degree(ring)
+
+    def ring_degree(self, ring: int) -> int:
+        """Degree of the vertices born on `ring` that `special` does not pin."""
+        return self.ring_degrees[min(ring, len(self.ring_degrees) - 1)]
 
     def flat_outside(self, ring: int) -> bool:
         """True when every vertex born after `ring` has degree 6."""
@@ -108,14 +120,80 @@ class GenerationRule:
         return self.ring_degrees[-1] >= 6
 
 
+class _Whole:
+    """A whole-surface container of a Triangulation (`tris`, `adj`, ...).
+
+    The first read builds every planned sector (`Triangulation._complete`),
+    which sets the container as an instance attribute; the instance
+    attribute hides this descriptor from later reads.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, surf, owner=None):
+        if surf is None:
+            return self
+        surf._complete()
+        return getattr(surf, self.name)
+
+
 class Triangulation:
     """Immutable-by-convention triangulated surface.
 
     Readers may share an instance freely; growth produces a new one.
+
+    A grown surface is its built base plus planned rings (`_RingPlan`):
+    the ids, vertices and neighbours of every planned triangle are fixed
+    by the plan, and a planned sector is built on first use (`neighbor`,
+    `triangle`, `incident`, `fan_ccw` and the queries built on them).
+    Building never changes what a reader sees.  Reading a whole-surface
+    container (`tris`, `adj`, `degree`, `ring_of`, `rings`, `boundary`,
+    `frontier`) builds every remaining sector first.
     """
 
+    tris = _Whole()
+    adj = _Whole()
+    degree = _Whole()
+    frontier = _Whole()
+    boundary = _Whole()
+    rings = _Whole()
+    ring_of = _Whole()
+
     def __init__(self, tris, adj, degree, frontier, boundary, rings, ring_of,
-                 rule=None, labels=None, max_triangles=1_000_000):
+                 rule=None, labels=None, max_triangles=1_000_000, plans=()):
+        self.rule = rule
+        self.labels = dict(labels or {})
+        self.max_triangles = max_triangles
+        # Built triangles (None for a planned one not built yet) and the
+        # adjacency among them.
+        self._tris = tris
+        self._adj = adj
+        # With `plans`, the other containers describe the base the planned
+        # rings grow on, and the public ones are made by `_complete`.
+        self._plans = plans
+        self._plan_bases = tuple(p.base for p in plans)
+        self._plan_vbases = tuple(p.vbase for p in plans)
+        self._base_degree = degree
+        self._base_ring_of = ring_of
+        self._base_rings = rings
+        self._vert_tri = None
+        self._hash = None
+        self._next = None   # plan of the ring grown next, made on demand
+        # Open directed edges {(u, v): (t, e)} of the base, handed over by
+        # _Builder.freeze so that growth need not rescan every edge; None
+        # for a surface built directly.
+        self._open_edges = None
+        self._whole = False
+        if not plans:
+            self._set_whole(tris, adj, degree, frontier, boundary, rings,
+                            ring_of)
+
+    def _set_whole(self, tris, adj, degree, frontier, boundary, rings,
+                   ring_of):
+        # Every instance assigns its attributes in one order and never
+        # reads its __dict__, which keeps attribute reads fast.
+        self._whole = True
         self.tris = tris            # list[(v0, v1, v2)] CCW
         self.adj = adj              # {(t, e): (t', e')} symmetric
         self.degree = degree        # {v: incident triangle count}
@@ -123,52 +201,82 @@ class Triangulation:
         self.boundary = boundary    # tuple: boundary vertex cycle, interior on the left
         self.rings = rings          # tuple of vertex cycles, rings[k] = boundary after k growths
         self.ring_of = ring_of      # {v: ring index at birth}
-        self.rule = rule
-        self.labels = dict(labels or {})
-        self.max_triangles = max_triangles
-        self._vert_tri = None
-        self._hash = None
-        # Open directed edges {(u, v): (t, e)}, handed over by
-        # _Builder.freeze so the next growth need not rescan every edge;
-        # None for a surface built directly.
-        self._open_edges = None
 
     # -- basic queries -------------------------------------------------
 
     def n_triangles(self) -> int:
-        return len(self.tris)
+        return len(self._tris)
 
     def n_vertices(self) -> int:
         return len(self.degree)
 
+    def triangle(self, t: int):
+        """Vertices (v0, v1, v2) of triangle t."""
+        tv = self._tris[t]
+        if tv is None:
+            i = bisect_right(self._plan_bases, t) - 1
+            p = self._plans[i]
+            self._build_sector(i, p.sector_of(t - p.base))
+            tv = self._tris[t]
+        return tv
+
+    def neighbor(self, t: int, e: int):
+        """(t', e') across edge e of triangle t, or None at the frontier."""
+        nbr = self._adj.get((t, e))
+        if nbr is None and self._plans:
+            self._build_across(t, e)
+            nbr = self._adj.get((t, e))
+        return nbr
+
+    def on_frontier(self, v: int) -> bool:
+        """Is v on the frontier (of the last planned ring, if any)?"""
+        if self._plans:
+            last = self._plans[-1]
+            return last.vbase <= v < last.vend
+        return v in self.frontier
+
     def edge_vertices(self, t: int, e: int):
-        tv = self.tris[t]
+        tv = self._tris[t] or self.triangle(t)
         return tv[e], tv[(e + 1) % 3]
 
     def directed_edge(self, u: int, v: int):
-        """(triangle, edge) of the directed edge u -> v."""
-        for t, tv in enumerate(self.tris):
-            for e in range(3):
-                if tv[e] == u and tv[(e + 1) % 3] == v:
-                    return t, e
+        """(triangle, edge) of the directed edge u -> v, found in u's fan."""
+        try:
+            fan = self.fan_ccw(u)
+        except KeyError:
+            fan = ()
+        for t, s in fan:
+            if self.triangle(t)[(s + 1) % 3] == v:
+                return t, s
         raise SurfaceError(f"directed edge ({u},{v}) not found")
 
     def vertex_slot(self, t: int, v: int) -> int:
-        tv = self.tris[t]
+        tv = self.triangle(t)
         for i in range(3):
             if tv[i] == v:
                 return i
         raise SurfaceError(f"vertex {v} not in triangle {t}")
 
     def incident(self, v: int):
-        """One incident (triangle, slot) per vertex, cached."""
-        if self._vert_tri is None:
+        """(triangle, slot) of the smallest triangle at v, cached."""
+        m = self._vert_tri
+        if m is None:
             m = {}
-            for t, tv in enumerate(self.tris):
+            nbase = self._plan_bases[0] if self._plans else len(self._tris)
+            for t, tv in enumerate(self._tris[:nbase]):
                 for i in range(3):
                     m.setdefault(tv[i], (t, i))
             self._vert_tri = m
-        return self._vert_tri[v]
+        hit = m.get(v)
+        if hit is None:
+            i = bisect_right(self._plan_vbases, v) - 1
+            if i < 0 or v >= self._plans[i].vend:
+                raise KeyError(v)
+            p = self._plans[i]
+            t = p.base + p.incident_offset(v)
+            self.triangle(t)
+            hit = m[v] = (t, 2)
+        return hit
 
     def fan_ccw(self, v: int):
         """Incident (triangle, slot) pairs in CCW order around v.
@@ -178,11 +286,13 @@ class Triangulation:
         """
         t0, s0 = self.incident(v)
         fan = [(t0, s0)]
+        adj = self._adj
         # Walk CCW: leave across the edge arriving at v, i.e. edge (slot+2).
         t, s = t0, s0
         closed = False
-        for _ in range(len(self.tris) + 1):
-            nxt = self.adj.get((t, (s + 2) % 3))
+        for _ in range(len(self._tris) + 1):
+            e = (s + 2) % 3
+            nxt = adj.get((t, e)) or self.neighbor(t, e)
             if nxt is None:
                 break
             t, e = nxt
@@ -196,8 +306,8 @@ class Triangulation:
         # Walk CW from the start to find the fan's other end.
         t, s = t0, s0
         head = []
-        for _ in range(len(self.tris) + 1):
-            nxt = self.adj.get((t, s))
+        for _ in range(len(self._tris) + 1):
+            nxt = adj.get((t, s)) or self.neighbor(t, s)
             if nxt is None:
                 break
             t, e = nxt
@@ -223,10 +333,154 @@ class Triangulation:
 
     def transfer(self, ctx: Scalars, t: int, e: int) -> chart.Isometry:
         """Rigid motion from chart(t) to the neighbor chart across edge e."""
-        nbr = self.adj.get((t, e))
+        nbr = self._adj.get((t, e)) or self.neighbor(t, e)
         if nbr is None:
             raise UnmatchedEdge(f"edge {e} of triangle {t} is unmatched")
         return chart.gluing(ctx, e, nbr[1])
+
+    # -- planned rings ---------------------------------------------------
+
+    def _next_plan(self) -> "_RingPlan":
+        """Plan of the ring that growing this surface adds next."""
+        if self._next is None:
+            rule = self.rule
+            if rule is None:
+                raise SurfaceError("surface has no generation rule")
+            if self._plans:
+                self._next = self._plans[-1].following(rule)
+            else:
+                if not self.frontier:
+                    raise SurfaceError("surface has no frontier")
+                cycle = tuple(self.boundary)
+                gaps = [rule.degree_for(v, self.ring_of[v]) - self.degree[v]
+                        for v in cycle]
+                for v, k in zip(cycle, gaps):
+                    if k < 2:
+                        raise _short_gap(rule, v, k)
+                vbase = max(self.degree) + 1 if self.degree else 0
+                self._next = _RingPlan(len(self.rings), len(self._tris),
+                                       vbase, cycle, bytes(gaps))
+        return self._next
+
+    def _build_across(self, t: int, e: int):
+        """Build triangle t and the planned sector across its edge e."""
+        plans = self._plans
+        self.triangle(t)
+        i = bisect_right(self._plan_bases, t) - 1
+        if i < 0:
+            # An open edge of the base faces the first planned ring.
+            u, w = self.edge_vertices(t, e)
+            p = plans[0]
+            j = p.position(u)
+            if j is None or p.vertex(j + 1) != w:
+                return
+            i_to, j_to = 0, j
+        else:
+            p = plans[i]
+            o = t - p.base
+            ju = bisect_right(p.up, o) - 1
+            is_up = p.up[ju] == o
+            if e == 2:
+                i_to, j_to = i, p.sector_of((o + 1) % p.size)
+            elif e == (1 if is_up else 0):
+                i_to, j_to = i, p.sector_of((o - 1) % p.size)
+            elif is_up:
+                if i == 0:
+                    return  # the base is built, so the link exists
+                q = plans[i - 1]
+                i_to = i - 1
+                j_to = q.sector_of(q.down_offset((p.start + ju) % p.n))
+            else:
+                if i + 1 == len(plans):
+                    return  # the frontier
+                r = plans[i + 1]
+                i_to, j_to = i + 1, (o - ju - 1 - r.start) % r.n
+        q = plans[i_to]
+        if self._tris[q.base + q.up[j_to]] is None:
+            self._build_sector(i_to, j_to)
+
+    def _build_sector(self, i: int, j: int):
+        """Build sector j of planned ring i under its planned ids and link
+        it to every neighbour already built.
+
+        The ring is one cyclic strip in id order: each triangle's edge 2
+        meets the next triangle's left edge (edge 0 of a down triangle,
+        edge 1 of an up triangle).  An up triangle's edge 0 lies on the
+        boundary the ring grows on, a down triangle's edge 1 on the
+        boundary it makes.
+        """
+        plans = self._plans
+        p = plans[i]
+        tris, adj = self._tris, self._adj
+        n, base = p.n, p.base
+        up = p.up
+        v, w = p.vertex(j), p.vertex(j + 1)
+        m = p.ks[j] - 2
+        a = p.apex(j)
+        if j:
+            first = base + up[j - 1] + 1
+            chain0 = a  # chain vertex c is a + c
+        else:
+            first = base + up[n - 1] + 1
+            chain0 = p.vbase + p.dn[n - 1]
+        chain = [p.apex(j - 1), *range(chain0 + 1, chain0 + m), a]
+        t_up = base + up[j]
+        for c in range(m):
+            tris[first + c] = (v, chain[c], chain[c + 1])
+        tris[t_up] = (w, v, a)
+        strip = [*range(first, first + m), t_up]
+        glue = [((strip[c], 2), (strip[c + 1], 0 if c + 1 < m else 1))
+                for c in range(m)]
+        prev = base + (first - base - 1) % p.size   # the previous sector's up
+        if tris[prev] is not None:
+            glue.append(((prev, 2), (strip[0], 0 if m else 1)))
+        nxt = base + (t_up - base + 1) % p.size
+        if tris[nxt] is not None:
+            glue.append(((t_up, 2), (nxt, 0 if p.ks[(j + 1) % n] > 2 else 1)))
+        if i:
+            q = plans[i - 1]
+            t_in = q.base + q.down_offset((p.start + j) % n)
+            if tris[t_in] is not None:
+                glue.append(((t_up, 0), (t_in, 1)))
+        else:
+            glue.append(((t_up, 0), self._open_edges[(v, w)]))
+        if i + 1 < len(plans):
+            r = plans[i + 1]
+            c0 = first - base - (j if j else n)   # index of the first down
+            for c in range(m):
+                t_out = r.base + r.up[(c0 + c - r.start) % r.n]
+                if tris[t_out] is not None:
+                    glue.append(((first + c, 1), (t_out, 0)))
+        for k1, k2 in glue:
+            adj[k1] = k2
+            adj[k2] = k1
+
+    def _complete(self):
+        """Build every planned sector and make the whole-surface containers."""
+        if self._whole:
+            return
+        tris = self._tris
+        rule = self.rule
+        degree = dict(self._base_degree)
+        ring_of = dict(self._base_ring_of)
+        rings = list(self._base_rings)
+        ids = None
+        for i, p in enumerate(self._plans):
+            inner = p.inner if ids is None else ids
+            p.set_inner_ids(inner)
+            for j in range(p.n):
+                if tris[p.base + p.up[j]] is None:
+                    self._build_sector(i, j)
+            # The ring completes the boundary it grows on to the rule's degrees.
+            degree.update((v, rule.degree_for(v, ring_of[v])) for v in inner)
+            ids = p.outer_ids()
+            new = range(p.vbase, p.vend)
+            degree.update(dict.fromkeys(new, 0))   # in id order, as born
+            degree.update(zip(ids, p.outer_degrees()))
+            ring_of.update(dict.fromkeys(new, p.ring))
+            rings.append(tuple(ids))
+        self._set_whole(tris, self._adj, degree, frozenset(rings[-1]),
+                        rings[-1], tuple(rings), ring_of)
 
 
 # -- planar development ----------------------------------------------------
@@ -300,7 +554,7 @@ def canonicalize_point(p: SurfacePoint, surf: Triangulation, ctx: Scalars) -> Su
     triangle with the smaller id, vertex points to the smallest incident
     triangle with the vertex in the lowest local slot.
     """
-    if not (0 <= p.tri < len(surf.tris)):
+    if not (0 <= p.tri < surf.n_triangles()):
         raise UnknownTriangle(f"triangle {p.tri} not in surface")
     b = normalize_bary(ctx, p.bary)
     zeros = [i for i in range(3) if b[i] is ctx.zero or ctx.is_zero(b[i])]
@@ -309,7 +563,7 @@ def canonicalize_point(p: SurfacePoint, surf: Triangulation, ctx: Scalars) -> Su
     if len(zeros) == 1:
         i = zeros[0]
         e = (i + 1) % 3
-        nbr = surf.adj.get((p.tri, e))
+        nbr = surf.neighbor(p.tri, e)
         if nbr is None or nbr[0] >= p.tri:
             return SurfacePoint(p.tri, b)
         t2, e2 = nbr
@@ -319,7 +573,7 @@ def canonicalize_point(p: SurfacePoint, surf: Triangulation, ctx: Scalars) -> Su
         return SurfacePoint(t2, tuple(nb))
     # Vertex point.
     slot = next(i for i in range(3) if i not in zeros)
-    v = surf.tris[p.tri][slot]
+    v = surf.triangle(p.tri)[slot]
     best_t, best_s = p.tri, slot
     for t, s in surf.fan_ccw(v):
         if t < best_t:
@@ -341,7 +595,7 @@ def point_at_vertex(surf: Triangulation, p: SurfacePoint, ctx: Scalars):
     b = p.bary
     ones = [i for i in range(3) if ctx.eq(b[i], ctx.one)]
     if len(ones) == 1 and all(ctx.is_zero(b[i]) for i in range(3) if i != ones[0]):
-        return surf.tris[p.tri][ones[0]]
+        return surf.triangle(p.tri)[ones[0]]
     return None
 
 
@@ -427,6 +681,8 @@ def validate(surf: Triangulation) -> ValidationReport:
 class _Builder:
     """Mutable scratch space used by seeds and by grow_frontier.
 
+    Seeds add triangles one at a time; grow_frontier starts from a copy of
+    a surface's built triangles and adjacency and adds ring plans.
     `freeze` hands the builder's containers to the new Triangulation, so
     the builder must not be used after it.
     """
@@ -438,25 +694,27 @@ class _Builder:
         self.pending = {}  # directed open edge (u, v) -> (t, e)
         self.ring_of = {}
         self.rings = []
+        self.plans = []
         self.max_triangles = max_triangles
         self.next_vertex = 0
 
     @classmethod
     def from_surface(cls, surf: Triangulation) -> "_Builder":
+        """Copy of `surf`'s built triangles and adjacency; its base (degrees,
+        birth rings, ring cycles, open edges) and ring plans are shared,
+        since growth only adds plans."""
         b = cls(surf.max_triangles)
-        b.tris = list(surf.tris)
-        b.adj = dict(surf.adj)
-        b.degree = dict(surf.degree)
-        b.ring_of = dict(surf.ring_of)
-        b.rings = list(surf.rings)
-        b.next_vertex = max(surf.degree) + 1 if surf.degree else 0
-        if surf._open_edges is not None:
-            b.pending = dict(surf._open_edges)
-            return b
-        for t, tv in enumerate(b.tris):
-            for e in range(3):
-                if (t, e) not in b.adj:
-                    b.pending[(tv[e], tv[(e + 1) % 3])] = (t, e)
+        b.tris = list(surf._tris)
+        b.adj = dict(surf._adj)
+        b.degree = surf._base_degree
+        b.ring_of = surf._base_ring_of
+        b.rings = list(surf._base_rings)
+        b.plans = list(surf._plans)
+        b.pending = surf._open_edges
+        if b.pending is None:
+            b.pending = {(tv[e], tv[(e + 1) % 3]): (t, e)
+                         for t, tv in enumerate(b.tris) for e in range(3)
+                         if (t, e) not in b.adj}
         return b
 
     def new_vertex(self, ring: int) -> int:
@@ -504,6 +762,11 @@ class _Builder:
             raise SurfaceError(f"duplicate directed edge ({c},{a})")
         return t
 
+    def add_plan(self, plan: "_RingPlan"):
+        plan.index()
+        self.plans.append(plan)
+        self.tris.extend([None] * plan.size)
+
     def boundary_cycle(self):
         """Open directed edges chained into the boundary vertex cycle."""
         nxt = {}
@@ -526,7 +789,11 @@ class _Builder:
         return tuple(cyc)
 
     def freeze(self, rule, labels, boundary=None) -> Triangulation:
-        bd = self.boundary_cycle() if boundary is None else boundary
+        """The surface the builder holds; with ring plans, a planned surface
+        whose base is what they grow on."""
+        if boundary is None and not self.plans:
+            boundary = self.boundary_cycle()
+        bd = boundary or ()
         surf = Triangulation(
             tris=self.tris,
             adj=self.adj,
@@ -538,129 +805,216 @@ class _Builder:
             rule=rule,
             labels=labels,
             max_triangles=self.max_triangles,
+            plans=tuple(self.plans),
         )
         surf._open_edges = self.pending
         # The surface owns the containers now; a stray later use of the
         # builder fails here instead of changing a frozen surface.
         self.tris = self.adj = self.degree = self.ring_of = None
-        self.pending = self.rings = None
+        self.pending = self.rings = self.plans = None
         return surf
 
 
-def _ring_gaps(rule: GenerationRule, cycle, degree, ring_of):
-    """{v: k} with k = target - deg(v), the triangles missing outside
-    each vertex v of the boundary `cycle`."""
-    gaps = {}
-    for v in cycle:
-        k = rule.degree_for(v, ring_of[v]) - degree[v]
-        if k < 2:
-            raise SurfaceError(
-                f"rule {rule.name} leaves vertex {v} with gap {k} < 2")
-        gaps[v] = k
-    return gaps
+# The boundary a ring makes, per sector with gap k, as vertex degrees: a
+# sector with k = 2 adds no vertex (0 marks one more sector under the
+# previous apex), any other k - 3 chain vertices of degree 2 and an apex
+# of degree 3.
+_OUTER = [b"\x00" if k == 2 else b"\x02" * (k - 3) + b"\x03"
+          for k in range(256)]
 
 
-def _planned_size(gaps) -> int:
-    # A vertex with gap k gets k - 2 "down" triangles of its own and
-    # shares two "up" triangles with its boundary neighbours: k - 1 each.
-    return sum(gaps.values()) - len(gaps)
+def _short_gap(rule, v, k):
+    return SurfaceError(f"rule {rule.name} leaves vertex {v} with gap {k} < 2")
+
+
+class _RingPlan:
+    """One ring of outward growth, planned from the gaps of the boundary
+    it grows on (gap k = rule degree - degree of a boundary vertex).
+
+    `inner` is that boundary: a vertex cycle, or the plan of the ring
+    that made it.  The ring has one sector per boundary vertex, in
+    sector order: the boundary rotated to start at its first vertex with
+    k > 2 (`start` is that position).  Sector j is the k - 1 triangles
+    outside its vertex v: k - 2 "down" triangles (v, chain[c],
+    chain[c + 1]) around it, then the "up" triangle (next vertex, v,
+    apex) on the boundary edge to its successor.  The chain runs from
+    the previous sector's apex through the sector's own new vertices to
+    its apex; a sector with k = 2 adds no vertex and shares the previous
+    apex.
+
+    Ids are the ones building the ring triangle by triangle assigns: up
+    0 first, then sectors 1..n-1 (downs, then up), then sector 0's downs;
+    each sector's apex is born before its chain vertices, and sector 0's
+    chain vertices come last.  A plan is immutable and shared by every
+    surface grown from it.
+    """
+
+    __slots__ = ("ring", "base", "size", "vbase", "vend", "start", "n",
+                 "ks", "inner", "up", "dn", "_pos", "_order")
+
+    def __init__(self, ring, base, vbase, inner, gaps: bytes):
+        n = len(gaps)
+        s = n - len(gaps.lstrip(b"\x02"))
+        if s == n:
+            raise SurfaceError("ring would close the surface; unsupported")
+        self.ring, self.base, self.vbase, self.inner = ring, base, vbase, inner
+        self.start, self.n = s, n
+        self.ks = gaps[s:] + gaps[:s]   # gaps in sector order
+        self.size = sum(gaps) - n
+        self.vend = vbase + self.size - n
+        self.up = self.dn = self._pos = self._order = None
+
+    def index(self):
+        """Make the prefix sums that place each sector (a ring that is only
+        measured, never added to a surface, needs none): up[j] is the
+        offset of sector j's up triangle, dn[j] the number of down
+        triangles, and of new vertices, in sectors 1..j."""
+        if self.up is None:
+            self.up = array("q", accumulate(map((-1).__add__, self.ks[1:]),
+                                            initial=0))
+            self.dn = array("q", map(int.__sub__, self.up, range(self.n)))
+
+    def vertex(self, j: int) -> int:
+        """Boundary vertex of sector j."""
+        if self._order is not None:
+            return self._order[j % self.n]
+        c = (self.start + j) % self.n
+        inner = self.inner
+        return inner.outer_id(c) if isinstance(inner, _RingPlan) else inner[c]
+
+    def set_inner_ids(self, ids):
+        """Keep the boundary's vertex ids, when something has made them,
+        so that `vertex` reads them instead of working each one out."""
+        s = self.start
+        self._order = [*ids[s:], *ids[:s]]
+
+    def apex(self, j: int) -> int:
+        """Apex of sector j (j = -1 is sector n - 1)."""
+        j %= self.n
+        ks = self.ks
+        while j and ks[j] == 2:
+            j -= 1
+        return self.vbase + 1 + self.dn[j - 1] if j else self.vbase
+
+    def sector_of(self, o: int) -> int:
+        """Sector of the triangle at offset o."""
+        ju = bisect_right(self.up, o) - 1
+        return ju if self.up[ju] == o else (ju + 1) % self.n
+
+    def down_offset(self, c: int) -> int:
+        """Offset of the c-th down triangle, whose edge 1 is edge c of the
+        boundary the ring makes."""
+        return c + bisect_right(self.dn, c)
+
+    def position(self, u: int):
+        """Sector of inner boundary vertex u, or None."""
+        if self._pos is None:
+            self._pos = {w: (c - self.start) % self.n
+                         for c, w in enumerate(self.inner)}
+        return self._pos.get(u)
+
+    def incident_offset(self, v: int) -> int:
+        """Offset of the smallest triangle at new vertex v; v sits at its
+        slot 2."""
+        w = v - self.vbase
+        dn, up, n = self.dn, self.up, self.n
+        if w == 0 or w > dn[n - 1]:
+            # The first apex ends up 0; a chain vertex of sector 0 the
+            # down before it.
+            return up[n - 1] + w - dn[n - 1] if w else 0
+        j = bisect_left(dn, w)
+        c = w - dn[j - 1] - 1
+        # The apex ends the sector's last down, chain vertex c its c-th.
+        return up[j] - 1 if c == 0 else up[j - 1] + c
+
+    # Positions on the boundary the ring makes count from its smallest
+    # vertex, the first apex; the vertices of sector j >= 1 sit at
+    # positions dn[j - 1] + 1 .. dn[j], chain first, apex last, and
+    # sector 0's chain at the end.
+
+    def outer_id(self, c: int) -> int:
+        """Vertex at position c of the boundary the ring makes."""
+        dn = self.dn
+        if c == 0 or c > dn[-1]:
+            return self.vbase + c
+        j = bisect_left(dn, c)
+        return self.vbase + (dn[j - 1] + 1 if c == dn[j] else c + 1)
+
+    def outer_ids(self):
+        vb, dn = self.vbase, self.dn
+        ids = list(range(vb, vb + dn[-1] + 1))
+        for a, b in zip(dn, dn[1:]):
+            if b > a:
+                ids[a + 1:b] = range(vb + a + 2, vb + b + 1)
+                ids[b] = vb + a + 1
+        ids.extend(range(vb + dn[-1] + 1, self.vend))
+        return ids
+
+    def outer_degrees(self) -> bytes:
+        """Degrees of the boundary the ring makes, by position: a chain
+        vertex has degree 2, an apex spanning z sectors with k = 2 has
+        degree z + 3."""
+        ks = self.ks
+        d = b"\x03" + b"".join(map(_OUTER.__getitem__, ks[1:])) \
+            + b"\x02" * (ks[0] - 3)
+        top = 3
+        while b"\x00" in d:
+            d = d.replace(bytes((top, 0)), bytes((top + 1,)))
+            top += 1
+        return d
+
+    def following(self, rule: GenerationRule) -> "_RingPlan":
+        """Plan of the next ring out, from this ring's pattern alone."""
+        degs = self.outer_degrees()
+        target = rule.ring_degree(self.ring)
+        gaps = degs.translate(bytes(max(target - d, 0) for d in range(256)))
+        pins = [(v, d) for v, d in rule.special if self.vbase <= v < self.vend]
+        if pins or min(gaps) < 2:
+            self.index()
+            gaps = bytearray(gaps)
+            for v, d in pins:
+                c = self.outer_ids().index(v)
+                gaps[c] = max(d - degs[c], 0)
+            if min(gaps) < 2:
+                c = next(c for c, k in enumerate(gaps) if k < 2)
+                v = self.outer_id(c)
+                raise _short_gap(rule, v, rule.degree_for(v, self.ring) - degs[c])
+            gaps = bytes(gaps)
+        return _RingPlan(self.ring + 1, self.base + self.size, self.vend,
+                         self, gaps)
 
 
 def ring_size(surf: Triangulation) -> int:
-    """Number of triangles that growing `surf` by one ring adds."""
-    if surf.rule is None:
-        raise SurfaceError("surface has no generation rule")
-    return _planned_size(_ring_gaps(surf.rule, surf.boundary, surf.degree,
-                                    surf.ring_of))
-
-
-def _grow_one_ring(b: _Builder, rule: GenerationRule, cycle, gaps):
-    """Complete every vertex of the boundary `cycle` to its rule degree,
-    one ring out, and return the new boundary cycle.
-
-    Per boundary vertex v the gap outside is filled by k = gaps[v]
-    triangles: one "up" triangle per flanking boundary edge plus m = k - 2
-    "down" triangles pivoting around v between fresh outer vertices.
-    """
-    ring = len(b.rings)
-    n = len(cycle)
-    m = {v: k - 2 for v, k in gaps.items()}
-    starts = [i for i, v in enumerate(cycle) if m[v] > 0]
-    if not starts:
-        raise SurfaceError("ring would close the surface; unsupported")
-    s = starts[0]
-    order = [cycle[(s + j) % n] for j in range(n)]
-
-    apex = {}  # apex[i] = outer apex vertex of the up-triangle on edge (order[i] -> order[i+1])
-    outer_first = b.new_vertex(ring)   # apex of edge (order[0] -> order[1])
-    apex[0] = outer_first
-    b.add_triangle(order[1], order[0], outer_first)
-
-    def add_downs(v, w_prev, w_new, mids_count):
-        chain = [w_prev]
-        for _ in range(mids_count - 1):
-            chain.append(b.new_vertex(ring))
-        chain.append(w_new)
-        for a, c in zip(chain, chain[1:]):
-            b.add_triangle(v, a, c)
-
-    for j in range(1, n):
-        v = order[j]
-        w_prev = apex[j - 1]
-        if m[v] == 0:
-            apex[j] = w_prev
-        else:
-            apex[j] = b.new_vertex(ring)
-            add_downs(v, w_prev, apex[j], m[v])
-        nxt = order[(j + 1) % n]
-        if j < n - 1:
-            b.add_triangle(nxt, v, apex[j])
-        else:
-            # Last edge closes onto the first apex.
-            b.add_triangle(order[0], v, apex[j])
-    # Deferred: the start vertex's down triangles (its right flank is apex[n-1]).
-    add_downs(order[0], apex[n - 1], outer_first, m[order[0]])
-
-    for v in cycle:
-        target = rule.degree_for(v, b.ring_of[v])
-        if b.degree[v] != target:
-            raise SurfaceError(
-                f"growth bug: vertex {v} completed at degree {b.degree[v]},"
-                f" target {target}")
-    bd = b.boundary_cycle()
-    b.rings.append(bd)
-    return bd
+    """Number of triangles that growing `surf` by one ring adds (the
+    surface keeps the plan, so growing it does not plan the ring again)."""
+    return surf._next_plan().size
 
 
 def grow_frontier(surf: Triangulation, rings: int,
                   budget: int = None) -> Triangulation:
     """Push the frontier outward by `rings` layers under the surface rule.
 
-    Each ring is planned before it is built (its size is `ring_size` of
-    the surface grown so far): one that would take the surface past
+    The rings are planned, not built: the new surface builds each sector
+    when it is first read.  A ring that would take the surface past
     `budget` triangles, or past `max_triangles`, raises
-    GrowthLimitExceeded before anything of it is copied or added.
+    GrowthLimitExceeded before anything of the surface is copied.
     """
-    rule = surf.rule
-    if rule is None:
-        raise SurfaceError("surface has no generation rule")
-    if not surf.frontier:
-        raise SurfaceError("surface has no frontier")
     limit = surf.max_triangles if budget is None else \
         min(budget, surf.max_triangles)
-    cycle = surf.boundary
-    b = None
+    plans = []
+    total = surf.n_triangles()
     for _ in range(rings):
-        state = b or surf
-        gaps = _ring_gaps(rule, cycle, state.degree, state.ring_of)
-        total = len(state.tris) + _planned_size(gaps)
+        plan = plans[-1].following(surf.rule) if plans else surf._next_plan()
+        total += plan.size
         if total > limit:
             raise GrowthLimitExceeded(
                 f"next ring would make {total} triangles, over the budget"
                 f" of {limit}")
-        b = b or _Builder.from_surface(surf)
-        cycle = _grow_one_ring(b, rule, cycle, gaps)
-    return (b or _Builder.from_surface(surf)).freeze(rule, surf.labels, cycle)
+        plans.append(plan)
+    b = _Builder.from_surface(surf)
+    for plan in plans:
+        b.add_plan(plan)
+    return b.freeze(surf.rule, surf.labels)
 
 
 def angle_defect_deg(surf: Triangulation, v: int) -> int:

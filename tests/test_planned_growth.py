@@ -1,0 +1,213 @@
+"""Planned growth: `grow_frontier` plans rings and builds each sector on
+first use.  Whatever order the sectors are built in, the completed
+surface must equal the one that building whole rings triangle by
+triangle gave; the digests below were recorded from that construction.
+"""
+
+import hashlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from smfgeo.builders import build_flat_plane, build_semi_paradoxist, build_silo
+from smfgeo.engine import (
+    EdgeCrossing,
+    GrowthLimit,
+    VertexCrossing,
+    make_ray,
+    trace,
+)
+from smfgeo.numbers import Scalars
+from smfgeo.surface import SurfaceError, Triangulation, grow_frontier
+
+FLOAT = Scalars("float")
+
+BASES = {
+    "flat2": lambda: build_flat_plane(2),
+    "semi4": lambda: build_semi_paradoxist(4),
+    "silo3": lambda: build_silo(3),
+}
+_built = {}
+
+
+def base(name, rebuilt=False):
+    """The named base surface; `rebuilt` gives a copy built directly from
+    its containers, which has no planned rings, so the first ring grown
+    on it is linked to it through its open edges."""
+    if (name, rebuilt) not in _built:
+        s = BASES[name]()
+        if rebuilt:
+            s = Triangulation(
+                tris=list(s.tris), adj=dict(s.adj), degree=dict(s.degree),
+                frontier=s.frontier, boundary=s.boundary, rings=s.rings,
+                ring_of=dict(s.ring_of), rule=s.rule, labels=s.labels)
+        _built[name, rebuilt] = s
+    return _built[name, rebuilt]
+
+
+def digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+# base+rings -> digests of tris, adj, degree (in iteration order), ring_of,
+# rings, boundary and frontier, and the content hash, as `growth_fields`
+# computes them.
+GROWN = {
+    "flat2+1": ("486ab367e74b26b9", "3ba5ff2ecfd75b17", "f9dd100a3d4d133a", "be522e9b70eb2fe6", "82d86d1d46c9e358", "0e16a4157771fe34", "e51cf9a1932a0680", "b6c3aac3757de31a"),
+    "flat2+2": ("a010af5725f6ab06", "8e8fda9b65f6b5b9", "e29c7656108721b6", "24a63e458650eeae", "efd26995cf4dfc6d", "42ed39a4315d79fd", "899e9cc73c59ea8f", "95746f24f6a4bc21"),
+    "flat2+3": ("7c65b86976c91fc2", "293a98f9749388e4", "e97dfc20637bec31", "6ebdd5087e410fef", "b25907bb31689c0e", "b57052a637e81538", "8e2eafaf108e891e", "252ee5fd500d8ede"),
+    "flat2+4": ("8f786530ad4c1d4d", "2eb1d5d97cfa1894", "aed71e0b3a3bd616", "a5138a8ddf31c703", "36d5421ee05dd188", "f51fa754fccbdb78", "6e902bcf8dbce53b", "26b31dfbae72086b"),
+    "semi4+1": ("9aa0d5a28e7a5b68", "3e74a00e0448eaa2", "ccfb4ae55c0aede0", "57cf6a31a47b9458", "c6fa801f3c77b913", "698fb0df49a98436", "9dec232b00f86473", "445224a0b722ef16"),
+    "semi4+2": ("ecc3c215321dad1f", "374f459cdb258bd8", "c60e21dc59e6641d", "5b3ca7894b7d55a4", "42dad90899b5dac8", "51faa1083d7362a6", "61d76c07d20dc2bd", "2e0852bbb61997d2"),
+    "semi4+3": ("52a8001234cf2e60", "e2da7e10afc7d88f", "c164459e1339dea0", "b5beff1c0992bb21", "14af36bbed72b302", "c8d9e39b15241a0c", "1ec6cb36c906f495", "8281b7ecf4ef3069"),
+    "semi4+4": ("bf522e9a8b2b09c2", "78851a9699698a40", "213b023af18c41d3", "29fce6f685c86223", "1be64d93264143d5", "4e1a29cb91c09cd4", "a4c38e87d503305c", "a48de4d8db1303b3"),
+    "silo3+1": ("9c6b0a0532ee34a0", "0bfd8e3e348d793e", "5a00695b475a6df6", "c63f0892209c29e8", "92b303b9e2364368", "03ad16c28ded9e0e", "ba50f42b97f413cf", "c78330fec43c478c"),
+    "silo3+2": ("9b5f435ef5a32f49", "e5350187dcf750bf", "e02565917331e1fc", "b30baacc5860304d", "707c7f24e2285aaa", "b1ff9be8934d17cf", "f54cf298b383d823", "9e349e345c75d66f"),
+    "silo3+3": ("59ef145d33553a4c", "43c2abdf324bc43a", "7dc96070c1980e12", "701f2ace5d7151df", "1bdfe573f6ae262f", "2686e4be10b687b4", "348f42a73594ea78", "8b141c8ce6f9e080"),
+    "silo3+4": ("209cfa29fb6d75fe", "d55b321f04f079fd", "347b3d6397a4dc1e", "0df82c60d1372c9c", "5073e729ac66f672", "1d58537d678206e8", "60820ce0cabd04f5", "bf21d02b8e0cc0c5"),
+}
+
+
+def growth_fields(s):
+    return (digest(s.tris), digest(sorted(s.adj.items())),
+            digest(list(s.degree.items())), digest(list(s.ring_of.items())),
+            digest(s.rings), digest(s.boundary), digest(sorted(s.frontier)),
+            s.content_hash())
+
+
+def built(surf):
+    return surf.n_triangles() - surf._tris.count(None)
+
+
+class TestSectorsInAnyOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(BASES)), rebuilt=st.booleans(),
+           rings=st.integers(1, 4), rng=st.randoms(use_true_random=False),
+           data=st.data())
+    def test_completed_surface_matches_whole_rings(self, name, rebuilt,
+                                                   rings, rng, data):
+        b = base(name, rebuilt)
+        surf = grow_frontier(b, rings)
+        n = surf.n_triangles()
+        assert built(surf) == b.n_triangles()
+        ids = list(range(n))
+        rng.shuffle(ids)
+        for t in ids[:data.draw(st.integers(0, len(ids)))]:
+            how = rng.randrange(3)
+            if how == 0:
+                surf.triangle(t)
+            elif how == 1:
+                surf.neighbor(t, rng.randrange(3))
+            else:
+                surf.fan_ccw(surf.triangle(t)[rng.randrange(3)])
+        assert growth_fields(surf) == GROWN[f"{name}+{rings}"]
+        assert built(surf) == n
+
+    def test_growing_a_planned_surface_keeps_its_base_planned(self):
+        planned = grow_frontier(base("silo3"), 1)
+        grown = grow_frontier(planned, 1)
+        assert built(planned) == base("silo3").n_triangles()
+        assert grown.content_hash() == GROWN["silo3+2"][-1]
+        assert built(planned) == base("silo3").n_triangles()
+        assert planned.content_hash() == GROWN["silo3+1"][-1]
+
+
+def path_record(path):
+    segs = [(s.tri, s.a, s.b) for s in path.segments]
+    evs = []
+    for arc, ev in path.events:
+        if isinstance(ev, EdgeCrossing):
+            evs.append(("edge", arc, ev.tri, ev.edge, ev.point.tri,
+                        ev.point.bary))
+        elif isinstance(ev, VertexCrossing):
+            evs.append(("vertex", arc, ev.vertex, ev.incoming_dir,
+                        ev.outgoing_dir, ev.cone_angle_deg, ev.tri_in,
+                        ev.tri_out))
+        elif isinstance(ev, GrowthLimit):
+            evs.append(("limit", arc, ev.detail))
+        else:
+            evs.append((type(ev).__name__, arc))
+    return segs, evs
+
+
+class TestTracesOnPlannedSurfaces:
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(BASES)), rebuilt=st.booleans(),
+           rings=st.integers(1, 3), pick=st.floats(0, 1, exclude_max=True),
+           w=st.tuples(*[st.integers(1, 20)] * 3),
+           degrees=st.floats(0, 360, exclude_max=True),
+           extra=st.integers(0, 2))
+    def test_planned_and_completed_surfaces_trace_alike(
+            self, name, rebuilt, rings, pick, w, degrees, extra):
+        fresh = grow_frontier(base(name, rebuilt), rings)
+        whole = grow_frontier(base(name, rebuilt), rings)
+        whole.tris  # a whole-surface read completes it
+        tri = int(pick * fresh.n_triangles())
+        bary = tuple(FLOAT.of(x / sum(w)) for x in w)
+        # Room for `extra` more rings.
+        budget = grow_frontier(base(name), rings + extra).n_triangles()
+        paths = []
+        for surf in (fresh, whole):
+            ray = make_ray(surf, FLOAT, tri, bary, FLOAT.direction(degrees))
+            paths.append(path_record(trace(ray, surf, FLOAT, arc_budget=6.0,
+                                           growth_budget=budget,
+                                           two_sided=True)))
+        assert paths[0] == paths[1]
+
+
+class TestTraceGrowRay:
+    def test_trace_builds_only_the_sectors_it_crosses(self):
+        # The benchmark's trace_grow ray (silo(3), 67 degrees): digests of
+        # the output of the trace that built every ring whole.
+        surf = build_silo(3)
+        ray = make_ray(surf, FLOAT, 20, (0.2, 0.3, 0.5), FLOAT.direction(67.0))
+        path = trace(ray, surf, FLOAT, arc_budget=15.0, growth_budget=10**6)
+        segs, evs = path_record(path)
+        assert digest(segs) == "5e336d1c553bdb49"
+        assert digest(evs) == "220c06280d32febc"
+        assert evs[-1] == ("limit", 11.060689147265919,
+                           "frontier at edge 1 of triangle 542913")
+        assert path.surface.n_triangles() == 838_825
+        assert built(path.surface) < 10_000
+
+
+SCANNED = {"flat3": lambda: build_flat_plane(3),
+           "semi4": lambda: build_semi_paradoxist(4),
+           "silo3": lambda: build_silo(3)}
+
+
+class TestVertexLookups:
+    @pytest.mark.parametrize("name", sorted(SCANNED))
+    def test_incident_is_the_smallest_triangle(self, name):
+        surf = grow_frontier(SCANNED[name](), 1)   # a planned ring too
+        first = {}
+        for t, tv in enumerate(surf.tris):
+            for i in range(3):
+                first.setdefault(tv[i], (t, i))
+        for v in surf.degree:
+            assert surf.incident(v) == first[v]
+
+    @pytest.mark.parametrize("name", sorted(SCANNED))
+    def test_directed_edge_matches_scan(self, name):
+        surf = SCANNED[name]()
+
+        def scan(u, v):
+            for t, tv in enumerate(surf.tris):
+                for e in range(3):
+                    if tv[e] == u and tv[(e + 1) % 3] == v:
+                        return t, e
+            raise SurfaceError(f"directed edge ({u},{v}) not found")
+
+        for tv in surf.tris:
+            for e in range(3):
+                u, v = tv[e], tv[(e + 1) % 3]
+                assert surf.directed_edge(u, v) == scan(u, v)
+        outer = surf.boundary
+        missing = [(outer[1], outer[0]), (0, 0), (0, max(surf.degree) + 1),
+                   (max(surf.degree) + 1, 0)]
+        for u, v in missing:
+            with pytest.raises(SurfaceError) as want:
+                scan(u, v)
+            with pytest.raises(SurfaceError) as got:
+                surf.directed_edge(u, v)
+            assert str(got.value) == str(want.value)
