@@ -191,7 +191,6 @@ class TailInfo:
     xy: tuple
     dir: tuple
     arc0: float
-    rot: int
 
 
 @dataclass
@@ -205,7 +204,6 @@ class LineContext:
     closed: bool
     period: float = None
     core_ring: int = None
-    tails: list = None          # TailInfo per end (flat-complement models)
     tail_pieces: list = None    # developed TailData pieces
     tail_dirs: list = None      # developed tail directions
     flat_complement: farfield.FlatComplement = None  # developed far field
@@ -244,14 +242,13 @@ def build_line_context(surf: Triangulation, ctx: Scalars, ray: Ray,
         lctx = LineContext(ray, path, surf, ctx, _index_segments(path),
                            farfield.max_ring_of_path(surf, path.segments),
                            closed=False, core_ring=core,
-                           tails=[res_f.tail, res_b.tail],
                            on_vertices=_path_vertices(path))
         fc = lctx.flat_complement = farfield.FlatComplement(
             surf, ctx, core, res_f.tail.escape_tri,
             _cut_ray(surf, ctx, analysis, budgets, core))
         pieces = []
         dirs = []
-        for t in lctx.tails:
+        for t in (res_f.tail, res_b.tail):
             td = _developed_tail(fc, t)
             dirs.append(td.dir)
             pieces.extend(farfield.split_tail_at_cut(ctx, td, fc))
@@ -440,7 +437,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                     if certified(kring):
                         tail = TailInfo(cur.point.tri,
                                         chart.xy_of_bary(ctx, cur.point.bary),
-                                        cur.dir, arc, 0)
+                                        cur.dir, arc)
                         return result("escaped", tail=tail, escape_ring=kring)
             rot = None
             continue
@@ -499,8 +496,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                     if certified(k):
                         tail = TailInfo(cur.point.tri,
                                         chart.xy_of_bary(ctx, cur.point.bary),
-                                        cur.dir, arc,
-                                        rot if rot is not None else 0)
+                                        cur.dir, arc)
                         return result("escaped", tail=tail, escape_ring=k)
             if arc >= budgets.arc:
                 return result("unknown")

@@ -9,8 +9,10 @@ reference line without tracing forever:
   shows the trace can never re-enter);
 * flat-complement analysis: outside an audited ring the surface is flat
   with a pure translation holonomy, so straight tails can be compared
-  in a developed plane, with a single cut ray keeping the bookkeeping
-  single valued.
+  in one developed plane.  A single cut ray keeps the development
+  single valued; the shift across the cut is read off that same
+  development's seams, and every tail decision is a sign test through
+  the run's `Scalars` (exact in exact mode).
 
 The same machinery resolves crossings that lie far beyond any sensible
 arc budget (nearly parallel directions) in closed form.
@@ -19,10 +21,10 @@ arc budget (nearly parallel directions) in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import chart
-from .chart import Isometry, cross
+from .chart import Isometry, cross, dot
 from .numbers import Scalars
 from .surface import IncompleteRing, Triangulation, develop, seams
 
@@ -266,7 +268,7 @@ class BandFrame:
         else:
             ty = fy
             target_top = False
-        steps = ty / abs(dyv) if not ctx.exact else ty / (dyv if sy > 0 else -dyv)
+        steps = ty / (dyv if sy > 0 else -dyv)
         x_hit = fx + dxv * steps
         seg_len = math.hypot(float(dxv), float(dyv)) * float(steps)
         (u, v), tpar = (self.locate_top(x_hit) if target_top
@@ -295,7 +297,7 @@ class TailData:
     arc0: float      # arc length along the line when the piece starts
     speed: float     # |dir| as float, converts parameters to arc length
     kcut: int = 0    # signed cut crossings accumulated by the access chain
-    limit: float = None  # parameter bound for a split-off leading piece
+    limit: object = None  # parameter bound (run scalar) of a leading piece
 
 
 class FlatComplement:
@@ -303,8 +305,10 @@ class FlatComplement:
 
     Valid when the generation rule makes every vertex outside `ring`
     degree 6 and the total defect inside is zero, so the outside
-    holonomy is a pure translation b.  A cut ray keeps developments
-    single valued; crossing it shifts the developed picture by b.
+    holonomy is a pure translation.  The development never steps across
+    an edge of the cut ray, so it is single valued; crossing the cut
+    shifts the developed picture by `delta`, read off the development's
+    own seams (see `calibrate_cut`).
 
     `cut` is (cut edges, base triangle, base point, direction) of the
     cut ray, or None when the core carries no curvature.
@@ -317,7 +321,6 @@ class FlatComplement:
         self.surf = surf
         self.ctx = ctx
         self.ring = ring
-        self.anchor = anchor_tri
         inside = sum(360 - 60 * surf.degree[v] for v in surf.degree
                      if v not in surf.frontier and surf.ring_of[v] <= ring
                      and surf.degree[v] != 6)
@@ -331,7 +334,6 @@ class FlatComplement:
         self.cut = None       # (base, dir) developed cut ray, or None
         self.cut_edges = frozenset() if cut is None else cut[0]
         self.delta = (ctx.zero, ctx.zero)
-        self.b = (ctx.zero, ctx.zero)
         # All frames come from one BFS forest rooted at the anchor that never
         # steps across the cut or into the inside, so every placement is
         # single valued over the cut complement.
@@ -344,14 +346,7 @@ class FlatComplement:
         _, base_tri, xy, d = cut
         frame = self.corridor_frame(base_tri)
         self.cut = (frame.apply(*xy), frame.apply_vec(*d))
-        self.b = self.compute_holonomy()
         self.calibrate_cut()
-        # The calibrated per-crossing shift must match the holonomy
-        # translation in magnitude (its direction is frame relative).
-        dn = math.hypot(float(self.delta[0]), float(self.delta[1]))
-        bn = math.hypot(float(self.b[0]), float(self.b[1]))
-        if abs(dn - bn) > 1e-6:
-            raise ValueError("cut calibration disagrees with holonomy")
 
     def corridor_frame(self, target_tri: int) -> Isometry:
         """Placement of a triangle's chart in the developed plane."""
@@ -363,74 +358,38 @@ class FlatComplement:
             raise ValueError(f"no corridor reaches triangle {target_tri}")
         return got
 
-    def compute_holonomy(self):
-        """Translation discrepancy of a full development of the outside.
-
-        Developing every outside triangle without the cut leaves one
-        inconsistent non-tree adjacency per winding; its discrepancy is
-        the holonomy translation.
-        """
-        surf, ctx = self.surf, self.ctx
-        frames = dict(develop(surf, ctx, self.anchor, Isometry.identity(ctx),
-                              lambda t, e, t2: t2 in self.outside))
-        best = None
-        for _, _, cand, have in seams(surf, ctx, frames):
-            if cand.k != have.k:
-                raise ValueError("outside holonomy has a rotation part")
-            dx = cand.tx - have.tx
-            dy = cand.ty - have.ty
-            mag = float(dx) ** 2 + float(dy) ** 2
-            if best is None or mag > best[0]:
-                best = (mag, (dx, dy))
-        if best is None:
-            return (ctx.zero, ctx.zero)
-        return best[1]
-
     def calibrate_cut(self):
-        """Fix the pairing between cut-crossing signs and the holonomy shift.
+        """Read the per-crossing shift `delta` off the development's seams.
 
-        A chain that steps straight across the cut develops points with an
-        offset relative to the cut-avoiding corridor development; the offset
-        per crossing of geometric sign +1 is stored as `delta`.
+        The development disagrees with a straight step exactly where the
+        step crosses the cut.  Each such seam must lie on a cut edge, carry
+        no rotation and shift the step's placement by +delta when the step
+        leaves the cut's right side for its left (-delta the other way).
+        The seams are compared through the run's scalars, so in exact mode
+        the translation holonomy is certified exactly.
         """
         surf, ctx = self.surf, self.ctx
-        for edge_key in self.cut_edges:
-            hit = None
-            for t in self.outside:
-                tv = surf.tris[t]
-                for e in range(3):
-                    if frozenset(surf.edge_vertices(t, e)) == edge_key:
-                        nbr = surf.adj.get((t, e))
-                        if nbr and nbr[0] in self.outside:
-                            hit = (t, e, nbr[0])
-                            break
-                if hit:
-                    break
-            if not hit:
-                continue
-            t, e, t2 = hit
-            try:
-                f1 = self.corridor_frame(t)
-                f2 = self.corridor_frame(t2)
-            except ValueError:
-                continue
-            iso = surf.transfer(ctx, t, e)
-            direct = f1.compose(iso.inverse())
-            if (f2.k - direct.k) % 12 != 0:
-                raise ValueError("cut calibration found a rotation")
-            # Chain development of t2 via the straight step = direct; its
-            # corridor development = f2; a crossing adds direct - f2.
-            dx = direct.tx - f2.tx
-            dy = direct.ty - f2.ty
-            c1 = _centroid(ctx, f1)
-            c2 = _centroid(ctx, direct)
-            s = _side_sign(self.cut, float(c2[0]) - float(c1[0]),
-                           float(c2[1]) - float(c1[1]))
-            if s == 0:
-                continue
-            self.delta = (dx, dy) if s > 0 else (-dx, -dy)
-            return
-        raise ValueError("no calibratable cut edge found")
+        _, (dx, dy) = self.cut
+        gx, gy = ctx.half, ctx.sqrt3 * ctx.frac(1, 6)  # chart centroid
+        delta = None
+        for t, e, direct, have in seams(surf, ctx, self.frames):
+            if frozenset(surf.edge_vertices(t, e)) not in self.cut_edges:
+                raise ValueError("development disagrees off the cut")
+            if direct.k != have.k:
+                raise ValueError("outside holonomy has a rotation part")
+            c1x, c1y = self.frames[t].apply(gx, gy)
+            c2x, c2y = direct.apply(gx, gy)
+            side = ctx.sign(cross(dx, dy, c2x - c1x, c2y - c1y))
+            if side == 0:
+                raise ValueError("cut seam steps along the cut")
+            sx, sy = direct.tx - have.tx, direct.ty - have.ty
+            shift = (sx, sy) if side > 0 else (-sx, -sy)
+            if delta is None:
+                delta = shift
+            elif not (ctx.eq(shift[0], delta[0]) and ctx.eq(shift[1], delta[1])):
+                raise ValueError("cut seams disagree on the holonomy shift")
+        if delta is not None:
+            self.delta = delta
 
     def cut_images(self):
         """Developed images of the cut's two banks."""
@@ -440,17 +399,19 @@ class FlatComplement:
         return (base, d), other
 
 
-def _centroid(ctx, frame):
-    cs = chart.corners(ctx)
-    xs = [frame.apply(*c) for c in cs]
-    x = (xs[0][0] + xs[1][0] + xs[2][0]) / ctx.of(3)
-    y = (xs[0][1] + xs[1][1] + xs[2][1]) / ctx.of(3)
-    return (x, y)
+def _solve(ctx, p, u, q, v):
+    """Parameters (t, s), in run scalars, where p + t u meets q + s v;
+    None when u and v are parallel."""
+    den = cross(u[0], u[1], v[0], v[1])
+    if ctx.is_zero(den):
+        return None
+    wx, wy = q[0] - p[0], q[1] - p[1]
+    return cross(wx, wy, v[0], v[1]) / den, cross(wx, wy, u[0], u[1]) / den
 
 
-def _side_sign(cut, vx, vy):
-    (bx, by), (dx, dy) = cut
-    return 0 if (c := float(dx) * vy - float(dy) * vx) == 0 else (1 if c > 0 else -1)
+def _arc(piece: TailData, t) -> float:
+    """Arc length at parameter t of a tail piece (t clamped at 0)."""
+    return piece.arc0 + max(float(t), 0.0) * piece.speed
 
 
 def split_tail_at_cut(ctx, tail: TailData, fc: "FlatComplement"):
@@ -462,43 +423,25 @@ def split_tail_at_cut(ctx, tail: TailData, fc: "FlatComplement"):
     """
     if fc.cut is None:
         return [tail]
-    images = fc.cut_images()
+    _, (dx, dy) = fc.cut
+    side = ctx.sign(cross(dx, dy, tail.dir[0], tail.dir[1]))
+    if side == 0:
+        return [tail]
     best = None
-    for base, d in images:
-        hit = ray_ray_intersection(ctx, tail.base, tail.dir, base, d)
-        if hit is None:
-            continue
-        t, s = hit
-        if t <= 1e-9 or s < -1e-9:
-            continue
-        if best is None or t < best[0]:
-            best = (t, s)
+    for base, d in fc.cut_images():
+        t, s = _solve(ctx, tail.base, tail.dir, base, d)
+        if ctx.sign(t) > 0 and ctx.sign(s) >= 0 and (
+                best is None or ctx.lt(t, best)):
+            best = t
     if best is None:
         return [tail]
-    t_cross = best[0]
-    s = _side_sign(fc.cut, float(tail.dir[0]), float(tail.dir[1]))
-    if s == 0:
-        return [tail]
-    bx = float(tail.base[0]) + float(tail.dir[0]) * t_cross
-    by = float(tail.base[1]) + float(tail.dir[1]) * t_cross
+    base = (tail.base[0] + tail.dir[0] * best,
+            tail.base[1] + tail.dir[1] * best)
     piece1 = TailData(tail.base, tail.dir, tail.arc0, tail.speed,
-                      kcut=tail.kcut, limit=t_cross)
-    piece2 = TailData((bx, by), (float(tail.dir[0]), float(tail.dir[1])),
-                      tail.arc0 + t_cross * tail.speed, tail.speed,
-                      kcut=tail.kcut + s)
+                      kcut=tail.kcut, limit=best)
+    piece2 = TailData(base, tail.dir, _arc(tail, best), tail.speed,
+                      kcut=tail.kcut + side)
     return [piece1, piece2]
-
-
-def ray_ray_intersection(ctx, p, u, q, v):
-    """Parameters (t, s) where p + t u meets q + s v, or None if parallel."""
-    den = cross(u[0], u[1], v[0], v[1])
-    if abs(float(den)) < 1e-14:
-        return None
-    wx = q[0] - p[0]
-    wy = q[1] - p[1]
-    t = float(cross(wx, wy, v[0], v[1])) / float(den)
-    s = float(cross(wx, wy, u[0], u[1])) / float(den)
-    return t, s
 
 
 def tails_meet(ctx, a: TailData, b: TailData, holonomy):
@@ -507,38 +450,30 @@ def tails_meet(ctx, a: TailData, b: TailData, holonomy):
     The pieces' developed frames differ by (a.kcut - b.kcut) holonomy
     shifts; parallel pieces meet only if exactly collinear.
     """
-    bx, by = holonomy
-    shift = float(a.kcut - b.kcut)
-    qx = float(b.base[0]) + shift * float(bx)
-    qy = float(b.base[1]) + shift * float(by)
-    px, py = float(a.base[0]), float(a.base[1])
-    ux, uy = float(a.dir[0]), float(a.dir[1])
-    vx, vy = float(b.dir[0]), float(b.dir[1])
-    den = ux * vy - uy * vx
-    wx, wy = qx - px, qy - py
-    if abs(den) < 1e-14:
-        off = ux * wy - uy * wx
-        norm = math.hypot(ux, uy) or 1.0
-        if abs(off / norm) > 1e-9:
+    shift = ctx.of(a.kcut - b.kcut)
+    q = (b.base[0] + shift * holonomy[0], b.base[1] + shift * holonomy[1])
+    u, v = a.dir, b.dir
+    hit = _solve(ctx, a.base, u, q, v)
+    if hit is None:
+        wx, wy = q[0] - a.base[0], q[1] - a.base[1]
+        if not ctx.is_zero(cross(u[0], u[1], wx, wy)):
             return None
-        if ux * vx + uy * vy > 0:
+        t = dot(wx, wy, u[0], u[1]) / dot(u[0], u[1], u[0], u[1])
+        if ctx.sign(dot(u[0], u[1], v[0], v[1])) > 0:
             # Same direction, collinear: overlap from the later base on.
-            t = max(0.0, (wx * ux + wy * uy) / (ux * ux + uy * uy))
-            s = 0.0 if t > 0 else - (wx * vx + wy * vy) / (vx * vx + vy * vy)
-            if s < 0:
-                s = 0.0
-            return (a.arc0 + t * a.speed, b.arc0 + s * b.speed)
+            if ctx.sign(t) > 0:
+                return (_arc(a, t), b.arc0)
+            s = -dot(wx, wy, v[0], v[1]) / dot(v[0], v[1], v[0], v[1])
+            return (a.arc0, _arc(b, s))
         # Opposite directions: they meet if the bases face each other.
-        t = (wx * ux + wy * uy) / (ux * ux + uy * uy)
-        if t >= 0:
-            return (a.arc0 + t * a.speed, b.arc0)
+        if ctx.sign(t) >= 0:
+            return (_arc(a, t), b.arc0)
         return None
-    t = (wx * vy - wy * vx) / den
-    s = (wx * uy - wy * ux) / den
-    if t < -1e-9 or s < -1e-9:
+    t, s = hit
+    if ctx.sign(t) < 0 or ctx.sign(s) < 0:
         return None
-    if a.limit is not None and t > a.limit + 1e-9:
+    if a.limit is not None and ctx.lt(a.limit, t):
         return None
-    if b.limit is not None and s > b.limit + 1e-9:
+    if b.limit is not None and ctx.lt(b.limit, s):
         return None
-    return (a.arc0 + max(t, 0.0) * a.speed, b.arc0 + max(s, 0.0) * b.speed)
+    return (_arc(a, t), _arc(b, s))
