@@ -13,20 +13,20 @@ from .numbers import COS_SIN30_FLOAT, Scalars, q3_rotate
 
 def corners(ctx: Scalars):
     """Chart positions of the three local vertices."""
-    h = ctx.half * ctx.sqrt3
-    return ((ctx.zero, ctx.zero), (ctx.one, ctx.zero), (ctx.half, h))
+    return ((ctx.zero, ctx.zero), (ctx.one, ctx.zero),
+            (ctx.half, ctx.half_sqrt3))
 
 
 def xy_of_bary(ctx: Scalars, b):
     b0, b1, b2 = b
     x = b1 + b2 * ctx.half
-    y = b2 * ctx.half * ctx.sqrt3
+    y = b2 * ctx.half_sqrt3
     return (x, y)
 
 
 def bary_of_xy(ctx: Scalars, x, y):
-    # y = b2 * sqrt(3)/2  =>  b2 = y * 2/sqrt(3) = y * 2 sqrt(3)/3
-    b2 = y * (ctx.frac(2, 3) * ctx.sqrt3)
+    # y = b2 * sqrt(3)/2  =>  b2 = y * 2/sqrt(3)
+    b2 = y * ctx.two_over_sqrt3
     b1 = x - b2 * ctx.half
     b0 = ctx.one - b1 - b2
     return (b0, b1, b2)
@@ -34,7 +34,7 @@ def bary_of_xy(ctx: Scalars, x, y):
 
 def bary_velocity(ctx: Scalars, dx, dy):
     """Barycentric rate of change along a chart direction (sums to 0)."""
-    db2 = dy * (ctx.frac(2, 3) * ctx.sqrt3)
+    db2 = dy * ctx.two_over_sqrt3
     db1 = dx - db2 * ctx.half
     db0 = -db1 - db2
     return (db0, db1, db2)

@@ -167,9 +167,10 @@ class ModelAnalysis:
         got = self.passes.get(ring)
         if got is None:
             surf = self.surf
+            frontier = surf.frontier
             got = self.passes[ring] = (
                 1 <= ring < len(surf.rings) - 1
-                and not any(v in surf.frontier for v in surf.rings[ring])
+                and not any(v in frontier for v in surf.rings[ring])
                 and self.audit(ring).passed)
         return got
 
@@ -191,6 +192,7 @@ class TailInfo:
     xy: tuple
     dir: tuple
     arc0: float
+    event0: int    # first trace event of the tail: its escape crossing, if any
 
 
 @dataclass
@@ -265,10 +267,11 @@ def build_line_context(surf: Triangulation, ctx: Scalars, ray: Ray,
 
 
 def _default_core_ring(surf, analysis, min_core=None):
+    frontier, ring_of = surf.frontier, surf.ring_of
     worst = 0
     for v, d in surf.degree.items():
-        if d != 6 and v not in surf.frontier:
-            worst = max(worst, surf.ring_of[v])
+        if d != 6 and v not in frontier:
+            worst = max(worst, ring_of[v])
     k = max(2, worst + 1, min_core or 0)
     while k < len(surf.rings) - 1:
         if analysis.audited_pass(k):
@@ -278,8 +281,9 @@ def _default_core_ring(surf, analysis, min_core=None):
 
 
 def _cut_ray(surf, ctx, analysis, budgets, core_ring):
+    frontier = surf.frontier
     has_core = any(d != 6 for v, d in surf.degree.items()
-                   if v not in surf.frontier)
+                   if v not in frontier)
     if not has_core:
         return None
     fx = surf.labels.get("_cut")
@@ -296,7 +300,7 @@ def _cut_ray(surf, ctx, analysis, budgets, core_ring):
     (_, after, _), _ = engine._trace_one_way(
         res.end, surf, ctx, 6 * budgets.arc - res.arc, len(surf.tris),
         watch_closure=False)
-    crossed = [ev for a, ev in res.events if a >= t.arc0 - 1e-12]
+    crossed = [ev for _, ev in res.events[t.event0:]]
     crossed += [ev for _, ev in after]
     cut_edges = frozenset(frozenset(surf.edge_vertices(ev.tri, ev.edge))
                           for ev in crossed if isinstance(ev, EdgeCrossing))
@@ -435,9 +439,11 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                     kring = band.top + 1
                     rings_crossed.append(kring)
                     if certified(kring):
+                        # A band exit adds no event: the tail's events
+                        # start after the last one.
                         tail = TailInfo(cur.point.tri,
                                         chart.xy_of_bary(ctx, cur.point.bary),
-                                        cur.dir, arc)
+                                        cur.dir, arc, len(events))
                         return result("escaped", tail=tail, escape_ring=kring)
             rot = None
             continue
@@ -496,7 +502,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                     if certified(k):
                         tail = TailInfo(cur.point.tri,
                                         chart.xy_of_bary(ctx, cur.point.bary),
-                                        cur.dir, arc)
+                                        cur.dir, arc, len(events) - 1)
                         return result("escaped", tail=tail, escape_ring=k)
             if arc >= budgets.arc:
                 return result("unknown")
@@ -537,8 +543,9 @@ def _band_arrival(surf, ctx, band, vtx, d_strip):
 
 
 def _band_boundary_ray(surf, ctx, band, u, v, tpar, d_strip) -> Ray:
+    tris = surf.tris
     for t in band.tris:
-        tv = surf.tris[t]
+        tv = tris[t]
         for e in range(3):
             if tv[e] == u and tv[(e + 1) % 3] == v:
                 b = [ctx.zero, ctx.zero, ctx.zero]
@@ -771,6 +778,7 @@ class _Partitioner:
         met, direction) entries sorted by fold key."""
         ctx = self.ctx
         surf = self.surf
+        tris = surf.tris
         cs = chart.corners(ctx)
         # direction key -> (order first met, folded, direction last met)
         met = {}
@@ -781,9 +789,9 @@ class _Partitioner:
             for tri, frame, crossed in res.frames:
                 # Across a crossing, the corners shared with the previous
                 # triangle develop where they did in it.
-                done = surf.tris[prev] if crossed else ()
+                done = tris[prev] if crossed else ()
                 prev = tri
-                for c, vtx in zip(cs, surf.tris[tri]):
+                for c, vtx in zip(cs, tris[tri]):
                     if vtx in done:
                         continue
                     px, py = frame.apply(*c)
@@ -1096,10 +1104,11 @@ def enclosed_defect(path: engine.GeodesicPath, surf: Triangulation,
     if engine.detect_closure(path) is None:
         raise ValueError("path is not closed")
     ctx_local = ctx
+    adj = surf.adj
     crossed = set()
     for _, ev in path.events:
         if isinstance(ev, EdgeCrossing):
-            crossed.add(frozenset((ev.tri,) + (surf.adj[(ev.tri, ev.edge)][0],)))
+            crossed.add(frozenset((ev.tri,) + (adj[(ev.tri, ev.edge)][0],)))
     # A geodesic running along an edge severs that adjacency link too.
     for seg in path.segments:
         ab = chart.bary_of_xy(ctx_local, *seg.a)
@@ -1107,7 +1116,7 @@ def enclosed_defect(path: engine.GeodesicPath, surf: Triangulation,
         for i in range(3):
             if ctx_local.is_zero(ab[i]) and ctx_local.is_zero(bb[i]):
                 e = (i + 1) % 3
-                nbr = surf.adj.get((seg.tri, e))
+                nbr = adj.get((seg.tri, e))
                 if nbr:
                     crossed.add(frozenset((seg.tri, nbr[0])))
     # Components of the triangle adjacency graph with crossed links removed.
@@ -1121,7 +1130,7 @@ def enclosed_defect(path: engine.GeodesicPath, surf: Triangulation,
         while stack:
             t = stack.pop()
             for e in range(3):
-                nbr = surf.adj.get((t, e))
+                nbr = adj.get((t, e))
                 if not nbr or nbr[0] in seen:
                     continue
                 if frozenset((t, nbr[0])) in crossed:
@@ -1135,14 +1144,15 @@ def enclosed_defect(path: engine.GeodesicPath, surf: Triangulation,
     open_comps = set()
     for t in range(len(surf.tris)):
         for e in range(3):
-            if (t, e) not in surf.adj:
+            if (t, e) not in adj:
                 open_comps.add(seen[t])
     inside = [c for c in range(comp) if c not in open_comps]
     if not inside:
         raise ValueError("no disk side found for the closed path")
     total = 0
+    frontier = surf.frontier
     for v, d in surf.degree.items():
-        if v in surf.frontier:
+        if v in frontier:
             continue
         fans = {seen[t] for t, _ in surf.fan_ccw(v)}
         if fans <= set(inside):

@@ -31,6 +31,7 @@ from .surface import (
     normalize_bary,
     point_at_vertex,
     ring_size,
+    snap_bary,
 )
 
 
@@ -47,9 +48,13 @@ class FrontierReached(EngineError):
         self.edge = edge
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ray:
-    """Canonical surface point plus direction in that triangle's chart."""
+    """Canonical surface point plus direction in that triangle's chart.
+
+    Immutable by convention, like every chord value type here: nothing
+    assigns to a field after construction.
+    """
 
     point: SurfacePoint
     dir: tuple
@@ -58,8 +63,13 @@ class Ray:
         return f"Ray({self.point}, dir=({self.dir[0]}, {self.dir[1]}))"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Segment:
+    """A chord inside triangle `tri`, from `a` to `b` in its chart.
+
+    Immutable by convention; equality and hash read `tri`, `a` and `b`.
+    """
+
     tri: int
     a: tuple  # entry point, chart coords
     b: tuple  # exit point, chart coords
@@ -71,7 +81,7 @@ class Segment:
         # Computed once: the walk's stall guard and every consumer need it.
         dx = float(self.b[0]) - float(self.a[0])
         dy = float(self.b[1]) - float(self.a[1])
-        object.__setattr__(self, "_length", math.hypot(dx, dy))
+        self._length = math.hypot(dx, dy)
 
     def length(self) -> float:
         return self._length
@@ -80,8 +90,13 @@ class Segment:
 # -- path events -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EdgeCrossing:
+    """The walk leaving `tri` across `edge` at `point`.
+
+    Immutable by convention; equality and hash ignore `gluing`.
+    """
+
     tri: int
     edge: int
     point: SurfacePoint
@@ -189,11 +204,10 @@ def ray_canonical(surf: Triangulation, ctx: Scalars, point: SurfacePoint, d) -> 
     v = point_at_vertex(surf, p, ctx)
     if v is not None:
         return _vertex_ray(surf, ctx, v, d, surf.vertex_slot(p.tri, v), p.tri)
-    p = canonicalize_point(p, surf, ctx)
+    p, zeros = canonicalize_point(p, surf, ctx, with_zeros=True)
     if p.tri != point.tri:
         # Direction must follow the point into the canonical triangle.
         d = link_iso(surf, ctx, point.tri, p.tri).apply_vec(*d)
-    zeros = [i for i in range(3) if ctx.is_zero(p.bary[i])]
     if zeros:
         e = (zeros[0] + 1) % 3
         cs = chart.corners(ctx)
@@ -258,29 +272,34 @@ def step(ray: Ray, surf: Triangulation, ctx: Scalars):
 
     Returns (segment, hit) where hit is ("edge", e) or ("vertex", v).
     Raises FrontierReached when the chord exits through an unmatched edge.
+    Each sign is decided once: that of each barycentric velocity, of
+    each coordinate the chord runs down towards zero, and of the exit
+    time.  The exit point's zero slots, which name the hit, come from
+    the snap of its barycentrics (`snap_bary`).
     """
     t = ray.point.tri
     b = ray.point.bary
-    dxy = ray.dir
-    db = chart.bary_velocity(ctx, dxy[0], dxy[1])
+    sign = ctx.sign
+    db = chart.bary_velocity(ctx, *ray.dir)
     t_exit = None
     for i in range(3):
-        if ctx.sign(db[i]) < 0 and ctx.sign(b[i]) >= 0:
-            cand = -b[i] / db[i] if ctx.sign(b[i]) > 0 else ctx.zero
-            if t_exit is None or ctx.lt(cand, t_exit):
-                t_exit = cand
-    if t_exit is None or ctx.sign(t_exit) < 0:
+        if sign(db[i]) < 0:
+            sb = sign(b[i])
+            if sb >= 0:
+                cand = -b[i] / db[i] if sb > 0 else ctx.zero
+                if t_exit is None or ctx.lt(cand, t_exit):
+                    t_exit = cand
+    st = -1 if t_exit is None else sign(t_exit)
+    if st < 0:
         raise EngineError(f"ray does not advance inside triangle {t}: {ray}")
-    if ctx.sign(t_exit) == 0 and not ctx.exact:
+    if st == 0 and not ctx.exact:
         # Microscopic chord squeezing past a vertex: take it and let the
         # exit snap resolve the hit (vertex tolerance semantics).
         t_exit = abs(float(t_exit))
-    exit_b = normalize_bary(
+    exit_b, zeros = snap_bary(
         ctx, (b[0] + db[0] * t_exit, b[1] + db[1] * t_exit, b[2] + db[2] * t_exit))
-    a_xy = chart.xy_of_bary(ctx, b)
-    b_xy = chart.xy_of_bary(ctx, exit_b)
-    seg = Segment(t, a_xy, b_xy, exit_b)
-    zeros = [i for i in range(3) if ctx.is_zero(exit_b[i])]
+    seg = Segment(t, chart.xy_of_bary(ctx, b), chart.xy_of_bary(ctx, exit_b),
+                  exit_b)
     if len(zeros) >= 2:
         slot = next(i for i in range(3) if i not in zeros)
         return seg, ("vertex", surf.triangle(t)[slot])

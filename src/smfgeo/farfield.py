@@ -173,7 +173,7 @@ class BandFrame:
         if len(cyc_top) != len(cyc_bot):
             raise ValueError("band rows must have equal cycle lengths")
         self.period = len(cyc_top)
-        self.h = ctx.half * ctx.sqrt3
+        self.h = ctx.half_sqrt3
         band = set()
         ring_of = surf.ring_of
         for t, tv in enumerate(surf.tris):

@@ -356,6 +356,10 @@ class Scalars:
             self.one = 1.0
             self.half = 0.5
             self.sqrt3 = SQRT3
+        # Chart constants: the height sqrt(3)/2 of a unit triangle and
+        # 2/sqrt(3) = (2/3) sqrt(3), rounded as (2/3) * sqrt(3) in float.
+        self.half_sqrt3 = self.half * self.sqrt3
+        self.two_over_sqrt3 = self.frac(2, 3) * self.sqrt3
 
     def __repr__(self):
         return f"Scalars(mode={self.mode!r}, eps={self.eps!r})"
@@ -390,10 +394,17 @@ class Scalars:
         return 1 if x > 0 else -1
 
     def is_zero(self, x) -> bool:
-        return self.sign(x) == 0
+        """sign(x) == 0, decided in one call (NaN is not zero)."""
+        if self.exact:
+            return x.sign() == 0 if type(x) is Q3 else x == 0
+        return abs(x) <= self.eps
 
     def eq(self, x, y) -> bool:
-        return self.sign(x - y) == 0
+        """sign(x - y) == 0, decided in one call."""
+        d = x - y
+        if self.exact:
+            return d.sign() == 0 if type(d) is Q3 else d == 0
+        return abs(d) <= self.eps
 
     def lt(self, x, y) -> bool:
         return self.sign(x - y) < 0

@@ -49,9 +49,13 @@ class IncompleteRing(SurfaceError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SurfacePoint:
-    """A point as (triangle, barycentric coordinates)."""
+    """A point as (triangle, barycentric coordinates).
+
+    Immutable by convention: nothing assigns to a field after
+    construction, so points are hashed and shared freely.
+    """
 
     tri: int
     bary: tuple
@@ -530,57 +534,80 @@ def seams(surf: Triangulation, ctx: Scalars, frames):
 # -- canonical points ----------------------------------------------------
 
 
-def normalize_bary(ctx: Scalars, bary):
-    """Snap near-zero barycentrics to zero and rescale to sum 1."""
+def snap_bary(ctx: Scalars, bary):
+    """Snap near-zero barycentrics to zero and rescale them to sum 1.
+
+    Returns (bary, zero_slots): the snapped coordinates as a tuple, and
+    the ascending slots i where `ctx.is_zero(bary[i])` holds for them,
+    exactly the slots a retest would find.  A coordinate snaps to
+    `ctx.zero` when it is zero to tolerance or, in float mode only, lies
+    within 8 eps below zero (numerical dirt from tolerance-boundary
+    constructions).  A sum off 1 divides every coordinate; a snapped
+    zero stays zero then, so only the others are tested again.  Raises
+    SurfaceError when the sum is zero or not a number.
+    """
+    is_zero = ctx.is_zero
     b = list(bary)
-    for i in range(3):
-        if ctx.is_zero(b[i]):
-            b[i] = ctx.zero
-        elif not ctx.exact and -8 * ctx.eps <= b[i] < 0:
-            # numerical dirt from tolerance-boundary constructions
-            b[i] = ctx.zero
+    if ctx.exact:
+        zeros = [i for i in range(3) if is_zero(b[i])]
+    else:
+        # |x| <= eps or the dirt rule -8 eps <= x < 0, as one interval.
+        lo, hi = -8 * ctx.eps, ctx.eps
+        zeros = [i for i in range(3) if lo <= b[i] <= hi]
+    for i in zeros:
+        b[i] = ctx.zero
     s = b[0] + b[1] + b[2]
-    if ctx.is_zero(s):
+    if is_zero(s):
         raise SurfaceError("degenerate barycentric coordinates")
     if not ctx.eq(s, ctx.one):
+        if s != s:
+            raise SurfaceError("barycentric coordinates are not numbers")
         b = [x / s for x in b]
-    return tuple(b)
+        zeros = [i for i in range(3) if i in zeros or is_zero(b[i])]
+    return tuple(b), tuple(zeros)
 
 
-def canonicalize_point(p: SurfacePoint, surf: Triangulation, ctx: Scalars) -> SurfacePoint:
+def normalize_bary(ctx: Scalars, bary):
+    """The snapped, rescaled barycentrics of `snap_bary`."""
+    return snap_bary(ctx, bary)[0]
+
+
+def canonicalize_point(p: SurfacePoint, surf: Triangulation, ctx: Scalars,
+                       with_zeros=False):
     """Unique representative for a surface point.
 
     Interior points are unchanged, edge points move to the incident
     triangle with the smaller id, vertex points to the smallest incident
-    triangle with the vertex in the lowest local slot.
+    triangle with the vertex in the lowest local slot.  With
+    `with_zeros`, returns (point, zero slots of its barycentrics) as
+    `snap_bary` does.
     """
     if not (0 <= p.tri < surf.n_triangles()):
         raise UnknownTriangle(f"triangle {p.tri} not in surface")
-    b = normalize_bary(ctx, p.bary)
-    zeros = [i for i in range(3) if b[i] is ctx.zero or ctx.is_zero(b[i])]
-    if not zeros:
-        return SurfacePoint(p.tri, b)
+    b, zeros = snap_bary(ctx, p.bary)
+    out = SurfacePoint(p.tri, b)
     if len(zeros) == 1:
-        i = zeros[0]
-        e = (i + 1) % 3
+        e = (zeros[0] + 1) % 3
         nbr = surf.neighbor(p.tri, e)
-        if nbr is None or nbr[0] >= p.tri:
-            return SurfacePoint(p.tri, b)
-        t2, e2 = nbr
+        if nbr is not None and nbr[0] < p.tri:
+            t2, e2 = nbr
+            nb = [ctx.zero, ctx.zero, ctx.zero]
+            nb[e2] = b[(e + 1) % 3]
+            nb[(e2 + 1) % 3] = b[e]
+            out, zeros = SurfacePoint(t2, tuple(nb)), ((e2 + 2) % 3,)
+    elif zeros:
+        # Vertex point.
+        slot = next(i for i in range(3) if i not in zeros)
+        v = surf.triangle(p.tri)[slot]
+        best_t, best_s = p.tri, slot
+        for t, s in surf.fan_ccw(v):
+            if t < best_t:
+                best_t, best_s = t, s
         nb = [ctx.zero, ctx.zero, ctx.zero]
-        nb[e2] = b[(e + 1) % 3]
-        nb[(e2 + 1) % 3] = b[e]
-        return SurfacePoint(t2, tuple(nb))
-    # Vertex point.
-    slot = next(i for i in range(3) if i not in zeros)
-    v = surf.triangle(p.tri)[slot]
-    best_t, best_s = p.tri, slot
-    for t, s in surf.fan_ccw(v):
-        if t < best_t:
-            best_t, best_s = t, s
-    nb = [ctx.zero, ctx.zero, ctx.zero]
-    nb[best_s] = ctx.one
-    return SurfacePoint(best_t, tuple(nb))
+        nb[best_s] = ctx.one
+        out = SurfacePoint(best_t, tuple(nb))
+        zeros = tuple(i for i in range(3) if i != best_s)
+    return (out, zeros) if with_zeros else out
 
 
 def vertex_point(surf: Triangulation, ctx: Scalars, v: int) -> SurfacePoint:
