@@ -3,10 +3,12 @@
 The direction circle at P (line directions, period 180 degrees) is
 partitioned into intervals of uniform behavior bounded by critical
 directions: directions whose line hits a vertex within the arc budget,
-plus directions whose escaped tails turn exactly parallel to a tail of
-the reference line (asymptotic flips).  One witness per interval plus
-every boundary direction is classified as Crossing, ParallelCertified
-or Unknown, and the counts map onto the taxonomy.
+directions to the ends of the reference line's chords, where a crossing
+with it moves across an edge, and directions whose escaped tails turn
+exactly parallel to a tail of the reference line (asymptotic flips).
+One witness per interval plus every boundary direction is classified
+as Crossing, ParallelCertified or Unknown, and the counts map onto the
+taxonomy.
 
 Parallel verdicts are never guessed: they carry a closure certificate,
 an audited ring-escape certificate, or a flat-complement separation
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cmp_to_key
 from operator import itemgetter
 
@@ -33,7 +34,7 @@ from .engine import (
     Segment,
     VertexCrossing,
 )
-from .numbers import Q3, Scalars
+from .numbers import Scalars
 from .surface import (
     GrowthLimitExceeded,
     SurfaceError,
@@ -61,9 +62,9 @@ EXTREMELY_HYPERBOLIC = "extremely_hyperbolic"
 COMPLETELY_HYPERBOLIC = "completely_hyperbolic"
 UNDETERMINED = "undetermined"
 
-# Float mode merges corner directions closer than this many degrees and
-# drops corners this close to either end of their cone; exact mode
-# compares directions exactly.
+# Float mode only: corner directions closer than this many degrees merge,
+# and corners this close to either end of their cone are dropped.  Exact
+# mode compares directions exactly.
 CORNER_GAP_DEG = 1e-7
 
 
@@ -71,7 +72,7 @@ CORNER_GAP_DEG = 1e-7
 class Budgets:
     arc: float = 200.0
     growth: int = 1_000_000
-    split_depth: int = 48
+    split_depth: int = 48  # halvings of one cone; corner splits do not count
 
     def doubled(self) -> "Budgets":
         return Budgets(self.arc * 2, self.growth * 2, self.split_depth + 8)
@@ -325,6 +326,7 @@ class EndResult:
     events: list
     arc: float
     crossing: tuple = None    # (point, arc, where)
+    chord: Segment = None     # the chord of the reference line crossed
     tail: TailInfo = None
     rings: tuple = ()
     escape_ring: int = None
@@ -456,13 +458,14 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                 if lctx is not None:
                     got = _hit_reference(ctx, seg, lctx)
                     if got is not None:
-                        x, y = got
+                        (x, y), chord = got
                         bpt = normalize_bary(ctx, chart.bary_of_xy(ctx, x, y))
                         pt = canonicalize_point(SurfacePoint(seg.tri, bpt),
                                                 surf, ctx)
                         arc += math.hypot(float(x) - float(seg.a[0]),
                                           float(y) - float(seg.a[1]))
-                        return result("crossed", crossing=(pt, arc, "traced"))
+                        return result("crossed", crossing=(pt, arc, "traced"),
+                                      chord=chord)
                 period = engine.closure_period(ctx, ray, start_xy, seg, arc,
                                                len(segments))
                 arc += seg.length()
@@ -520,10 +523,11 @@ def _dirkey(ctx, d):
 
 
 def _hit_reference(ctx, seg, lctx: LineContext):
+    """(first point, chord) where `seg` meets a chord of l, or None."""
     for other in lctx.segments_in(seg.tri):
         pts = chart.segment_intersection(ctx, seg.a, seg.b, other.a, other.b)
         if pts:
-            return pts[0]
+            return pts[0], other
     return None
 
 
@@ -589,9 +593,10 @@ def _probe(P: SurfacePoint, d, lctx, analysis, budgets,
     fwd = _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                      escape_ring=lctx.core_ring,
                      collect_frames=collect_frames)
-    if fwd.kind == "closed":
-        status = _closed_status(fwd, lctx)
-        return Probe(d, fwd, fwd, status)
+    if fwd.kind in ("closed", "crossed"):
+        # The forward end decides the line.  A backward end would only add
+        # its tokens to the signature, and they change where its arc ends.
+        return Probe(d, fwd, fwd, _end_status(fwd))
     try:
         back = engine.reverse_ray(surf, ctx, ray)
     except (EngineError, SurfaceError):
@@ -603,8 +608,9 @@ def _probe(P: SurfacePoint, d, lctx, analysis, budgets,
     return Probe(d, fwd, bwd, status)
 
 
-def _closed_status(res: EndResult, lctx):
-    if res.crossing is not None:
+def _end_status(res: EndResult):
+    """Status of a line decided by one end that crossed l or closed."""
+    if res.kind == "crossed":
         pt, arc, where = res.crossing
         return Crossing(pt, arc, res.via_vertices, where)
     return ParallelCertified((ClosureCertificate(res.closure_period),),
@@ -613,11 +619,9 @@ def _closed_status(res: EndResult, lctx):
 
 def _assemble(fwd: EndResult, bwd: EndResult, lctx: LineContext,
               analysis: ModelAnalysis):
-    for res in (fwd, bwd):
-        if res.kind == "crossed":
-            pt, arc, where = res.crossing
-            return Crossing(pt, arc, fwd.via_vertices + bwd.via_vertices,
-                            where)
+    if bwd.kind == "crossed":
+        pt, arc, where = bwd.crossing
+        return Crossing(pt, arc, fwd.via_vertices + bwd.via_vertices, where)
     if fwd.kind == "unknown" or bwd.kind == "unknown":
         return Unknown(f"budget exhausted ({fwd.kind}/{bwd.kind})")
     # Both ends escaped (or one closed without crossing, handled above).
@@ -707,9 +711,6 @@ def _ccw_sorted(ctx, u, ws):
     return sorted(ws, key=lambda w: _cone_angle_deg(u, w))
 
 
-# tan(2 * CORNER_GAP_DEG) as an exact rational, for exact mode's slivers.
-_SLIVER_TAN = Q3(Fraction(math.tan(math.radians(2 * CORNER_GAP_DEG))))
-
 # Slack, in radians, around a cone's float fold angles when corners are
 # picked by bisection; far above the rounding of an angle, and the picked
 # corners still pass _strictly_between.
@@ -719,14 +720,20 @@ _FOLD_SLACK = 1e-9
 class _Partitioner:
     """Partition of the direction circle at P into uniform intervals.
 
+    A cone closes only on an event, never on its width: its ends'
+    signatures agree, its two blend probes agree, a corner splits it, or
+    its halvings reach `Budgets.split_depth` (an unknown arc).
+
     Every probe that bounds a cone is traced with frames once, and its
     corner list is built then: the directions from P, in P's chart, of
-    the triangle corners its two traces developed.  A corner list is
+    the triangle corners its traces developed and of the two ends of a
+    chord of l it crossed.  A corner list is
 
-    - built once per probe, when its keys enter `corner_keys`;
+    - built once per probe, when its vertex keys enter `corner_keys`;
     - deduplicated: one entry per direction key, placed where the key
       was first met and holding the direction last met, and a vertex
       shared with the previous strip triangle is not developed again;
+      a chord end leaves an entry with its key as it is;
     - sorted by fold angle in [0, 180), exactly (`_ccw_key`) in exact
       mode and by float angle in float mode, so that a cone takes its
       corners by bisection;
@@ -775,16 +782,29 @@ class _Partitioner:
 
     def _corner_list(self, pr: Probe):
         """Corner list of a probe traced with frames: (fold key, order
-        met, direction) entries sorted by fold key."""
+        met, direction) entries sorted by fold key.  A crossed chord's
+        ends develop with the crossing end's last frame."""
         ctx = self.ctx
         surf = self.surf
         tris = surf.tris
         cs = chart.corners(ctx)
         # direction key -> (order first met, folded, direction last met)
         met = {}
+        ends = []
         for res in ((pr.fwd,) if pr.bwd is pr.fwd else (pr.fwd, pr.bwd)):
             inv = engine.link_iso(surf, ctx, self.P.tri, res.carrier).inverse()
             pcx, pcy = res.carrier_xy
+
+            def develop(frame, c):
+                # (key, folded, direction) from P to c placed by `frame`
+                px, py = frame.apply(*c)
+                vx, vy = px - pcx, py - pcy
+                if ctx.sign(vx) == 0 and ctx.sign(vy) == 0:
+                    return None
+                w0 = inv.apply_vec(vx, vy)
+                h = _halfcirc(ctx, w0)
+                return self._key(h), h, w0
+
             prev = None
             for tri, frame, crossed in res.frames:
                 # Across a crossing, the corners shared with the previous
@@ -792,18 +812,17 @@ class _Partitioner:
                 done = tris[prev] if crossed else ()
                 prev = tri
                 for c, vtx in zip(cs, tris[tri]):
-                    if vtx in done:
-                        continue
-                    px, py = frame.apply(*c)
-                    vx, vy = px - pcx, py - pcy
-                    if ctx.sign(vx) == 0 and ctx.sign(vy) == 0:
-                        continue
-                    w0 = inv.apply_vec(vx, vy)
-                    h = _halfcirc(ctx, w0)
-                    key = self._key(h)
-                    seen = met.get(key)
-                    met[key] = (len(met) if seen is None else seen[0], h, w0)
+                    got = None if vtx in done else develop(frame, c)
+                    if got is not None:
+                        seen = met.get(got[0])
+                        met[got[0]] = (seen[0] if seen else len(met), *got[1:])
+            if res.chord is not None:
+                ends += (develop(res.frames[-1][1], c)
+                         for c in (res.chord.a, res.chord.b))
         self.corner_keys.update(met)
+        for got in ends:
+            if got is not None and got[0] not in met:
+                met[got[0]] = (len(met), *got[1:])
         fold = self._fold_key
         entries = [(fold(h), i, w0) for i, h, w0 in met.values()]
         entries.sort(key=itemgetter(0))
@@ -878,19 +897,6 @@ class _Partitioner:
                 last = dw
         return corners
 
-    def _sliver(self, u, v) -> bool:
-        """Is the cone (u, v) narrower than 2 * CORNER_GAP_DEG?  Halving
-        stops there: a signature can change inside a cone without a
-        corner (where the line's crossing with the reference line moves
-        across an edge), and no halving lands on that direction.  Exact
-        mode compares cross(u, v) with tan(width) * dot(u, v) exactly."""
-        ctx = self.ctx
-        if not ctx.exact:
-            return _cone_angle_deg(u, v) < 2 * CORNER_GAP_DEG
-        c = cross(u[0], u[1], v[0], v[1])
-        d = dot(u[0], u[1], v[0], v[1])
-        return ctx.sign(d) > 0 and ctx.sign(c - _SLIVER_TAN * d) < 0
-
     def run(self):
         ctx = self.ctx
         # Interval endpoints are cone-consistent vectors: each interval's
@@ -917,12 +923,9 @@ class _Partitioner:
                     continue
                 pts = [u] + corners + [v]
                 for i in range(len(pts) - 1):
-                    work.append((pts[i], pts[i + 1], depth + 1))
+                    work.append((pts[i], pts[i + 1], depth))
                 continue
             if pu.signature() == pv.signature():
-                self.intervals.append((u, v, None))
-                continue
-            if self._sliver(u, v):
                 self.intervals.append((u, v, None))
                 continue
             # A boundary endpoint (vertex hit or flip) shows a different
@@ -1087,11 +1090,7 @@ def critical_directions(P: SurfacePoint, lctx: LineContext,
     corners are returned exactly.
     """
     part = _Partitioner(P, lctx, analysis, budgets).run()
-    thetas = []
-    for key in part.corner_keys:
-        d = key
-        thetas.append(math.degrees(math.atan2(float(d[1]), float(d[0]))) % 180.0)
-    return sorted(set(round(t, 9) for t in thetas))
+    return sorted({round(_theta_deg(d), 9) for d in part.corner_keys})
 
 
 # -- other classifier operations -----------------------------------------------

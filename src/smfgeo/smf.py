@@ -77,17 +77,6 @@ class RenderQuery:
     out: str = None
 
 
-@dataclass(frozen=True)
-class AuditQuery:
-    rings: tuple             # inclusive (lo, hi)
-
-
-@dataclass(frozen=True)
-class SearchQuery:
-    family: str
-    params: dict
-
-
 def _tokenize(text):
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
@@ -325,21 +314,6 @@ def parse_scene(text: str, doc_labels):
                 for p in paths:
                     _need_label(p, doc_labels, ln, col, diags)
                 queries.append(RenderQuery(region, paths, opts.get("out")))
-            elif kw == "audit":
-                spec = opts.get("rings") or (pos[0] if pos else None)
-                if spec is None:
-                    raise ValueError("expected 'audit rings=a..b'")
-                if ".." in spec:
-                    lo, hi = spec.split("..", 1)
-                    rings = (int(lo), int(hi))
-                else:
-                    rings = (int(spec), int(spec))
-                queries.append(AuditQuery(rings))
-            elif kw == "search":
-                fam = opts.pop("family", None) or (pos[0] if pos else None)
-                if fam is None:
-                    raise ValueError("expected 'search family=<name> ...'")
-                queries.append(SearchQuery(fam, dict(opts)))
             else:
                 diags.append(Diagnostic(ln, col, "UnknownQuery", kw))
         except (ValueError, OverflowError) as exc:

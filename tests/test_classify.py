@@ -396,6 +396,55 @@ class TestClosedSurface:
         assert cls.unknown_arcs == 0
 
 
+    def test_icosahedron_point_is_elliptic_exact(self):
+        from smfgeo import smf
+        from tests.test_surface import ICOSAHEDRON
+        text = "smf 1\n" + "".join(f"t {a} {b} {c}\n" for a, b, c in ICOSAHEDRON)
+        text += "point X 16 1/3 1/3 1/3\nline m 0 1/2 1/2 0 30\n"
+        doc, diags = smf.parse_manifold(text)
+        surf, diags = smf.to_triangulation(doc)
+        assert not diags
+        budgets = Budgets(40.0, 10**5)
+        an = ModelAnalysis(surf, EXACT)
+        lray = resolve_ray(surf, EXACT, surf.labels["m"])
+        lctx = build_line_context(surf, EXACT, lray, an, budgets)
+        assert lctx.closed
+        P = resolve_point(surf, EXACT, surf.labels["X"])
+        part = C._Partitioner(P, lctx, an, budgets).run()
+        cls = C._tally(part)
+        assert cls.kind == C.ELLIPTIC
+        assert cls.unknown_arcs == 0
+        # Crossing corners close the cones where a crossing changes
+        # triangle; halving towards those directions took over 14,000.
+        assert len(part.cache) < 1000
+
+
+class TestCrossingEvents:
+    """A cone closes on a geometric event, never on its width: where a
+    crossing with l moves to the next triangle, the ends of l's chord are
+    corners."""
+
+    @pytest.mark.parametrize("model,ctx", [
+        (lambda: build_flat_plane(3), FLOAT),
+        (lambda: build_semi_paradoxist(4), EXACT),
+    ], ids=["flat-float", "semi-exact"])
+    def test_no_sliver_intervals(self, model, ctx):
+        cls, _, _, _ = classify_labeled(model(), ctx, "P", "l", B)
+        assert cls.kind == C.EUCLIDEAN and cls.unknown_arcs == 0
+        assert all(i.hi - i.lo >= 1e-6 for i in cls.intervals)
+
+    def test_crossing_forward_end_decides_the_probe(self, silo, silo_ctxs):
+        # At 210 degrees the line from Q' crosses l after passing vertex I.
+        an, lctx = silo_ctxs
+        P = resolve_point(silo, FLOAT, silo.labels["Qp"])
+        pr = C._probe(P, FLOAT.direction(210.0), lctx, an, B)
+        assert pr.fwd.kind == "crossed"
+        assert pr.bwd is pr.fwd
+        assert pr.status.kind == "crossing"
+        assert pr.status.via_vertices == pr.fwd.via_vertices
+        assert silo.labels["I"].vertex in pr.fwd.via_vertices
+
+
 class TestModeAgreement:
     def test_silo_exact_matches_float(self):
         surf_f = build_silo(6)
@@ -482,29 +531,48 @@ class TestSteppingErrors:
 
 def reference_corners_inside(part, pr, u, v):
     """The corner search as it was before corner lists: every corner of
-    every framed triangle developed again for each cone.  Returns the
-    corners strictly inside (u, v) and the keys of every corner seen."""
+    every framed triangle developed again for each cone, and the two ends
+    of a crossed chord of l developed from the end's last frame.  Returns
+    the corners strictly inside (u, v) and the keys of every vertex
+    corner seen; chord ends are not in that key set, and one with the key
+    of a vertex corner adds nothing."""
     ctx = part.ctx
     surf = part.surf
     out = {}
     keys = set()
+    ends = []
     cs = chart.corners(ctx)
     for res in (pr.fwd, pr.bwd):
         if not res.frames:
             continue
         inv = engine.link_iso(surf, ctx, part.P.tri, res.carrier).inverse()
         pcx, pcy = res.carrier_xy
+
+        def develop(frame, c):
+            px, py = frame.apply(*c)
+            vx, vy = px - pcx, py - pcy
+            if ctx.sign(vx) == 0 and ctx.sign(vy) == 0:
+                return None
+            return inv.apply_vec(vx, vy)
+
         for tri, frame, _ in res.frames:
             for c in cs:
-                px, py = frame.apply(*c)
-                vx, vy = px - pcx, py - pcy
-                if ctx.sign(vx) == 0 and ctx.sign(vy) == 0:
+                w0 = develop(frame, c)
+                if w0 is None:
                     continue
-                w0 = inv.apply_vec(vx, vy)
                 keys.add(part._key(C._halfcirc(ctx, w0)))
                 w = C._orient_into(ctx, u, w0)
                 if C._strictly_between(ctx, u, v, w):
                     out[part._key(C._halfcirc(ctx, w))] = w
+        if res.chord is not None:
+            ends += [develop(res.frames[-1][1], c)
+                     for c in (res.chord.a, res.chord.b)]
+    for w0 in ends:
+        if w0 is None or part._key(C._halfcirc(ctx, w0)) in keys:
+            continue
+        w = C._orient_into(ctx, u, w0)
+        if C._strictly_between(ctx, u, v, w):
+            out[part._key(C._halfcirc(ctx, w))] = w
     return list(out.values()), keys
 
 

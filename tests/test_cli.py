@@ -103,6 +103,19 @@ def test_audit_missing_ring_is_an_error_entry(files, tmp_path):
     assert "error" in audits[0] and audits[1]["passed"] is True
 
 
+@pytest.mark.parametrize("command", ["classify", "trace"])
+def test_audit_and_search_scene_lines_are_unknown_queries(files, tmp_path,
+                                                          capsys, command):
+    # No scene command acts on these lines: the audit and search
+    # subcommands take their rings on the command line instead.
+    scene = tmp_path / "a.scn"
+    scene.write_text("audit rings=1..2\nsearch family=silo rings=3..4\n")
+    assert cli.main([command, files["silo.smf"], str(scene)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"{scene}:1:1: UnknownQuery: audit",
+                   f"{scene}:2:1: UnknownQuery: search"]
+
+
 def test_audit_bug_propagates(files, monkeypatch):
     from smfgeo import farfield
 

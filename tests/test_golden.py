@@ -8,6 +8,14 @@ way, for example:
 
     PYTHONPATH=src python -m smfgeo.cli classify --exact semi.smf semi.scn \\
         -o tests/golden/semi_exact.json
+
+A regeneration that refines the partition must nest in the old reports:
+kind, count and unknown_arcs stay; every old interval wider than 2e-7
+degrees lies inside exactly one new interval with the same status; every
+new boundary lies at an old boundary or inside an old interval at most
+2e-7 degrees wide; and the certificates stay the same, with the same
+counts.  `scripts/check_golden_nesting.py OLD_DIR tests/golden` checks
+this against a copy of the old files.
 """
 
 from pathlib import Path

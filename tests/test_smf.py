@@ -112,15 +112,11 @@ class TestParseScene:
         assert qs == [] and diags == []
 
     def test_render_audit_search(self):
-        text = ("render fan E paths=l out=x.svg\n"
-                "audit rings=1..4\n"
-                "search family=silo rings=2..3\n")
+        text = "render fan E paths=l out=x.svg\n"
         qs, diags = smf.parse_scene(text, self.LABELS)
         assert not diags
         assert isinstance(qs[0], smf.RenderQuery)
         assert qs[0].region == ("fan", "E") and qs[0].paths == ("l",)
-        assert isinstance(qs[1], smf.AuditQuery) and qs[1].rings == (1, 4)
-        assert isinstance(qs[2], smf.SearchQuery) and qs[2].family == "silo"
 
     def test_bad_query_diagnostic(self):
         qs, diags = smf.parse_scene("trace\nfrobnicate x\n", self.LABELS)
