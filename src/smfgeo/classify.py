@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from operator import itemgetter
 
 from . import chart, engine, farfield
@@ -61,11 +60,6 @@ REGULARLY_HYPERBOLIC = "regularly_hyperbolic"
 EXTREMELY_HYPERBOLIC = "extremely_hyperbolic"
 COMPLETELY_HYPERBOLIC = "completely_hyperbolic"
 UNDETERMINED = "undetermined"
-
-# Float mode only: corner directions closer than this many degrees merge,
-# and corners this close to either end of their cone are dropped.  Exact
-# mode compares directions exactly.
-CORNER_GAP_DEG = 1e-7
 
 
 @dataclass(frozen=True)
@@ -547,18 +541,15 @@ def _band_arrival(surf, ctx, band, vtx, d_strip):
 
 
 def _band_boundary_ray(surf, ctx, band, u, v, tpar, d_strip) -> Ray:
-    tris = surf.tris
-    for t in band.tris:
-        tv = tris[t]
-        for e in range(3):
-            if tv[e] == u and tv[(e + 1) % 3] == v:
-                b = [ctx.zero, ctx.zero, ctx.zero]
-                b[e] = ctx.one - tpar
-                b[(e + 1) % 3] = tpar
-                b = normalize_bary(ctx, b)
-                d = band.frames[t].inverse().apply_vec(*d_strip)
-                return engine.transfer_edge(surf, ctx, t, e, tuple(b), d)
-    raise ValueError(f"band boundary edge ({u},{v}) not found")
+    t, e = surf.directed_edge(u, v)
+    frame = band.frames.get(t)
+    if frame is None:
+        raise ValueError(f"band boundary edge ({u},{v}) not found")
+    b = [ctx.zero, ctx.zero, ctx.zero]
+    b[e] = ctx.one - tpar
+    b[(e + 1) % 3] = tpar
+    d = frame.inverse().apply_vec(*d_strip)
+    return engine.transfer_edge(surf, ctx, t, e, normalize_bary(ctx, b), d)
 
 
 # -- direction-level classification --------------------------------------------
@@ -678,13 +669,6 @@ def _orient_into(ctx, u, w):
     return (-w[0], -w[1])
 
 
-def _cone_angle_deg(u, w) -> float:
-    """CCW angle from u to w in degrees, in [0, 360)."""
-    a = math.degrees(math.atan2(float(cross(u[0], u[1], w[0], w[1])),
-                                float(dot(u[0], u[1], w[0], w[1]))))
-    return a % 360.0
-
-
 def _theta_deg(d) -> float:
     t = math.degrees(math.atan2(float(d[1]), float(d[0]))) % 180.0
     return t
@@ -697,24 +681,21 @@ def _blend(ctx, u, v, lam_num: int, lam_den: int):
     return (u[0] * a + v[0] * b, u[1] * a + v[1] * b)
 
 
-def _ccw_key(ctx):
-    """Exact sort key for directions within one half-plane: a comes
-    before b when b lies counterclockwise of a."""
-    return cmp_to_key(lambda a, b: -ctx.sign(cross(a[0], a[1], b[0], b[1])))
+def _fold_key(h):
+    """Sort key of a folded direction h = (x, y): the pseudo-angle
+    -x / (|x| + y), which rises strictly from -1 at 0 degrees towards 1
+    at 180 degrees.  One division in the run's scalars: exact in exact
+    mode, a float in float mode."""
+    x, y = h
+    return -x / (abs(x) + y)
 
 
-def _ccw_sorted(ctx, u, ws):
+def _ccw_sorted(u, ws):
     """Directions strictly inside one cone from u, in CCW order from u:
-    exactly in exact mode, by float degrees in float mode."""
-    if ctx.exact:
-        return sorted(ws, key=_ccw_key(ctx))
-    return sorted(ws, key=lambda w: _cone_angle_deg(u, w))
-
-
-# Slack, in radians, around a cone's float fold angles when corners are
-# picked by bisection; far above the rounding of an angle, and the picked
-# corners still pass _strictly_between.
-_FOLD_SLACK = 1e-9
+    each w is keyed by the fold key of (dot(u, w), cross(u, w))."""
+    ux, uy = u
+    return sorted(ws, key=lambda w: _fold_key(
+        (dot(ux, uy, w[0], w[1]), cross(ux, uy, w[0], w[1]))))
 
 
 class _Partitioner:
@@ -734,8 +715,8 @@ class _Partitioner:
       was first met and holding the direction last met, and a vertex
       shared with the previous strip triangle is not developed again;
       a chord end leaves an entry with its key as it is;
-    - sorted by fold angle in [0, 180), exactly (`_ccw_key`) in exact
-      mode and by float angle in float mode, so that a cone takes its
+    - sorted by the fold key (`_fold_key`) of the folded direction, a
+      pseudo-angle in the run's scalars, so that a cone takes its
       corners by bisection;
 
     and once it exists the probe drops the frames, segments and events of
@@ -757,8 +738,6 @@ class _Partitioner:
         self.boundaries = {}  # key -> (dvec, probe)
         self.corner_keys = set()
         self.splits = 0
-        self._fold_key = (_ccw_key(self.ctx) if self.ctx.exact else
-                          lambda h: math.atan2(h[1], h[0]))
 
     def probe(self, d, corners=True) -> Probe:
         key = self._key(d)
@@ -823,8 +802,7 @@ class _Partitioner:
         for got in ends:
             if got is not None and got[0] not in met:
                 met[got[0]] = (len(met), *got[1:])
-        fold = self._fold_key
-        entries = [(fold(h), i, w0) for i, h, w0 in met.values()]
+        entries = [(_fold_key(h), i, w0) for i, h, w0 in met.values()]
         entries.sort(key=itemgetter(0))
         return entries
 
@@ -850,51 +828,28 @@ class _Partitioner:
 
     def _fold_spans(self, entries, u, v):
         """Index ranges of a corner list that hold every corner strictly
-        inside the cone (u, v) of less than 180 degrees: exactly those in
-        exact mode, with _FOLD_SLACK more at each end in float mode."""
+        inside the cone (u, v) of less than 180 degrees, bisected by the
+        fold keys of its folded ends; the cone wraps past the fold when
+        those turn clockwise."""
         ctx = self.ctx
-        n = len(entries)
-        fold = self._fold_key
         first = itemgetter(0)
         hu, hv = _halfcirc(ctx, u), _halfcirc(ctx, v)
-        if ctx.exact:
-            lo = bisect_right(entries, fold(hu), key=first)
-            hi = bisect_left(entries, fold(hv), key=first)
-            if ctx.sign(cross(hu[0], hu[1], hv[0], hv[1])) > 0:
-                return ((lo, hi),)
-            return ((lo, n), (0, hi))
-        a = fold(hu) - _FOLD_SLACK
-        b = a + (fold(hv) - a) % math.pi + 2 * _FOLD_SLACK
-        if b - a >= math.pi:
-            return ((0, n),)
-        return [(bisect_left(entries, a + s, key=first),
-                 bisect_right(entries, b + s, key=first))
-                for s in (-math.pi, 0.0, math.pi)]
+        lo = bisect_right(entries, _fold_key(hu), key=first)
+        hi = bisect_left(entries, _fold_key(hv), key=first)
+        if ctx.sign(cross(hu[0], hu[1], hv[0], hv[1])) > 0:
+            return ((lo, hi),)
+        return ((lo, len(entries)), (0, hi))
 
     def _split_points(self, u, v, raw):
         """Corners from `raw` (inside the cone (u, v)) in CCW order, one
-        per direction: exactly equal directions merge in exact mode; in
-        float mode those within CORNER_GAP_DEG of each other merge and
-        those within it of u or v are dropped."""
+        per direction: a corner merges into the one before it when the
+        sign of their cross product is 0, which is exactly parallel in
+        exact mode and within eps in float mode."""
         ctx = self.ctx
         corners = []
-        if ctx.exact:
-            for w in _ccw_sorted(ctx, u, raw):
-                if not corners or ctx.sign(cross(*corners[-1], *w)) != 0:
-                    corners.append(w)
-            return corners
-        width = _cone_angle_deg(u, v)
-        cands = []
-        for w in raw:
-            dw = _cone_angle_deg(u, w)
-            if CORNER_GAP_DEG < dw < width - CORNER_GAP_DEG:
-                cands.append((dw, w))
-        cands.sort(key=lambda x: x[0])
-        last = None
-        for dw, w in cands:
-            if last is None or dw - last > CORNER_GAP_DEG:
+        for w in _ccw_sorted(u, raw):
+            if not corners or ctx.sign(cross(*corners[-1], *w)) != 0:
                 corners.append(w)
-                last = dw
         return corners
 
     def run(self):
@@ -981,7 +936,7 @@ class _Partitioner:
             if not cands:
                 out.append((u, v, pr))
                 continue
-            pts = [u] + _ccw_sorted(ctx, u, cands.values()) + [v]
+            pts = [u] + _ccw_sorted(u, cands.values()) + [v]
             for i in range(len(pts) - 1):
                 a, b = pts[i], pts[i + 1]
                 wm = _blend(ctx, a, b, 1, 2)

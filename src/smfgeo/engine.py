@@ -292,10 +292,10 @@ def step(ray: Ray, surf: Triangulation, ctx: Scalars):
     st = -1 if t_exit is None else sign(t_exit)
     if st < 0:
         raise EngineError(f"ray does not advance inside triangle {t}: {ray}")
-    if st == 0 and not ctx.exact:
-        # Microscopic chord squeezing past a vertex: take it and let the
-        # exit snap resolve the hit (vertex tolerance semantics).
-        t_exit = abs(float(t_exit))
+    if st == 0:
+        # A zero-length chord (within eps in float mode) squeezing past a
+        # vertex: take it and let the exit snap resolve the hit.
+        t_exit = abs(t_exit)
     exit_b, zeros = snap_bary(
         ctx, (b[0] + db[0] * t_exit, b[1] + db[1] * t_exit, b[2] + db[2] * t_exit))
     seg = Segment(t, chart.xy_of_bary(ctx, b), chart.xy_of_bary(ctx, exit_b),
@@ -329,6 +329,12 @@ def _across(surf, ctx, tri, edge, bary, d, iso=None) -> Ray:
     if iso is None:
         iso = surf.transfer(ctx, tri, edge)
     return Ray(SurfacePoint(t2, tuple(nb)), iso.apply_vec(*d))
+
+
+# Float mode: the largest relative violation of a fan sector's test,
+# cross product over the length of the back direction, that cross_vertex
+# still accepts for the back direction after float dirt.
+FAN_DIRT = 1e-6
 
 
 def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
@@ -367,7 +373,7 @@ def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
             j0 = j
             break
     if j0 is None and not ctx.exact:
-        # Tolerance dirt: accept the sector with the least violation.
+        # Float dirt: accept the sector with the least violation.
         best = None
         n = math.hypot(float(bx), float(by))
         for j in order:
@@ -376,7 +382,7 @@ def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
                         float(cross(bx, by, u2x, u2y))) / n
             if best is None or worst > best[1]:
                 best = (j, worst)
-        if best is not None and best[1] > -1e-6:
+        if best is not None and best[1] > -FAN_DIRT:
             j0 = best[0]
     if j0 is None:
         raise EngineError(f"arrival direction not inside the fan at vertex {v}")
@@ -428,36 +434,27 @@ def closure_period(ctx, start: Ray, start_xy, seg: Segment, arc, nth):
     """Period when `seg`, the `nth` chord (from 1) of a trace from `start`
     and reached at arc length `arc`, passes back through the start ray
     (`start_xy` is its base point in chart coordinates).  The first chord
-    leaves the start itself and never closes.  Float mode uses a
-    drift-tolerant threshold."""
+    leaves the start itself and never closes.  The chord must run along
+    the start direction, on its line, with the start at a parameter in
+    [0, 1]: each test is one decision of `ctx`, exact in exact mode and
+    within eps in float mode."""
     if nth < 2 or seg.tri != start.point.tri:
         return None
     sdx = seg.b[0] - seg.a[0]
     sdy = seg.b[1] - seg.a[1]
-    tol = None if ctx.exact else max(ctx.eps, 1e-7)
-    cx = cross(sdx, sdy, start.dir[0], start.dir[1])
-    dt = dot(sdx, sdy, start.dir[0], start.dir[1])
-    if tol is None:
-        if ctx.sign(cx) != 0 or ctx.sign(dt) <= 0:
-            return None
-    elif abs(float(cx)) > tol or float(dt) <= 0:
+    dx, dy = start.dir
+    sign = ctx.sign
+    if sign(cross(sdx, sdy, dx, dy)) != 0 or sign(dot(sdx, sdy, dx, dy)) <= 0:
         return None
     wx = start_xy[0] - seg.a[0]
     wy = start_xy[1] - seg.a[1]
-    off = cross(sdx, sdy, wx, wy)
-    if tol is None:
-        if ctx.sign(off) != 0:
-            return None
-    elif abs(float(off)) > tol:
+    if sign(cross(sdx, sdy, wx, wy)) != 0:
         return None
-    uu = float(dot(sdx, sdy, sdx, sdy))
-    if uu == 0.0:
+    # The chord is not null: it ran along the start direction.
+    t = dot(sdx, sdy, wx, wy) / dot(sdx, sdy, sdx, sdy)
+    if ctx.lt(t, ctx.zero) or ctx.lt(ctx.one, t):
         return None
-    t = float(dot(sdx, sdy, wx, wy)) / uu
-    lo = -1e-12 if tol is None else -tol
-    if not lo <= t <= 1.0 - lo:
-        return None
-    period = arc + min(max(t, 0.0), 1.0) * seg.length()
+    period = arc + min(max(float(t), 0.0), 1.0) * seg.length()
     return period if period > MIN_PERIOD else None
 
 
@@ -477,7 +474,7 @@ def walk(ray: Ray, surf: Triangulation, ctx: Scalars, grow=None,
     stalled = 0
     seg = None
     while True:
-        if seg is not None and seg.length() < 1e-12:
+        if seg is not None and ctx.is_zero(seg.length()):
             stalled += 1
             if stalled > 6:
                 yield GrowthLimit("degenerate stall"), ray, surf

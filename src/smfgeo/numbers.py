@@ -376,8 +376,6 @@ class Scalars:
                     raise TypeError(f"non-integral float {x} not exact; pass a Fraction")
                 return Q3(int(x))
             raise TypeError(f"cannot make exact scalar from {type(x).__name__}")
-        if isinstance(x, Q3):
-            return float(x)
         return float(x)
 
     def frac(self, num: int, den: int = 1):

@@ -1,7 +1,11 @@
 import math
 import random
+from fractions import Fraction
+from functools import cmp_to_key
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smfgeo import chart, engine
 from smfgeo import classify as C
@@ -26,7 +30,7 @@ from smfgeo.classify import (
     search_finitely_hyperbolic,
 )
 from smfgeo.farfield import audit_ring_convexity
-from smfgeo.numbers import Scalars
+from smfgeo.numbers import Q3, Scalars
 from smfgeo.surface import SurfacePoint, canonicalize_point, normalize_bary
 
 FLOAT = Scalars("float")
@@ -733,3 +737,92 @@ class TestCornerLists:
                 part, got, reference_corners_inside(part, framed, u, v)[0])
         for u, v in cones[-6:]:
             assert part._corners_inside(pr, u, v)
+
+
+# -- corner order and merging ------------------------------------------------
+
+
+# Float directions: any angle on a millidegree grid, or one within eps of
+# 0 or 180 degrees, at a few lengths.
+_near_axis_rad = st.builds(lambda axis, k: axis + k * 1e-10,
+                           st.sampled_from([0.0, math.pi, 2 * math.pi]),
+                           st.integers(-9, 9))
+_grid_rad = st.integers(0, 359_999).map(lambda n: math.radians(n / 1000))
+float_directions = st.builds(
+    lambda a, r: (r * math.cos(a), r * math.sin(a)),
+    st.one_of(_grid_rad, _near_axis_rad), st.sampled_from([0.5, 1.0, 3.0, 40.0]))
+
+# Exact directions: small Q(sqrt 3) components, and some within 1e-12
+# of 0 or 180 degrees or on the axis.
+_q3_part = st.builds(Q3, st.integers(-5, 5), st.integers(-5, 5))
+_near_axis_exact = st.builds(
+    lambda sx, sy: (Q3(sx), Q3(Fraction(sy, 10**12))),
+    st.sampled_from([-1, 1]), st.integers(-3, 3))
+exact_directions = st.one_of(
+    st.tuples(_q3_part, _q3_part).filter(
+        lambda d: d[0].sign() != 0 or d[1].sign() != 0),
+    _near_axis_exact)
+
+
+def ccw_before(ctx, a, b):
+    """Reference comparator of folded directions: a comes before b when b
+    lies counterclockwise of a."""
+    return -ctx.sign(chart.cross(a[0], a[1], b[0], b[1]))
+
+
+class TestCornerOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(float_directions, min_size=2, max_size=30))
+    def test_fold_key_orders_as_atan2_in_float(self, ds):
+        folded = [C._halfcirc(FLOAT, d) for d in ds]
+        by_key = sorted(folded, key=C._fold_key)
+        angles = [math.atan2(h[1], h[0]) for h in by_key]
+        for a, b in zip(angles, angles[1:]):
+            assert a <= b + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(exact_directions, min_size=2, max_size=20))
+    def test_fold_key_orders_as_cross_signs_in_exact(self, ds):
+        folded = [C._halfcirc(EXACT, d) for d in ds]
+        want = sorted(folded, key=cmp_to_key(
+            lambda a, b: ccw_before(EXACT, a, b)))
+        assert sorted(folded, key=C._fold_key) == want
+
+    @staticmethod
+    def split(ctx, raw):
+        u, v = (ctx.one, ctx.zero), (-ctx.one, ctx.zero)
+        return C._Partitioner._split_points(SimpleNamespace(ctx=ctx), u, v, raw)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 9)),
+                    min_size=1, max_size=12),
+           st.lists(st.sampled_from(["scaled", "near", "none"]),
+                    min_size=12, max_size=12),
+           st.randoms(use_true_random=False))
+    def test_split_points_merge_by_the_sign_of_cross(self, bases, copies, rnd):
+        # Base directions on distinct lines, each perhaps with a copy on
+        # the same line or one turned by a cross product of about 1e-12.
+        lines = {}
+        for a, b in bases:
+            g = math.gcd(a, b)
+            lines[(a // g, b // g)] = None
+        near = sum(1 for _, c in zip(lines, copies) if c == "near")
+        for ctx in (FLOAT, EXACT):
+            raw = []
+            for (a, b), copy in zip(lines, copies):
+                raw.append((ctx.of(a), ctx.of(b)))
+                if copy == "scaled":
+                    raw.append((ctx.of(3 * a), ctx.of(3 * b)))
+                elif copy == "near":
+                    nudge = ctx.of(Fraction(1, 10**12)) if ctx.exact else 1e-12
+                    raw.append((ctx.of(a) + nudge, ctx.of(b)))
+            rnd.shuffle(raw)
+            got = self.split(ctx, raw)
+            # Float mode merges the near copies too; exact mode only the
+            # exactly parallel ones.
+            assert len(got) == len(lines) + (near if ctx.exact else 0)
+            for p, q in zip(got, got[1:]):
+                assert ctx.sign(chart.cross(p[0], p[1], q[0], q[1])) > 0
+            for w in raw:
+                assert any(ctx.sign(chart.cross(c[0], c[1], w[0], w[1])) == 0
+                           for c in got)

@@ -667,3 +667,30 @@ class TestWalkExitPoints:
                         assert all(abs(a - b) <= 1e-12
                                    for a, b in zip(item.point.bary, want))
         assert crossings >= 24
+
+
+class TestClosurePeriod:
+    @staticmethod
+    def chord_from(ctx, surf, offset):
+        """The start ray of a flat trace, its base point, and a chord of
+        length 1/4 in its triangle on its line, starting `offset` past the
+        base point along the ray."""
+        from smfgeo.engine import Segment
+        ray = make_ray(surf, ctx, 0, CENTROID, (1, 0))
+        sx, sy = chart.xy_of_bary(ctx, ray.point.bary)
+        dx, dy = ray.dir
+        ax, ay = sx + dx * offset, sy + dy * offset
+        quarter = ctx.frac(1, 4)
+        seg = Segment(ray.point.tri, (ax, ay),
+                      (ax + dx * quarter, ay + dy * quarter))
+        return ray, (sx, sy), seg
+
+    def test_exact_start_parameter_is_decided_exactly(self, flat3):
+        from smfgeo.engine import closure_period
+        # The base point lies 4e-13 of the chord's length before its start:
+        # the chord passes the start ray's line but not the start.
+        tiny = EXACT.of(Fraction(1, 10**13))
+        ray, start_xy, seg = self.chord_from(EXACT, flat3, tiny)
+        assert closure_period(EXACT, ray, start_xy, seg, 3.0, 2) is None
+        ray, start_xy, seg = self.chord_from(EXACT, flat3, EXACT.zero)
+        assert closure_period(EXACT, ray, start_xy, seg, 3.0, 2) == 3.0
