@@ -18,7 +18,6 @@ from .surface import (
 from .builders import build_flat_plane, build_semi_paradoxist, build_silo
 from .engine import (
     GeodesicPath,
-    Line,
     Ray,
     cross_vertex,
     detect_closure,
@@ -45,13 +44,13 @@ from .classify import (
 )
 from .farfield import audit_ring_convexity
 from .smf import parse_manifold, parse_scene, to_triangulation
-from .netdraw import NetDrawing, draw_region, render_net, render_svg
+from .netdraw import NetDrawing, draw_region, render_svg
 
 __all__ = [
     "Q3", "Scalars", "GenerationRule", "SurfacePoint", "Triangulation",
     "ValidationReport", "canonicalize_point", "grow_frontier", "validate",
     "build_flat_plane", "build_semi_paradoxist", "build_silo",
-    "GeodesicPath", "Line", "Ray", "cross_vertex", "detect_closure",
+    "GeodesicPath", "Ray", "cross_vertex", "detect_closure",
     "intersect_paths", "make_ray", "step", "trace", "transfer_edge",
     "unfold_strip",
     "Budgets", "ModelAnalysis", "PointClassification", "build_line_context",
@@ -60,7 +59,7 @@ __all__ = [
     "find_unjoinable_pair", "search_finitely_hyperbolic",
     "audit_ring_convexity",
     "parse_manifold", "parse_scene", "to_triangulation",
-    "NetDrawing", "draw_region", "render_net", "render_svg",
+    "NetDrawing", "draw_region", "render_svg",
 ]
 
 __version__ = "0.1.0"

@@ -179,6 +179,11 @@ def _semi_fixtures(surf: Triangulation):
     return labels
 
 
+# Squared centroid distances closer than this are a tie, which the
+# triangle placed first keeps.
+CENTROID_TIE = 1e-9
+
+
 def _triangle_near(surf: Triangulation, xy) -> int:
     """Triangle whose developed centroid is closest to xy, in a winding
     naive float development anchored at triangle 0."""
@@ -193,7 +198,7 @@ def _triangle_near(surf: Triangulation, xy) -> int:
                             lambda t, e, t2: dist[t] <= 64.0):
         px, py = frame.apply(cx, cy)
         dist[t] = d = (px - xy[0]) ** 2 + (py - xy[1]) ** 2
-        if d < best[0] - 1e-9:
+        if d < best[0] - CENTROID_TIE:
             best = (d, t)
     return best[1]
 
@@ -275,7 +280,7 @@ def _vertex_bisector_ray(surf, ctx, v, toward_ring) -> engine.Ray:
     fan = surf.fan_ccw(v)
     n = len(fan)
     own = surf.ring_of[v]
-    flags = [all(surf.ring_of[w] <= own for w in surf.tris[t]) for t, _ in fan]
+    flags = [surf.tri_ring(t) <= own for t, _ in fan]
     if not any(flags) or all(flags):
         raise RuntimeError(f"vertex {v} has no proper inner fan arc")
     start = next(i for i in range(n) if flags[i] and not flags[i - 1])

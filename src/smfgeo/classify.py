@@ -43,14 +43,15 @@ from .surface import (
     grow_frontier,
     normalize_bary,
     point_at_vertex,
+    vertex_point,
 )
 from .farfield import (
     BandFrame,
     ClosureCertificate,
     FlatSeparationCertificate,
     RingEscapeCertificate,
-    RingMonitor,
     audit_ring_convexity,
+    ring_crossing,
 )
 
 ELLIPTIC = "elliptic"
@@ -132,7 +133,6 @@ class ModelAnalysis:
     def __init__(self, surf: Triangulation, ctx: Scalars):
         self.surf = surf
         self.ctx = ctx
-        self.monitor = RingMonitor(surf)
         self.audits = {}
         self.passes = {}      # ring -> audited_pass(ring)
         self.bands = []
@@ -354,23 +354,13 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
     rot = 0
     frame = chart.Isometry.identity(ctx)
     start_xy = chart.xy_of_bary(ctx, ray.point.bary)
-    monitor = analysis.monitor
     in_band_mode = False  # suppress edge tokens once a transit happened
-    vstates = {}
 
-    def vertex_arrival(v, outgoing):
-        """Crossing when v lies on the reference line; closure on a
-        repeated (vertex, outgoing direction) state; else None."""
+    def vertex_arrival(v):
+        """Crossing when v lies on the reference line, else None."""
         if lctx is not None and v in lctx.on_vertices:
-            from .surface import vertex_point
             return result("crossed",
                           crossing=(vertex_point(surf, ctx, v), arc, "vertex"))
-        key = (v, outgoing.point.tri,
-               _dirkey(ctx, outgoing.dir))
-        prev = vstates.get(key)
-        if prev is not None and arc - prev > engine.MIN_PERIOD:
-            return result("closed", closure_period=arc - prev)
-        vstates[key] = arc
         return None
 
     def result(kind, **kw):
@@ -402,31 +392,31 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                 events.append((arc, Closure(period)))
                 band_tokens.append(("closed", band.top))
                 return result("closed", closure_period=period)
-            if exit_.kind in ("top_vertex", "bottom_vertex"):
+            if exit_.vertex is not None:
                 vtx = exit_.vertex
                 if vtx in surf.frontier:
                     return result("unknown")
-                tri_in, d_in = _band_arrival(surf, ctx, band, vtx, exit_.dir_in)
                 try:
-                    cur, ev = engine.cross_vertex(surf, ctx, vtx, tri_in, d_in)
+                    cur, ev = engine.cross_vertex(surf, ctx, vtx, exit_.tri,
+                                                  exit_.dir)
                 except (EngineError, SurfaceError):
                     return result("unknown")
                 arc += exit_.arc
                 events.append((arc, ev))
                 via_vertices.append(vtx)
                 band_tokens.append(("v", vtx))
-                done = vertex_arrival(vtx, cur)
+                done = vertex_arrival(vtx)
                 if done is not None:
                     return done
             else:
-                from .builders import point_on_edge
-                (u, v), tpar, d_strip = exit_.ray
-                pt = point_on_edge(surf, ctx, u, v, tpar)
-                if exit_.kind == "top":
-                    # The band triangle carries directed edge (v, u) on the
-                    # top cycle.
-                    u, v, tpar = v, u, ctx.one - tpar
-                cur = _band_boundary_ray(surf, ctx, band, u, v, tpar, d_strip)
+                e = exit_.edge
+                b = [ctx.zero, ctx.zero, ctx.zero]
+                b[e] = ctx.one - exit_.s
+                b[(e + 1) % 3] = exit_.s
+                pt = canonicalize_point(SurfacePoint(exit_.tri, tuple(b)),
+                                        surf, ctx)
+                cur = engine.transfer_edge(surf, ctx, exit_.tri, e,
+                                           normalize_bary(ctx, b), exit_.dir)
                 arc += exit_.arc
                 band_tokens.append((exit_.kind, band.top))
                 if lctx is not None and _point_on_line(ctx, pt, lctx):
@@ -475,16 +465,16 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                 via_vertices.append(v)
                 if not in_band_mode:
                     tokens.append(("v", v))
-                done = vertex_arrival(v, cur)
+                done = vertex_arrival(v)
                 if done is not None:
                     return done
-                ring_info = monitor.vertex_passage(v, item.tri_in, item.tri_out)
+                ring_info = ring_crossing(surf, item.tri_in, cur.point.tri, v)
                 if collect_frames:
                     link = engine.link_iso(surf, ctx, item.tri_in, item.tri_out)
                     frame = frame.compose(link.inverse())
                 rot = None
             else:
-                ring_info = monitor.crossing(item.tri, item.edge)
+                ring_info = ring_crossing(surf, item.tri, cur.point.tri)
                 iso = item.gluing
                 if not in_band_mode:
                     tokens.append((item.tri, item.edge))
@@ -509,13 +499,6 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                 frames.append((cur.point.tri, frame, True))
 
 
-def _dirkey(ctx, d):
-    if ctx.exact:
-        return (d[0], d[1])
-    n = math.hypot(float(d[0]), float(d[1])) or 1.0
-    return (round(float(d[0]) / n, 9), round(float(d[1]) / n, 9))
-
-
 def _hit_reference(ctx, seg, lctx: LineContext):
     """(first point, chord) where `seg` meets a chord of l, or None."""
     for other in lctx.segments_in(seg.tri):
@@ -531,25 +514,6 @@ def _point_on_line(ctx, pt: SurfacePoint, lctx: LineContext) -> bool:
         if chart.on_segment(ctx, xy, other.a, other.b):
             return True
     return False
-
-
-def _band_arrival(surf, ctx, band, vtx, d_strip):
-    for t, s in surf.fan_ccw(vtx):
-        if t in band.frames:
-            return t, band.frames[t].inverse().apply_vec(*d_strip)
-    raise ValueError("vertex not adjacent to the band")
-
-
-def _band_boundary_ray(surf, ctx, band, u, v, tpar, d_strip) -> Ray:
-    t, e = surf.directed_edge(u, v)
-    frame = band.frames.get(t)
-    if frame is None:
-        raise ValueError(f"band boundary edge ({u},{v}) not found")
-    b = [ctx.zero, ctx.zero, ctx.zero]
-    b[e] = ctx.one - tpar
-    b[(e + 1) % 3] = tpar
-    d = frame.inverse().apply_vec(*d_strip)
-    return engine.transfer_edge(surf, ctx, t, e, normalize_bary(ctx, b), d)
 
 
 # -- direction-level classification --------------------------------------------
@@ -948,12 +912,8 @@ class _Partitioner:
         self.intervals = out
 
     def _finalize(self):
-        ctx = self.ctx
         final = []
         for (u, v, pr) in self.intervals:
-            if pr is None:
-                w = _blend(ctx, u, v, 1, 2)
-                pr = self.probe(w, corners=False)
             lo = _theta_deg(u)
             hi = _theta_deg(v)
             if hi <= lo:
@@ -963,7 +923,7 @@ class _Partitioner:
                 (float(pr.dvec[0]), float(pr.dvec[1]))))
         self.result_intervals = final
         iso = []
-        for key, (d, pr) in self.boundaries.items():
+        for d, pr in self.boundaries.values():
             iso.append(IsolatedDirection(_theta_deg(d),
                                          (float(d[0]), float(d[1])),
                                          pr.status))
@@ -1234,7 +1194,7 @@ class Session:
         core = None
         if analysis.kind == "flat_complement":
             core = _default_core_ring(surf, analysis, 1 + max(
-                surf.ring_of[v] for P in points for v in surf.tris[P.tri]))
+                surf.tri_ring(P.tri) for P in points))
         key = (len(surf.rings), lray, core, budgets)
         lctx = self.lines.get(key)
         if lctx is None:
@@ -1262,7 +1222,7 @@ def classify_labeled(surf: Triangulation, ctx: Scalars, point_label: str,
     P0 = resolve_point(surf, ctx, surf.labels[point_label])
     want = 0
     if surf.rule is not None:
-        p_ring = max(surf.ring_of[v] for v in surf.tris[P0.tri])
+        p_ring = surf.tri_ring(P0.tri)
         want = max(p_ring + 4, 7)
     try:
         surf = session.grown(want, budgets.growth)

@@ -13,12 +13,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 from . import classify as cls_mod
 from . import engine, netdraw, smf
 from .builders import VertexFixture, resolve_point, resolve_ray
-from .numbers import Scalars
+from .numbers import DEFAULT_EPS, Scalars
 from .surface import GrowthLimitExceeded, SurfaceError
 
 CONFIG_ENV = "SMFGEO_CONFIG"
@@ -27,7 +27,7 @@ CONFIG_ENV = "SMFGEO_CONFIG"
 @dataclass(frozen=True)
 class RunConfig:
     number_mode: str = "float"
-    epsilon: float = 1e-9
+    epsilon: float = DEFAULT_EPS
     arc_budget: float = 200.0
     growth_budget: int = 1_000_000
     threads: int = 1
@@ -48,9 +48,8 @@ def _load_env_defaults():
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return {k: data[k] for k in
-                ("number_mode", "epsilon", "arc_budget", "growth_budget",
-                 "threads") if k in data}
+        return {f.name: data[f.name] for f in fields(RunConfig)
+                if f.name in data}
     except (OSError, ValueError) as exc:
         print(f"warning: ignoring {CONFIG_ENV}: {exc}", file=sys.stderr)
         return {}
@@ -108,8 +107,7 @@ def _build_parser():
 
 
 def _config_from(args) -> RunConfig:
-    base = {"number_mode": "float", "epsilon": 1e-9, "arc_budget": 200.0,
-            "growth_budget": 1_000_000, "threads": 1}
+    base = asdict(RunConfig())
     base.update(_load_env_defaults())
     if args.exact:
         base["number_mode"] = "exact"

@@ -138,18 +138,6 @@ class GeodesicPath:
     surface: Triangulation = None
 
 
-@dataclass
-class Line:
-    """A two-sided geodesic, possibly closed with a period."""
-
-    path: GeodesicPath
-    period: float = None
-
-    @property
-    def closed(self) -> bool:
-        return self.period is not None
-
-
 # -- ray canonical form ----------------------------------------------------
 
 
@@ -586,14 +574,6 @@ def detect_closure(path: GeodesicPath):
     """Smallest recurrence arc length recorded on the path, if any."""
     periods = [ev.period for _, ev in path.events if isinstance(ev, Closure)]
     return min(periods) if periods else None
-
-
-def line_through(surf: Triangulation, ctx: Scalars, tri: int, bary, d,
-                 arc_budget=200.0, growth_budget=1_000_000) -> Line:
-    """Trace the full line through a point and wrap it as a Line."""
-    ray = make_ray(surf, ctx, tri, bary, d)
-    path = trace(ray, surf, ctx, arc_budget, growth_budget, two_sided=True)
-    return Line(path, detect_closure(path))
 
 
 # -- intersections ---------------------------------------------------------

@@ -46,9 +46,7 @@ class RingAudit:
 
 def ring_inner_count(surf: Triangulation, v: int, k: int) -> int:
     """Incident triangles of a ring-k vertex lying on the inner side."""
-    ring_of, tris = surf.ring_of, surf.tris
-    return sum(1 for t, _ in surf.fan_ccw(v)
-               if all(ring_of[w] <= k for w in tris[t]))
+    return sum(1 for t, _ in surf.fan_ccw(v) if surf.tri_ring(t) <= k)
 
 
 def audit_ring_convexity(surf: Triangulation, ring: int) -> RingAudit:
@@ -70,49 +68,27 @@ def audit_ring_convexity(surf: Triangulation, ring: int) -> RingAudit:
     return RingAudit(ring, surf.content_hash(), ok, tuple(angles))
 
 
-class RingMonitor:
-    """Detects ring crossings along a trace and their direction."""
+def ring_crossing(surf: Triangulation, tri_from: int, tri_to: int,
+                  vertex: int = None):
+    """(ring, outward?) when a step from `tri_from` to `tri_to` crosses a
+    ring cycle, else None.
 
-    def __init__(self, surf: Triangulation):
-        self.surf = surf
-        self.edge_ring = {}
-        self.on_own_cycle = set()   # vertices on the cycle of their ring
-        for k in range(1, len(surf.rings)):
-            cyc = surf.rings[k]
-            n = len(cyc)
-            for i in range(n):
-                self.edge_ring[frozenset((cyc[i], cyc[(i + 1) % n]))] = k
-            self.on_own_cycle.update(v for v in cyc if surf.ring_of[v] == k)
-
-    def crossing(self, tri_from: int, edge: int):
-        """(ring, outward?) when the crossed edge lies on a ring cycle."""
-        surf = self.surf
-        u, v = surf.edge_vertices(tri_from, edge)
-        k = self.edge_ring.get(frozenset((u, v)))
-        if k is None:
-            return None
-        third = next(w for w in surf.tris[tri_from] if w not in (u, v))
-        outward = surf.ring_of[third] <= k
-        return k, outward
-
-    def vertex_passage(self, v: int, tri_in: int, tri_out: int):
-        """(ring, outward?) when a vertex crossing steps over a ring cycle."""
-        surf = self.surf
-        if v not in self.on_own_cycle:
-            return None
-        k = surf.ring_of[v]
-        rin = max(surf.ring_of[w] for w in surf.tris[tri_in])
-        rout = max(surf.ring_of[w] for w in surf.tris[tri_out])
-        if rin <= k and rout > k:
-            return k, True
-        if rin > k and rout <= k:
-            return k, False
+    The cycle rings[k] separates the triangles of ring <= k from those
+    of ring > k (see `Triangulation.tri_ring`).  A step across an edge
+    crosses the cycle of the smaller of the two triangle rings; a step
+    through `vertex` can only cross the cycle of the vertex's own ring.
+    Ring 0 has no cycle.  The crossing is outward when `tri_to` lies
+    beyond the cycle.
+    """
+    r_from, r_to = surf.tri_ring(tri_from), surf.tri_ring(tri_to)
+    k = min(r_from, r_to) if vertex is None else surf.ring_of[vertex]
+    if k == 0 or (r_from <= k) == (r_to <= k):
         return None
+    return k, r_to > k
 
 
 def max_ring_of_path(surf: Triangulation, segments) -> int:
-    return max((max(surf.ring_of[v] for v in surf.tris[s.tri])
-                for s in segments), default=0)
+    return max((surf.tri_ring(s.tri) for s in segments), default=0)
 
 
 # -- certificates -------------------------------------------------------------
@@ -149,10 +125,23 @@ class FlatSeparationCertificate:
 
 @dataclass
 class BandExit:
-    kind: str        # "top", "bottom", "top_vertex", "bottom_vertex", "closed"
-    ray: object = None        # ((u, v), t, strip direction) at the exit edge
+    """Where a straight run through a band leaves it, in the chart of a
+    band triangle `tri`; `dir` is the run's direction in that chart and
+    `arc` the length run inside the band.
+
+    kind "top" or "bottom": through the interior of local edge `edge` of
+    `tri`, at parameter `s` from the edge's first vertex.  kind
+    "top_vertex" or "bottom_vertex": through the cycle vertex `vertex`,
+    and `tri` is the first band triangle in its fan.  kind "closed": the
+    run stays in the band and circles it once per `arc`.
+    """
+
+    kind: str
+    tri: int = None
+    dir: tuple = None
+    edge: int = None
+    s: object = None
     vertex: int = None
-    dir_in: tuple = None
     arc: float = 0.0
 
 
@@ -161,7 +150,7 @@ class BandFrame:
 
     The row between ring `top` and ring `top+1` unrolls to the strip
     0 <= y <= h with x periodic of period = ring length; y = h on the
-    top cycle.
+    top cycle.  Its triangles are those of ring top + 1.
     """
 
     def __init__(self, surf: Triangulation, ctx: Scalars, top: int):
@@ -172,20 +161,25 @@ class BandFrame:
         cyc_bot = surf.rings[top + 1]
         if len(cyc_top) != len(cyc_bot):
             raise ValueError("band rows must have equal cycle lengths")
-        self.period = len(cyc_top)
+        n = self.period = len(cyc_top)
         self.h = ctx.half_sqrt3
-        band = set()
-        ring_of = surf.ring_of
-        for t, tv in enumerate(surf.tris):
-            rs = {ring_of[v] for v in tv}
-            if rs <= {top, top + 1} and len(rs) == 2:
-                band.add(t)
-        self.tris = band
+        band = self.tris = {t for t in range(surf.n_triangles())
+                            if surf.tri_ring(t) == top + 1}
+        # The band triangle and local edge on each cycle edge, by side:
+        # the top cycle's edge i is that triangle's directed edge
+        # (top[i+1], top[i]), the bottom cycle's is (bot[i], bot[i+1]).
+        self.edge_tris = {
+            "top": [surf.directed_edge(cyc_top[(i + 1) % n], cyc_top[i])
+                    for i in range(n)],
+            "bottom": [surf.directed_edge(cyc_bot[i], cyc_bot[(i + 1) % n])
+                       for i in range(n)]}
+        # The first band triangle in each cycle vertex's fan.
+        self.vertex_tris = {v: next(t for t, _ in surf.fan_ccw(v) if t in band)
+                            for v in cyc_top + cyc_bot}
         # Anchor: the top cycle's first edge (a, b) runs along y = h, +x
         # direction.  The band triangle under it carries the directed edge
         # (b, a); its frame maps b to (1, h) and a to (0, h), band below.
-        a, b = cyc_top[0], cyc_top[1]
-        t0, e0 = surf.directed_edge(b, a)
+        t0, e0 = self.edge_tris["top"][0]
         cs = chart.corners(ctx)
         px, py = cs[e0]
         qx, qy = cs[(e0 + 1) % 3]
@@ -197,14 +191,6 @@ class BandFrame:
         # triangle again would shift its frame by the period.
         self.frames = dict(develop(surf, ctx, t0, base,
                                    lambda t, e, t2: t2 in band))
-        self.top_edges = self._cycle_edges(cyc_top)
-        self.bot_edges = self._cycle_edges(cyc_bot)
-
-    def _cycle_edges(self, cyc):
-        out = []
-        for i in range(len(cyc)):
-            out.append((cyc[i], cyc[(i + 1) % len(cyc)]))
-        return out
 
     @staticmethod
     def _rot_to(ctx, ax, ay, bx, by):
@@ -213,9 +199,6 @@ class BandFrame:
             if ctx.is_zero(rx - bx) and ctx.is_zero(ry - by):
                 return k
         raise ValueError("directions not 30-degree related")
-
-    def coords(self, tri: int, xy):
-        return self.frames[tri].apply(*xy)
 
     def x_mod(self, x):
         """Reduce a strip x-coordinate into [0, period)."""
@@ -231,58 +214,46 @@ class BandFrame:
             n -= 1
         return x - ctx.of(n * p)
 
-    def locate_top(self, x):
-        """Surface point on the top cycle at strip coordinate x."""
-        return self._locate(self.top_edges, x, True)
+    def transit(self, surf, ctx, tri: int, xy, d) -> BandExit:
+        """Fast-forward the straight run from `xy` in direction `d`, both
+        in the chart of band triangle `tri`, to where it leaves the band.
 
-    def locate_bottom(self, x):
-        return self._locate(self.bot_edges, x, False)
-
-    def _locate(self, edges, x, is_top):
-        ctx = self.ctx
-        x = self.x_mod(x)
+        The exit is found in the strip and handed back in the chart of
+        the band triangle on the cycle edge or vertex it leaves through.
+        """
+        frame = self.frames[tri]
+        fx, fy = frame.apply(*xy)
+        dxv, dyv = frame.apply_vec(*d)
+        sy = ctx.sign(dyv)
+        if sy == 0:
+            return BandExit("closed", arc=float(self.period))
+        target_top = sy > 0
+        ty = self.h - fy if target_top else fy
+        steps = ty / (dyv if target_top else -dyv)
+        x = self.x_mod(fx + dxv * steps)
+        seg_len = math.hypot(float(dxv), float(dyv)) * float(steps)
+        # Cycle edge i spans [i, i + 1) in x: the top cycle runs toward
+        # +x from vertex 0; adjust for rounding.
         i = min(int(float(x)), self.period - 1)
-        # top cycle runs toward +x from vertex 0; adjust for rounding
         while i > 0 and ctx.lt(x, ctx.of(i)):
             i -= 1
         while i < self.period - 1 and not ctx.lt(x, ctx.of(i + 1)):
             i += 1
-        u, v = edges[i]
-        t = x - ctx.of(i)
-        return (u, v), t
-
-    def transit(self, surf, ctx, tri: int, xy, d):
-        """Fast-forward a straight run through the band.
-
-        Returns a BandExit describing where and how the ray leaves.
-        Directions are taken in the band strip frame.
-        """
-        fx, fy = self.coords(tri, xy)
-        dxv, dyv = self.frames[tri].apply_vec(*d)
-        sy = ctx.sign(dyv)
-        if sy == 0:
-            return BandExit("closed", arc=float(self.period))
-        if sy > 0:
-            ty = self.h - fy
-            target_top = True
-        else:
-            ty = fy
-            target_top = False
-        steps = ty / (dyv if sy > 0 else -dyv)
-        x_hit = fx + dxv * steps
-        seg_len = math.hypot(float(dxv), float(dyv)) * float(steps)
-        (u, v), tpar = (self.locate_top(x_hit) if target_top
-                        else self.locate_bottom(x_hit))
+        tpar = x - ctx.of(i)
+        cyc = surf.rings[self.top if target_top else self.top + 1]
+        side = "top" if target_top else "bottom"
         near0 = ctx.is_zero(tpar)
-        near1 = ctx.is_zero(tpar - ctx.one)
-        if near0 or near1:
-            vert = u if near0 else v
-            return BandExit("top_vertex" if target_top else "bottom_vertex",
-                            vertex=vert, arc=seg_len,
-                            dir_in=(dxv, dyv))
-        return BandExit("top" if target_top else "bottom",
-                        arc=seg_len,
-                        ray=((u, v), tpar, (dxv, dyv)))
+        if near0 or ctx.is_zero(tpar - ctx.one):
+            v = cyc[i] if near0 else cyc[(i + 1) % self.period]
+            t = self.vertex_tris[v]
+            return BandExit(side + "_vertex", t,
+                            self.frames[t].inverse().apply_vec(dxv, dyv),
+                            vertex=v, arc=seg_len)
+        t, e = self.edge_tris[side][i]
+        # The band triangle runs the top cycle's edges backwards.
+        s = ctx.one - tpar if target_top else tpar
+        return BandExit(side, t, self.frames[t].inverse().apply_vec(dxv, dyv),
+                        edge=e, s=s, arc=seg_len)
 
 
 # -- flat complement ----------------------------------------------------------
@@ -326,9 +297,8 @@ class FlatComplement:
                      and surf.degree[v] != 6)
         if inside != 0:
             raise ValueError("flat complement needs zero enclosed defect")
-        ring_of = surf.ring_of
-        self.outside = {t for t, tv in enumerate(surf.tris)
-                        if max(ring_of[v] for v in tv) > ring}
+        self.outside = {t for t in range(surf.n_triangles())
+                        if surf.tri_ring(t) > ring}
         if anchor_tri not in self.outside:
             raise ValueError("anchor triangle must lie outside the ring")
         self.cut = None       # (base, dir) developed cut ray, or None

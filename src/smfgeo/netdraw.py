@@ -14,6 +14,11 @@ from . import chart, engine
 from .numbers import Scalars
 from .surface import Triangulation, develop, seams
 
+# Two placed triangles touching within this slack do not overlap.
+OVERLAP_SLACK = 1e-9
+# Chord ends closer than this join into one polyline.
+JOIN_GAP = 1e-6
+
 
 class RegionNotUnfoldable(Exception):
     def __init__(self, t1, t2):
@@ -92,7 +97,7 @@ def _tri_overlap(a, b) -> bool:
             amin = min(nx * p[0] + ny * p[1] for p in poly1)
             bmax = max(nx * p[0] + ny * p[1] for p in poly2)
             bmin = min(nx * p[0] + ny * p[1] for p in poly2)
-            if bmin >= amax - 1e-9 or amin >= bmax - 1e-9:
+            if bmin >= amax - OVERLAP_SLACK or amin >= bmax - OVERLAP_SLACK:
                 return False
     return True
 
@@ -166,7 +171,8 @@ def draw_pieces(surf: Triangulation, ctx: Scalars, pieces, paths=(),
                 b = place(frame, *seg.b)
                 if not run:
                     run = [a, b]
-                elif abs(run[-1][0] - a[0]) < 1e-6 and abs(run[-1][1] - a[1]) < 1e-6:
+                elif (abs(run[-1][0] - a[0]) < JOIN_GAP
+                      and abs(run[-1][1] - a[1]) < JOIN_GAP):
                     run.append(b)
                 else:
                     if len(run) >= 2:
@@ -229,14 +235,6 @@ def render_svg(drawing: NetDrawing, scale: float = 100.0) -> str:
     out.append('</g>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
-
-
-def render_net(surf: Triangulation, ctx: Scalars, tris, paths=(),
-               point_labels=(), scale: float = 100.0) -> str:
-    """Unfold a region and emit it as SVG in one call."""
-    drawing = draw_region(surf, ctx, tris, paths=paths,
-                          point_labels=point_labels)
-    return render_svg(drawing, scale=scale)
 
 
 def figure_fan(surf: Triangulation, ctx: Scalars, vertex: int,

@@ -284,6 +284,11 @@ def q3_sqrt(x: Q3):
     return None
 
 
+# The float-mode tolerance of a run that names none (edge lengths).
+DEFAULT_EPS = 1e-9
+# An angle within this many degrees of a whole number is that number.
+WHOLE_DEGREE_SLACK = 1e-12
+
 # cos/sin of 30 k degrees, exact, index k mod 12.
 _HALF = Fraction(1, 2)
 _COS30 = [
@@ -337,7 +342,7 @@ class Scalars:
     or uniformly exact (exact mode).
     """
 
-    def __init__(self, mode: str = "float", eps: float = 1e-9):
+    def __init__(self, mode: str = "float", eps: float = DEFAULT_EPS):
         if mode not in ("float", "exact"):
             raise ValueError(f"unknown number mode {mode!r}")
         if eps <= 0:
@@ -427,7 +432,7 @@ class Scalars:
         """
         if self.exact:
             k = round(theta_deg)
-            if abs(theta_deg - k) > 1e-12 or k % 30 != 0:
+            if abs(theta_deg - k) > WHOLE_DEGREE_SLACK or k % 30 != 0:
                 raise ValueError(
                     f"exact mode needs a 30-degree multiple, got {theta_deg}")
             return self.cos_sin_deg(int(k))

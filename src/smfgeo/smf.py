@@ -189,7 +189,7 @@ def to_triangulation(doc: SmfDocument):
                 surf = build_silo(int(params.get("rings", 3)))
             else:
                 return None, [Diagnostic(1, 1, "UnknownModel", name)]
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError, SurfaceError) as exc:
             return None, [Diagnostic(1, 1, "BadModelParams", str(exc))]
     else:
         b = _Builder()

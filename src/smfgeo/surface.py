@@ -182,6 +182,7 @@ class Triangulation:
         self._base_ring_of = ring_of
         self._base_rings = rings
         self._vert_tri = None
+        self._tri_ring = None
         self._hash = None
         self._next = None   # plan of the ring grown next, made on demand
         # Open directed edges {(u, v): (t, e)} of the base, handed over by
@@ -253,6 +254,20 @@ class Triangulation:
             if self.triangle(t)[(s + 1) % 3] == v:
                 return t, s
         raise SurfaceError(f"directed edge ({u},{v}) not found")
+
+    def tri_ring(self, t: int) -> int:
+        """Ring of triangle t: the largest birth ring of its vertices.
+
+        The triangles of ring k > 0 lie between the cycles rings[k - 1]
+        and rings[k].  The index covers the whole surface and is built
+        on first use.
+        """
+        index = self._tri_ring
+        if index is None:
+            ring_of = self.ring_of
+            index = self._tri_ring = [max(ring_of[a], ring_of[b], ring_of[c])
+                                      for a, b, c in self.tris]
+        return index[t]
 
     def vertex_slot(self, t: int, v: int) -> int:
         tv = self.triangle(t)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from smfgeo import chart, engine
 from smfgeo import classify as C
 from smfgeo.builders import (
+    LineFixture,
     build_flat_plane,
     build_semi_paradoxist,
     build_silo,
@@ -198,6 +199,24 @@ class TestFlat:
         assert st.kind == "parallel"
         st2 = classify_direction(P, FLOAT.direction(41.0), lctx, an, B)
         assert st2.kind == "crossing"
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_off_lattice_line_splits_at_its_asymptotic_flip(self, ctx):
+        # A line at atan2(1, 5) off the lattice: the direction at P
+        # parallel to it is no 30-degree seed, so only the split at the
+        # asymptotic flip can isolate it.
+        surf = build_flat_plane(3)
+        third = Fraction(1, 3)
+        surf.labels["m"] = LineFixture(0, (third, third, third),
+                                       dirvec=(Q3(5), Q3(1)))
+        cls, _, _, _ = classify_labeled(surf, ctx, "P", "m", B)
+        assert cls.kind == C.EUCLIDEAN
+        assert cls.count == 1
+        assert cls.unknown_arcs == 0
+        parallel = [i.theta for i in cls.isolated
+                    if i.status.kind == "parallel"]
+        assert parallel == [pytest.approx(math.degrees(math.atan2(1, 5)),
+                                          abs=1e-9)]
 
 
 class TestCriticalDirections:

@@ -34,6 +34,15 @@ def test_validate_broken_exits_1(files, capsys):
     assert "EdgeShared3" in err
 
 
+def test_oversized_model_is_a_diagnostic(tmp_path, capsys):
+    # The flat disk of radius 2000 would pass the builder's triangle cap.
+    p = tmp_path / "big.smf"
+    p.write_text("smf 1\nmodel flat radius=2000\n")
+    assert cli.main(["validate", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "BadModelParams" in err and "Traceback" not in err
+
+
 def test_usage_error_exit_2(files, capsys):
     assert cli.main([]) == 2
     assert cli.main(["classify", files["silo.smf"]]) == 2

@@ -25,7 +25,6 @@ from smfgeo.engine import (
     detect_closure,
     fan_frames,
     intersect_paths,
-    line_through,
     make_ray,
     reverse_ray,
     step,

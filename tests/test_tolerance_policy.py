@@ -1,23 +1,40 @@
-"""The classifier and the engine decide near-degenerate cases through
-`Scalars` (one `eps` in float mode, exact in exact mode).  A small float
-literal written inline would be a private tolerance of its own; one that
-must stay is a named module-level constant, where a reader finds it, and
-is listed in NAMED below."""
+"""The package decides near-degenerate cases through `Scalars` (one
+`eps` in float mode, exact in exact mode).  A small float literal written
+inline would be a private tolerance of its own; one that must stay is a
+named module-level constant, where a reader finds it, and is listed in
+NAMED below."""
 
 import ast
+import importlib
+import pkgutil
 
 import pytest
 
-from smfgeo import classify, engine
+import smfgeo
 
 SMALL = 1e-3
 
-# The named small constants each module keeps: an arc length below which
-# a return is no closure, and the float fan-sector slack of cross_vertex.
+# The named small constants each module keeps: the default run tolerance
+# and the whole-degree slack of exact directions (numbers), an arc length
+# below which a return is no closure and the float fan-sector slack of
+# cross_vertex (engine), the centroid tie of the fixture placement
+# (builders), and the overlap slack and polyline join of the nets
+# (netdraw).
 NAMED = {
+    "smfgeo": set(),
+    "smfgeo.builders": {"CENTROID_TIE"},
+    "smfgeo.chart": set(),
     "smfgeo.classify": set(),
+    "smfgeo.cli": set(),
     "smfgeo.engine": {"MIN_PERIOD", "FAN_DIRT"},
+    "smfgeo.farfield": set(),
+    "smfgeo.netdraw": {"OVERLAP_SLACK", "JOIN_GAP"},
+    "smfgeo.numbers": {"DEFAULT_EPS", "WHOLE_DEGREE_SLACK"},
+    "smfgeo.smf": set(),
+    "smfgeo.surface": set(),
 }
+MODULES = ["smfgeo"] + [f"smfgeo.{m.name}"
+                        for m in pkgutil.iter_modules(smfgeo.__path__)]
 
 
 def is_small(node):
@@ -49,13 +66,18 @@ def small_literals(source):
     return inline, {k for k, v in named.items() if is_small(v)}
 
 
-@pytest.mark.parametrize("module", [classify, engine],
-                         ids=["classify", "engine"])
-def test_no_inline_tolerances(module):
+def test_every_module_is_listed():
+    assert sorted(MODULES) == sorted(NAMED)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED),
+                         ids=lambda name: name.rpartition(".")[2])
+def test_no_inline_tolerances(name):
+    module = importlib.import_module(name)
     with open(module.__file__, encoding="utf-8") as f:
         inline, named = small_literals(f.read())
-    assert inline == [], f"{module.__name__}: inline tolerances {inline}"
-    assert named == NAMED[module.__name__]
+    assert inline == [], f"{name}: inline tolerances {inline}"
+    assert named == NAMED[name]
 
 
 def test_checker_flags_inline_and_spares_named():
