@@ -8,7 +8,7 @@ the Scalars context so the same code runs in float and exact mode.
 
 from __future__ import annotations
 
-from .numbers import COS_SIN30_FLOAT, Scalars, q3_rotate
+from .numbers import COS_SIN30_FLOAT, Scalars, q3_rotate, q3_xy_of_bary
 
 
 def corners(ctx: Scalars):
@@ -18,6 +18,8 @@ def corners(ctx: Scalars):
 
 
 def xy_of_bary(ctx: Scalars, b):
+    if ctx.exact:
+        return q3_xy_of_bary(b)
     b0, b1, b2 = b
     x = b1 + b2 * ctx.half
     y = b2 * ctx.half_sqrt3

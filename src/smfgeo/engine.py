@@ -19,7 +19,7 @@ from functools import partial
 
 from . import chart
 from .chart import Isometry, cross, dot
-from .numbers import Scalars
+from .numbers import Scalars, q3_chord
 from .surface import (
     FrontierVertex,
     SurfaceError,
@@ -262,30 +262,39 @@ def step(ray: Ray, surf: Triangulation, ctx: Scalars):
     Raises FrontierReached when the chord exits through an unmatched edge.
     Each sign is decided once: that of each barycentric velocity, of
     each coordinate the chord runs down towards zero, and of the exit
-    time.  The exit point's zero slots, which name the hit, come from
-    the snap of its barycentrics (`snap_bary`).
+    time.  The exit's zero slots, which name the hit, come from the snap
+    of its barycentrics (`snap_bary`), or in exact mode from the integer
+    kernel `numbers.q3_chord`, which reduces each exit value once and
+    skips the snap when the entry sums to exactly 1 (the velocities sum
+    to 0, so the exit does too).
     """
     t = ray.point.tri
     b = ray.point.bary
-    sign = ctx.sign
-    db = chart.bary_velocity(ctx, *ray.dir)
-    t_exit = None
-    for i in range(3):
-        if sign(db[i]) < 0:
-            sb = sign(b[i])
-            if sb >= 0:
-                cand = -b[i] / db[i] if sb > 0 else ctx.zero
-                if t_exit is None or ctx.lt(cand, t_exit):
-                    t_exit = cand
-    st = -1 if t_exit is None else sign(t_exit)
-    if st < 0:
+    if ctx.exact:
+        chord = q3_chord(b, ray.dir)
+    else:
+        sign = ctx.sign
+        db = chart.bary_velocity(ctx, *ray.dir)
+        t_exit = None
+        for i in range(3):
+            if sign(db[i]) < 0:
+                sb = sign(b[i])
+                if sb >= 0:
+                    cand = -b[i] / db[i] if sb > 0 else ctx.zero
+                    if t_exit is None or ctx.lt(cand, t_exit):
+                        t_exit = cand
+        st = -1 if t_exit is None else sign(t_exit)
+        if st == 0:
+            # A zero-length chord (within eps) squeezing past a vertex:
+            # take it and let the exit snap resolve the hit.
+            t_exit = abs(t_exit)
+        chord = None if st < 0 else snap_bary(ctx, (
+            b[0] + db[0] * t_exit, b[1] + db[1] * t_exit, b[2] + db[2] * t_exit))
+    if chord is None:
         raise EngineError(f"ray does not advance inside triangle {t}: {ray}")
-    if st == 0:
-        # A zero-length chord (within eps in float mode) squeezing past a
-        # vertex: take it and let the exit snap resolve the hit.
-        t_exit = abs(t_exit)
-    exit_b, zeros = snap_bary(
-        ctx, (b[0] + db[0] * t_exit, b[1] + db[1] * t_exit, b[2] + db[2] * t_exit))
+    exit_b, zeros = chord
+    if zeros is None:  # an exact entry that does not sum to 1
+        exit_b, zeros = snap_bary(ctx, exit_b)
     seg = Segment(t, chart.xy_of_bary(ctx, b), chart.xy_of_bary(ctx, exit_b),
                   exit_b)
     if len(zeros) >= 2:

@@ -8,6 +8,11 @@ Two number modes, fixed per run:
   (a + b*sqrt 3) / d in lowest terms.  This field is closed under the
   chart transfer isometries and under rotation by any multiple of 30
   degrees, so the whole engine can run exactly.
+
+Every Q3 operation ends in a gcd reduction; the hot kernels `q3_rotate`
+and `q3_chord` (the integer kernel of `engine.step`) work on the triples
+and reduce each value they return once.  `q3_chord` leaves the exit of an
+entry that does not sum to exactly 1 for `surface.snap_bary` to snap.
 """
 
 from __future__ import annotations
@@ -332,6 +337,77 @@ def q3_rotate(k30: int, x, y):
     if q == 2:
         return (-x, -y)
     return (y, -x)
+
+
+def q3_xy_of_bary(b):
+    """Chart point (b1 + b2 / 2, b2 sqrt3 / 2) of exact barycentrics."""
+    _, u, w = b
+    if type(u) is not Q3 or type(w) is not Q3:
+        u, w = _coerce(u), _coerce(w)
+    a1, b1, d1, a2, b2, d2 = u._a, u._b, u._d, w._a, w._b, w._d
+    return (_q3(2 * a1 * d2 + a2 * d1, 2 * b1 * d2 + b2 * d1, 2 * d1 * d2),
+            _q3(3 * b2, a2, 2 * d2))
+
+
+def q3_chord(bary, d):
+    """Exit barycentrics of the chord from exact `bary` along direction `d`.
+
+    On integer triples: the entry over one denominator, the velocities
+    over another (a positive scale, which leaves the exit unchanged), the
+    exit slot by cross-multiplied signs, one reduction per exit value.
+    Of equal exit times the first slot wins; a slot at zero exits at once.
+    Returns None when no coordinate runs down towards zero, else (exit,
+    zero slots), with slots None when the entry does not sum to exactly 1.
+    """
+    x, y = d
+    if type(x) is not Q3 or type(y) is not Q3:
+        x, y = _coerce(x), _coerce(y)
+    xa, xb, ya, yb = x._a, x._b, y._a, y._b
+    if x._d != y._d:
+        xa, xb, ya, yb = xa * y._d, xb * y._d, ya * x._d, yb * x._d
+    # (dx - dy / sqrt3, 2 dy / sqrt3) times 3 and the common denominator
+    # of d, as pairs (a, b) for a + b sqrt3.
+    p1, q1, p2, q2 = 3 * (xa - yb), 3 * xb - ya, 6 * yb, 2 * ya
+    vp, vq = (-p1 - p2, p1, p2), (-q1 - q2, q1, q2)
+    b0, b1, b2 = bary
+    if type(b0) is not Q3 or type(b1) is not Q3 or type(b2) is not Q3:
+        b0, b1, b2 = _coerce(b0), _coerce(b1), _coerce(b2)
+    d0, d1, d2 = b0._d, b1._d, b2._d
+    db = d0 if d0 == d1 == d2 else math.lcm(d0, d1, d2)
+    m0, m1, m2 = db // d0, db // d1, db // d2
+    ea = (b0._a * m0, b1._a * m1, b2._a * m2)
+    eb = (b0._b * m0, b1._b * m1, b2._b * m2)
+    i = None
+    for k in range(3):
+        pk, qk = vp[k], vq[k]
+        if _sign(pk, qk) >= 0 or _sign(ea[k], eb[k]) < 0:
+            continue
+        if i is not None:
+            # Exit time -e/v of slot k below slot i's, i.e. e_k v_i >
+            # e_i v_k (both velocities are negative).
+            ak, bk, ai, bi, p, q = ea[k], eb[k], ea[i], eb[i], vp[i], vq[i]
+            if _sign(ak * p + 3 * bk * q - ai * pk - 3 * bi * qk,
+                     ak * q + bk * p - ai * qk - bi * pk) <= 0:
+                continue
+        i = k
+    if i is None:
+        return None
+    ai, bi, p, q = ea[i], eb[i], vp[i], vq[i]
+    # exit_k = (e_k v_i - v_k e_i) / (db v_i); an irrational v_i goes
+    # into the denominator through its conjugate p - q sqrt3.
+    cp, cq, den = (p, -q, db * (p * p - 3 * q * q)) if q else (1, 0, db * p)
+    if den < 0:
+        cp, cq, den = -cp, -cq, -den
+    out, zeros = [], []
+    for k in range(3):
+        ak, bk, pk, qk = ea[k], eb[k], vp[k], vq[k]
+        na = ak * p + 3 * bk * q - pk * ai - 3 * qk * bi
+        nb = ak * q + bk * p - pk * bi - qk * ai
+        if na == 0 and nb == 0:
+            zeros.append(k)
+        out.append(_q3(na * cp + 3 * nb * cq, nb * cp + na * cq, den))
+    unit = ea[0] + ea[1] + ea[2] == db and eb[0] + eb[1] + eb[2] == 0
+    return tuple(out), tuple(zeros) if unit else None
 
 
 class Scalars:

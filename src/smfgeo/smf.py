@@ -26,7 +26,7 @@ from .builders import (
     build_semi_paradoxist,
     build_silo,
 )
-from .surface import SurfaceError, Triangulation, _Builder, validate
+from .surface import SurfaceError, _Builder, validate
 
 SMF_VERSION = 1
 

@@ -4,7 +4,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the verdict lines.
 """
 
 import math
-import random
 import time
 
 import pytest
@@ -22,13 +21,7 @@ from smfgeo.builders import (
 )
 from smfgeo.classify import Budgets, ModelAnalysis, build_line_context
 from smfgeo.numbers import Scalars
-from smfgeo.surface import (
-    SurfacePoint,
-    Triangulation,
-    canonicalize_point,
-    normalize_bary,
-    validate,
-)
+from smfgeo.surface import Triangulation, validate
 
 FLOAT = Scalars("float")
 EXACT = Scalars("exact")

@@ -2,32 +2,39 @@
 
 The walk digests below were recorded with the kernel that decided each
 sign twice and ran on frozen dataclasses; the present kernel must step
-exactly the same chords, bit for bit, in both number modes.
+exactly the same chords, bit for bit, in both number modes.  The exact
+kernel on integer triples must also agree with a generic `step` on Q3
+operations, kept here, on random entries and directions.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smfgeo import chart
 from smfgeo.builders import (
     build_flat_plane,
     build_semi_paradoxist,
     build_silo,
 )
+from smfgeo.classify import _blend
 from smfgeo.engine import (
     EdgeCrossing,
     EngineError,
+    FrontierReached,
     GrowthLimit,
     Ray,
     Segment,
     VertexCrossing,
     make_ray,
+    step,
     walk,
 )
-from smfgeo.numbers import Scalars
+from smfgeo.numbers import Q3, Scalars, q3_chord
 from smfgeo.surface import SurfaceError, SurfacePoint, snap_bary
 
 FLOAT = Scalars("float")
@@ -254,3 +261,177 @@ def test_exact_and_float_walks_cross_the_same_edges(name, data):
         return
     fl, _ = _events(surf, FLOAT, tri, bary, k, 120)
     assert fl == exact
+
+
+# -- the exact kernel against a generic Q3 step ------------------------------------
+
+
+def generic_chord(b, d):
+    """Exit barycentrics and zero slots of the chord from `b` along `d`,
+    found as float mode finds them, with Q3 operations that each reduce
+    their result; None when no coordinate runs down towards zero."""
+    ctx = EXACT
+    db = chart.bary_velocity(ctx, *d)
+    t_exit = None
+    for i in range(3):
+        if db[i].sign() < 0 and b[i].sign() >= 0:
+            cand = -b[i] / db[i]
+            if t_exit is None or cand < t_exit:
+                t_exit = cand
+    if t_exit is None:
+        return None
+    return snap_bary(ctx, tuple(b[i] + db[i] * t_exit for i in range(3)))
+
+
+def _generic_xy(b):
+    return (b[1] + b[2] * EXACT.half, b[2] * EXACT.half_sqrt3)
+
+
+def generic_step(ray, surf):
+    """`step` in exact mode, on `generic_chord`."""
+    t, b = ray.point.tri, ray.point.bary
+    chord = generic_chord(b, ray.dir)
+    if chord is None:
+        raise EngineError(f"ray does not advance inside triangle {t}")
+    exit_b, zeros = chord
+    seg = Segment(t, _generic_xy(b), _generic_xy(exit_b), exit_b)
+    if len(zeros) >= 2:
+        slot = next(i for i in range(3) if i not in zeros)
+        return seg, ("vertex", surf.triangle(t)[slot])
+    e = (zeros[0] + 1) % 3
+    if surf.neighbor(t, e) is None:
+        raise FrontierReached(t, e)
+    return seg, ("edge", e)
+
+
+def _outcome(fn, *args):
+    """(value, None) or (None, type of the engine or surface error)."""
+    try:
+        return fn(*args), None
+    except (EngineError, SurfaceError) as exc:
+        return None, type(exc)
+
+
+def _triples(values):
+    return [(q._a, q._b, q._d) for q in values]
+
+
+def _canonical(q):
+    return type(q) is Q3 and q._d > 0 and math.gcd(q._a, q._b, q._d) == 1
+
+
+def check_step_matches_generic(ray, surf):
+    """Run both steps on `ray`; return the hit (None when both raised)."""
+    got, got_err = _outcome(step, ray, surf, EXACT)
+    want, want_err = _outcome(generic_step, ray, surf)
+    assert got_err is want_err
+    chord = q3_chord(ray.point.bary, ray.dir)
+    want_chord, chord_err = _outcome(generic_chord, ray.point.bary, ray.dir)
+    assert (chord is None) == (want_chord is None and chord_err is None)
+    if chord is not None:
+        exit_b, zeros = chord
+        assert all(_canonical(q) for q in exit_b)
+        if zeros is None:  # the snap fallback
+            assert sum(ray.point.bary) != 1
+            snapped, snap_err = _outcome(snap_bary, EXACT, exit_b)
+            assert snap_err is chord_err
+            exit_b, zeros = snapped or (None, None)
+        else:
+            assert sum(ray.point.bary) == 1 and chord_err is None
+        if chord_err is None:
+            assert _triples(exit_b) == _triples(want_chord[0])
+            assert zeros == want_chord[1]
+    if want_err is not None:
+        return None
+    (seg, hit), (want_seg, want_hit) = got, want
+    assert hit == want_hit
+    assert seg.tri == want_seg.tri
+    for q, w in ((seg.a, want_seg.a), (seg.b, want_seg.b),
+                 (seg.exit_b, want_seg.exit_b)):
+        assert all(_canonical(x) for x in q)
+        assert _triples(q) == _triples(w)
+    return hit
+
+
+_q3 = st.builds(lambda a, b, d: Q3(Fraction(a, d), Fraction(b, d)),
+                st.integers(-6, 6), st.integers(-3, 3), st.integers(1, 12))
+_weight = st.one_of(
+    st.just(Q3(0)),
+    st.builds(lambda a, b, d: Q3(Fraction(a, d), Fraction(b, d)),
+              st.integers(0, 6), st.integers(0, 3), st.integers(1, 9)),
+    _q3,
+)
+
+
+@st.composite
+def exact_entries(draw):
+    """Barycentrics: interior, edge and vertex points (zero weights),
+    some with a negative weight, normalized to sum 1 or, now and then,
+    left with another sum."""
+    w = draw(st.tuples(_weight, _weight, _weight))
+    s = w[0] + w[1] + w[2]
+    if s.sign() == 0 or draw(st.integers(0, 5)) == 0:
+        return w
+    return tuple(x / s for x in w)
+
+
+@st.composite
+def exact_directions(draw, b):
+    """Unnormalized Q3 directions: random vectors, vectors at a corner of
+    the chart (ties), unit 30-degree multiples and blends of two."""
+    def one():
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            return draw(st.tuples(_q3, _q3))
+        if kind == 1:
+            cx, cy = chart.corners(EXACT)[draw(st.integers(0, 2))]
+            x, y = _generic_xy(b)
+            return (cx - x, cy - y)
+        return EXACT.cos_sin_deg(30 * draw(st.integers(0, 11)))
+    u = one()
+    if draw(st.booleans()):
+        return u
+    num, den = draw(st.sampled_from([(1, 2), (1, 1024), (1023, 1024), (1, 3)]))
+    return _blend(EXACT, u, one(), num, den)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(_SURF)), data=st.data())
+def test_exact_kernel_matches_generic_step(name, data):
+    surf = _SURF[name]
+    tri = data.draw(st.integers(0, surf.n_triangles() - 1))
+    b = data.draw(exact_entries())
+    d = data.draw(exact_directions(b))
+    check_step_matches_generic(Ray(SurfacePoint(tri, b), d), surf)
+
+
+def _ray(b, d, tri=0):
+    return Ray(SurfacePoint(tri, tuple(EXACT.of(x) for x in b)),
+               tuple(EXACT.of(x) for x in d))
+
+
+H = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("b, d, kind, zero_length", [
+    # From the centroid straight at vertex 1: two exit times tie.
+    ((Fraction(1, 3),) * 3, (H, -Q3(0, Fraction(1, 6))), "vertex", False),
+    # From the midpoint of edge 0 straight at vertex 2: a tie again.
+    ((H, H, 0), (0, 1), "vertex", False),
+    # From edge 1 (b0 = 0) away from vertex 0: a zero-length chord.
+    ((0, H, H), (1, 0), "edge", True),
+    # From vertex 0 out of the triangle: a zero-length chord to a vertex.
+    ((1, 0, 0), (-1, 0), "vertex", True),
+    # An entry summing to 2 goes through the snap.
+    ((Fraction(2, 3),) * 3, (1, 0), "edge", False),
+    # Nothing runs down: no exit.
+    ((0, 0, 1), (0, 0), None, None),
+])
+def test_exact_kernel_ties_and_zero_length_chords(b, d, kind, zero_length):
+    surf = _SURF["semi4"]
+    ray = _ray(b, d)
+    hit = check_step_matches_generic(ray, surf)
+    assert (hit and hit[0]) == kind
+    if kind is not None:
+        seg, _ = step(ray, surf, EXACT)
+        assert (seg.a == seg.b) == zero_length

@@ -32,7 +32,7 @@ from smfgeo.classify import (
 )
 from smfgeo.farfield import audit_ring_convexity
 from smfgeo.numbers import Q3, Scalars
-from smfgeo.surface import SurfacePoint, canonicalize_point, normalize_bary
+from smfgeo.surface import SurfacePoint, canonicalize_point
 
 FLOAT = Scalars("float")
 EXACT = Scalars("exact")

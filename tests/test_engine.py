@@ -16,17 +16,14 @@ from smfgeo.builders import (
     straddle_pair,
 )
 from smfgeo.engine import (
-    Closure,
     EdgeCrossing,
     FrontierReached,
-    Ray,
     VertexCrossing,
     cross_vertex,
     detect_closure,
     fan_frames,
     intersect_paths,
     make_ray,
-    reverse_ray,
     step,
     trace,
     transfer_edge,

@@ -6,7 +6,6 @@ import pytest
 from smfgeo import netdraw
 from smfgeo.builders import build_flat_plane, build_semi_paradoxist
 from smfgeo.numbers import Scalars
-from smfgeo.surface import SurfacePoint
 
 FLOAT = Scalars("float")
 
