@@ -31,8 +31,7 @@ SHORT = {
 def dev_positions(surf, ctx, base_tri, max_ring):
     """Approximate developed centroid per triangle via BFS (winding-naive)."""
     frames = develop(surf, ctx, base_tri, ch.Isometry.identity(ctx),
-                     lambda t, e, t2: max(surf.ring_of[v]
-                                          for v in surf.tris[t2]) <= max_ring)
+                     lambda t, e, t2: surf.tri_ring(t2) <= max_ring)
     cs = ch.corners(ctx)
     cx = sum(c[0] for c in cs) / 3
     cy = sum(c[1] for c in cs) / 3

@@ -29,8 +29,7 @@ def main(outdir="."):
     lray = resolve_ray(silo, FLOAT, silo.labels["l"])
     lpath = engine.trace(lray, silo, FLOAT, arc_budget=6.0,
                          growth_budget=len(silo.tris), two_sided=True)
-    band = [t for t in range(silo.n_triangles())
-            if max(silo.ring_of[v] for v in silo.tris[t]) <= 3]
+    band = [t for t in range(silo.n_triangles()) if silo.tri_ring(t) <= 3]
     drawing = netdraw.draw_pieces(silo, FLOAT, [band], paths=[("l", lpath)])
     path = f"{outdir}/silo_band.svg"
     with open(path, "w", encoding="utf-8") as fh:

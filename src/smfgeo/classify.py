@@ -293,8 +293,7 @@ def _cut_ray(surf, ctx, analysis, budgets, core_ring):
         raise ValueError("cut ray failed to escape the core ring")
     # The cut runs on straight past the escape, up to six arc budgets.
     (_, after, _), _ = engine._trace_one_way(
-        res.end, surf, ctx, 6 * budgets.arc - res.arc, len(surf.tris),
-        watch_closure=False)
+        res.end, surf, ctx, 6 * budgets.arc - res.arc, len(surf.tris))
     crossed = [ev for _, ev in res.events[t.event0:]]
     crossed += [ev for _, ev in after]
     cut_edges = frozenset(frozenset(surf.edge_vertices(ev.tri, ev.edge))
@@ -340,7 +339,10 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                escape_ring=None, collect_frames=False) -> EndResult:
     """One end of the line through `ray`, walked until it crosses the
     reference line, closes, escapes a certified ring or runs out of
-    budget; silo bands are crossed in one transit each."""
+    budget.  A silo band is crossed in one `BandFrame.transit`; its exit
+    is booked as one crossing, like the walk's, with the frame carried by
+    `BandFrame.carry`.  Transits add to `band_tokens`; after the first
+    (`band_entry`), no crossing adds to `tokens`."""
     segments = []
     events = []
     frames = []
@@ -354,14 +356,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
     rot = 0
     frame = chart.Isometry.identity(ctx)
     start_xy = chart.xy_of_bary(ctx, ray.point.bary)
-    in_band_mode = False  # suppress edge tokens once a transit happened
-
-    def vertex_arrival(v):
-        """Crossing when v lies on the reference line, else None."""
-        if lctx is not None and v in lctx.on_vertices:
-            return result("crossed",
-                          crossing=(vertex_point(surf, ctx, v), arc, "vertex"))
-        return None
+    bands = analysis.band_tris
 
     def result(kind, **kw):
         return EndResult(kind, segments, events, arc,
@@ -378,81 +373,65 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
             return True
         return lctx is not None and analysis.escape_certifiable(k, lctx.max_ring)
 
+    if collect_frames and ray.point.tri not in bands:
+        frames.append((ray.point.tri, frame, False))
     while True:
-        band = analysis.band_tris.get(cur.point.tri) if analysis.band_tris else None
-        if band is not None:
+        band = bands.get(cur.point.tri)
+        if band is None:
+            crossings = engine.walk(cur, surf, ctx)
+        else:
+            tri = cur.point.tri
             if band_entry is None:
-                band_entry = (cur.point.tri, rot)
-            in_band_mode = True
-            exit_ = band.transit(surf, ctx, cur.point.tri,
+                band_entry = (tri, rot)
+            exit_ = band.transit(surf, ctx, tri,
                                  chart.xy_of_bary(ctx, cur.point.bary), cur.dir)
+            arc += exit_.arc
             if exit_.kind == "closed":
-                period = float(band.period)
-                arc += period
-                events.append((arc, Closure(period)))
+                events.append((arc, Closure(exit_.arc)))
                 band_tokens.append(("closed", band.top))
-                return result("closed", closure_period=period)
+                return result("closed", closure_period=exit_.arc)
             if exit_.vertex is not None:
-                vtx = exit_.vertex
-                if vtx in surf.frontier:
+                if exit_.vertex in surf.frontier:
                     return result("unknown")
                 try:
-                    cur, ev = engine.cross_vertex(surf, ctx, vtx, exit_.tri,
-                                                  exit_.dir)
+                    cur, item = engine.cross_vertex(surf, ctx, exit_.vertex,
+                                                    exit_.tri, exit_.dir)
                 except (EngineError, SurfaceError):
                     return result("unknown")
-                arc += exit_.arc
-                events.append((arc, ev))
-                via_vertices.append(vtx)
-                band_tokens.append(("v", vtx))
-                done = vertex_arrival(vtx)
-                if done is not None:
-                    return done
+                band_tokens.append(("v", exit_.vertex))
             else:
                 e = exit_.edge
-                b = [ctx.zero, ctx.zero, ctx.zero]
-                b[e] = ctx.one - exit_.s
-                b[(e + 1) % 3] = exit_.s
-                pt = canonicalize_point(SurfacePoint(exit_.tri, tuple(b)),
+                pt = canonicalize_point(SurfacePoint(exit_.tri, exit_.bary),
                                         surf, ctx)
+                iso = surf.transfer(ctx, exit_.tri, e)
                 cur = engine.transfer_edge(surf, ctx, exit_.tri, e,
-                                           normalize_bary(ctx, b), exit_.dir)
-                arc += exit_.arc
+                                           normalize_bary(ctx, exit_.bary),
+                                           exit_.dir, iso)
                 band_tokens.append((exit_.kind, band.top))
                 if lctx is not None and _point_on_line(ctx, pt, lctx):
                     return result("crossed", crossing=(pt, arc, "band"))
-                if exit_.kind == "bottom":
-                    kring = band.top + 1
-                    rings_crossed.append(kring)
-                    if certified(kring):
-                        # A band exit adds no event: the tail's events
-                        # start after the last one.
-                        tail = TailInfo(cur.point.tri,
-                                        chart.xy_of_bary(ctx, cur.point.bary),
-                                        cur.dir, arc, len(events))
-                        return result("escaped", tail=tail, escape_ring=kring)
+                item = EdgeCrossing(exit_.tri, e, pt, iso)
+            if collect_frames:
+                frame = frame.compose(band.carry(tri, exit_))
             rot = None
-            continue
-        if collect_frames:
-            frames.append((cur.point.tri, frame, False))
-        for item, cur, _ in engine.walk(cur, surf, ctx):
+            crossings = ((item, cur, surf),)
+        for item, cur, _ in crossings:
             if isinstance(item, Segment):
-                seg = item
-                segments.append(seg)
+                segments.append(item)
                 if lctx is not None:
-                    got = _hit_reference(ctx, seg, lctx)
+                    got = _hit_reference(ctx, item, lctx)
                     if got is not None:
                         (x, y), chord = got
                         bpt = normalize_bary(ctx, chart.bary_of_xy(ctx, x, y))
-                        pt = canonicalize_point(SurfacePoint(seg.tri, bpt),
+                        pt = canonicalize_point(SurfacePoint(item.tri, bpt),
                                                 surf, ctx)
-                        arc += math.hypot(float(x) - float(seg.a[0]),
-                                          float(y) - float(seg.a[1]))
+                        arc += math.hypot(float(x) - float(item.a[0]),
+                                          float(y) - float(item.a[1]))
                         return result("crossed", crossing=(pt, arc, "traced"),
                                       chord=chord)
-                period = engine.closure_period(ctx, ray, start_xy, seg, arc,
+                period = engine.closure_period(ctx, ray, start_xy, item, arc,
                                                len(segments))
-                arc += seg.length()
+                arc += item.length()
                 if period is not None:
                     events.append((period, Closure(period)))
                     return result("closed", closure_period=period)
@@ -463,11 +442,11 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
             if isinstance(item, VertexCrossing):
                 v = item.vertex
                 via_vertices.append(v)
-                if not in_band_mode:
+                if band_entry is None:
                     tokens.append(("v", v))
-                done = vertex_arrival(v)
-                if done is not None:
-                    return done
+                if lctx is not None and v in lctx.on_vertices:
+                    return result("crossed", crossing=(
+                        vertex_point(surf, ctx, v), arc, "vertex"))
                 ring_info = ring_crossing(surf, item.tri_in, cur.point.tri, v)
                 if collect_frames:
                     link = engine.link_iso(surf, ctx, item.tri_in, item.tri_out)
@@ -476,7 +455,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
             else:
                 ring_info = ring_crossing(surf, item.tri, cur.point.tri)
                 iso = item.gluing
-                if not in_band_mode:
+                if band_entry is None:
                     tokens.append((item.tri, item.edge))
                 if collect_frames:
                     frame = frame.compose(iso.inverse())
@@ -493,10 +472,11 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                         return result("escaped", tail=tail, escape_ring=k)
             if arc >= budgets.arc:
                 return result("unknown")
-            if cur.point.tri in analysis.band_tris:
-                break  # the band transit restarts the walk from its exit
+            if cur.point.tri in bands:
+                break  # the next transit starts here
             if collect_frames:
-                frames.append((cur.point.tri, frame, True))
+                # Entered by a crossing, unless a transit led here.
+                frames.append((cur.point.tri, frame, band is None))
 
 
 def _hit_reference(ctx, seg, lctx: LineContext):

@@ -510,7 +510,7 @@ def walk(ray: Ray, surf: Triangulation, ctx: Scalars, grow=None,
 
 
 def _trace_one_way(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget,
-                   growth_budget, watch_closure=True):
+                   growth_budget):
     """Forward trace; returns ((segments, events, arc), final surf)."""
     segments = []
     events = []
@@ -520,8 +520,8 @@ def _trace_one_way(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget,
     for item, _, surf in walk(ray, surf, ctx, grow, canonical=True):
         if isinstance(item, Segment):
             segments.append(item)
-            period = (closure_period(ctx, ray, start_xy, item, arc,
-                                     len(segments)) if watch_closure else None)
+            period = closure_period(ctx, ray, start_xy, item, arc,
+                                    len(segments))
             arc += item.length()
             if period is not None:
                 events.append((period, Closure(period)))
@@ -574,8 +574,7 @@ def trace(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget=200.0,
     back = None
     if two_sided and not any(isinstance(ev, Closure) for _, ev in fwd[1]):
         back, surf = _trace_one_way(reverse_ray(surf, ctx, ray), surf, ctx,
-                                    arc_budget, growth_budget,
-                                    watch_closure=False)
+                                    arc_budget, growth_budget)
     return stitch(ray, surf, fwd, back)
 
 

@@ -130,19 +130,20 @@ class BandExit:
     `arc` the length run inside the band.
 
     kind "top" or "bottom": through the interior of local edge `edge` of
-    `tri`, at parameter `s` from the edge's first vertex.  kind
-    "top_vertex" or "bottom_vertex": through the cycle vertex `vertex`,
-    and `tri` is the first band triangle in its fan.  kind "closed": the
-    run stays in the band and circles it once per `arc`.
+    `tri`, at barycentrics `bary`.  kind "top_vertex" or "bottom_vertex":
+    through the cycle vertex `vertex`, and `tri` is the first band
+    triangle in its fan; `x` is the unreduced strip x of either exit.
+    kind "closed": the run stays in the band and circles it once per `arc`.
     """
 
     kind: str
     tri: int = None
     dir: tuple = None
     edge: int = None
-    s: object = None
+    bary: tuple = None
     vertex: int = None
     arc: float = 0.0
+    x: object = None
 
 
 class BandFrame:
@@ -191,6 +192,10 @@ class BandFrame:
         # triangle again would shift its frame by the period.
         self.frames = dict(develop(surf, ctx, t0, base,
                                    lambda t, e, t2: t2 in band))
+        # Strip x of each cycle's vertex 0; the bottom's is half an edge off.
+        t = self.vertex_tris[cyc_bot[0]]
+        bx, _ = self.frames[t].apply(*cs[surf.vertex_slot(t, cyc_bot[0])])
+        self.x0 = {"top": ctx.zero, "bottom": self.x_mod(bx)}
 
     @staticmethod
     def _rot_to(ctx, ax, ay, bx, by):
@@ -218,8 +223,8 @@ class BandFrame:
         """Fast-forward the straight run from `xy` in direction `d`, both
         in the chart of band triangle `tri`, to where it leaves the band.
 
-        The exit is found in the strip and handed back in the chart of
-        the band triangle on the cycle edge or vertex it leaves through.
+        The exit is found in the strip and handed back in the chart of the
+        band triangle on the cycle edge or vertex it leaves by (see `carry`).
         """
         frame = self.frames[tri]
         fx, fy = frame.apply(*xy)
@@ -230,10 +235,12 @@ class BandFrame:
         target_top = sy > 0
         ty = self.h - fy if target_top else fy
         steps = ty / (dyv if target_top else -dyv)
-        x = self.x_mod(fx + dxv * steps)
+        side = "top" if target_top else "bottom"
+        xu = fx + dxv * steps
+        x = self.x_mod(xu - self.x0[side])
         seg_len = math.hypot(float(dxv), float(dyv)) * float(steps)
-        # Cycle edge i spans [i, i + 1) in x: the top cycle runs toward
-        # +x from vertex 0; adjust for rounding.
+        # Cycle edge i spans [i, i + 1) in x from the cycle's vertex 0,
+        # toward +x; adjust for rounding.
         i = min(int(float(x)), self.period - 1)
         while i > 0 and ctx.lt(x, ctx.of(i)):
             i -= 1
@@ -241,19 +248,33 @@ class BandFrame:
             i += 1
         tpar = x - ctx.of(i)
         cyc = surf.rings[self.top if target_top else self.top + 1]
-        side = "top" if target_top else "bottom"
         near0 = ctx.is_zero(tpar)
         if near0 or ctx.is_zero(tpar - ctx.one):
             v = cyc[i] if near0 else cyc[(i + 1) % self.period]
             t = self.vertex_tris[v]
             return BandExit(side + "_vertex", t,
                             self.frames[t].inverse().apply_vec(dxv, dyv),
-                            vertex=v, arc=seg_len)
+                            vertex=v, arc=seg_len, x=xu)
         t, e = self.edge_tris[side][i]
         # The band triangle runs the top cycle's edges backwards.
         s = ctx.one - tpar if target_top else tpar
+        b = [ctx.zero, ctx.zero, ctx.zero]
+        b[e] = ctx.one - s
+        b[(e + 1) % 3] = s
         return BandExit(side, t, self.frames[t].inverse().apply_vec(dxv, dyv),
-                        edge=e, s=s, arc=seg_len)
+                        edge=e, bary=tuple(b), arc=seg_len, x=xu)
+
+    def carry(self, tri: int, exit: BandExit) -> Isometry:
+        """The isometry from the chart of `exit.tri` into the chart of band
+        triangle `tri` along the run `transit` took from `tri` to `exit`.
+        The strip places `exit.tri` whole periods from the run's copy,
+        whose chart origin lies within one edge of the exit's `x`: rounding
+        finds how many, so the result is exact in exact mode."""
+        place = self.frames[exit.tri]
+        n = round(float(exit.x - place.tx) / self.period)
+        run = Isometry(self.ctx, place.k,
+                       place.tx + self.ctx.of(n * self.period), place.ty)
+        return self.frames[tri].inverse().compose(run)
 
 
 # -- flat complement ----------------------------------------------------------
@@ -418,7 +439,8 @@ def tails_meet(ctx, a: TailData, b: TailData, holonomy):
     """First genuine meeting of two developed tail pieces, as arc lengths.
 
     The pieces' developed frames differ by (a.kcut - b.kcut) holonomy
-    shifts; parallel pieces meet only if exactly collinear.
+    shifts; parallel pieces meet only if exactly collinear, first where
+    their parameter ranges [0, limit] overlap along `a`.
     """
     shift = ctx.of(a.kcut - b.kcut)
     q = (b.base[0] + shift * holonomy[0], b.base[1] + shift * holonomy[1])
@@ -428,17 +450,15 @@ def tails_meet(ctx, a: TailData, b: TailData, holonomy):
         wx, wy = q[0] - a.base[0], q[1] - a.base[1]
         if not ctx.is_zero(cross(u[0], u[1], wx, wy)):
             return None
-        t = dot(wx, wy, u[0], u[1]) / dot(u[0], u[1], u[0], u[1])
-        if ctx.sign(dot(u[0], u[1], v[0], v[1])) > 0:
-            # Same direction, collinear: overlap from the later base on.
-            if ctx.sign(t) > 0:
-                return (_arc(a, t), b.arc0)
-            s = -dot(wx, wy, v[0], v[1]) / dot(v[0], v[1], v[0], v[1])
-            return (a.arc0, _arc(b, s))
-        # Opposite directions: they meet if the bases face each other.
-        if ctx.sign(t) >= 0:
-            return (_arc(a, t), b.arc0)
-        return None
+        # Collinear: b's base is at a's parameter t0, which moves by r per
+        # unit of b's; b's first point along a is checked like a crossing.
+        uu = dot(u[0], u[1], u[0], u[1])
+        t0 = dot(wx, wy, u[0], u[1]) / uu
+        r = dot(u[0], u[1], v[0], v[1]) / uu
+        lo = t0 if ctx.sign(r) > 0 else (
+            None if b.limit is None else t0 + r * b.limit)
+        t = lo if lo is not None and ctx.sign(lo) > 0 else ctx.zero
+        hit = t, (t - t0) / r
     t, s = hit
     if ctx.sign(t) < 0 or ctx.sign(s) < 0:
         return None

@@ -8,9 +8,9 @@ whitespace separated and the `smf <version>` header is mandatory:
     point P 17 1/3 1/3 1/3
     line  l 6 0 1/2 1/2 0
 
-Scene files hold one query per line: trace / classify / render / audit /
-search.  Parsing is total: malformed input produces positioned
-diagnostics, never an exception.
+Scene files hold one query per line: trace / classify / render; any
+other keyword is an `UnknownQuery` diagnostic.  Parsing is total:
+malformed input produces positioned diagnostics, never an exception.
 """
 
 from __future__ import annotations

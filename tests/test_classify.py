@@ -468,6 +468,33 @@ class TestCrossingEvents:
         assert silo.labels["I"].vertex in pr.fwd.via_vertices
 
 
+class TestBandTransitFrames:
+    """A framed end trace carries its frame across each band transit, so
+    the chords after it develop onto the start line."""
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_chords_after_transits_develop_on_the_line(self, ctx):
+        session = C.Session(build_silo(6), ctx)
+        surf = session.grown(10, 10**6)
+        third = Fraction(1, 3)
+        ray = engine.make_ray(surf, ctx, 0, (third, third, third), (5, -1))
+        res = C._trace_end(surf, ctx, ray, session.analysis(surf),
+                           Budgets(arc=6.0), None, collect_frames=True)
+        assert res.band_tokens == (("bottom", 1), ("bottom", 2))
+        # The walk restarts after the transits with an uncrossed entry.
+        restart = [i for i, (_, _, crossed) in enumerate(res.frames)
+                   if not crossed][1]
+        later = list(zip(res.segments, res.frames))[restart:]
+        assert later
+        sx, sy = res.carrier_xy
+        dx, dy = ray.dir
+        for seg, (tri, frame, _) in later:
+            assert seg.tri == tri
+            for p in (seg.a, seg.b):
+                px, py = frame.apply(*p)
+                assert ctx.sign(chart.cross(dx, dy, px - sx, py - sy)) == 0
+
+
 class TestModeAgreement:
     def test_silo_exact_matches_float(self):
         surf_f = build_silo(6)

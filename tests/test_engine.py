@@ -528,6 +528,19 @@ class TestIntersections:
         got_keys = {(p.tri, tuple(round(float(w), 6) for w in p.bary)) for p in pts}
         assert got_keys == brute
 
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    @pytest.mark.parametrize("a0,a1,b0,b1,want", [
+        ((0, 0), (2, 0), (1, 0), (3, 0), [(1, 0), (2, 0)]),
+        ((0, 0), (1, 0), (1, 0), (3, 0), [(1, 0)]),
+        ((0, 0), (1, 0), (2, 0), (3, 0), []),
+        ((1, 0), (1, 0), (0, 0), (3, 0), [(1, 0)]),
+        ((3, 0), (1, 0), (0, 0), (2, 0), [(2, 0), (1, 0)]),
+    ], ids=["overlap", "touch", "apart", "point", "reversed"])
+    def test_collinear_segments(self, ctx, a0, a1, b0, b1, want):
+        pt = lambda p: (ctx.of(p[0]), ctx.of(p[1]))
+        got = chart.segment_intersection(ctx, pt(a0), pt(a1), pt(b0), pt(b1))
+        assert [(float(x), float(y)) for x, y in got] == want
+
 
 class TestUnfold:
     def test_flat_polyline_single_direction(self, flat3):

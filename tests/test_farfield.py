@@ -230,3 +230,25 @@ def test_tails_meet_agrees_across_modes(pa, ua, pb, ub, hol, kcuts, limits,
     if exact is not None:
         for x, y in zip(exact, flt):
             assert abs(x - y) <= 1e-9 * max(1.0, abs(x))
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+@pytest.mark.parametrize("b_base,b_dir,limits,want", [
+    ((5, 0), (1, 0), (None, None), (5.0, 0.0)),
+    ((5, 0), (1, 0), (1, None), None),
+    ((-5, 0), (1, 0), (None, 2), None),
+    ((5, 0), (-1, 0), (None, None), (0.0, 5.0)),
+    ((5, 0), (-1, 0), (None, 2), (3.0, 2.0)),
+    ((5, 0), (-1, 0), (2, 2), None),
+], ids=["same", "same-a-limit", "same-b-limit", "facing", "facing-b-limit",
+        "facing-both-limits"])
+def test_collinear_tails_meet_inside_both_ranges(ctx, b_base, b_dir, limits,
+                                                 want):
+    # a runs from the origin along +x; the first meeting along a is the
+    # start of the overlap of both pieces' parameter ranges.
+    a = _tail(ctx, (Q3(0), Q3(0)), (Q3(1), Q3(0)), 0.0, 0,
+              None if limits[0] is None else Q3(limits[0]))
+    b = _tail(ctx, tuple(map(Q3, b_base)), tuple(map(Q3, b_dir)), 0.0, 0,
+              None if limits[1] is None else Q3(limits[1]))
+    got = tails_meet(ctx, a, b, (ctx.zero, ctx.zero))
+    assert got == (None if want is None else pytest.approx(want))

@@ -5,14 +5,18 @@ in.  Ring crossings and the silo's band rows are read from it; here they
 are checked against references built from the ring cycles themselves.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from smfgeo import classify as C
+from smfgeo import chart, classify as C, engine
 from smfgeo.builders import build_flat_plane, build_semi_paradoxist, build_silo
 from smfgeo.farfield import BandFrame, ring_crossing
 from smfgeo.numbers import Scalars
+from smfgeo.surface import SurfacePoint, canonicalize_point
 
 FLOAT = Scalars("float")
+EXACT = Scalars("exact")
 
 SURFACES = {
     "silo6@12": lambda: C.ensure_rings(build_silo(6), 12),
@@ -121,3 +125,24 @@ def test_band_exit_tables_carry_the_cycles():
     for v in top + bot:
         fan_band = [t for t, _ in surf.fan_ccw(v) if t in band.tris]
         assert band.vertex_tris[v] == fan_band[0]
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+@pytest.mark.parametrize("top", [1, 2])
+def test_band_transit_exits_where_the_walk_does(ctx, top):
+    # Both cycles' exits, through edges, from one band triangle's centroid.
+    surf = C.ensure_rings(build_silo(6), 9)
+    band = BandFrame(surf, ctx, top)
+    third = Fraction(1, 3)
+    for d in ((5, -1), (1, 2), (-3, 1), (2, -7), (-4, -3), (7, 2)):
+        ray = engine.make_ray(surf, ctx, min(band.tris), (third,) * 3, d)
+        for ev, cur, _ in engine.walk(ray, surf, ctx, canonical=True):
+            if isinstance(ev, engine.EdgeCrossing) and \
+                    cur.point.tri not in band.tris:
+                break
+        got = band.transit(surf, ctx, ray.point.tri,
+                           chart.xy_of_bary(ctx, ray.point.bary), ray.dir)
+        assert got.kind in ("top", "bottom")
+        pt = canonicalize_point(SurfacePoint(got.tri, got.bary), surf, ctx)
+        assert pt.tri == ev.point.tri, d
+        assert all(ctx.eq(x, y) for x, y in zip(pt.bary, ev.point.bary)), d
