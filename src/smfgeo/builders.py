@@ -86,8 +86,8 @@ def resolve_ray(surf: Triangulation, ctx: Scalars, fx: LineFixture) -> engine.Ra
 # -- seeds -----------------------------------------------------------------
 
 
-def _seed_fan(n: int, max_triangles: int) -> _Builder:
-    b = _Builder(max_triangles)
+def _seed_fan(n: int) -> _Builder:
+    b = _Builder()
     center = b.new_vertex(0)
     ring = [b.new_vertex(1) for _ in range(n)]
     for i in range(n):
@@ -96,11 +96,11 @@ def _seed_fan(n: int, max_triangles: int) -> _Builder:
     return b
 
 
-def build_flat_plane(radius: int, max_triangles: int = 1_000_000) -> Triangulation:
+def build_flat_plane(radius: int) -> Triangulation:
     """Disk of the regular triangular tiling, every interior vertex degree 6."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    b = _seed_fan(6, max_triangles)
+    b = _seed_fan(6)
     surf = b.freeze(RULE_FLAT, {})
     if radius > 1:
         surf = grow_frontier(surf, radius - 1)
@@ -127,11 +127,11 @@ def _flat_fixtures(surf: Triangulation):
 SEMI_FIXTURE_RADIUS = 8
 
 
-def build_semi_paradoxist(radius: int, max_triangles: int = 1_000_000) -> Triangulation:
+def build_semi_paradoxist(radius: int) -> Triangulation:
     """Planar disk with one degree-5 and one degree-7 vertex sharing an edge."""
     if radius < 2:
         raise ValueError("radius must be >= 2")
-    b = _Builder(max_triangles)
+    b = _Builder()
     e = b.new_vertex(0)   # degree-5 vertex
     h = b.new_vertex(0)   # degree-7 vertex
     a = b.new_vertex(0)
@@ -203,12 +203,12 @@ def _triangle_near(surf: Triangulation, xy) -> int:
     return best[1]
 
 
-def build_silo(hyperbolic_rings: int, max_triangles: int = 1_000_000) -> Triangulation:
+def build_silo(hyperbolic_rings: int) -> Triangulation:
     """Cone cap of six degree-5 vertices on a one-row cylinder, extended
     below by degree-7 rings."""
     if hyperbolic_rings < 0:
         raise ValueError("hyperbolic_rings must be >= 0")
-    b = _seed_fan(5, max_triangles)
+    b = _seed_fan(5)
     surf = b.freeze(RULE_SILO, {})
     surf = grow_frontier(surf, 2 + hyperbolic_rings)
     surf.labels.update(_silo_fixtures(surf, hyperbolic_rings))

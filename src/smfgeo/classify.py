@@ -25,6 +25,7 @@ from operator import itemgetter
 from . import chart, engine, farfield
 from .chart import cross, dot
 from .engine import (
+    ARC_BUDGET,
     Closure,
     EdgeCrossing,
     EngineError,
@@ -35,6 +36,7 @@ from .engine import (
 )
 from .numbers import Scalars
 from .surface import (
+    GROWTH_BUDGET,
     GrowthLimitExceeded,
     SurfaceError,
     SurfacePoint,
@@ -65,8 +67,8 @@ UNDETERMINED = "undetermined"
 
 @dataclass(frozen=True)
 class Budgets:
-    arc: float = 200.0
-    growth: int = 1_000_000
+    arc: float = ARC_BUDGET
+    growth: int = GROWTH_BUDGET
     split_depth: int = 48  # halvings of one cone; corner splits do not count
 
     def doubled(self) -> "Budgets":
@@ -327,7 +329,6 @@ class EndResult:
     via_vertices: tuple = ()
     frames: list = None       # (tri, Isometry, entered by a crossing)
     rot: int = 0              # rotation to the final chart, None after vertex
-    band_entry: tuple = None  # (tri, rot) at first band entry
     carrier: int = None       # carrying triangle of the traced ray
     carrier_xy: tuple = None  # ray base point in the carrier chart
     band_tokens: tuple = ()   # collapsed band transit outcomes
@@ -341,8 +342,8 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
     reference line, closes, escapes a certified ring or runs out of
     budget.  A silo band is crossed in one `BandFrame.transit`; its exit
     is booked as one crossing, like the walk's, with the frame carried by
-    `BandFrame.carry`.  Transits add to `band_tokens`; after the first
-    (`band_entry`), no crossing adds to `tokens`."""
+    `BandFrame.carry`.  Transits add to `band_tokens`; after the first,
+    no crossing adds to `tokens`."""
     segments = []
     events = []
     frames = []
@@ -350,7 +351,6 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
     via_vertices = []
     band_tokens = []
     tokens = []
-    band_entry = None
     arc = 0.0
     cur = ray
     rot = 0
@@ -363,7 +363,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                          rings=tuple(rings_crossed),
                          via_vertices=tuple(via_vertices),
                          frames=frames if collect_frames else None,
-                         rot=rot, band_entry=band_entry,
+                         rot=rot,
                          carrier=ray.point.tri, carrier_xy=start_xy,
                          band_tokens=tuple(band_tokens),
                          tokens=tuple(tokens), end=cur, **kw)
@@ -381,8 +381,6 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
             crossings = engine.walk(cur, surf, ctx)
         else:
             tri = cur.point.tri
-            if band_entry is None:
-                band_entry = (tri, rot)
             exit_ = band.transit(surf, ctx, tri,
                                  chart.xy_of_bary(ctx, cur.point.bary), cur.dir)
             arc += exit_.arc
@@ -442,7 +440,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
             if isinstance(item, VertexCrossing):
                 v = item.vertex
                 via_vertices.append(v)
-                if band_entry is None:
+                if not band_tokens:
                     tokens.append(("v", v))
                 if lctx is not None and v in lctx.on_vertices:
                     return result("crossed", crossing=(
@@ -455,7 +453,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
             else:
                 ring_info = ring_crossing(surf, item.tri, cur.point.tri)
                 iso = item.gluing
-                if band_entry is None:
+                if not band_tokens:
                     tokens.append((item.tri, item.edge))
                 if collect_frames:
                     frame = frame.compose(iso.inverse())
@@ -849,31 +847,23 @@ class _Partitioner:
 
     def _asymptotic_flips(self):
         """Split intervals at directions whose tails turn parallel to a
-        tail of the reference line (or to the silo band's circles)."""
+        tail of the reference line.  (A band circle's direction at P is a
+        multiple of 30 degrees, a seed boundary, never inside an interval.)"""
         ctx = self.ctx
-        surf = self.surf
         fc = self.lctx.flat_complement
-        targets = self.lctx.tail_dirs if fc is not None else []
         out = []
         for (u, v, _) in self.intervals:
             w = _blend(ctx, u, v, 1, 2)
             pr = self.probe(w, corners=False)
             cands = {}
             for res in (pr.fwd, pr.bwd):
-                inv = engine.link_iso(surf, ctx, self.P.tri,
+                if fc is None or res.kind != "escaped" or res.rot is None:
+                    continue
+                inv = engine.link_iso(self.surf, ctx, self.P.tri,
                                       res.carrier).inverse()
-                if res.kind == "escaped" and res.rot is not None and fc is not None:
-                    fk = fc.corridor_frame(res.tail.escape_tri).k
-                    for tdir in targets:
-                        cand = chart.rotate(ctx, -(res.rot + fk),
-                                            *tdir)
-                        cand = _orient_into(ctx, u, inv.apply_vec(*cand))
-                        if _strictly_between(ctx, u, v, cand):
-                            cands[self._key(_halfcirc(ctx, cand))] = cand
-                if res.band_entry is not None and res.band_entry[1] is not None:
-                    tri, rotb = res.band_entry
-                    fk = self.analysis.band_tris[tri].frames[tri].k
-                    cand = chart.rotate(ctx, -(rotb + fk), ctx.one, ctx.zero)
+                fk = fc.corridor_frame(res.tail.escape_tri).k
+                for tdir in self.lctx.tail_dirs:
+                    cand = chart.rotate(ctx, -(res.rot + fk), *tdir)
                     cand = _orient_into(ctx, u, inv.apply_vec(*cand))
                     if _strictly_between(ctx, u, v, cand):
                         cands[self._key(_halfcirc(ctx, cand))] = cand
@@ -1119,7 +1109,7 @@ def find_unjoinable_pair(surf: Triangulation, ctx: Scalars,
 
 
 def ensure_rings(surf: Triangulation, n: int,
-                 budget: int = None) -> Triangulation:
+                 budget: int = GROWTH_BUDGET) -> Triangulation:
     """Grow the surface until it has at least n ring cycles; a ring that
     would take it past `budget` triangles raises GrowthLimitExceeded
     before it is built."""

@@ -19,7 +19,7 @@ from . import classify as cls_mod
 from . import engine, netdraw, smf
 from .builders import VertexFixture, resolve_point, resolve_ray
 from .numbers import DEFAULT_EPS, Scalars
-from .surface import GrowthLimitExceeded, SurfaceError
+from .surface import GROWTH_BUDGET, GrowthLimitExceeded, SurfaceError
 
 CONFIG_ENV = "SMFGEO_CONFIG"
 
@@ -28,8 +28,8 @@ CONFIG_ENV = "SMFGEO_CONFIG"
 class RunConfig:
     number_mode: str = "float"
     epsilon: float = DEFAULT_EPS
-    arc_budget: float = 200.0
-    growth_budget: int = 1_000_000
+    arc_budget: float = engine.ARC_BUDGET
+    growth_budget: int = GROWTH_BUDGET
     threads: int = 1
 
     def scalars(self) -> Scalars:

@@ -21,6 +21,7 @@ from . import chart
 from .chart import Isometry, cross, dot
 from .numbers import Scalars, q3_chord
 from .surface import (
+    GROWTH_BUDGET,
     FrontierVertex,
     SurfaceError,
     SurfacePoint,
@@ -30,7 +31,6 @@ from .surface import (
     grow_frontier,
     normalize_bary,
     point_at_vertex,
-    ring_size,
     snap_bary,
 )
 
@@ -538,12 +538,10 @@ def _trace_one_way(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget,
 
 
 def _try_grow(surf: Triangulation, growth_budget: int):
+    # grow_frontier refuses a ring over the budget before it copies the
+    # surface; a surface without rule or frontier raises too.
     try:
-        # A ring that would pass the budget is refused before it is planned
-        # into a new surface; a surface without rule or frontier raises.
-        if surf.n_triangles() + ring_size(surf) > growth_budget:
-            return None
-        return grow_frontier(surf, 1)
+        return grow_frontier(surf, 1, growth_budget)
     except SurfaceError:
         return None
 
@@ -562,8 +560,12 @@ def stitch(start: Ray, surf: Triangulation, fwd, back=None) -> GeodesicPath:
     return path
 
 
-def trace(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget=200.0,
-          growth_budget=1_000_000, two_sided=False) -> GeodesicPath:
+# Default arc budget of a trace and of a classification probe.
+ARC_BUDGET = 200.0
+
+
+def trace(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget=ARC_BUDGET,
+          growth_budget=GROWTH_BUDGET, two_sided=False) -> GeodesicPath:
     """Trace the geodesic through `ray` until a terminal event.
 
     Lazy surfaces are grown on demand within `growth_budget` triangles.

@@ -328,10 +328,11 @@ class FlatComplement:
         # All frames come from one BFS forest rooted at the anchor that never
         # steps across the cut or into the inside, so every placement is
         # single valued over the cut complement.
+        self.tree = set()
         self.frames = dict(develop(
             surf, ctx, anchor_tri, Isometry.identity(ctx),
             lambda t, e, t2: t2 in self.outside and frozenset(
-                surf.edge_vertices(t, e)) not in self.cut_edges))
+                surf.edge_vertices(t, e)) not in self.cut_edges, self.tree))
         if cut is None:
             return
         _, base_tri, xy, d = cut
@@ -363,7 +364,7 @@ class FlatComplement:
         _, (dx, dy) = self.cut
         gx, gy = ctx.half, ctx.sqrt3 * ctx.frac(1, 6)  # chart centroid
         delta = None
-        for t, e, direct, have in seams(surf, ctx, self.frames):
+        for t, e, direct, have in seams(surf, ctx, self.frames, self.tree):
             if frozenset(surf.edge_vertices(t, e)) not in self.cut_edges:
                 raise ValueError("development disagrees off the cut")
             if direct.k != have.k:

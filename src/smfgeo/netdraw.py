@@ -61,13 +61,15 @@ def unfold_region(surf: Triangulation, ctx: Scalars, tris, base: int = None):
         raise ValueError("empty region")
     inset = set(region)
     base = region[0] if base is None else base
+    tree = set()
     placements = dict(develop(surf, ctx, base, chart.Isometry.identity(ctx),
-                              lambda t, e, t2: t2 in inset))
+                              lambda t, e, t2: t2 in inset, tree))
     if len(placements) != len(inset):
         missing = sorted(inset - set(placements))
         raise ValueError(f"region is not connected: {missing} unreachable")
     cuts = []
-    for t, e, _, _ in seams(surf, ctx, {t: placements[t] for t in region}):
+    for t, e, _, _ in seams(surf, ctx, {t: placements[t] for t in region},
+                            tree):
         if surf.adj[(t, e)] not in cuts:
             cuts.append((t, e))
     _check_overlaps(surf, ctx, placements)

@@ -26,7 +26,7 @@ from .builders import (
     build_semi_paradoxist,
     build_silo,
 )
-from .surface import SurfaceError, _Builder, validate
+from .surface import GROWTH_BUDGET, SurfaceError, _Builder, validate
 
 SMF_VERSION = 1
 
@@ -191,6 +191,9 @@ def to_triangulation(doc: SmfDocument):
                 return None, [Diagnostic(1, 1, "UnknownModel", name)]
         except (ValueError, RuntimeError, SurfaceError) as exc:
             return None, [Diagnostic(1, 1, "BadModelParams", str(exc))]
+    elif len(doc.triangles) > GROWTH_BUDGET:
+        return None, [Diagnostic(1, 1, "BadTriangulation", f"{len(doc.triangles)} "
+                                 f"triangles, over the growth budget of {GROWTH_BUDGET}")]
     else:
         b = _Builder()
         edge_uses = {}

@@ -153,7 +153,8 @@ class Triangulation:
     `triangle`, `incident`, `fan_ccw` and the queries built on them).
     Building never changes what a reader sees.  Reading a whole-surface
     container (`tris`, `adj`, `degree`, `ring_of`, `rings`, `boundary`,
-    `frontier`) builds every remaining sector first.
+    `frontier`) builds every remaining sector first.  A surface carries
+    no triangle cap: the budget passed to `grow_frontier` bounds growth.
     """
 
     tris = _Whole()
@@ -165,10 +166,9 @@ class Triangulation:
     ring_of = _Whole()
 
     def __init__(self, tris, adj, degree, frontier, boundary, rings, ring_of,
-                 rule=None, labels=None, max_triangles=1_000_000, plans=()):
+                 rule=None, labels=None, plans=()):
         self.rule = rule
         self.labels = dict(labels or {})
-        self.max_triangles = max_triangles
         # Built triangles (None for a planned one not built yet) and the
         # adjacency among them.
         self._tris = tris
@@ -506,14 +506,15 @@ class Triangulation:
 
 
 def develop(surf: Triangulation, ctx: Scalars, root: int,
-            frame: chart.Isometry, admit):
+            frame: chart.Isometry, admit, tree=None):
     """Lay triangles flat in one plane, breadth first from `root`.
 
     The neighbour t2 across edge e of a placed triangle t is placed once,
     with t's frame carried across e, when ``admit(t, e, t2)`` holds.
     Yields (triangle, frame) in placement order; a triangle is yielded
     before its neighbours are looked at, so `admit` may read what the
-    consumer recorded for it.
+    consumer recorded for it.  A set `tree` gets both sides, (t, e) and
+    the neighbour's (t2, e2), of each edge a triangle was placed across.
     """
     frames = {root: frame}
     order = [root]
@@ -525,17 +526,22 @@ def develop(surf: Triangulation, ctx: Scalars, root: int,
             if nbr and nbr[0] not in frames and admit(t, e, nbr[0]):
                 frames[nbr[0]] = f.compose(surf.transfer(ctx, t, e).inverse())
                 order.append(nbr[0])
+                if tree is not None:
+                    tree |= {(t, e), nbr}
 
 
-def seams(surf: Triangulation, ctx: Scalars, frames):
+def seams(surf: Triangulation, ctx: Scalars, frames, tree):
     """Edges between two placed triangles whose placements disagree.
 
     Yields (t, e, direct, have) in `frames` order, once from each side:
     `direct` places t's neighbour across e from t's frame, `have` is the
-    neighbour's own frame.
+    neighbour's own frame.  The edges `develop` placed a triangle across,
+    in `tree`, agree by construction and are skipped.
     """
     for t, f in frames.items():
         for e in range(3):
+            if (t, e) in tree:
+                continue
             nbr = surf.adj.get((t, e))
             if not nbr or nbr[0] not in frames:
                 continue
@@ -726,10 +732,11 @@ class _Builder:
     Seeds add triangles one at a time; grow_frontier starts from a copy of
     a surface's built triangles and adjacency and adds ring plans.
     `freeze` hands the builder's containers to the new Triangulation, so
-    the builder must not be used after it.
+    the builder must not be used after it.  It has no triangle cap:
+    `grow_frontier` refuses an over-budget ring before it makes one.
     """
 
-    def __init__(self, max_triangles=1_000_000):
+    def __init__(self):
         self.tris = []
         self.adj = {}
         self.degree = {}
@@ -737,7 +744,6 @@ class _Builder:
         self.ring_of = {}
         self.rings = []
         self.plans = []
-        self.max_triangles = max_triangles
         self.next_vertex = 0
 
     @classmethod
@@ -745,7 +751,7 @@ class _Builder:
         """Copy of `surf`'s built triangles and adjacency; its base (degrees,
         birth rings, ring cycles, open edges) and ring plans are shared,
         since growth only adds plans."""
-        b = cls(surf.max_triangles)
+        b = cls()
         b.tris = list(surf._tris)
         b.adj = dict(surf._adj)
         b.degree = surf._base_degree
@@ -769,9 +775,6 @@ class _Builder:
     def add_triangle(self, a: int, b: int, c: int) -> int:
         tris = self.tris
         t = len(tris)
-        if t >= self.max_triangles:
-            raise GrowthLimitExceeded(
-                f"triangle budget {self.max_triangles} reached")
         tris.append((a, b, c))
         degree = self.degree
         degree[a] = degree.get(a, 0) + 1
@@ -846,7 +849,6 @@ class _Builder:
             ring_of=self.ring_of,
             rule=rule,
             labels=labels,
-            max_triangles=self.max_triangles,
             plans=tuple(self.plans),
         )
         surf._open_edges = self.pending
@@ -1026,32 +1028,30 @@ class _RingPlan:
                          self, gaps)
 
 
-def ring_size(surf: Triangulation) -> int:
-    """Number of triangles that growing `surf` by one ring adds (the
-    surface keeps the plan, so growing it does not plan the ring again)."""
-    return surf._next_plan().size
+# Default growth budget, in triangles; the budget a caller passes to
+# grow_frontier is the only cap on a surface.
+GROWTH_BUDGET = 1_000_000
 
 
 def grow_frontier(surf: Triangulation, rings: int,
-                  budget: int = None) -> Triangulation:
+                  budget: int = GROWTH_BUDGET) -> Triangulation:
     """Push the frontier outward by `rings` layers under the surface rule.
 
     The rings are planned, not built: the new surface builds each sector
-    when it is first read.  A ring that would take the surface past
-    `budget` triangles, or past `max_triangles`, raises
-    GrowthLimitExceeded before anything of the surface is copied.
+    when it is first read.  `budget` is the only limit on the result: a
+    ring that would take the surface past `budget` triangles raises
+    GrowthLimitExceeded, naming that budget, before anything of the
+    surface is copied.
     """
-    limit = surf.max_triangles if budget is None else \
-        min(budget, surf.max_triangles)
     plans = []
     total = surf.n_triangles()
     for _ in range(rings):
         plan = plans[-1].following(surf.rule) if plans else surf._next_plan()
         total += plan.size
-        if total > limit:
+        if total > budget:
             raise GrowthLimitExceeded(
                 f"next ring would make {total} triangles, over the budget"
-                f" of {limit}")
+                f" of {budget}")
         plans.append(plan)
     b = _Builder.from_surface(surf)
     for plan in plans:

@@ -437,7 +437,7 @@ class TestCriterion10:
                       degree=dict(surf.degree), frontier=surf.frontier,
                       boundary=surf.boundary, rings=surf.rings,
                       ring_of=dict(surf.ring_of), rule=surf.rule,
-                      labels=surf.labels, max_triangles=surf.max_triangles)
+                      labels=surf.labels)
             kw.update(over)
             return Triangulation(**kw)
 

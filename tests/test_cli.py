@@ -34,7 +34,7 @@ def test_validate_broken_exits_1(files, capsys):
 
 
 def test_oversized_model_is_a_diagnostic(tmp_path, capsys):
-    # The flat disk of radius 2000 would pass the builder's triangle cap.
+    # The flat disk of radius 2000 would pass the default growth budget.
     p = tmp_path / "big.smf"
     p.write_text("smf 1\nmodel flat radius=2000\n")
     assert cli.main(["validate", str(p)]) == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smfgeo import chart
+from smfgeo import chart, engine
 from smfgeo.builders import (
     build_flat_plane,
     build_semi_paradoxist,
@@ -17,7 +17,9 @@ from smfgeo.builders import (
 )
 from smfgeo.engine import (
     EdgeCrossing,
+    EngineError,
     FrontierReached,
+    GrowthLimit,
     VertexCrossing,
     cross_vertex,
     detect_closure,
@@ -41,6 +43,11 @@ CENTROID = (THIRD, THIRD, THIRD)
 @pytest.fixture(scope="module")
 def flat3():
     return build_flat_plane(3)
+
+
+@pytest.fixture(scope="module")
+def semi3():
+    return build_semi_paradoxist(3)
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +310,48 @@ class TestCrossVertex:
         assert nz == pytest.approx([0.5, 0.5])
 
 
+def arrival_off_fan(surf, ctx, turn):
+    """(arrival triangle, direction) at vertex 0 from its smallest
+    triangle, the back direction being fan sector 0's first edge turned
+    clockwise: by `turn` radians in float mode, by `turn` times its
+    normal in exact mode.  At a degree-5 vertex that turn leaves the
+    fan."""
+    t, s = surf.incident(0)
+    frames = fan_frames(surf, ctx, 0, (t, s))
+    (ux, uy), _ = engine._sector_edges(chart.corners(ctx), frames, 0)
+    if ctx.exact:
+        bx, by = ux + uy * turn, uy - ux * turn
+    else:
+        c, sn = math.cos(turn), math.sin(turn)
+        bx, by = c * ux + sn * uy, c * uy - sn * ux
+    return t, frames[0][2].inverse().apply_vec(-bx, -by)
+
+
+class TestFanDirt:
+    """cross_vertex's float fallback: a back direction just outside
+    every fan sector takes the least violated one, within FAN_DIRT."""
+
+    def test_float_dirt_is_accepted(self, semi3, monkeypatch):
+        assert semi3.degree[0] == 5
+        t, d = arrival_off_fan(semi3, FLOAT, 1e-8)
+        out, ev = cross_vertex(semi3, FLOAT, 0, t, d)
+        assert out.point.tri == ev.tri_out == 15
+        # The fallback alone accepts it: without its slack it is refused.
+        monkeypatch.setattr(engine, "FAN_DIRT", 0.0)
+        with pytest.raises(EngineError, match="not inside the fan"):
+            cross_vertex(semi3, FLOAT, 0, t, d)
+
+    def test_more_than_dirt_is_refused(self, semi3):
+        t, d = arrival_off_fan(semi3, FLOAT, 1e-5)
+        with pytest.raises(EngineError, match="not inside the fan"):
+            cross_vertex(semi3, FLOAT, 0, t, d)
+
+    def test_exact_mode_has_no_fallback(self, semi3):
+        t, d = arrival_off_fan(semi3, EXACT, Fraction(1, 10**8))
+        with pytest.raises(EngineError, match="not inside the fan"):
+            cross_vertex(semi3, EXACT, 0, t, d)
+
+
 class TestTrace:
     def test_flat_trace_is_straight(self, flat3):
         ray = make_ray(flat3, FLOAT, 0, CENTROID, FLOAT.direction(23.0))
@@ -403,15 +452,29 @@ class TestTrace:
         surf = build_flat_plane(1)
         ray = make_ray(surf, FLOAT, 0, CENTROID, FLOAT.direction(11.0))
         path = trace(ray, surf, FLOAT, arc_budget=50.0, growth_budget=10)
-        from smfgeo.engine import GrowthLimit
         assert any(isinstance(ev, GrowthLimit) for _, ev in path.events)
+
+    @pytest.mark.parametrize("budget,triangles,arc", [
+        (10**6, 838_825, 11.061),
+        (5 * 10**6, 2_196_040, 12.145),
+    ], ids=["default", "five_million"])
+    def test_growth_budget_is_the_only_cap(self, silo3, budget, triangles,
+                                           arc):
+        # The long silo(3) trace into the degree-7 region: its next ring
+        # after 838,825 triangles takes the surface to 2,196,040, which a
+        # budget over 10^6 admits.
+        ray = make_ray(silo3, FLOAT, 20, (0.2, 0.3, 0.5),
+                       FLOAT.direction(67.0))
+        path = trace(ray, silo3, FLOAT, arc_budget=15.0, growth_budget=budget)
+        assert path.surface.n_triangles() == triangles
+        end, ev = path.events[-1]
+        assert isinstance(ev, GrowthLimit)
+        assert end == pytest.approx(arc, abs=1e-3)
 
     def test_growth_bug_propagates(self, monkeypatch):
         # Only surface errors mean "cannot grow"; any other error inside
         # growth is a bug and must not become a silent GrowthLimit.
-        from smfgeo import engine
-
-        def broken(surf, rings):
+        def broken(surf, rings, budget):
             raise RuntimeError("bug inside growth")
 
         monkeypatch.setattr(engine, "grow_frontier", broken)
@@ -425,22 +488,22 @@ class TestTrace:
                                                       rings_before):
         # The budget admits `rings_before` rings and stops one triangle
         # short of the next; that ring must be refused, not built.
-        from smfgeo import engine
-        from smfgeo.engine import GrowthLimit
-        from smfgeo.surface import grow_frontier, ring_size
+        from smfgeo.surface import grow_frontier
         surf = build_flat_plane(1)
         last = grow_frontier(surf, rings_before) if rings_before else surf
-        budget = len(last.tris) + ring_size(last) - 1
-        calls = []
+        budget = len(last.tris) + last._next_plan().size - 1
+        built = []
 
-        def counting(s, rings):
-            calls.append(len(s.tris))
-            return grow_frontier(s, rings)
+        def counting(s, rings, limit):
+            assert limit == budget
+            out = grow_frontier(s, rings, limit)
+            built.append(len(out.tris))
+            return out
 
         monkeypatch.setattr(engine, "grow_frontier", counting)
         ray = make_ray(surf, FLOAT, 0, CENTROID, FLOAT.direction(11.0))
         path = trace(ray, surf, FLOAT, arc_budget=50.0, growth_budget=budget)
-        assert len(calls) == rings_before
+        assert len(built) == rings_before
         assert isinstance(path.events[-1][1], GrowthLimit)
         if rings_before:
             assert path.surface.content_hash() == last.content_hash()
@@ -448,11 +511,9 @@ class TestTrace:
             assert path.surface is surf
 
     def test_growth_limit_exceeded_ends_trace(self, monkeypatch):
-        from smfgeo import engine
-        from smfgeo.engine import GrowthLimit
         from smfgeo.surface import GrowthLimitExceeded
 
-        def over_budget(surf, rings):
+        def over_budget(surf, rings, budget):
             raise GrowthLimitExceeded("triangle budget reached")
 
         monkeypatch.setattr(engine, "grow_frontier", over_budget)

@@ -52,7 +52,7 @@ def test_every_seam_is_a_cut_edge_carrying_delta(ctx):
     surf, fc, _, _ = far_field(ctx)
     dx, dy = fc.delta
     assert not (ctx.is_zero(dx) and ctx.is_zero(dy))
-    found = list(seams(surf, ctx, fc.frames))
+    found = list(seams(surf, ctx, fc.frames, fc.tree))
     assert len(found) == 12
     for t, e, direct, have in found:
         assert frozenset(surf.edge_vertices(t, e)) in fc.cut_edges
@@ -66,10 +66,24 @@ def test_every_seam_is_a_cut_edge_carrying_delta(ctx):
 
 
 @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_seams_skip_only_tree_edges(ctx):
+    # The development's tree edges agree by construction: skipping them
+    # leaves the seams a scan of every placed adjacency finds, in order.
+    surf, fc, _, _ = far_field(ctx)
+
+    def plain(found):
+        return [(t, e, d.k, d.tx, d.ty, h.k, h.tx, h.ty)
+                for t, e, d, h in found]
+    assert len(fc.tree) == 2 * (len(fc.frames) - 1)
+    assert plain(seams(surf, ctx, fc.frames, fc.tree)) == \
+        plain(seams(surf, ctx, fc.frames, set()))
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
 def test_a_gap_in_the_cut_is_refused(ctx):
     surf, fc, cut, anchor = far_field(ctx)
     seam_edges = {frozenset(surf.edge_vertices(t, e))
-                  for t, e, _, _ in seams(surf, ctx, fc.frames)}
+                  for t, e, _, _ in seams(surf, ctx, fc.frames, fc.tree)}
     assert len(seam_edges) == 6
     again = FlatComplement(surf, ctx, fc.ring, anchor, cut)
     assert again.delta == fc.delta
@@ -117,8 +131,8 @@ def test_exact_split_stays_in_q3():
 def test_inconsistent_seams_are_refused(tamper, message, monkeypatch):
     surf, fc, cut, anchor = far_field(EXACT)
 
-    def tampered(surf, ctx, frames):
-        found = list(seams(surf, ctx, frames))
+    def tampered(surf, ctx, frames, tree):
+        found = list(seams(surf, ctx, frames, tree))
         t, e, direct, have = found[-1]
         return found[:-1] + [(t, e, tamper(ctx, direct), have)]
 

@@ -58,6 +58,19 @@ class TestParseManifold:
         assert surf is None
         assert [d.code for d in diags] == ["BadTriangulation"]
 
+    def test_triangle_list_over_growth_budget(self, monkeypatch):
+        # The list is refused whole, naming its length and the budget;
+        # one at the budget is built.
+        doc, _ = smf.parse_manifold(GOOD_EXPLICIT)
+        monkeypatch.setattr(smf, "GROWTH_BUDGET", 1)
+        surf, diags = smf.to_triangulation(doc)
+        assert surf is None
+        assert [(d.code, d.message) for d in diags] == [
+            ("BadTriangulation", "2 triangles, over the growth budget of 1")]
+        monkeypatch.setattr(smf, "GROWTH_BUDGET", 2)
+        surf, diags = smf.to_triangulation(doc)
+        assert not diags and surf.n_triangles() == 2
+
     @pytest.mark.parametrize("method", ["add_triangle", "boundary_cycle"])
     def test_builder_bug_propagates(self, method, monkeypatch):
         def broken(self, *args):

@@ -7,6 +7,7 @@ from smfgeo import chart, numbers
 from smfgeo.builders import build_flat_plane, build_semi_paradoxist, build_silo
 from smfgeo.numbers import Scalars
 from smfgeo.surface import (
+    GrowthLimitExceeded,
     SurfacePoint,
     Triangulation,
     angle_defect_deg,
@@ -134,10 +135,22 @@ class TestBuilders:
         assert validate(grow_frontier(silo3, 1)).ok()
 
     def test_growth_limit(self):
-        surf = build_flat_plane(2, max_triangles=30)
-        from smfgeo.surface import GrowthLimitExceeded
+        surf = build_flat_plane(2)
         with pytest.raises(GrowthLimitExceeded):
-            grow_frontier(surf, 2)
+            grow_frontier(surf, 2, 30)
+
+    def test_budget_over_a_million_is_honoured(self):
+        # silo(6) at 16 rings has 838,825 triangles and its next ring
+        # 1,357,215 more: the default budget refuses that ring, and a
+        # larger budget passed to grow_frontier lets it grow.
+        base = build_silo(6)
+        surf = grow_frontier(base, 16 - len(base.rings))
+        assert surf.n_triangles() == 838_825
+        with pytest.raises(GrowthLimitExceeded,
+                           match="2196040 triangles, over the budget of "
+                                 "1000000$"):
+            grow_frontier(surf, 1)
+        assert grow_frontier(surf, 1, 3 * 10**6).n_triangles() == 2_196_040
 
 
 ICOSAHEDRON = [
@@ -206,7 +219,7 @@ class TestSingleCopyGrowth:
             degree=dict(semi4.degree), frontier=semi4.frontier,
             boundary=semi4.boundary, rings=semi4.rings,
             ring_of=dict(semi4.ring_of), rule=semi4.rule,
-            labels=semi4.labels, max_triangles=semi4.max_triangles)
+            labels=semi4.labels)
         assert rebuilt._open_edges is None
         assert semi4._open_edges is not None
         assert _growth_state(grow_frontier(rebuilt, 2)) == \
@@ -218,27 +231,25 @@ class TestSingleCopyGrowth:
         lambda: build_silo(0),
     ], ids=["flat", "semi", "silo"])
     def test_ring_size_matches_growth(self, build):
-        from smfgeo.surface import ring_size
         surf = build()
         for _ in range(4):
-            planned = ring_size(surf)
+            planned = surf._next_plan().size
             grown = grow_frontier(surf, 1)
             assert len(grown.tris) - len(surf.tris) == planned
             surf = grown
 
     def test_over_budget_ring_refused_before_copy(self, monkeypatch):
-        from smfgeo.surface import GrowthLimitExceeded, _Builder, ring_size
-        surf = build_flat_plane(2, max_triangles=53)
-        assert len(surf.tris) + ring_size(surf) == 54
+        from smfgeo.surface import _Builder
+        surf = build_flat_plane(2)
+        assert len(surf.tris) + surf._next_plan().size == 54
 
         def no_copy(cls, s):
             raise AssertionError("builder created for a refused ring")
         monkeypatch.setattr(_Builder, "from_surface", classmethod(no_copy))
-        with pytest.raises(GrowthLimitExceeded):
-            grow_frontier(surf, 1)
+        with pytest.raises(GrowthLimitExceeded, match="budget of 53$"):
+            grow_frontier(surf, 1, 53)
         monkeypatch.undo()
-        exact = build_flat_plane(2, max_triangles=54)
-        assert len(grow_frontier(exact, 1).tris) == 54
+        assert len(grow_frontier(surf, 1, 54).tris) == 54
 
 
 class TestSharedEdgeLength:
@@ -305,7 +316,7 @@ class TestMutationSuite:
                   degree=dict(surf.degree), frontier=surf.frontier,
                   boundary=surf.boundary, rings=surf.rings,
                   ring_of=dict(surf.ring_of), rule=surf.rule,
-                  labels=surf.labels, max_triangles=surf.max_triangles)
+                  labels=surf.labels)
         kw.update(over)
         return Triangulation(**kw)
 

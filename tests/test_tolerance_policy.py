@@ -86,3 +86,40 @@ def test_checker_flags_inline_and_spares_named():
               "def f(x):\n"
               "    return abs(x) < 1e-12 or x > -2e-6 or x == 0.5\n")
     assert small_literals(source) == ([(4, 1e-12), (4, 2e-6)], {"GAP"})
+
+
+# Each budget default is written once, as a named constant that every
+# other default reads: the growth budget in surface, the arc budget in
+# engine.
+BUDGETS = {1_000_000: ("smfgeo.surface", "GROWTH_BUDGET"),
+           200.0: ("smfgeo.engine", "ARC_BUDGET")}
+
+
+def budget_literals(name, source):
+    """(value, module, constant name or None) of each numeric literal in
+    `source` equal to a budget default; None for one written inline."""
+    tree = ast.parse(source)
+    named = {id(v): k for k, v in named_constants(tree).items()}
+    return [(node.value, name, named.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) in (int, float) and node.value in BUDGETS]
+
+
+def test_each_budget_default_is_written_once():
+    found = []
+    for name in sorted(MODULES):
+        module = importlib.import_module(name)
+        with open(module.__file__, encoding="utf-8") as f:
+            found += budget_literals(name, f.read())
+    assert sorted(found, key=repr) == sorted(
+        ((value, *where) for value, where in BUDGETS.items()), key=repr)
+
+
+def test_budget_checker_tells_named_from_inline():
+    source = ("GROWTH_BUDGET = 1_000_000\n"
+              "def f(arc=200.0, n=200, cap=1000000):\n"
+              "    return arc, n, cap\n")
+    assert budget_literals("m", source) == [
+        (1_000_000, "m", "GROWTH_BUDGET"), (200.0, "m", None),
+        (200, "m", None), (1_000_000, "m", None)]
