@@ -28,7 +28,7 @@ def main(outdir="."):
     silo = build_silo(2)
     lray = resolve_ray(silo, FLOAT, silo.labels["l"])
     lpath = engine.trace(lray, silo, FLOAT, arc_budget=6.0,
-                         growth_budget=len(silo.tris), two_sided=True)
+                         growth_budget=silo.n_triangles(), two_sided=True)
     band = [t for t in range(silo.n_triangles()) if silo.tri_ring(t) <= 3]
     drawing = netdraw.draw_pieces(silo, FLOAT, [band], paths=[("l", lpath)])
     path = f"{outdir}/silo_band.svg"

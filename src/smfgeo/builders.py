@@ -96,6 +96,16 @@ def _seed_fan(n: int) -> _Builder:
     return b
 
 
+def _grown_whole(surf: Triangulation, rings: int) -> Triangulation:
+    """`surf` grown by `rings` rings with every sector built.  A model is
+    read whole anyway (`smf.to_triangulation` validates it), and one pass
+    over the ring plans builds it faster than the sector-by-sector reads
+    of placing the fixtures would."""
+    surf = grow_frontier(surf, rings)
+    surf._complete()
+    return surf
+
+
 def build_flat_plane(radius: int) -> Triangulation:
     """Disk of the regular triangular tiling, every interior vertex degree 6."""
     if radius < 1:
@@ -103,7 +113,7 @@ def build_flat_plane(radius: int) -> Triangulation:
     b = _seed_fan(6)
     surf = b.freeze(RULE_FLAT, {})
     if radius > 1:
-        surf = grow_frontier(surf, radius - 1)
+        surf = _grown_whole(surf, radius - 1)
     surf.labels.update(_flat_fixtures(surf))
     return surf
 
@@ -140,7 +150,7 @@ def build_semi_paradoxist(radius: int) -> Triangulation:
     b.add_triangle(h, e, c)
     b.rings = [b.boundary_cycle()]
     surf = b.freeze(RULE_SEMI, {})
-    surf = grow_frontier(surf, max(radius, SEMI_FIXTURE_RADIUS))
+    surf = _grown_whole(surf, max(radius, SEMI_FIXTURE_RADIUS))
     surf.labels.update(_semi_fixtures(surf))
     return surf
 
@@ -210,7 +220,7 @@ def build_silo(hyperbolic_rings: int) -> Triangulation:
         raise ValueError("hyperbolic_rings must be >= 0")
     b = _seed_fan(5)
     surf = b.freeze(RULE_SILO, {})
-    surf = grow_frontier(surf, 2 + hyperbolic_rings)
+    surf = _grown_whole(surf, 2 + hyperbolic_rings)
     surf.labels.update(_silo_fixtures(surf, hyperbolic_rings))
     return surf
 
@@ -302,7 +312,7 @@ def _vertex_bisector_ray(surf, ctx, v, toward_ring) -> engine.Ray:
 def _triangle_at(surf: Triangulation, ray: engine.Ray, arc: float) -> int:
     """Triangle reached after walking `arc` along the ray."""
     path = engine.trace(ray, surf, _EXACT, arc_budget=arc + 2.0,
-                        growth_budget=len(surf.tris))
+                        growth_budget=surf.n_triangles())
     acc = 0.0
     for seg in path.segments:
         acc += seg.length()
@@ -321,7 +331,7 @@ def _ring_crossing(surf: Triangulation, ctx, ray: engine.Ray, ring: int):
         return None
     on_ring = set(surf.rings[ring])
     path = engine.trace(ray, surf, ctx, arc_budget=4.0 * ring + 10.0,
-                        growth_budget=len(surf.tris))
+                        growth_budget=surf.n_triangles())
     for _, ev in path.events:
         if isinstance(ev, engine.EdgeCrossing):
             u, v = surf.edge_vertices(ev.tri, ev.edge)

@@ -255,7 +255,7 @@ def build_line_context(surf: Triangulation, ctx: Scalars, ray: Ray,
         lctx.tail_dirs = dirs
         return lctx
     path = engine.trace(ray, surf, ctx, arc_budget=budgets.arc,
-                        growth_budget=len(surf.tris), two_sided=True)
+                        growth_budget=surf.n_triangles(), two_sided=True)
     period = engine.detect_closure(path)
     return LineContext(ray, path, surf, ctx, _index_segments(path),
                        farfield.max_ring_of_path(surf, path.segments),
@@ -295,7 +295,7 @@ def _cut_ray(surf, ctx, analysis, budgets, core_ring):
         raise ValueError("cut ray failed to escape the core ring")
     # The cut runs on straight past the escape, up to six arc budgets.
     (_, after, _), _ = engine._trace_one_way(
-        res.end, surf, ctx, 6 * budgets.arc - res.arc, len(surf.tris))
+        res.end, surf, ctx, 6 * budgets.arc - res.arc, surf.n_triangles())
     crossed = [ev for _, ev in res.events[t.event0:]]
     crossed += [ev for _, ev in after]
     cut_edges = frozenset(frozenset(surf.edge_vertices(ev.tri, ev.edge))
@@ -707,7 +707,7 @@ class _Partitioner:
         ends develop with the crossing end's last frame."""
         ctx = self.ctx
         surf = self.surf
-        tris = surf.tris
+        triangle = surf.triangle
         cs = chart.corners(ctx)
         # direction key -> (order first met, folded, direction last met)
         met = {}
@@ -730,9 +730,9 @@ class _Partitioner:
             for tri, frame, crossed in res.frames:
                 # Across a crossing, the corners shared with the previous
                 # triangle develop where they did in it.
-                done = tris[prev] if crossed else ()
+                done = triangle(prev) if crossed else ()
                 prev = tri
-                for c, vtx in zip(cs, tris[tri]):
+                for c, vtx in zip(cs, triangle(tri)):
                     got = None if vtx in done else develop(frame, c)
                     if got is not None:
                         seen = met.get(got[0])
@@ -1006,7 +1006,7 @@ def enclosed_defect(path: engine.GeodesicPath, surf: Triangulation,
     # Components of the triangle adjacency graph with crossed links removed.
     seen = {}
     comp = 0
-    for t0 in range(len(surf.tris)):
+    for t0 in range(surf.n_triangles()):
         if t0 in seen:
             continue
         stack = [t0]
@@ -1026,7 +1026,7 @@ def enclosed_defect(path: engine.GeodesicPath, surf: Triangulation,
         raise ValueError("closed path does not separate the surface")
     # The enclosed side is the one not touching the frontier.
     open_comps = set()
-    for t in range(len(surf.tris)):
+    for t in range(surf.n_triangles()):
         for e in range(3):
             if (t, e) not in adj:
                 open_comps.add(seen[t])
@@ -1143,9 +1143,9 @@ class Session:
         if surf is None:
             below = held[max(k for k in held if k < rings)]
             surf = held[rings] = ensure_rings(below, rings, budget)
-        elif surf is not self.base and len(surf.tris) > budget:
+        elif surf is not self.base and surf.n_triangles() > budget:
             raise GrowthLimitExceeded(
-                f"{len(surf.tris)} triangles, over the budget of {budget}")
+                f"{surf.n_triangles()} triangles, over the budget of {budget}")
         return surf
 
     def analysis(self, surf: Triangulation) -> ModelAnalysis:

@@ -313,7 +313,7 @@ def _dispatch(args, config: RunConfig) -> int:
                 ray = resolve_ray(surf, ctx, surf.labels[label])
                 paths.append((label, engine.trace(
                     ray, surf, ctx, arc_budget=min(config.arc_budget, 8.0),
-                    growth_budget=len(surf.tris), two_sided=True)))
+                    growth_budget=surf.n_triangles(), two_sided=True)))
             point_labels = []
             inset = set(tris)
             for name, fx in sorted(surf.labels.items()):

@@ -255,7 +255,7 @@ def figure_fan(surf: Triangulation, ctx: Scalars, vertex: int,
     for label, ray in (("middle", mid), ("left", a), ("right", b)):
         paths.append((label, engine.trace(
             ray, surf, ctx, arc_budget=arc_budget,
-            growth_budget=len(surf.tris), two_sided=True)))
+            growth_budget=surf.n_triangles(), two_sided=True)))
     if len(tris) <= 6:
         pieces = [tris]
     else:

@@ -9,8 +9,10 @@ and the ring growth used by the model builders.
 Growth plans rings instead of building them: a ring's size and the ids
 of all its triangles and vertices follow from the degree pattern of the
 boundary it grows on, and each of its sectors (the triangles outside
-one boundary vertex) is built the first time something reads it.
-Building never changes what a reader sees.
+one boundary vertex) is built the first time something reads it.  Ring
+questions (vertex degrees, birth rings, ring cycles, the ring of a
+triangle, the content hash) are answered from the plans and build
+nothing.  Building never changes what a reader sees.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import hashlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 
 from . import chart
 from .numbers import Scalars
@@ -125,12 +127,16 @@ class GenerationRule:
 
 
 class _Whole:
-    """A whole-surface container of a Triangulation (`tris`, `adj`, ...).
-
-    The first read builds every planned sector (`Triangulation._complete`),
-    which sets the container as an instance attribute; the instance
-    attribute hides this descriptor from later reads.
+    """A whole-surface container of a Triangulation, made on its first
+    read by the method named `make`: `_complete` builds every planned
+    sector for `tris` and `adj`, and `_tables` makes the vertex tables
+    (`degree`, `ring_of`, `rings`, `boundary`, `frontier`) from the ring
+    plans without building one.  The method sets the container as an
+    instance attribute, which hides this descriptor from later reads.
     """
+
+    def __init__(self, make):
+        self.make = make
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -138,7 +144,7 @@ class _Whole:
     def __get__(self, surf, owner=None):
         if surf is None:
             return self
-        surf._complete()
+        getattr(surf, self.make)()
         return getattr(surf, self.name)
 
 
@@ -151,19 +157,21 @@ class Triangulation:
     the ids, vertices and neighbours of every planned triangle are fixed
     by the plan, and a planned sector is built on first use (`neighbor`,
     `triangle`, `incident`, `fan_ccw` and the queries built on them).
-    Building never changes what a reader sees.  Reading a whole-surface
-    container (`tris`, `adj`, `degree`, `ring_of`, `rings`, `boundary`,
-    `frontier`) builds every remaining sector first.  A surface carries
-    no triangle cap: the budget passed to `grow_frontier` bounds growth.
+    Building never changes what a reader sees.  The vertex tables
+    (`degree`, `ring_of`, `rings`, `boundary`, `frontier`), `tri_ring`,
+    `n_triangles` and `content_hash` are read off the plans and build
+    nothing; only a read of `tris` or `adj` builds every remaining
+    sector.  A surface carries no triangle cap: the budget passed to
+    `grow_frontier` bounds growth.
     """
 
-    tris = _Whole()
-    adj = _Whole()
-    degree = _Whole()
-    frontier = _Whole()
-    boundary = _Whole()
-    rings = _Whole()
-    ring_of = _Whole()
+    tris = _Whole("_complete")
+    adj = _Whole("_complete")
+    degree = _Whole("_tables")
+    frontier = _Whole("_tables")
+    boundary = _Whole("_tables")
+    rings = _Whole("_tables")
+    ring_of = _Whole("_tables")
 
     def __init__(self, tris, adj, degree, frontier, boundary, rings, ring_of,
                  rule=None, labels=None, plans=()):
@@ -174,7 +182,7 @@ class Triangulation:
         self._tris = tris
         self._adj = adj
         # With `plans`, the other containers describe the base the planned
-        # rings grow on, and the public ones are made by `_complete`.
+        # rings grow on, and the public ones are made on first read.
         self._plans = plans
         self._plan_bases = tuple(p.base for p in plans)
         self._plan_vbases = tuple(p.vbase for p in plans)
@@ -189,18 +197,17 @@ class Triangulation:
         # _Builder.freeze so that growth need not rescan every edge; None
         # for a surface built directly.
         self._open_edges = None
-        self._whole = False
+        self._tabled = False
         if not plans:
-            self._set_whole(tris, adj, degree, frontier, boundary, rings,
-                            ring_of)
+            self._set_tables(degree, frontier, boundary, rings, ring_of)
+            self.tris = tris            # list[(v0, v1, v2)] CCW
+            self.adj = adj              # {(t, e): (t', e')} symmetric
 
-    def _set_whole(self, tris, adj, degree, frontier, boundary, rings,
-                   ring_of):
-        # Every instance assigns its attributes in one order and never
-        # reads its __dict__, which keeps attribute reads fast.
-        self._whole = True
-        self.tris = tris            # list[(v0, v1, v2)] CCW
-        self.adj = adj              # {(t, e): (t', e')} symmetric
+    def _set_tables(self, degree, frontier, boundary, rings, ring_of):
+        # Every instance assigns its attributes in one order (the tables,
+        # then `tris` and `adj`) and never reads its __dict__, which keeps
+        # attribute reads fast.
+        self._tabled = True
         self.degree = degree        # {v: incident triangle count}
         self.frontier = frontier    # frozenset of boundary vertices
         self.boundary = boundary    # tuple: boundary vertex cycle, interior on the left
@@ -211,6 +218,10 @@ class Triangulation:
 
     def n_triangles(self) -> int:
         return len(self._tris)
+
+    def _n_base(self) -> int:
+        """Triangle count of the base the planned rings grow on."""
+        return self._plan_bases[0] if self._plans else len(self._tris)
 
     def n_vertices(self) -> int:
         return len(self.degree)
@@ -260,13 +271,17 @@ class Triangulation:
 
         The triangles of ring k > 0 lie between the cycles rings[k - 1]
         and rings[k].  The index covers the whole surface and is built
-        on first use.
+        on first use: a planned triangle's ring is its plan's, since each
+        planned triangle has a vertex the plan makes.
         """
         index = self._tri_ring
         if index is None:
-            ring_of = self.ring_of
-            index = self._tri_ring = [max(ring_of[a], ring_of[b], ring_of[c])
-                                      for a, b, c in self.tris]
+            ring_of = self._base_ring_of
+            index = [max(ring_of[a], ring_of[b], ring_of[c])
+                     for a, b, c in islice(self._tris, self._n_base())]
+            for p in self._plans:
+                index += [p.ring] * p.size
+            self._tri_ring = index
         return index[t]
 
     def vertex_slot(self, t: int, v: int) -> int:
@@ -281,8 +296,7 @@ class Triangulation:
         m = self._vert_tri
         if m is None:
             m = {}
-            nbase = self._plan_bases[0] if self._plans else len(self._tris)
-            for t, tv in enumerate(self._tris[:nbase]):
+            for t, tv in enumerate(islice(self._tris, self._n_base())):
                 for i in range(3):
                     m.setdefault(tv[i], (t, i))
             self._vert_tri = m
@@ -338,15 +352,33 @@ class Triangulation:
     # -- identity ------------------------------------------------------
 
     def content_hash(self) -> str:
+        """Digest of every triangle's vertices in id order and of the
+        frontier.  Planned rings are read from their plans, so hashing
+        builds nothing."""
         if self._hash is None:
+            frontier = sorted(self.frontier)   # gives the plans their ids
             h = hashlib.sha256()
-            for tv in self.tris:
-                h.update(f"{tv[0]},{tv[1]},{tv[2]};".encode())
+            fmt = "%d,%d,%d;".__mod__
+            tvs = chain.from_iterable(self._triangle_runs())
+            while run := "".join(map(fmt, islice(tvs, 1 << 16))):
+                h.update(run.encode())
             h.update(b"|")
-            for v in sorted(self.frontier):
-                h.update(f"{v},".encode())
+            h.update("".join(f"{v}," for v in frontier).encode())
             self._hash = h.hexdigest()[:16]
         return self._hash
+
+    def _triangle_runs(self):
+        """Runs of triangles (v0, v1, v2) that together give every
+        triangle in id order: the base's as built, and each planned
+        ring's from its plan, built or not."""
+        yield islice(self._tris, self._n_base())
+        for p in self._plans:
+            # Sector 0's up opens the ring, and its downs close it.
+            s0 = p.sector(0)
+            yield s0[-1:]
+            for j in range(1, p.n):
+                yield p.sector(j)
+            yield s0[:-1]
 
     # -- chart transfer ------------------------------------------------
 
@@ -433,20 +465,12 @@ class Triangulation:
         tris, adj = self._tris, self._adj
         n, base = p.n, p.base
         up = p.up
-        v, w = p.vertex(j), p.vertex(j + 1)
-        m = p.ks[j] - 2
-        a = p.apex(j)
-        if j:
-            first = base + up[j - 1] + 1
-            chain0 = a  # chain vertex c is a + c
-        else:
-            first = base + up[n - 1] + 1
-            chain0 = p.vbase + p.dn[n - 1]
-        chain = [p.apex(j - 1), *range(chain0 + 1, chain0 + m), a]
+        tvs = p.sector(j)
+        m = len(tvs) - 1
+        first = base + up[j - 1] + 1
         t_up = base + up[j]
-        for c in range(m):
-            tris[first + c] = (v, chain[c], chain[c + 1])
-        tris[t_up] = (w, v, a)
+        tris[first:first + m] = tvs[:m]
+        tris[t_up] = tvs[m]
         strip = [*range(first, first + m), t_up]
         glue = [((strip[c], 2), (strip[c + 1], 0 if c + 1 < m else 1))
                 for c in range(m)]
@@ -462,6 +486,7 @@ class Triangulation:
             if tris[t_in] is not None:
                 glue.append(((t_up, 0), (t_in, 1)))
         else:
+            w, v, _ = tvs[m]
             glue.append(((t_up, 0), self._open_edges[(v, w)]))
         if i + 1 < len(plans):
             r = plans[i + 1]
@@ -474,22 +499,19 @@ class Triangulation:
             adj[k1] = k2
             adj[k2] = k1
 
-    def _complete(self):
-        """Build every planned sector and make the whole-surface containers."""
-        if self._whole:
+    def _tables(self):
+        """Make the vertex tables from the base and the ring plans, and
+        give each plan its boundary's vertex ids; builds no sector."""
+        if self._tabled:
             return
-        tris = self._tris
         rule = self.rule
         degree = dict(self._base_degree)
         ring_of = dict(self._base_ring_of)
         rings = list(self._base_rings)
         ids = None
-        for i, p in enumerate(self._plans):
+        for p in self._plans:
             inner = p.inner if ids is None else ids
             p.set_inner_ids(inner)
-            for j in range(p.n):
-                if tris[p.base + p.up[j]] is None:
-                    self._build_sector(i, j)
             # The ring completes the boundary it grows on to the rule's degrees.
             degree.update((v, rule.degree_for(v, ring_of[v])) for v in inner)
             ids = p.outer_ids()
@@ -498,8 +520,22 @@ class Triangulation:
             degree.update(zip(ids, p.outer_degrees()))
             ring_of.update(dict.fromkeys(new, p.ring))
             rings.append(tuple(ids))
-        self._set_whole(tris, self._adj, degree, frozenset(rings[-1]),
-                        rings[-1], tuple(rings), ring_of)
+        self._set_tables(degree, frozenset(rings[-1]), rings[-1], tuple(rings),
+                         ring_of)
+
+    def _complete(self):
+        """The vertex tables, then every planned sector built: the whole
+        `tris` and `adj`."""
+        self._tables()
+        tris = self._tris
+        build = self._build_sector
+        for i, p in enumerate(self._plans):
+            base = p.base
+            for j, o in enumerate(p.up):
+                if tris[base + o] is None:
+                    build(i, j)
+        self.tris = tris            # list[(v0, v1, v2)] CCW
+        self.adj = self._adj        # {(t, e): (t', e')} symmetric
 
 
 # -- planar development ----------------------------------------------------
@@ -518,11 +554,12 @@ def develop(surf: Triangulation, ctx: Scalars, root: int,
     """
     frames = {root: frame}
     order = [root]
+    adj = surf._adj
     for t in order:
         f = frames[t]
         yield t, f
         for e in range(3):
-            nbr = surf.adj.get((t, e))
+            nbr = adj.get((t, e)) or surf.neighbor(t, e)
             if nbr and nbr[0] not in frames and admit(t, e, nbr[0]):
                 frames[nbr[0]] = f.compose(surf.transfer(ctx, t, e).inverse())
                 order.append(nbr[0])
@@ -542,7 +579,7 @@ def seams(surf: Triangulation, ctx: Scalars, frames, tree):
         for e in range(3):
             if (t, e) in tree:
                 continue
-            nbr = surf.adj.get((t, e))
+            nbr = surf.neighbor(t, e)
             if not nbr or nbr[0] not in frames:
                 continue
             direct = f.compose(surf.transfer(ctx, t, e).inverse())
@@ -939,6 +976,23 @@ class _RingPlan:
         while j and ks[j] == 2:
             j -= 1
         return self.vbase + 1 + self.dn[j - 1] if j else self.vbase
+
+    def sector(self, j: int) -> list:
+        """Vertices of sector j's triangles in strip order: its k - 2
+        downs (v, chain[c], chain[c + 1]), then its up (w, v, apex), for
+        the boundary vertices v and w of sectors j and j + 1.  They lie at
+        offsets up[j - 1] + 1 .. up[j], taken cyclically: sector 0's
+        downs end the ring and its up opens it."""
+        v, w = self.vertex(j), self.vertex(j + 1)
+        m = self.ks[j] - 2
+        a = self.apex(j)
+        if not m:
+            return [(w, v, a)]
+        # Chain vertex c is a + c, but sector 0's chain vertices are born
+        # last.
+        c0 = a if j else self.vbase + self.dn[-1]
+        chain = [self.apex(j - 1), *range(c0 + 1, c0 + m), a]
+        return [*zip(repeat(v), chain, chain[1:]), (w, v, a)]
 
     def sector_of(self, o: int) -> int:
         """Sector of the triangle at offset o."""

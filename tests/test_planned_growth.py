@@ -89,7 +89,7 @@ class TestSectorsInAnyOrder:
         b = base(name, rebuilt)
         surf = grow_frontier(b, rings)
         n = surf.n_triangles()
-        assert built(surf) == b.n_triangles()
+        assert built(surf) == built(b)
         ids = list(range(n))
         rng.shuffle(ids)
         for t in ids[:data.draw(st.integers(0, len(ids)))]:
@@ -106,10 +106,58 @@ class TestSectorsInAnyOrder:
     def test_growing_a_planned_surface_keeps_its_base_planned(self):
         planned = grow_frontier(base("silo3"), 1)
         grown = grow_frontier(planned, 1)
-        assert built(planned) == base("silo3").n_triangles()
+        assert built(planned) == built(base("silo3"))
+        grown.tris   # builds every sector of the grown surface
         assert grown.content_hash() == GROWN["silo3+2"][-1]
-        assert built(planned) == base("silo3").n_triangles()
+        assert built(planned) == built(base("silo3"))
         assert planned.content_hash() == GROWN["silo3+1"][-1]
+
+
+def ring_answers(surf, order):
+    """What `surf` answers to ring questions, asked in `order`."""
+    n = surf.n_triangles()
+    ask = {
+        "rings": lambda: surf.rings,
+        "len(rings)": lambda: len(surf.rings),
+        "boundary": lambda: surf.boundary,
+        "frontier": lambda: surf.frontier,
+        "ring_of": lambda: list(surf.ring_of.items()),
+        "degree": lambda: list(surf.degree.items()),
+        "tri_ring": lambda: [surf.tri_ring(t) for t in range(n)],
+        "content_hash": surf.content_hash,
+    }
+    return {q: ask[q]() for q in order}
+
+
+class TestRingAnswersFromPlans:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(BASES)), rebuilt=st.booleans(),
+           rings=st.integers(1, 4), rng=st.randoms(use_true_random=False),
+           data=st.data())
+    def test_ring_reads_build_nothing(self, name, rebuilt, rings, rng, data):
+        b = base(name, rebuilt)
+        surf = grow_frontier(b, rings)
+        ids = list(range(surf.n_triangles()))
+        rng.shuffle(ids)
+        for t in ids[:data.draw(st.integers(0, 20))]:
+            surf.triangle(t)
+        before = built(surf)
+        order = ["rings", "len(rings)", "boundary", "frontier", "ring_of",
+                 "degree", "tri_ring", "content_hash"]
+        rng.shuffle(order)
+        got = ring_answers(surf, order)
+        assert built(surf) == before
+        whole = grow_frontier(b, rings)
+        whole.tris
+        assert got == ring_answers(whole, order)
+        assert got["content_hash"] == GROWN[f"{name}+{rings}"][-1]
+
+    def test_ring_count_of_a_large_silo_builds_no_sector(self):
+        silo = build_silo(6)
+        surf = grow_frontier(silo, 16 - len(silo.rings))
+        assert surf.n_triangles() == 838_825
+        assert len(surf.rings) == 16
+        assert built(surf) == built(silo)
 
 
 def path_record(path):

@@ -161,14 +161,47 @@ def test_out_of_budget_query_names_the_growth_budget():
     assert surf is silo and cls.kind == classify.EUCLIDEAN
 
 
+def built(surf):
+    return surf.n_triangles() - surf._tris.count(None)
+
+
 def test_session_refuses_a_held_surface_over_a_smaller_budget():
     session = classify.Session(build_silo(6), FLOAT)
     big = session.grown(12, 10**6)
     assert len(big.rings) == 12
     assert session.grown(12, 10**6) is big
+    before = built(big)
+    assert before < big.n_triangles()
     with pytest.raises(surface.GrowthLimitExceeded):
         session.grown(12, 3000)
+    assert built(big) == before   # refused without building it
     assert session.grown(3, 3000) is session.base
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_far_silo_queries_leave_their_surface_partly_built(mode):
+    ctx = Scalars(mode)
+
+    def reports(complete_first):
+        silo = build_silo(6)
+        session = classify.Session(silo, ctx)
+        if complete_first:
+            session.grown(12, Budgets().growth).tris
+        out = []
+        for p in ("Qpp", "Qp"):
+            cls, surf, _, _ = classify.classify_labeled(
+                silo, ctx, p, "l", Budgets(), session)
+            out.append(smf.dumps_report(smf.classification_report(
+                "silo.smf", f"classify {p} l", cls, Budgets(), mode,
+                surf.content_hash())))
+        return out, surf
+
+    lazy, surf = reports(False)
+    assert surf.n_triangles() == 17_875 and len(surf.rings) == 12
+    assert built(surf) < surf.n_triangles()
+    whole, completed = reports(True)
+    assert built(completed) == completed.n_triangles()
+    assert lazy == whole
 
 
 def test_grown_surfaces_match_one_step_growth():
