@@ -125,7 +125,7 @@ def _flat_fixtures(surf: Triangulation):
         "O": PointFixture(0, _CENTROID),
         "l": LineFixture(0, _CENTROID, dirvec=(Q3(1), Q3(0))),
     }
-    if len(surf.rings) >= 3:
+    if surf.n_rings() >= 3:
         ray = engine.make_ray(surf, _EXACT, 0, _CENTROID, (Q3(0), Q3(1)))
         tri = _triangle_at(surf, ray, 1.6)
         labels["P"] = PointFixture(tri, _CENTROID)
@@ -327,7 +327,7 @@ def _ring_crossing(surf: Triangulation, ctx, ray: engine.Ray, ring: int):
     The parameter runs from ring vertex u toward ring vertex v along the
     crossed cycle edge.
     """
-    if ring >= len(surf.rings):
+    if ring >= surf.n_rings():
         return None
     on_ring = set(surf.rings[ring])
     path = engine.trace(ray, surf, ctx, arc_budget=4.0 * ring + 10.0,

@@ -143,7 +143,7 @@ class ModelAnalysis:
         if rule == "silo":
             self.kind = "compact_target"
             for top in (1, 2):
-                if len(surf.rings) >= top + 2:
+                if surf.n_rings() >= top + 2:
                     band = BandFrame(surf, ctx, top)
                     self.bands.append(band)
                     for t in band.tris:
@@ -163,11 +163,9 @@ class ModelAnalysis:
     def audited_pass(self, ring: int) -> bool:
         got = self.passes.get(ring)
         if got is None:
-            surf = self.surf
-            frontier = surf.frontier
+            # A ring below the last has no frontier vertex.
             got = self.passes[ring] = (
-                1 <= ring < len(surf.rings) - 1
-                and not any(v in frontier for v in surf.rings[ring])
+                1 <= ring < self.surf.n_rings() - 1
                 and self.audit(ring).passed)
         return got
 
@@ -270,7 +268,7 @@ def _default_core_ring(surf, analysis, min_core=None):
         if d != 6 and v not in frontier:
             worst = max(worst, ring_of[v])
     k = max(2, worst + 1, min_core or 0)
-    while k < len(surf.rings) - 1:
+    while k < surf.n_rings() - 1:
         if analysis.audited_pass(k):
             return k
         k += 1
@@ -389,7 +387,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                 band_tokens.append(("closed", band.top))
                 return result("closed", closure_period=exit_.arc)
             if exit_.vertex is not None:
-                if exit_.vertex in surf.frontier:
+                if surf.on_frontier(exit_.vertex):
                     return result("unknown")
                 try:
                     cur, item = engine.cross_vertex(surf, ctx, exit_.vertex,
@@ -1113,9 +1111,9 @@ def ensure_rings(surf: Triangulation, n: int,
     """Grow the surface until it has at least n ring cycles; a ring that
     would take it past `budget` triangles raises GrowthLimitExceeded
     before it is built."""
-    if len(surf.rings) >= n:
+    if surf.n_rings() >= n:
         return surf
-    return grow_frontier(surf, n - len(surf.rings), budget)
+    return grow_frontier(surf, n - surf.n_rings(), budget)
 
 
 class Session:
@@ -1128,7 +1126,7 @@ class Session:
     def __init__(self, surf: Triangulation, ctx: Scalars):
         self.base = surf
         self.ctx = ctx
-        self.surfaces = {len(surf.rings): surf}   # ring count -> surface
+        self.surfaces = {surf.n_rings(): surf}   # ring count -> surface
         self.analyses = {}                        # ring count -> analysis
         self.lines = {}   # (ring count, line ray, core, budgets) -> context
 
@@ -1138,7 +1136,7 @@ class Session:
         would pass `budget` triangles; ring totals only rise, so a held
         surface over the budget is refused too."""
         held = self.surfaces
-        rings = max(rings, len(self.base.rings))
+        rings = max(rings, self.base.n_rings())
         surf = held.get(rings)
         if surf is None:
             below = held[max(k for k in held if k < rings)]
@@ -1149,7 +1147,7 @@ class Session:
         return surf
 
     def analysis(self, surf: Triangulation) -> ModelAnalysis:
-        rings = len(surf.rings)
+        rings = surf.n_rings()
         got = self.analyses.get(rings)
         if got is None:
             got = self.analyses[rings] = ModelAnalysis(surf, self.ctx)
@@ -1165,7 +1163,7 @@ class Session:
         if analysis.kind == "flat_complement":
             core = _default_core_ring(surf, analysis, 1 + max(
                 surf.tri_ring(P.tri) for P in points))
-        key = (len(surf.rings), lray, core, budgets)
+        key = (surf.n_rings(), lray, core, budgets)
         lctx = self.lines.get(key)
         if lctx is None:
             lctx = self.lines[key] = build_line_context(

@@ -44,28 +44,27 @@ class RingAudit:
         return f"ring{self.ring}@{self.surface_hash}"
 
 
-def ring_inner_count(surf: Triangulation, v: int, k: int) -> int:
-    """Incident triangles of a ring-k vertex lying on the inner side."""
-    return sum(1 for t, _ in surf.fan_ccw(v) if surf.tri_ring(t) <= k)
-
-
 def audit_ring_convexity(surf: Triangulation, ring: int) -> RingAudit:
     """Pass iff every ring vertex shows at least 180 degrees on the
-    outward side, so an outward crossing can never be undone."""
-    if ring < 1 or ring >= len(surf.rings):
+    outward side, so an outward crossing can never be undone.
+
+    The outward side of a vertex of ring k holds the triangles that ring
+    k + 1 adds at it, its gap in the plan of ring k + 1, so it shows 60
+    degrees per triangle of that gap (`Triangulation.outward_counts`):
+    the audit reads the plans and builds nothing.
+    """
+    if ring < 1 or ring >= surf.n_rings():
         raise IncompleteRing(f"ring {ring} does not exist")
-    cyc = surf.rings[ring]
-    angles = []
-    ok = True
-    for v in cyc:
-        if v in surf.frontier:
+    cyc = surf.ring_cycle(ring)
+    gaps = surf.outward_counts(ring)
+    if gaps is None:
+        v = cyc[0]
+        if surf.on_frontier(v):
             raise IncompleteRing(f"ring {ring} vertex {v} is on the frontier")
-        inner = ring_inner_count(surf, v, ring)
-        outward = 60 * (surf.degree[v] - inner)
-        angles.append((v, outward))
-        if outward < 180:
-            ok = False
-    return RingAudit(ring, surf.content_hash(), ok, tuple(angles))
+        raise IncompleteRing(f"no ring plan grows on ring {ring}")
+    angles = tuple(zip(cyc, [60 * k for k in gaps]))
+    return RingAudit(ring, surf.content_hash(),
+                     all(a >= 180 for _, a in angles), angles)
 
 
 def ring_crossing(surf: Triangulation, tri_from: int, tri_to: int,
@@ -81,7 +80,7 @@ def ring_crossing(surf: Triangulation, tri_from: int, tri_to: int,
     beyond the cycle.
     """
     r_from, r_to = surf.tri_ring(tri_from), surf.tri_ring(tri_to)
-    k = min(r_from, r_to) if vertex is None else surf.ring_of[vertex]
+    k = min(r_from, r_to) if vertex is None else surf.birth_ring(vertex)
     if k == 0 or (r_from <= k) == (r_to <= k):
         return None
     return k, r_to > k
@@ -158,14 +157,14 @@ class BandFrame:
         self.surf = surf
         self.ctx = ctx
         self.top = top
-        cyc_top = surf.rings[top]
-        cyc_bot = surf.rings[top + 1]
+        cyc_top = self.cycle_top = surf.ring_cycle(top)
+        cyc_bot = self.cycle_bottom = surf.ring_cycle(top + 1)
         if len(cyc_top) != len(cyc_bot):
             raise ValueError("band rows must have equal cycle lengths")
         n = self.period = len(cyc_top)
         self.h = ctx.half_sqrt3
-        band = self.tris = {t for t in range(surf.n_triangles())
-                            if surf.tri_ring(t) == top + 1}
+        band = self.tris = set(range(surf.ring_start(top + 1),
+                                     surf.ring_start(top + 2)))
         # The band triangle and local edge on each cycle edge, by side:
         # the top cycle's edge i is that triangle's directed edge
         # (top[i+1], top[i]), the bottom cycle's is (bot[i], bot[i+1]).
@@ -247,7 +246,7 @@ class BandFrame:
         while i < self.period - 1 and not ctx.lt(x, ctx.of(i + 1)):
             i += 1
         tpar = x - ctx.of(i)
-        cyc = surf.rings[self.top if target_top else self.top + 1]
+        cyc = self.cycle_top if target_top else self.cycle_bottom
         near0 = ctx.is_zero(tpar)
         if near0 or ctx.is_zero(tpar - ctx.one):
             v = cyc[i] if near0 else cyc[(i + 1) % self.period]
@@ -318,8 +317,7 @@ class FlatComplement:
                      and surf.degree[v] != 6)
         if inside != 0:
             raise ValueError("flat complement needs zero enclosed defect")
-        self.outside = {t for t in range(surf.n_triangles())
-                        if surf.tri_ring(t) > ring}
+        self.outside = range(surf.ring_start(ring + 1), surf.n_triangles())
         if anchor_tri not in self.outside:
             raise ValueError("anchor triangle must lie outside the ring")
         self.cut = None       # (base, dir) developed cut ray, or None

@@ -157,12 +157,17 @@ class Triangulation:
     the ids, vertices and neighbours of every planned triangle are fixed
     by the plan, and a planned sector is built on first use (`neighbor`,
     `triangle`, `incident`, `fan_ccw` and the queries built on them).
-    Building never changes what a reader sees.  The vertex tables
-    (`degree`, `ring_of`, `rings`, `boundary`, `frontier`), `tri_ring`,
-    `n_triangles` and `content_hash` are read off the plans and build
-    nothing; only a read of `tris` or `adj` builds every remaining
-    sector.  A surface carries no triangle cap: the budget passed to
-    `grow_frontier` bounds growth.
+    Building never changes what a reader sees.  Ring questions build
+    nothing and make no vertex table: the ring count (`n_rings`), a ring
+    cycle (`ring_cycle`), the triangles outside a ring's vertices
+    (`outward_counts`, which ring audits read), a ring's triangle ids
+    (`ring_start`), a vertex's birth ring (`birth_ring`), `on_frontier`,
+    `tri_ring`, `n_triangles` and `content_hash` are read off the base
+    and the plans.  A read of a vertex table (`degree`, `ring_of`,
+    `rings`, `boundary`, `frontier`) makes all five for the whole
+    surface, still building no sector; only a read of `tris` or `adj`
+    builds every remaining sector.  A surface carries no triangle cap:
+    the budget passed to `grow_frontier` bounds growth.
     """
 
     tris = _Whole("_complete")
@@ -218,6 +223,47 @@ class Triangulation:
 
     def n_triangles(self) -> int:
         return len(self._tris)
+
+    def n_rings(self) -> int:
+        """Number of ring cycles, `len(rings)`: the base's plus one per plan."""
+        return len(self._base_rings) + len(self._plans)
+
+    def _plan_of_ring(self, k: int):
+        """The plan that makes ring k, or None for a ring of the base or
+        one past the last."""
+        i = k - len(self._base_rings)
+        return self._plans[i] if 0 <= i < len(self._plans) else None
+
+    def ring_cycle(self, k: int) -> tuple:
+        """The vertex cycle `rings[k]`, from the base or from the plan that
+        makes it."""
+        p = self._plan_of_ring(k)
+        return self._base_rings[k] if p is None else tuple(p.outer_ids())
+
+    def outward_counts(self, k: int):
+        """Triangles outside each vertex of `rings[k]`, in cycle order, as
+        bytes: the gaps of the plan that grows on ring k.  None when no
+        plan does: ring k is the frontier, or the base holds the ring
+        outside it."""
+        p = self._plan_of_ring(k + 1)
+        if p is None:
+            return None
+        s = p.n - p.start   # the sector of cycle position 0
+        return p.ks[s:] + p.ks[:s]
+
+    def ring_start(self, k: int) -> int:
+        """First triangle id of planned ring k; `n_triangles()` past the
+        last ring.  A planned ring's triangles are the ids from its start
+        to the next ring's."""
+        if k < len(self._base_rings):
+            raise SurfaceError(f"ring {k} is a ring of the base")
+        p = self._plan_of_ring(k)
+        return len(self._tris) if p is None else p.base
+
+    def birth_ring(self, v: int) -> int:
+        """Ring index at birth of vertex v, from the base or its plan."""
+        i = bisect_right(self._plan_vbases, v) - 1
+        return self._base_ring_of[v] if i < 0 else self._plans[i].ring
 
     def _n_base(self) -> int:
         """Triangle count of the base the planned rings grow on."""
@@ -354,9 +400,11 @@ class Triangulation:
     def content_hash(self) -> str:
         """Digest of every triangle's vertices in id order and of the
         frontier.  Planned rings are read from their plans, so hashing
-        builds nothing."""
+        builds nothing and makes no vertex table."""
         if self._hash is None:
-            frontier = sorted(self.frontier)   # gives the plans their ids
+            last = self._plans[-1] if self._plans else None
+            frontier = sorted(self.frontier) if last is None \
+                else range(last.vbase, last.vend)
             h = hashlib.sha256()
             fmt = "%d,%d,%d;".__mod__
             tvs = chain.from_iterable(self._triangle_runs())
@@ -372,7 +420,7 @@ class Triangulation:
         triangle in id order: the base's as built, and each planned
         ring's from its plan, built or not."""
         yield islice(self._tris, self._n_base())
-        for p in self._plans:
+        for p, _, _ in self._plan_cycles():
             # Sector 0's up opens the ring, and its downs close it.
             s0 = p.sector(0)
             yield s0[-1:]
@@ -499,6 +547,17 @@ class Triangulation:
             adj[k1] = k2
             adj[k2] = k1
 
+    def _plan_cycles(self):
+        """(plan, the cycle it grows on, the cycle it makes) for each plan
+        in ring order, as vertex ids; gives each plan its boundary's ids
+        on the way."""
+        inner = self._plans and self._plans[0].inner
+        for p in self._plans:
+            p.set_inner_ids(inner)
+            outer = p.outer_ids()
+            yield p, inner, outer
+            inner = outer
+
     def _tables(self):
         """Make the vertex tables from the base and the ring plans, and
         give each plan its boundary's vertex ids; builds no sector."""
@@ -508,13 +567,9 @@ class Triangulation:
         degree = dict(self._base_degree)
         ring_of = dict(self._base_ring_of)
         rings = list(self._base_rings)
-        ids = None
-        for p in self._plans:
-            inner = p.inner if ids is None else ids
-            p.set_inner_ids(inner)
+        for p, inner, ids in self._plan_cycles():
             # The ring completes the boundary it grows on to the rule's degrees.
             degree.update((v, rule.degree_for(v, ring_of[v])) for v in inner)
-            ids = p.outer_ids()
             new = range(p.vbase, p.vend)
             degree.update(dict.fromkeys(new, 0))   # in id order, as born
             degree.update(zip(ids, p.outer_degrees()))

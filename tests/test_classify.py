@@ -64,12 +64,15 @@ class TestRingAudit:
         assert all(ang >= 180 for _, ang in a.outward_angles)
         assert all(ang == 240 or ang == 300 for _, ang in a.outward_angles)
 
-    def test_cap_ring_fails(self, silo):
-        # Ring 1 runs through the degree-5 crown: outward angle 180 at
-        # most vertices but the ring borders positive curvature inside.
+    def test_crown_ring_passes_at_180_and_ring_0_is_refused(self, silo):
+        # Ring 1 is the degree-5 crown around the apex, and the first
+        # ring a plan grows on: each crown vertex keeps two cap triangles
+        # inside, so 300 - 120 = 180 degrees face outward.  Ring 0 is the
+        # apex alone and is rejected.
         a1 = audit_ring_convexity(silo, 1)
-        # outward = 300 - 120 = 180 at the crown: still passes; ring 0 is
-        # degenerate and rejected.
+        assert a1.passed
+        assert [v for v, _ in a1.outward_angles] == list(silo.rings[1])
+        assert {ang for _, ang in a1.outward_angles} == {180}
         from smfgeo.surface import IncompleteRing
         with pytest.raises(IncompleteRing):
             audit_ring_convexity(silo, 0)

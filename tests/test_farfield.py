@@ -12,7 +12,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from smfgeo import classify as C, farfield
-from smfgeo.builders import build_semi_paradoxist, resolve_point, resolve_ray
+from smfgeo.builders import (
+    build_flat_plane,
+    build_semi_paradoxist,
+    resolve_point,
+    resolve_ray,
+)
 from smfgeo.chart import Isometry, cross, dot
 from smfgeo.engine import make_ray, trace
 from smfgeo.farfield import (
@@ -45,6 +50,25 @@ def far_field(ctx):
                          lctx.core_ring)
         _built[ctx.mode] = (grown, fc, cut, next(iter(fc.frames)))
     return _built[ctx.mode]
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_outside_is_every_triangle_past_the_ring(ctx):
+    # The far fields of the fixture queries: semi's Q and R share one,
+    # P needs a wider core ring, and flat P has its own.
+    fields = {}
+    for build, points in ((lambda: build_semi_paradoxist(4), "PQR"),
+                          (lambda: build_flat_plane(3), "P")):
+        surf = build()
+        session = C.Session(surf, ctx)
+        for p in points:
+            _, grown, _, lctx = C.classify_labeled(surf, ctx, p, "l", B,
+                                                   session)
+            fields[id(lctx.flat_complement)] = grown, lctx.flat_complement
+    assert len(fields) == 3
+    for grown, fc in fields.values():
+        assert set(fc.outside) == {t for t in range(grown.n_triangles())
+                                   if grown.tri_ring(t) > fc.ring}
 
 
 @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])

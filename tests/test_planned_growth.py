@@ -17,8 +17,14 @@ from smfgeo.engine import (
     make_ray,
     trace,
 )
+from smfgeo.farfield import audit_ring_convexity
 from smfgeo.numbers import Scalars
-from smfgeo.surface import SurfaceError, Triangulation, grow_frontier
+from smfgeo.surface import (
+    IncompleteRing,
+    SurfaceError,
+    Triangulation,
+    grow_frontier,
+)
 
 FLOAT = Scalars("float")
 
@@ -27,6 +33,8 @@ BASES = {
     "semi4": lambda: build_semi_paradoxist(4),
     "silo3": lambda: build_silo(3),
 }
+# A seed with no ring grown on it: its surface has no ring plan.
+UNGROWN = {"flat1": lambda: build_flat_plane(1)}
 _built = {}
 
 
@@ -35,7 +43,7 @@ def base(name, rebuilt=False):
     its containers, which has no planned rings, so the first ring grown
     on it is linked to it through its open edges."""
     if (name, rebuilt) not in _built:
-        s = BASES[name]()
+        s = {**BASES, **UNGROWN}[name]()
         if rebuilt:
             s = Triangulation(
                 tris=list(s.tris), adj=dict(s.adj), degree=dict(s.degree),
@@ -158,6 +166,49 @@ class TestRingAnswersFromPlans:
         assert surf.n_triangles() == 838_825
         assert len(surf.rings) == 16
         assert built(surf) == built(silo)
+
+
+def fan_audit(surf, ring):
+    """The ring audit by fan walks on a completed surface: the outward
+    angle at a ring vertex is 60 degrees per incident triangle of a ring
+    above `ring`.  Returns (passed, outward angles, audit id), or the
+    message of the IncompleteRing the audit raises."""
+    if ring < 1 or ring >= len(surf.rings):
+        return f"ring {ring} does not exist"
+    angles = []
+    for v in surf.rings[ring]:
+        if v in surf.frontier:
+            return f"ring {ring} vertex {v} is on the frontier"
+        inner = sum(1 for t, _ in surf.fan_ccw(v) if surf.tri_ring(t) <= ring)
+        angles.append((v, 60 * (surf.degree[v] - inner)))
+    return (all(a >= 180 for _, a in angles), tuple(angles),
+            f"ring{ring}@{surf.content_hash()}")
+
+
+class TestAuditsFromPlans:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted({**BASES, **UNGROWN})),
+           rings=st.integers(0, 3),
+           rng=st.randoms(use_true_random=False), data=st.data())
+    def test_audits_build_nothing_and_match_fan_walks(self, name, rings,
+                                                      rng, data):
+        b = base(name)
+        surf = grow_frontier(b, rings)
+        ids = list(range(surf.n_triangles()))
+        rng.shuffle(ids)
+        for t in ids[:data.draw(st.integers(0, 20))]:
+            surf.triangle(t)
+        whole = grow_frontier(b, rings)
+        whole.tris
+        for k in range(surf.n_rings() + 1):
+            before = built(surf)
+            try:
+                a = audit_ring_convexity(surf, k)
+                got = (a.passed, a.outward_angles, a.audit_id)
+            except IncompleteRing as exc:
+                got = str(exc)
+            assert built(surf) == before
+            assert got == fan_audit(whole, k)
 
 
 def path_record(path):

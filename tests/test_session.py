@@ -179,8 +179,18 @@ def test_session_refuses_a_held_surface_over_a_smaller_budget():
 
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
-def test_far_silo_queries_leave_their_surface_partly_built(mode):
+def test_far_silo_queries_leave_their_surface_partly_built(mode, monkeypatch):
     ctx = Scalars(mode)
+    audits = []   # (ring, built before, built after) per audit run
+    real_audit = classify.ModelAnalysis.audit
+
+    def recording_audit(self, k):
+        before = built(self.surf)
+        got = real_audit(self, k)
+        audits.append((k, before, built(self.surf)))
+        return got
+
+    monkeypatch.setattr(classify.ModelAnalysis, "audit", recording_audit)
 
     def reports(complete_first):
         silo = build_silo(6)
@@ -199,6 +209,7 @@ def test_far_silo_queries_leave_their_surface_partly_built(mode):
     lazy, surf = reports(False)
     assert surf.n_triangles() == 17_875 and len(surf.rings) == 12
     assert built(surf) < surf.n_triangles()
+    assert audits and all(before == after for _, before, after in audits)
     whole, completed = reports(True)
     assert built(completed) == completed.n_triangles()
     assert lazy == whole
