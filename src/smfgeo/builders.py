@@ -5,6 +5,10 @@ exposes named fixtures (points, vertices and line specs) whose
 classifications, not coordinates, are the contract.  Fixture positions
 are computed once with exact arithmetic so both number modes see the
 same points.
+
+A builder returns the planned surface of `grow_frontier`, whose plans
+refuse a gap under 2 and a closing ring (SurfaceError); placing the
+fixtures builds only the sectors it reads.
 """
 
 from __future__ import annotations
@@ -96,16 +100,6 @@ def _seed_fan(n: int) -> _Builder:
     return b
 
 
-def _grown_whole(surf: Triangulation, rings: int) -> Triangulation:
-    """`surf` grown by `rings` rings with every sector built.  A model is
-    read whole anyway (`smf.to_triangulation` validates it), and one pass
-    over the ring plans builds it faster than the sector-by-sector reads
-    of placing the fixtures would."""
-    surf = grow_frontier(surf, rings)
-    surf._complete()
-    return surf
-
-
 def build_flat_plane(radius: int) -> Triangulation:
     """Disk of the regular triangular tiling, every interior vertex degree 6."""
     if radius < 1:
@@ -113,7 +107,7 @@ def build_flat_plane(radius: int) -> Triangulation:
     b = _seed_fan(6)
     surf = b.freeze(RULE_FLAT, {})
     if radius > 1:
-        surf = _grown_whole(surf, radius - 1)
+        surf = grow_frontier(surf, radius - 1)
     surf.labels.update(_flat_fixtures(surf))
     return surf
 
@@ -150,7 +144,7 @@ def build_semi_paradoxist(radius: int) -> Triangulation:
     b.add_triangle(h, e, c)
     b.rings = [b.boundary_cycle()]
     surf = b.freeze(RULE_SEMI, {})
-    surf = _grown_whole(surf, max(radius, SEMI_FIXTURE_RADIUS))
+    surf = grow_frontier(surf, max(radius, SEMI_FIXTURE_RADIUS))
     surf.labels.update(_semi_fixtures(surf))
     return surf
 
@@ -220,7 +214,7 @@ def build_silo(hyperbolic_rings: int) -> Triangulation:
         raise ValueError("hyperbolic_rings must be >= 0")
     b = _seed_fan(5)
     surf = b.freeze(RULE_SILO, {})
-    surf = _grown_whole(surf, 2 + hyperbolic_rings)
+    surf = grow_frontier(surf, 2 + hyperbolic_rings)
     surf.labels.update(_silo_fixtures(surf, hyperbolic_rings))
     return surf
 
@@ -238,7 +232,7 @@ def _silo_fixtures(surf: Triangulation, hyperbolic_rings: int):
     labels = {"C": VertexFixture(SILO_APEX_VERTEX),
               "R": PointFixture(0, _CENTROID)}
     # l runs along the ring-2 cycle, cap on its left.
-    cyc = surf.rings[2]
+    cyc = surf.ring_cycle(2)
     a, bb = cyc[0], cyc[1]
     t, e = surf.directed_edge(a, bb)
     half = Fraction(1, 2)
@@ -253,13 +247,13 @@ def _silo_fixtures(surf: Triangulation, hyperbolic_rings: int):
     t_down, _ = surf.directed_edge(bb, a)
     labels["P"] = PointFixture(t_down, _CENTROID)
     if hyperbolic_rings >= 1:
-        cyc3 = surf.rings[3]
+        cyc3 = surf.ring_cycle(3)
         t_q, _ = surf.directed_edge(cyc3[1], cyc3[0])
         labels["Q"] = PointFixture(t_q, _CENTROID)
         labels["I"] = VertexFixture(cyc3[0])
         labels["F"] = VertexFixture(cyc3[1])
     if hyperbolic_rings >= 1 + SILO_QPRIME_RING_OFFSET:
-        qp, qpp = _silo_far_points(surf, ctx, surf.rings[3][0])
+        qp, qpp = _silo_far_points(surf, ctx, cyc3[0])
         labels["Qp"] = qp
         labels["Qpp"] = qpp
     return labels
@@ -286,10 +280,10 @@ def _silo_far_points(surf: Triangulation, ctx: Scalars, vertex_i: int):
 
 def _vertex_bisector_ray(surf, ctx, v, toward_ring) -> engine.Ray:
     """Ray from v through the opposite edge midpoint of the middle fan
-    triangle on the side where every vertex ring is <= ring_of[v]."""
+    triangle on the side where every vertex ring is <= v's birth ring."""
     fan = surf.fan_ccw(v)
     n = len(fan)
-    own = surf.ring_of[v]
+    own = surf.birth_ring(v)
     flags = [surf.tri_ring(t) <= own for t, _ in fan]
     if not any(flags) or all(flags):
         raise RuntimeError(f"vertex {v} has no proper inner fan arc")
@@ -329,7 +323,7 @@ def _ring_crossing(surf: Triangulation, ctx, ray: engine.Ray, ring: int):
     """
     if ring >= surf.n_rings():
         return None
-    on_ring = set(surf.rings[ring])
+    on_ring = set(surf.ring_cycle(ring))
     path = engine.trace(ray, surf, ctx, arc_budget=4.0 * ring + 10.0,
                         growth_budget=surf.n_triangles())
     for _, ev in path.events:

@@ -262,11 +262,7 @@ def build_line_context(surf: Triangulation, ctx: Scalars, ray: Ray,
 
 
 def _default_core_ring(surf, analysis, min_core=None):
-    frontier, ring_of = surf.frontier, surf.ring_of
-    worst = 0
-    for v, d in surf.degree.items():
-        if d != 6 and v not in frontier:
-            worst = max(worst, ring_of[v])
+    worst = max(map(surf.birth_ring, surf.curved_vertices()), default=0)
     k = max(2, worst + 1, min_core or 0)
     while k < surf.n_rings() - 1:
         if analysis.audited_pass(k):
@@ -276,10 +272,7 @@ def _default_core_ring(surf, analysis, min_core=None):
 
 
 def _cut_ray(surf, ctx, analysis, budgets, core_ring):
-    frontier = surf.frontier
-    has_core = any(d != 6 for v, d in surf.degree.items()
-                   if v not in frontier)
-    if not has_core:
+    if not surf.curved_vertices():
         return None
     fx = surf.labels.get("_cut")
     if fx is None:
@@ -985,24 +978,25 @@ def enclosed_defect(path: engine.GeodesicPath, surf: Triangulation,
     side of a closed geodesic."""
     if engine.detect_closure(path) is None:
         raise ValueError("path is not closed")
-    ctx_local = ctx
-    adj = surf.adj
+    neighbor = surf.neighbor
     crossed = set()
     for _, ev in path.events:
         if isinstance(ev, EdgeCrossing):
-            crossed.add(frozenset((ev.tri,) + (adj[(ev.tri, ev.edge)][0],)))
+            crossed.add(frozenset((ev.tri, neighbor(ev.tri, ev.edge)[0])))
     # A geodesic running along an edge severs that adjacency link too.
     for seg in path.segments:
-        ab = chart.bary_of_xy(ctx_local, *seg.a)
-        bb = chart.bary_of_xy(ctx_local, *seg.b)
+        ab = chart.bary_of_xy(ctx, *seg.a)
+        bb = chart.bary_of_xy(ctx, *seg.b)
         for i in range(3):
-            if ctx_local.is_zero(ab[i]) and ctx_local.is_zero(bb[i]):
+            if ctx.is_zero(ab[i]) and ctx.is_zero(bb[i]):
                 e = (i + 1) % 3
-                nbr = adj.get((seg.tri, e))
+                nbr = neighbor(seg.tri, e)
                 if nbr:
                     crossed.add(frozenset((seg.tri, nbr[0])))
-    # Components of the triangle adjacency graph with crossed links removed.
+    # Components of the triangle adjacency graph with crossed links
+    # removed; the enclosed side is one not touching the frontier.
     seen = {}
+    open_comps = set()
     comp = 0
     for t0 in range(surf.n_triangles()):
         if t0 in seen:
@@ -1012,32 +1006,22 @@ def enclosed_defect(path: engine.GeodesicPath, surf: Triangulation,
         while stack:
             t = stack.pop()
             for e in range(3):
-                nbr = adj.get((t, e))
-                if not nbr or nbr[0] in seen:
-                    continue
-                if frozenset((t, nbr[0])) in crossed:
-                    continue
-                seen[nbr[0]] = comp
-                stack.append(nbr[0])
+                nbr = neighbor(t, e)
+                if nbr is None:
+                    open_comps.add(comp)
+                elif nbr[0] not in seen \
+                        and frozenset((t, nbr[0])) not in crossed:
+                    seen[nbr[0]] = comp
+                    stack.append(nbr[0])
         comp += 1
     if comp < 2:
         raise ValueError("closed path does not separate the surface")
-    # The enclosed side is the one not touching the frontier.
-    open_comps = set()
-    for t in range(surf.n_triangles()):
-        for e in range(3):
-            if (t, e) not in adj:
-                open_comps.add(seen[t])
-    inside = [c for c in range(comp) if c not in open_comps]
+    inside = set(range(comp)) - open_comps
     if not inside:
         raise ValueError("no disk side found for the closed path")
     total = 0
-    frontier = surf.frontier
-    for v, d in surf.degree.items():
-        if v in frontier:
-            continue
-        fans = {seen[t] for t, _ in surf.fan_ccw(v)}
-        if fans <= set(inside):
+    for v, d in surf.curved_vertices().items():
+        if {seen[t] for t, _ in surf.fan_ccw(v)} <= inside:
             total += 360 - 60 * d
     return total
 
@@ -1058,7 +1042,7 @@ def connect_by_segments(p: SurfacePoint, q: SurfacePoint,
         if t == q.tri:
             break
         for e in range(3):
-            nbr = surf.adj.get((t, e))
+            nbr = surf.neighbor(t, e)
             if nbr and nbr[0] not in prev:
                 prev[nbr[0]] = (t, e)
                 queue.append(nbr[0])
@@ -1218,6 +1202,7 @@ def search_finitely_hyperbolic(configurations, budgets: Budgets):
     """
     out = []
     for (name, surf, ctx, lray, points) in configurations:
+        curved = surf.curved_vertices()
         session = Session(surf, ctx)
         analysis = session.analysis(surf)
         lctx = session.line_context(surf, lray, budgets, points)
@@ -1233,7 +1218,7 @@ def search_finitely_hyperbolic(configurations, budgets: Budgets):
             # a candidate.
             iso_par = [i for i in cls.isolated if i.status.kind == "parallel"]
             pinned = bool(iso_par) and all(
-                any(surf.degree.get(v) == 7
+                any(curved.get(v) == 7
                     for v in getattr(i.status, "via_vertices", ()))
                 for i in iso_par)
             if not pinned:

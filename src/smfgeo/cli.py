@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, fields
 
 from . import classify as cls_mod
 from . import engine, netdraw, smf
-from .builders import VertexFixture, resolve_point, resolve_ray
+from .builders import (_CENTROID, PointFixture, VertexFixture, resolve_point,
+                       resolve_ray)
 from .numbers import DEFAULT_EPS, Scalars
 from .surface import GROWTH_BUDGET, GrowthLimitExceeded, SurfaceError
 
@@ -97,13 +98,29 @@ def _build_parser():
     sp = sub.add_parser("audit", parents=[common],
                         help="audit ring convexity")
     sp.add_argument("smf")
-    sp.add_argument("--rings", required=True, help="a..b inclusive")
+    sp.add_argument("--rings", required=True, type=_ring_range,
+                    help="a..b inclusive")
     sp = sub.add_parser("search", parents=[common],
                         help="scan a model family for finitely "
                              "hyperbolic candidates")
     sp.add_argument("family", help="flat | semi_paradoxist | silo")
-    sp.add_argument("--rings", default="3..4", help="family parameter range")
+    sp.add_argument("--rings", default="3..4", type=_ring_range,
+                    help="family parameter range, a..b inclusive")
     return p
+
+
+def _ring_range(text: str) -> range:
+    """The rings `a..b`, inclusive, or the one ring `a`: the type of both
+    `--rings` options, so a malformed or reversed range is a usage error."""
+    lo, dots, hi = text.partition("..")
+    try:
+        rings = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        rings = None
+    if not rings:
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}: expected a..b with a <= b")
+    return rings
 
 
 def _config_from(args) -> RunConfig:
@@ -170,26 +187,29 @@ def main(argv=None) -> int:
 def _dispatch(args, config: RunConfig) -> int:
     ctx = config.scalars()
     budgets = config.budgets()
-    surf = None
     if args.command in ("validate", "trace", "classify", "render", "audit"):
         surf = _load_surface(args.smf)
         if surf is None:
             return 1
     if args.command == "validate":
+        # Loading checked a triangle list whole; a model (the only surface
+        # with a rule) loads planned, so it is completed and checked here.
+        diags = [] if surf.rule is None else smf.validation_diagnostics(surf)
+        for d in diags:
+            print(f"{args.smf}:{d}", file=sys.stderr)
+        if diags:
+            return 1
         print(f"ok: {surf.n_triangles()} triangles, "
               f"{surf.n_vertices()} vertices, hash {surf.content_hash()}")
         return 0
 
     if args.command == "audit":
-        lo, hi = (args.rings.split("..") + [args.rings])[:2] \
-            if ".." in args.rings else (args.rings, args.rings)
-        lo, hi = int(lo), int(hi)
         out = {"model": args.smf, "mode": config.number_mode,
                "surface": surf.content_hash(), "config": asdict(config),
                "audits": []}
         code = 0
         from .farfield import audit_ring_convexity
-        for k in range(lo, hi + 1):
+        for k in args.rings:
             try:
                 a = audit_ring_convexity(surf, k)
                 out["audits"].append({
@@ -204,8 +224,6 @@ def _dispatch(args, config: RunConfig) -> int:
         return code
 
     if args.command == "search":
-        fams = []
-        lo, hi = args.rings.split("..") if ".." in args.rings else (args.rings,) * 2
         from .builders import build_flat_plane, build_semi_paradoxist, build_silo
         builders = {"flat": build_flat_plane,
                     "semi_paradoxist": build_semi_paradoxist,
@@ -214,7 +232,7 @@ def _dispatch(args, config: RunConfig) -> int:
             print(f"error: unknown family {args.family}", file=sys.stderr)
             return 2
         results = []
-        for n in range(int(lo), int(hi) + 1):
+        for n in args.rings:
             try:
                 s = builders[args.family](n)
             except ValueError:
@@ -351,25 +369,18 @@ def _probe_points_near_curvature(surf, ctx, limit=24):
     """Centroids of triangles surrounding the non-flat vertices; these
     neighborhoods are where isolated parallel directions can pin to a
     line through a degree-7 vertex."""
-    from .surface import SurfacePoint, canonicalize_point
-    from fractions import Fraction
-    seen = set()
-    out = []
-    third = Fraction(1, 3)
-    for v, d in sorted(surf.degree.items()):
-        if d == 6 or v in surf.frontier:
-            continue
+    near = {}   # fan triangles and their neighbours, in the order met
+    for v in surf.curved_vertices():
+        if len(near) >= limit:
+            break
         for t, _ in surf.fan_ccw(v):
+            near[t] = None
             for e in range(3):
-                nbr = surf.adj.get((t, e))
-                for tt in ([t] + ([nbr[0]] if nbr else [])):
-                    if tt in seen or len(out) >= limit:
-                        continue
-                    seen.add(tt)
-                    p = canonicalize_point(
-                        SurfacePoint(tt, (ctx.of(third),) * 3), surf, ctx)
-                    out.append(p)
-    return out
+                nbr = surf.neighbor(t, e)
+                if nbr:
+                    near[nbr[0]] = None
+    return [resolve_point(surf, ctx, PointFixture(t, _CENTROID))
+            for t in list(near)[:limit]]
 
 
 def _event_summary(path):

@@ -312,9 +312,8 @@ class FlatComplement:
         self.surf = surf
         self.ctx = ctx
         self.ring = ring
-        inside = sum(360 - 60 * surf.degree[v] for v in surf.degree
-                     if v not in surf.frontier and surf.ring_of[v] <= ring
-                     and surf.degree[v] != 6)
+        inside = sum(360 - 60 * d for v, d in surf.curved_vertices().items()
+                     if surf.birth_ring(v) <= ring)
         if inside != 0:
             raise ValueError("flat complement needs zero enclosed defect")
         self.outside = range(surf.ring_start(ring + 1), surf.n_triangles())

@@ -70,7 +70,7 @@ def unfold_region(surf: Triangulation, ctx: Scalars, tris, base: int = None):
     cuts = []
     for t, e, _, _ in seams(surf, ctx, {t: placements[t] for t in region},
                             tree):
-        if surf.adj[(t, e)] not in cuts:
+        if surf.neighbor(t, e) not in cuts:
             cuts.append((t, e))
     _check_overlaps(surf, ctx, placements)
     return placements, cuts
@@ -131,7 +131,7 @@ def draw_pieces(surf: Triangulation, ctx: Scalars, pieces, paths=(),
         inset = set(tris)
         for t in tris:
             for e in range(3):
-                nbr = surf.adj.get((t, e))
+                nbr = surf.neighbor(t, e)
                 if nbr and nbr[0] in allset and nbr[0] not in inset:
                     cuts.append((t, e))
         xs = []
@@ -151,7 +151,7 @@ def draw_pieces(surf: Triangulation, ctx: Scalars, pieces, paths=(),
             drawing.triangles.append((t, pts))
         seen_cut = set()
         for (t, e) in cuts:
-            t2, e2 = surf.adj[(t, e)]
+            t2, e2 = surf.neighbor(t, e)
             for (tt, ee) in ((t, e), (t2, e2)):
                 if (tt, ee) in seen_cut or tt not in placements:
                     continue

@@ -176,7 +176,11 @@ def parse_manifold(text: str):
 
 
 def to_triangulation(doc: SmfDocument):
-    """Realize a document. Returns (Triangulation or None, [Diagnostic])."""
+    """Realize a document. Returns (Triangulation or None, [Diagnostic]).
+
+    Only an explicit triangle list, which comes from outside, is checked
+    whole (`surface.validate`).  A model comes back planned; the growth
+    refusals that check it as it is built are BadModelParams here."""
     diags = []
     if doc.model is not None:
         name, params = doc.model
@@ -199,11 +203,7 @@ def to_triangulation(doc: SmfDocument):
         edge_uses = {}
         try:
             for (v0, v1, v2, ln) in doc.triangles:
-                for v in (v0, v1, v2):
-                    if v not in b.degree:
-                        b.degree[v] = 0
-                        b.ring_of[v] = 0
-                        b.next_vertex = max(b.next_vertex, v + 1)
+                b.ring_of.update(dict.fromkeys((v0, v1, v2), 0))
                 for u, w in ((v0, v1), (v1, v2), (v2, v0)):
                     key = frozenset((u, w))
                     edge_uses[key] = edge_uses.get(key, 0) + 1
@@ -222,26 +222,23 @@ def to_triangulation(doc: SmfDocument):
             surf = b.freeze(None, {}, boundary=boundary)
         except SurfaceError as exc:
             return None, [Diagnostic(1, 1, "BadTriangulation", str(exc))]
-    for label, fx in doc.points.items():
-        if fx.tri >= surf.n_triangles():
-            diags.append(Diagnostic(1, 1, "UnknownTriangle",
-                                    f"point {label}: triangle {fx.tri}"))
-        else:
-            surf.labels[label] = fx
-    for label, fx in doc.lines.items():
-        if fx.tri >= surf.n_triangles():
-            diags.append(Diagnostic(1, 1, "UnknownTriangle",
-                                    f"line {label}: triangle {fx.tri}"))
-        else:
-            surf.labels[label] = fx
-    if diags:
-        return None, diags
-    rep = validate(surf)
-    if not rep.ok():
-        for v in rep.violations[:20]:
-            diags.append(Diagnostic(1, 1, v.kind, f"{v.element}: {v.detail}"))
-        return None, diags
-    return surf, []
+    for kind, fixtures in (("point", doc.points), ("line", doc.lines)):
+        for label, fx in fixtures.items():
+            if fx.tri >= surf.n_triangles():
+                diags.append(Diagnostic(1, 1, "UnknownTriangle",
+                                        f"{kind} {label}: triangle {fx.tri}"))
+            else:
+                surf.labels[label] = fx
+    if not diags and doc.model is None:
+        diags = validation_diagnostics(surf)
+    return (None, diags) if diags else (surf, [])
+
+
+def validation_diagnostics(surf) -> list:
+    """The first 20 violations `surface.validate` finds, as diagnostics;
+    on a planned surface this builds every sector."""
+    return [Diagnostic(1, 1, v.kind, f"{v.element}: {v.detail}")
+            for v in validate(surf).violations[:20]]
 
 
 def print_manifold(doc: SmfDocument) -> str:

@@ -161,7 +161,8 @@ class Triangulation:
     nothing and make no vertex table: the ring count (`n_rings`), a ring
     cycle (`ring_cycle`), the triangles outside a ring's vertices
     (`outward_counts`, which ring audits read), a ring's triangle ids
-    (`ring_start`), a vertex's birth ring (`birth_ring`), `on_frontier`,
+    (`ring_start`), a vertex's birth ring (`birth_ring`), the interior
+    vertices of degree other than 6 (`curved_vertices`), `on_frontier`,
     `tri_ring`, `n_triangles` and `content_hash` are read off the base
     and the plans.  A read of a vertex table (`degree`, `ring_of`,
     `rings`, `boundary`, `frontier`) makes all five for the whole
@@ -264,6 +265,30 @@ class Triangulation:
         """Ring index at birth of vertex v, from the base or its plan."""
         i = bisect_right(self._plan_vbases, v) - 1
         return self._base_ring_of[v] if i < 0 else self._plans[i].ring
+
+    def curved_vertices(self) -> dict:
+        """{v: degree} of the interior vertices whose degree is not 6, in
+        id order; makes no vertex table."""
+        return {v: d for v, d in self._interior_degrees() if d != 6}
+
+    def _interior_degrees(self):
+        """(v, degree) of every vertex off the frontier, in id order: the
+        base's from its table, a planned ring's from the rule, since
+        growing a ring completes the boundary under it (the base's too)
+        to the rule's degrees."""
+        plans, rule = self._plans, self.rule
+        edge = set(plans[0].inner) if plans else self.frontier
+        for v, d in sorted(self._base_degree.items()):
+            if v not in edge:
+                yield v, d
+            elif plans:
+                yield v, rule.degree_for(v, self._base_ring_of[v])
+        for p in plans[:-1]:
+            new = range(p.vbase, p.vend)
+            if any(v in new for v, _ in rule.special):
+                yield from ((v, rule.degree_for(v, p.ring)) for v in new)
+            else:
+                yield from zip(new, repeat(rule.ring_degree(p.ring)))
 
     def _n_base(self) -> int:
         """Triangle count of the base the planned rings grow on."""
@@ -420,7 +445,7 @@ class Triangulation:
         triangle in id order: the base's as built, and each planned
         ring's from its plan, built or not."""
         yield islice(self._tris, self._n_base())
-        for p, _, _ in self._plan_cycles():
+        for p, _ in self._plan_cycles():
             # Sector 0's up opens the ring, and its downs close it.
             s0 = p.sector(0)
             yield s0[-1:]
@@ -548,33 +573,26 @@ class Triangulation:
             adj[k2] = k1
 
     def _plan_cycles(self):
-        """(plan, the cycle it grows on, the cycle it makes) for each plan
-        in ring order, as vertex ids; gives each plan its boundary's ids
-        on the way."""
+        """(plan, the cycle it makes, as vertex ids) for each plan in ring
+        order; gives each plan its boundary's ids on the way."""
         inner = self._plans and self._plans[0].inner
         for p in self._plans:
             p.set_inner_ids(inner)
-            outer = p.outer_ids()
-            yield p, inner, outer
-            inner = outer
+            inner = p.outer_ids()
+            yield p, inner
 
     def _tables(self):
         """Make the vertex tables from the base and the ring plans, and
         give each plan its boundary's vertex ids; builds no sector."""
         if self._tabled:
             return
-        rule = self.rule
-        degree = dict(self._base_degree)
+        degree = dict(self._interior_degrees())
         ring_of = dict(self._base_ring_of)
         rings = list(self._base_rings)
-        for p, inner, ids in self._plan_cycles():
-            # The ring completes the boundary it grows on to the rule's degrees.
-            degree.update((v, rule.degree_for(v, ring_of[v])) for v in inner)
-            new = range(p.vbase, p.vend)
-            degree.update(dict.fromkeys(new, 0))   # in id order, as born
-            degree.update(zip(ids, p.outer_degrees()))
-            ring_of.update(dict.fromkeys(new, p.ring))
+        for p, ids in self._plan_cycles():
+            ring_of.update(dict.fromkeys(range(p.vbase, p.vend), p.ring))
             rings.append(tuple(ids))
+        degree.update(sorted(zip(rings[-1], self._plans[-1].outer_degrees())))
         self._set_tables(degree, frozenset(rings[-1]), rings[-1], tuple(rings),
                          ring_of)
 
@@ -1166,10 +1184,3 @@ def grow_frontier(surf: Triangulation, rings: int,
     for plan in plans:
         b.add_plan(plan)
     return b.freeze(surf.rule, surf.labels)
-
-
-def angle_defect_deg(surf: Triangulation, v: int) -> int:
-    """360 - 60 * degree, in degrees, for a non-frontier vertex."""
-    if v in surf.frontier:
-        raise FrontierVertex(f"vertex {v} is on the frontier")
-    return 360 - 60 * surf.degree[v]

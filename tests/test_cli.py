@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smfgeo import cli
+from smfgeo import cli, smf
 
 SILO_SMF = "smf 1\nmodel silo rings=6\n"
 SEMI_SMF = "smf 1\nmodel semi_paradoxist radius=4\n"
@@ -109,6 +109,71 @@ def test_audit_missing_ring_is_an_error_entry(files, tmp_path):
                      "-o", str(out_path)]) == 1
     audits = json.loads(out_path.read_text())["audits"]
     assert "error" in audits[0] and audits[1]["passed"] is True
+
+
+def test_audit_one_ring(files, tmp_path):
+    out_path = tmp_path / "audit.json"
+    assert cli.main(["audit", files["silo.smf"], "--rings", "3",
+                     "-o", str(out_path)]) == 0
+    assert [a["ring"] for a in json.loads(out_path.read_text())["audits"]] \
+        == [3]
+
+
+# Malformed and reversed ring ranges: each is a usage error that names the
+# value, before a model is loaded or a family is built.
+BAD_RINGS = ["1..2..3", "5..3", "2..", "..2", "x"]
+
+
+@pytest.mark.parametrize("rings", BAD_RINGS)
+def test_audit_bad_ring_range_is_a_usage_error(files, capsys, rings):
+    assert cli.main(["audit", files["silo.smf"], "--rings", rings]) == 2
+    assert repr(rings) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rings", BAD_RINGS)
+def test_search_bad_ring_range_is_a_usage_error(capsys, rings):
+    assert cli.main(["search", "silo", "--rings", rings]) == 2
+    assert repr(rings) in capsys.readouterr().err
+
+
+def test_validate_checks_a_model_whole(files, monkeypatch, capsys):
+    # Loading a model checks nothing whole, so a model that only `validate`
+    # can fault still loads; the validate command completes it and runs
+    # every check.
+    real = smf.build_silo
+
+    def miscounted(rings):
+        surf = real(rings)
+        surf._base_degree[0] = 4   # the apex has five triangles
+        return surf
+
+    monkeypatch.setattr(smf, "build_silo", miscounted)
+    scene = files["dir"] / "t.scn"
+    scene.write_text("trace l arc=5\n")
+    assert cli.main(["trace", files["silo.smf"], str(scene),
+                     "-o", str(files["dir"] / "t.json")]) == 0
+    assert cli.main(["validate", files["silo.smf"]]) == 1
+    err = capsys.readouterr().err
+    assert "DegreeMismatch: (0,): stored 4, actual 5" in err
+
+
+def test_only_validate_makes_a_whole_surface(files, whole_surface_calls):
+    # trace, render, audit and search read only the sectors and ring plans
+    # they need; validate completes the model and makes its vertex tables.
+    calls = whole_surface_calls
+    d = files["dir"]
+    (d / "t.scn").write_text("trace l\n")
+    (d / "r.scn").write_text(f"render fan C paths=l out={d / 'net.svg'}\n")
+    out = str(d / "out.json")
+    for argv in (["trace", files["silo.smf"], str(d / "t.scn"), "-o", out],
+                 ["render", files["silo.smf"], str(d / "r.scn")],
+                 ["audit", files["silo.smf"], "--rings", "0..9", "-o", out],
+                 ["audit", files["semi.smf"], "--rings", "0..9", "-o", out],
+                 ["search", "flat", "--rings", "2..3", "-o", out]):
+        assert cli.main(argv) in (0, 1)
+    assert calls == []
+    assert cli.main(["validate", files["silo.smf"]]) == 0
+    assert calls == ["_complete", "_tables"]
 
 
 @pytest.mark.parametrize("command", ["classify", "trace"])

@@ -33,13 +33,13 @@ MODELS = {
 }
 
 
-@pytest.mark.parametrize("name,mode", [
-    ("silo", "float"), ("semi", "float"), ("flat", "float"),
-    ("silo", "exact"), ("semi", "exact"),
-])
-def test_report_matches_golden(name, mode, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+RUNS = [("silo", "float"), ("semi", "float"), ("flat", "float"),
+        ("silo", "exact"), ("semi", "exact")]
+
+
+def classify_report(name, mode):
+    """Bytes of the `smfgeo classify` report of one model's fixture
+    points, run in the current directory."""
     model, points = MODELS[name]
     Path(f"{name}.smf").write_text(f"smf 1\n{model}\n")
     Path(f"{name}.scn").write_text("".join(f"classify {p} l\n"
@@ -47,5 +47,25 @@ def test_report_matches_golden(name, mode, tmp_path, monkeypatch):
     flags = ["--exact"] if mode == "exact" else []
     assert cli.main(["classify", *flags, f"{name}.smf", f"{name}.scn",
                      "-o", "report.json"]) == 0
+    return Path("report.json").read_bytes()
+
+
+@pytest.mark.parametrize("name,mode", RUNS)
+def test_report_matches_golden(name, mode, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
     want = (GOLDEN / f"{name}_{mode}.json").read_bytes()
-    assert Path("report.json").read_bytes() == want
+    assert classify_report(name, mode) == want
+
+
+def test_fixture_pass_makes_no_whole_surface(tmp_path, monkeypatch,
+                                             whole_surface_calls):
+    # Loading the models, classifying every fixture point and naming each
+    # surface read the ring plans and the sectors the traces cross: no
+    # surface is completed and no vertex table is made.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    for name, mode in RUNS:
+        want = (GOLDEN / f"{name}_{mode}.json").read_bytes()
+        assert classify_report(name, mode) == want
+    assert whole_surface_calls == []

@@ -10,7 +10,6 @@ from smfgeo.surface import (
     GrowthLimitExceeded,
     SurfacePoint,
     Triangulation,
-    angle_defect_deg,
     canonicalize_point,
     grow_frontier,
     validate,
@@ -49,7 +48,7 @@ class TestBuilders:
         assert validate(flat2).ok()
 
     def test_flat_total_defect_zero(self, flat2):
-        total = sum(angle_defect_deg(flat2, v)
+        total = sum(360 - 60 * flat2.degree[v]
                     for v in flat2.degree if v not in flat2.frontier)
         assert total == 0
 
@@ -77,7 +76,7 @@ class TestBuilders:
 
     def test_silo_cap_defect(self):
         surf = build_silo(0)
-        total = sum(angle_defect_deg(surf, v)
+        total = sum(360 - 60 * surf.degree[v]
                     for v in surf.degree
                     if v not in surf.frontier and surf.ring_of[v] <= 1)
         assert total == 360
@@ -119,7 +118,7 @@ class TestBuilders:
         assert frozenset((0, 1)) in edges
 
     def test_semi_total_defect_zero(self, semi4):
-        total = sum(angle_defect_deg(semi4, v)
+        total = sum(360 - 60 * semi4.degree[v]
                     for v in semi4.degree if v not in semi4.frontier)
         assert total == 0
 
