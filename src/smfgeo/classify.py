@@ -1202,6 +1202,8 @@ def search_finitely_hyperbolic(configurations, budgets: Budgets):
     """
     out = []
     for (name, surf, ctx, lray, points) in configurations:
+        if not points:
+            continue  # no probe point: no line context to build
         curved = surf.curved_vertices()
         session = Session(surf, ctx)
         analysis = session.analysis(surf)

@@ -217,9 +217,8 @@ def to_triangulation(doc: SmfDocument):
                 except SurfaceError as exc:
                     diags.append(Diagnostic(ln, 1, "EdgeShared3", str(exc)))
                     return None, diags
-            boundary = b.boundary_cycle() if b.pending else ()
-            b.rings = [boundary]
-            surf = b.freeze(None, {}, boundary=boundary)
+            b.rings = [b.boundary_cycle()]
+            surf = b.freeze(None, {})
         except SurfaceError as exc:
             return None, [Diagnostic(1, 1, "BadTriangulation", str(exc))]
     for kind, fixtures in (("point", doc.points), ("line", doc.lines)):

@@ -12,7 +12,9 @@ boundary it grows on, and each of its sectors (the triangles outside
 one boundary vertex) is built the first time something reads it.  Ring
 questions (vertex degrees, birth rings, ring cycles, the ring of a
 triangle, the content hash) are answered from the plans and build
-nothing.  Building never changes what a reader sees.
+nothing.  Building never changes what a reader sees.  A surface stores
+only its base and its plans; the whole-surface containers are views of
+them, made on first read for `validate` and for tests.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 
 from . import chart
@@ -126,58 +129,30 @@ class GenerationRule:
         return self.ring_degrees[-1] >= 6
 
 
-class _Whole:
-    """A whole-surface container of a Triangulation, made on its first
-    read by the method named `make`: `_complete` builds every planned
-    sector for `tris` and `adj`, and `_tables` makes the vertex tables
-    (`degree`, `ring_of`, `rings`, `boundary`, `frontier`) from the ring
-    plans without building one.  The method sets the container as an
-    instance attribute, which hides this descriptor from later reads.
-    """
-
-    def __init__(self, make):
-        self.make = make
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, surf, owner=None):
-        if surf is None:
-            return self
-        getattr(surf, self.make)()
-        return getattr(surf, self.name)
-
-
 class Triangulation:
     """Immutable-by-convention triangulated surface.
 
     Readers may share an instance freely; growth produces a new one.
 
-    A grown surface is its built base plus planned rings (`_RingPlan`):
-    the ids, vertices and neighbours of every planned triangle are fixed
-    by the plan, and a planned sector is built on first use (`neighbor`,
+    A surface is its built base plus planned rings (`_RingPlan`): the ids,
+    vertices and neighbours of every planned triangle are fixed by the
+    plan, and a planned sector is built on first use (`neighbor`,
     `triangle`, `incident`, `fan_ccw` and the queries built on them).
     Building never changes what a reader sees.  Ring questions build
-    nothing and make no vertex table: the ring count (`n_rings`), a ring
-    cycle (`ring_cycle`), the triangles outside a ring's vertices
-    (`outward_counts`, which ring audits read), a ring's triangle ids
-    (`ring_start`), a vertex's birth ring (`birth_ring`), the interior
-    vertices of degree other than 6 (`curved_vertices`), `on_frontier`,
-    `tri_ring`, `n_triangles` and `content_hash` are read off the base
-    and the plans.  A read of a vertex table (`degree`, `ring_of`,
-    `rings`, `boundary`, `frontier`) makes all five for the whole
-    surface, still building no sector; only a read of `tris` or `adj`
-    builds every remaining sector.  A surface carries no triangle cap:
-    the budget passed to `grow_frontier` bounds growth.
-    """
+    nothing: the ring count (`n_rings`), a ring cycle (`ring_cycle`), the
+    triangles outside a ring's vertices (`outward_counts`, which ring
+    audits read), a ring's triangle ids (`ring_start`), a vertex's birth
+    ring (`birth_ring`), the interior vertices of degree other than 6
+    (`curved_vertices`), `on_frontier`, `tri_ring`, `n_triangles` and
+    `content_hash` are read off the base and the plans.
 
-    tris = _Whole("_complete")
-    adj = _Whole("_complete")
-    degree = _Whole("_tables")
-    frontier = _Whole("_tables")
-    boundary = _Whole("_tables")
-    rings = _Whole("_tables")
-    ring_of = _Whole("_tables")
+    The whole-surface containers are views of the base and the plans,
+    made on first read and kept: `tris` and `adj` build every remaining
+    sector; `degree`, `ring_of`, `rings`, `boundary` and `frontier` build
+    none.  Only `validate`, `n_vertices` and tests read them.  A surface
+    carries no triangle cap: the budget passed to `grow_frontier` bounds
+    growth.
+    """
 
     def __init__(self, tris, adj, degree, frontier, boundary, rings, ring_of,
                  rule=None, labels=None, plans=()):
@@ -187,14 +162,18 @@ class Triangulation:
         # adjacency among them.
         self._tris = tris
         self._adj = adj
-        # With `plans`, the other containers describe the base the planned
-        # rings grow on, and the public ones are made on first read.
         self._plans = plans
         self._plan_bases = tuple(p.base for p in plans)
         self._plan_vbases = tuple(p.vbase for p in plans)
+        # The base the planned rings grow on, the whole surface when there
+        # is no plan: {v: incident triangle count}, the frontier vertices,
+        # the boundary cycle (interior on the left), the ring cycles
+        # (rings[k] = boundary after k growths) and {v: ring at birth}.
         self._base_degree = degree
-        self._base_ring_of = ring_of
+        self._base_frontier = frontier
+        self._base_boundary = boundary
         self._base_rings = rings
+        self._base_ring_of = ring_of
         self._vert_tri = None
         self._tri_ring = None
         self._hash = None
@@ -203,22 +182,55 @@ class Triangulation:
         # _Builder.freeze so that growth need not rescan every edge; None
         # for a surface built directly.
         self._open_edges = None
-        self._tabled = False
-        if not plans:
-            self._set_tables(degree, frontier, boundary, rings, ring_of)
-            self.tris = tris            # list[(v0, v1, v2)] CCW
-            self.adj = adj              # {(t, e): (t', e')} symmetric
 
-    def _set_tables(self, degree, frontier, boundary, rings, ring_of):
-        # Every instance assigns its attributes in one order (the tables,
-        # then `tris` and `adj`) and never reads its __dict__, which keeps
-        # attribute reads fast.
-        self._tabled = True
-        self.degree = degree        # {v: incident triangle count}
-        self.frontier = frontier    # frozenset of boundary vertices
-        self.boundary = boundary    # tuple: boundary vertex cycle, interior on the left
-        self.rings = rings          # tuple of vertex cycles, rings[k] = boundary after k growths
-        self.ring_of = ring_of      # {v: ring index at birth}
+    # -- whole-surface views -------------------------------------------
+
+    @cached_property
+    def tris(self):
+        """list[(v0, v1, v2)] CCW, every planned sector built."""
+        self._build_all()
+        return self._tris
+
+    @cached_property
+    def adj(self):
+        """{(t, e): (t', e')} symmetric, every planned sector built."""
+        self._build_all()
+        return self._adj
+
+    @cached_property
+    def degree(self):
+        """{v: incident triangle count}: the interior's, then the
+        frontier's from the last plan."""
+        if not self._plans:
+            return self._base_degree
+        last = self._plans[-1]
+        degree = dict(self._interior_degrees())
+        degree.update(sorted(zip(last.outer_ids(), last.outer_degrees())))
+        return degree
+
+    @cached_property
+    def ring_of(self):
+        """{v: ring index at birth}."""
+        ring_of = dict(self._base_ring_of)
+        for p in self._plans:
+            ring_of.update(dict.fromkeys(range(p.vbase, p.vend), p.ring))
+        return ring_of
+
+    @cached_property
+    def rings(self):
+        """Tuple of vertex cycles: rings[k] is the boundary after k
+        growths."""
+        return tuple(map(self.ring_cycle, range(self.n_rings())))
+
+    @cached_property
+    def boundary(self):
+        """The frontier's vertex cycle, interior on the left."""
+        return self.rings[-1] if self._plans else self._base_boundary
+
+    @cached_property
+    def frontier(self):
+        """Frozenset of the boundary's vertices."""
+        return frozenset(self.boundary) if self._plans else self._base_frontier
 
     # -- basic queries -------------------------------------------------
 
@@ -268,7 +280,7 @@ class Triangulation:
 
     def curved_vertices(self) -> dict:
         """{v: degree} of the interior vertices whose degree is not 6, in
-        id order; makes no vertex table."""
+        id order; reads no whole-surface view."""
         return {v: d for v, d in self._interior_degrees() if d != 6}
 
     def _interior_degrees(self):
@@ -277,7 +289,7 @@ class Triangulation:
         growing a ring completes the boundary under it (the base's too)
         to the rule's degrees."""
         plans, rule = self._plans, self.rule
-        edge = set(plans[0].inner) if plans else self.frontier
+        edge = set(plans[0].inner) if plans else self._base_frontier
         for v, d in sorted(self._base_degree.items()):
             if v not in edge:
                 yield v, d
@@ -320,7 +332,7 @@ class Triangulation:
         if self._plans:
             last = self._plans[-1]
             return last.vbase <= v < last.vend
-        return v in self.frontier
+        return v in self._base_frontier
 
     def edge_vertices(self, t: int, e: int):
         tv = self._tris[t] or self.triangle(t)
@@ -425,10 +437,10 @@ class Triangulation:
     def content_hash(self) -> str:
         """Digest of every triangle's vertices in id order and of the
         frontier.  Planned rings are read from their plans, so hashing
-        builds nothing and makes no vertex table."""
+        builds nothing and reads no whole-surface view."""
         if self._hash is None:
             last = self._plans[-1] if self._plans else None
-            frontier = sorted(self.frontier) if last is None \
+            frontier = sorted(self._base_frontier) if last is None \
                 else range(last.vbase, last.vend)
             h = hashlib.sha256()
             fmt = "%d,%d,%d;".__mod__
@@ -473,16 +485,17 @@ class Triangulation:
             if self._plans:
                 self._next = self._plans[-1].following(rule)
             else:
-                if not self.frontier:
+                if not self._base_frontier:
                     raise SurfaceError("surface has no frontier")
-                cycle = tuple(self.boundary)
-                gaps = [rule.degree_for(v, self.ring_of[v]) - self.degree[v]
+                cycle = tuple(self._base_boundary)
+                degree = self._base_degree
+                gaps = [rule.degree_for(v, self._base_ring_of[v]) - degree[v]
                         for v in cycle]
                 for v, k in zip(cycle, gaps):
                     if k < 2:
                         raise _short_gap(rule, v, k)
-                vbase = max(self.degree) + 1 if self.degree else 0
-                self._next = _RingPlan(len(self.rings), len(self._tris),
+                vbase = max(degree) + 1 if degree else 0
+                self._next = _RingPlan(len(self._base_rings), len(self._tris),
                                        vbase, cycle, bytes(gaps))
         return self._next
 
@@ -581,34 +594,13 @@ class Triangulation:
             inner = p.outer_ids()
             yield p, inner
 
-    def _tables(self):
-        """Make the vertex tables from the base and the ring plans, and
-        give each plan its boundary's vertex ids; builds no sector."""
-        if self._tabled:
-            return
-        degree = dict(self._interior_degrees())
-        ring_of = dict(self._base_ring_of)
-        rings = list(self._base_rings)
-        for p, ids in self._plan_cycles():
-            ring_of.update(dict.fromkeys(range(p.vbase, p.vend), p.ring))
-            rings.append(tuple(ids))
-        degree.update(sorted(zip(rings[-1], self._plans[-1].outer_degrees())))
-        self._set_tables(degree, frozenset(rings[-1]), rings[-1], tuple(rings),
-                         ring_of)
-
-    def _complete(self):
-        """The vertex tables, then every planned sector built: the whole
-        `tris` and `adj`."""
-        self._tables()
+    def _build_all(self):
+        """Build every planned sector not built yet."""
         tris = self._tris
-        build = self._build_sector
-        for i, p in enumerate(self._plans):
-            base = p.base
+        for i, (p, _) in enumerate(self._plan_cycles()):
             for j, o in enumerate(p.up):
-                if tris[base + o] is None:
-                    build(i, j)
-        self.tris = tris            # list[(v0, v1, v2)] CCW
-        self.adj = self._adj        # {(t, e): (t', e')} symmetric
+                if tris[p.base + o] is None:
+                    self._build_sector(i, j)
 
 
 # -- planar development ----------------------------------------------------
@@ -943,12 +935,10 @@ class _Builder:
             raise SurfaceError("boundary is not a single cycle")
         return tuple(cyc)
 
-    def freeze(self, rule, labels, boundary=None) -> Triangulation:
+    def freeze(self, rule, labels) -> Triangulation:
         """The surface the builder holds; with ring plans, a planned surface
         whose base is what they grow on."""
-        if boundary is None and not self.plans:
-            boundary = self.boundary_cycle()
-        bd = boundary or ()
+        bd = () if self.plans else self.boundary_cycle()
         surf = Triangulation(
             tris=self.tris,
             adj=self.adj,

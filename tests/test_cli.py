@@ -159,7 +159,7 @@ def test_validate_checks_a_model_whole(files, monkeypatch, capsys):
 
 def test_only_validate_makes_a_whole_surface(files, whole_surface_calls):
     # trace, render, audit and search read only the sectors and ring plans
-    # they need; validate completes the model and makes its vertex tables.
+    # they need; validate reads the whole-surface views of the model.
     calls = whole_surface_calls
     d = files["dir"]
     (d / "t.scn").write_text("trace l\n")
@@ -173,7 +173,7 @@ def test_only_validate_makes_a_whole_surface(files, whole_surface_calls):
         assert cli.main(argv) in (0, 1)
     assert calls == []
     assert cli.main(["validate", files["silo.smf"]]) == 0
-    assert calls == ["_complete", "_tables"]
+    assert calls == ["tris", "adj", "frontier", "boundary", "rings", "degree"]
 
 
 @pytest.mark.parametrize("command", ["classify", "trace"])
@@ -283,3 +283,15 @@ def test_search_family(files, tmp_path):
                      "-o", str(out_path)]) == 0
     data = json.loads(out_path.read_text())
     assert data["candidates"] == []
+
+
+def test_search_skips_a_radius_with_no_probe_point(tmp_path):
+    # flat(1) has no fixture point and no curved vertex: nothing to probe,
+    # so it adds no candidate and the rest of the range is searched.
+    out = {}
+    for rings in ("1..1", "1..3", "2..3"):
+        out[rings] = tmp_path / f"{rings}.json"
+        assert cli.main(["search", "flat", "--rings", rings,
+                         "-o", str(out[rings])]) == 0
+    assert json.loads(out["1..1"].read_text())["candidates"] == []
+    assert out["1..3"].read_bytes() == out["2..3"].read_bytes()

@@ -62,7 +62,7 @@ def test_fixture_pass_makes_no_whole_surface(tmp_path, monkeypatch,
                                              whole_surface_calls):
     # Loading the models, classifying every fixture point and naming each
     # surface read the ring plans and the sectors the traces cross: no
-    # surface is completed and no vertex table is made.
+    # whole-surface view is made.
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
     for name, mode in RUNS:

@@ -7,7 +7,7 @@ runtime check.  These tests show that every model, completed, passes
 `validate` at its fixture size and over a sweep of radii; that the last
 plan's frontier degrees, the one `validate` rule plan construction does
 not enforce, stay at most 7; that `curved_vertices`, the degree read the
-classifier and the CLI use, agrees with the vertex tables; and that
+classifier and the CLI use, agrees with the `degree` view; and that
 building a model builds few of its triangles.
 """
 
@@ -37,8 +37,8 @@ def built(surf):
 
 
 def table_scan(surf):
-    """The interior vertices of degree other than 6, read off the vertex
-    tables of the whole surface."""
+    """The interior vertices of degree other than 6, read off the `degree`
+    and `frontier` views of the whole surface."""
     return [(v, d) for v, d in sorted(surf.degree.items())
             if d != 6 and v not in surf.frontier]
 
@@ -49,12 +49,12 @@ def test_completed_model_validates(name, size):
 
 
 @pytest.mark.parametrize("name,size", SIZES, ids=IDS)
-def test_frontier_degrees_from_the_last_plan(name, size):
+def test_frontier_degrees_from_the_last_plan(name, size, whole_surface_calls):
     surf = BUILD[name](size)
     if surf._plans:
         outer = surf._plans[-1].outer_degrees()
         cycle = surf.ring_cycle(surf.n_rings() - 1)
-        assert not surf._tabled
+        assert whole_surface_calls == []
     else:
         cycle = sorted(surf.frontier)
         outer = [surf.degree[v] for v in cycle]
@@ -64,11 +64,10 @@ def test_frontier_degrees_from_the_last_plan(name, size):
 
 
 @pytest.mark.parametrize("name,size", SIZES, ids=IDS)
-def test_curved_vertices_match_the_table_scan(name, size):
+def test_curved_vertices_match_the_table_scan(name, size, whole_surface_calls):
     surf = BUILD[name](size)
-    tabled = surf._tabled   # a surface without plans is made with its tables
     curved = surf.curved_vertices()
-    assert surf._tabled == tabled
+    assert whole_surface_calls == []
     surf.tris
     assert list(curved.items()) == table_scan(surf)
 

@@ -171,7 +171,7 @@ class TestClosedSurfaces:
             b.next_vertex = 12
         for f in ICOSAHEDRON:
             b.add_triangle(*f)
-        surf = b.freeze(None, {}, boundary=())
+        surf = b.freeze(None, {})
         assert surf.frontier == frozenset()
         assert validate(surf).ok()
         assert all(d == 5 for d in surf.degree.values())

@@ -1,13 +1,17 @@
-"""No caller outside `surface.py` reads a whole-surface container.
+"""Only `validate` and `n_vertices` read a whole-surface view.
 
-An AST scan of the package and the scripts.  Reading `tris` or `adj`
-builds every planned sector of a grown surface, and reading a vertex
-table (`degree`, `ring_of`, `rings`, `boundary`, `frontier`) makes all
-five for the whole surface.  A count must come from `n_triangles()` or
-`n_rings()`, a neighbour from `neighbor`, a ring from `ring_cycle` or
-`birth_ring`, and the interior vertices of degree other than 6 from
-`curved_vertices`, which read the ring plans and build only what they
-touch.
+An AST scan of the package and the scripts.  A Triangulation stores its
+base and its ring plans; `tris`, `adj`, `degree`, `ring_of`, `rings`,
+`boundary` and `frontier` are views of them, made on first read and
+kept.  Reading `tris` or `adj` builds every planned sector of a grown
+surface, and reading a vertex view makes that table for the whole
+surface.  A count must come from `n_triangles()` or `n_rings()`, a
+neighbour from `neighbor`, a ring from `ring_cycle` or `birth_ring`, and
+the interior vertices of degree other than 6 from `curved_vertices`,
+which read the ring plans and build only what they touch.  Inside
+`surface.py` the same holds for `Triangulation`'s own methods: outside
+the view definitions, `validate` and `n_vertices`, they read the base
+fields (`_base_degree`, ...) and the plans, not `self.<view>`.
 """
 
 import ast
@@ -16,8 +20,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SURFACE = ROOT / "src" / "smfgeo" / "surface.py"
 MODULES = [p for p in sorted((ROOT / "src" / "smfgeo").glob("*.py"))
-           if p.name != "surface.py"] + sorted((ROOT / "scripts").glob("*.py"))
+           if p != SURFACE] + sorted((ROOT / "scripts").glob("*.py"))
 
 
 WHOLE = ("tris", "adj", "degree", "ring_of", "rings", "boundary", "frontier")
@@ -26,19 +31,43 @@ WHOLE = ("tris", "adj", "degree", "ring_of", "rings", "boundary", "frontier")
 # carry fields of these names too: a `_Builder` (`b.degree`), parsed
 # arguments (`args.rings`), an end trace (`res.rings`), a band (`band.tris`).
 SURFACE_NAMES = {"surf", "surface", "s", "s2", "flat", "semi", "silo"}
+# The functions of surface.py, besides the views, that read the views.
+VIEW_READERS = {"validate", "n_vertices"}
 
 
-def whole_reads(tree):
-    """(line, container) of every read of a whole-surface container off a
-    name that holds a surface."""
+def whole_reads(tree, names=SURFACE_NAMES):
+    """(line, container) of every read of a whole-surface container off
+    one of `names`, the names that hold a surface."""
     reads = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in WHOLE \
                 and isinstance(node.ctx, ast.Load):
             owner = node.value
             name = getattr(owner, "id", None) or getattr(owner, "attr", None)
-            if name in SURFACE_NAMES:
+            if name in names:
                 reads.append((node.lineno, node.attr))
+    return sorted(reads)
+
+
+def _is_view(node):
+    return isinstance(node, ast.FunctionDef) and any(
+        getattr(d, "id", None) == "cached_property"
+        for d in node.decorator_list)
+
+
+def own_view_reads(tree):
+    """(line, view) of every read of a view in surface.py outside the view
+    definitions and `VIEW_READERS`: off `self` in `Triangulation`, and
+    off a name that holds a surface anywhere."""
+    reads = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "Triangulation":
+            for item in node.body:
+                if not _is_view(item) and getattr(item, "name", None) \
+                        not in VIEW_READERS:
+                    reads += whole_reads(item, SURFACE_NAMES | {"self"})
+        elif getattr(node, "name", None) not in VIEW_READERS:
+            reads += whole_reads(node)
     return sorted(reads)
 
 
@@ -109,3 +138,26 @@ def test_scan_ignores_fields_of_other_objects():
                      "m = surf.n_triangles() + surf.n_rings()\n"
                      "c = surf.ring_cycle(2)\n")
     assert whole_reads(tree) == []
+
+
+def test_surface_module_reads_no_view():
+    assert own_view_reads(_parse(SURFACE)) == []
+
+
+def test_own_scan_finds_a_view_read_in_a_method():
+    tree = ast.parse("class Triangulation:\n"
+                     "    @cached_property\n"
+                     "    def frontier(self):\n"
+                     "        return frozenset(self.boundary)\n"
+                     "    def n_vertices(self):\n"
+                     "        return len(self.degree)\n"
+                     "    def on_frontier(self, v):\n"
+                     "        return v in self.frontier\n"
+                     "class _Builder:\n"
+                     "    def add(self, v):\n"
+                     "        self.degree[v] = len(self.tris)\n"
+                     "def validate(surf):\n"
+                     "    return surf.adj\n"
+                     "def develop(surf):\n"
+                     "    return surf.adj\n")
+    assert own_view_reads(tree) == [(8, "frontier"), (15, "adj")]
