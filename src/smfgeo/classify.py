@@ -136,7 +136,6 @@ class ModelAnalysis:
         self.surf = surf
         self.ctx = ctx
         self.audits = {}
-        self.passes = {}      # ring -> audited_pass(ring)
         self.bands = []
         self.band_tris = {}
         rule = surf.rule.name if surf.rule else ""
@@ -161,13 +160,8 @@ class ModelAnalysis:
         return a
 
     def audited_pass(self, ring: int) -> bool:
-        got = self.passes.get(ring)
-        if got is None:
-            # A ring below the last has no frontier vertex.
-            got = self.passes[ring] = (
-                1 <= ring < self.surf.n_rings() - 1
-                and self.audit(ring).passed)
-        return got
+        # A ring below the last has no frontier vertex.
+        return 1 <= ring < self.surf.n_rings() - 1 and self.audit(ring).passed
 
     def escape_certifiable(self, ring: int, target_max_ring: int) -> bool:
         if target_max_ring >= ring:
@@ -295,11 +289,10 @@ def _cut_ray(surf, ctx, analysis, budgets, core_ring):
 
 
 def _developed_tail(fc, tail: TailInfo) -> farfield.TailData:
-    frame = fc.corridor_frame(tail.escape_tri)
-    base = frame.apply(*tail.xy)
-    d = frame.apply_vec(*tail.dir)
-    speed = math.hypot(float(d[0]), float(d[1]))
-    return farfield.TailData(base, d, tail.arc0, speed)
+    d = fc.corridor_frame(tail.escape_tri).apply_vec(*tail.dir)
+    base, kcut = fc.place_tail(tail.escape_tri, tail.xy)
+    return farfield.TailData(base, d, tail.arc0,
+                             math.hypot(float(d[0]), float(d[1])), kcut)
 
 
 # -- one-end tracing ----------------------------------------------------
@@ -799,8 +792,8 @@ class _Partitioner:
             u, v, depth = work.pop()
             pu = self.probe(u)
             pv = self.probe(v)
-            self.boundaries.setdefault(self._key(_halfcirc(ctx, u)), (u, pu))
-            self.boundaries.setdefault(self._key(_halfcirc(ctx, v)), (v, pv))
+            self.boundaries.setdefault(self._key(u), (u, pu))
+            self.boundaries.setdefault(self._key(v), (v, pv))
             corners = self._split_points(
                 u, v, self._corners_inside(pu, u, v) +
                 self._corners_inside(pv, u, v))
@@ -857,7 +850,7 @@ class _Partitioner:
                     cand = chart.rotate(ctx, -(res.rot + fk), *tdir)
                     cand = _orient_into(ctx, u, inv.apply_vec(*cand))
                     if _strictly_between(ctx, u, v, cand):
-                        cands[self._key(_halfcirc(ctx, cand))] = cand
+                        cands[self._key(cand)] = cand
             if not cands:
                 out.append((u, v, pr))
                 continue
@@ -868,7 +861,7 @@ class _Partitioner:
                 out.append((a, b, self.probe(wm, corners=False)))
                 if i + 1 < len(pts) - 1:
                     self.boundaries.setdefault(
-                        self._key(_halfcirc(ctx, pts[i + 1])),
+                        self._key(pts[i + 1]),
                         (pts[i + 1], self.probe(pts[i + 1], corners=False)))
         self.intervals = out
 

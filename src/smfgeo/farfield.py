@@ -21,7 +21,7 @@ arc budget (nearly parallel directions) in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import chart
 from .chart import Isometry, cross, dot
@@ -183,8 +183,10 @@ class BandFrame:
         cs = chart.corners(ctx)
         px, py = cs[e0]
         qx, qy = cs[(e0 + 1) % 3]
-        # map p -> (1, h), q -> (0, h): rotation aligning (q - p) to (-1, 0)
-        k = self._rot_to(ctx, qx - px, qy - py, ctx.of(-1), ctx.zero)
+        # map p -> (1, h), q -> (0, h): the rotation taking the unit edge
+        # q - p to (-1, 0)
+        k = next(k for k in range(12) if ctx.is_zero(
+            chart.rotate(ctx, k, qx - px, qy - py)[0] + ctx.one))
         rx, ry = chart.rotate(ctx, k, px, py)
         base = Isometry(ctx, k, ctx.one - rx, self.h - ry)
         # Each triangle is placed once: the band is a cycle, and placing a
@@ -195,14 +197,6 @@ class BandFrame:
         t = self.vertex_tris[cyc_bot[0]]
         bx, _ = self.frames[t].apply(*cs[surf.vertex_slot(t, cyc_bot[0])])
         self.x0 = {"top": ctx.zero, "bottom": self.x_mod(bx)}
-
-    @staticmethod
-    def _rot_to(ctx, ax, ay, bx, by):
-        for k in range(12):
-            rx, ry = chart.rotate(ctx, k, ax, ay)
-            if ctx.is_zero(rx - bx) and ctx.is_zero(ry - by):
-                return k
-        raise ValueError("directions not 30-degree related")
 
     def x_mod(self, x):
         """Reduce a strip x-coordinate into [0, period)."""
@@ -296,10 +290,11 @@ class FlatComplement:
 
     Valid when the generation rule makes every vertex outside `ring`
     degree 6 and the total defect inside is zero, so the outside
-    holonomy is a pure translation.  The development never steps across
-    an edge of the cut ray, so it is single valued; crossing the cut
-    shifts the developed picture by `delta`, read off the development's
-    own seams (see `calibrate_cut`).
+    holonomy is a pure translation, and when the cut's two banks develop
+    apart, so a side of the developed cut line is a bank (`side`).  The
+    development never steps across an edge of the cut ray, so it is
+    single valued; crossing the cut shifts the developed picture by
+    `delta`, read off the development's own seams (see `calibrate_cut`).
 
     `cut` is (cut edges, base triangle, base point, direction) of the
     cut ray, or None when the core carries no curvature.
@@ -336,6 +331,9 @@ class FlatComplement:
         frame = self.corridor_frame(base_tri)
         self.cut = (frame.apply(*xy), frame.apply_vec(*d))
         self.calibrate_cut()
+        if ctx.sign(cross(*self.cut[1], *self.delta)) > 0:
+            raise ValueError("the cut's images from its two banks overlap")
+        self.cut_bank = self.bank(base_tri)
 
     def corridor_frame(self, target_tri: int) -> Isometry:
         """Placement of a triangle's chart in the developed plane."""
@@ -347,30 +345,38 @@ class FlatComplement:
             raise ValueError(f"no corridor reaches triangle {target_tri}")
         return got
 
+    def side(self, q) -> int:
+        """Side of the developed cut line q lies on: 1 left, -1 right."""
+        (bx, by), (dx, dy) = self.cut
+        return self.ctx.sign(cross(dx, dy, q[0] - bx, q[1] - by))
+
+    def bank(self, tri: int) -> int:
+        """Side of the bank triangle tri was developed from: that of its
+        corners on an edge the cut does not cross."""
+        e = next(e for e in range(3) if frozenset(
+            self.surf.edge_vertices(tri, e)) not in self.cut_edges)
+        return self.side(self.frames[tri].apply(*chart.corners(self.ctx)[e]))
+
     def calibrate_cut(self):
         """Read the per-crossing shift `delta` off the development's seams.
 
         The development disagrees with a straight step exactly where the
         step crosses the cut.  Each such seam must lie on a cut edge, carry
-        no rotation and shift the step's placement by +delta when the step
-        leaves the cut's right side for its left (-delta the other way).
-        The seams are compared through the run's scalars, so in exact mode
-        the translation holonomy is certified exactly.
+        no rotation and shift the step's placement by +delta when it leaves
+        the right bank, the one its triangle was developed from, for the
+        left (-delta the other way).  The seams are compared through the
+        run's scalars, so in exact mode the holonomy is certified exactly.
         """
         surf, ctx = self.surf, self.ctx
-        _, (dx, dy) = self.cut
-        gx, gy = ctx.half, ctx.sqrt3 * ctx.frac(1, 6)  # chart centroid
         delta = None
         for t, e, direct, have in seams(surf, ctx, self.frames, self.tree):
             if frozenset(surf.edge_vertices(t, e)) not in self.cut_edges:
                 raise ValueError("development disagrees off the cut")
             if direct.k != have.k:
                 raise ValueError("outside holonomy has a rotation part")
-            c1x, c1y = self.frames[t].apply(gx, gy)
-            c2x, c2y = direct.apply(gx, gy)
-            side = ctx.sign(cross(dx, dy, c2x - c1x, c2y - c1y))
+            side = -self.bank(t)
             if side == 0:
-                raise ValueError("cut seam steps along the cut")
+                raise ValueError("the cut passes through a vertex")
             sx, sy = direct.tx - have.tx, direct.ty - have.ty
             shift = (sx, sy) if side > 0 else (-sx, -sy)
             if delta is None:
@@ -380,12 +386,19 @@ class FlatComplement:
         if delta is not None:
             self.delta = delta
 
-    def cut_images(self):
-        """Developed images of the cut's two banks."""
-        base, d = self.cut
-        dx, dy = self.delta
-        other = ((base[0] + dx, base[1] + dy), d)
-        return (base, d), other
+    def place_tail(self, tri: int, xy):
+        """(developed base point, starting `kcut`) of a tail based at xy in
+        triangle tri, where the developed cut line is the cut from both
+        banks: a triangle developed from the other bank than the cut's
+        base triangle moves by one holonomy shift.  The side of that line
+        the point lies on picks the bank the tail starts on."""
+        p = self.corridor_frame(tri).apply(*xy)
+        if self.cut is None:
+            return p, 0
+        own, (dx, dy) = self.cut_bank, self.delta
+        if self.bank(tri) != own:
+            p = (p[0] - own * dx, p[1] - own * dy)
+        return p, -own if self.side(p) == -own else 0
 
 
 def _solve(ctx, p, u, q, v):
@@ -410,27 +423,14 @@ def split_tail_at_cut(ctx, tail: TailData, fc: "FlatComplement"):
     only the cut-class bookkeeping changes, so the genuine-meeting test
     can shift by the right number of holonomy offsets.
     """
-    if fc.cut is None:
+    hit = fc.cut and _solve(ctx, tail.base, tail.dir, *fc.cut)
+    if not hit or ctx.sign(hit[0]) <= 0 or ctx.sign(hit[1]) < 0:
         return [tail]
-    _, (dx, dy) = fc.cut
-    side = ctx.sign(cross(dx, dy, tail.dir[0], tail.dir[1]))
-    if side == 0:
-        return [tail]
-    best = None
-    for base, d in fc.cut_images():
-        t, s = _solve(ctx, tail.base, tail.dir, base, d)
-        if ctx.sign(t) > 0 and ctx.sign(s) >= 0 and (
-                best is None or ctx.lt(t, best)):
-            best = t
-    if best is None:
-        return [tail]
-    base = (tail.base[0] + tail.dir[0] * best,
-            tail.base[1] + tail.dir[1] * best)
-    piece1 = TailData(tail.base, tail.dir, tail.arc0, tail.speed,
-                      kcut=tail.kcut, limit=best)
-    piece2 = TailData(base, tail.dir, _arc(tail, best), tail.speed,
-                      kcut=tail.kcut + side)
-    return [piece1, piece2]
+    t = hit[0]
+    at = (tail.base[0] + tail.dir[0] * t, tail.base[1] + tail.dir[1] * t)
+    side = ctx.sign(cross(*fc.cut[1], *tail.dir))
+    return [replace(tail, limit=t),
+            TailData(at, tail.dir, _arc(tail, t), tail.speed, tail.kcut + side)]
 
 
 def tails_meet(ctx, a: TailData, b: TailData, holonomy):

@@ -7,14 +7,16 @@ module owns the combinatorics, canonical point forms, planar development
 and the ring growth used by the model builders.
 
 Growth plans rings instead of building them: a ring's size and the ids
-of all its triangles and vertices follow from the degree pattern of the
-boundary it grows on, and each of its sectors (the triangles outside
-one boundary vertex) is built the first time something reads it.  Ring
-questions (vertex degrees, birth rings, ring cycles, the ring of a
-triangle, the content hash) are answered from the plans and build
-nothing.  Building never changes what a reader sees.  A surface stores
-only its base and its plans; the whole-surface containers are views of
-them, made on first read for `validate` and for tests.
+of all its triangles, vertices and neighbours follow from the degree
+pattern of the boundary it grows on.  A planned ring is its plan: a
+neighbour is worked out from the plans when asked, and a planned
+triangle's vertices are made, with the rest of its sector (the
+triangles outside one boundary vertex), the first time something reads
+them.  Ring questions (vertex degrees, birth rings, ring cycles, the
+ring of a triangle, the content hash) are answered from the plans and
+make nothing.  A surface stores only its base, its plans and what it has
+worked out of them; the whole-surface containers are views of them,
+made on first read for `validate` and for tests.
 """
 
 from __future__ import annotations
@@ -134,32 +136,33 @@ class Triangulation:
 
     Readers may share an instance freely; growth produces a new one.
 
-    A surface is its built base plus planned rings (`_RingPlan`): the ids,
+    A surface is its base plus planned rings (`_RingPlan`): the ids,
     vertices and neighbours of every planned triangle are fixed by the
-    plan, and a planned sector is built on first use (`neighbor`,
-    `triangle`, `incident`, `fan_ccw` and the queries built on them).
-    Building never changes what a reader sees.  Ring questions build
-    nothing: the ring count (`n_rings`), a ring cycle (`ring_cycle`), the
-    triangles outside a ring's vertices (`outward_counts`, which ring
-    audits read), a ring's triangle ids (`ring_start`), a vertex's birth
-    ring (`birth_ring`), the interior vertices of degree other than 6
-    (`curved_vertices`), `on_frontier`, `tri_ring`, `n_triangles` and
-    `content_hash` are read off the base and the plans.
+    plan.  `neighbor` works a planned neighbour out from the plans, and
+    `triangle` makes a planned triangle's vertices, a sector at a time;
+    both keep what they work out, which never changes what a reader
+    sees.  Ring questions make nothing: the triangle count
+    (`n_triangles`), the ring count (`n_rings`), a ring cycle
+    (`ring_cycle`), the triangles outside a ring's vertices
+    (`outward_counts`, which ring audits read), a ring's triangle ids
+    (`ring_start`), a vertex's birth ring (`birth_ring`), the interior
+    vertices of degree other than 6 (`curved_vertices`), `on_frontier`,
+    `tri_ring` and `content_hash` are read off the base and the plans.
 
     The whole-surface containers are views of the base and the plans,
-    made on first read and kept: `tris` and `adj` build every remaining
-    sector; `degree`, `ring_of`, `rings`, `boundary` and `frontier` build
-    none.  Only `validate`, `n_vertices` and tests read them.  A surface
-    carries no triangle cap: the budget passed to `grow_frontier` bounds
-    growth.
+    made on first read and kept: `tris` makes every planned triangle's
+    vertices and `adj` works out every neighbour; `degree`, `ring_of`,
+    `rings`, `boundary` and `frontier` make neither.  Only `validate`,
+    `n_vertices` and tests read them.  A surface carries no triangle
+    cap: the budget passed to `grow_frontier` bounds growth.
     """
 
     def __init__(self, tris, adj, degree, frontier, boundary, rings, ring_of,
                  rule=None, labels=None, plans=()):
         self.rule = rule
         self.labels = dict(labels or {})
-        # Built triangles (None for a planned one not built yet) and the
-        # adjacency among them.
+        # The base's triangles, and the adjacency worked out so far: the
+        # base's own, and each planned neighbour once something asked.
         self._tris = tris
         self._adj = adj
         self._plans = plans
@@ -174,27 +177,31 @@ class Triangulation:
         self._base_boundary = boundary
         self._base_rings = rings
         self._base_ring_of = ring_of
+        # Vertices of the planned triangles made so far, {t: (v0, v1, v2)}.
+        self._made = {}
         self._vert_tri = None
-        self._tri_ring = None
         self._hash = None
         self._next = None   # plan of the ring grown next, made on demand
-        # Open directed edges {(u, v): (t, e)} of the base, handed over by
-        # _Builder.freeze so that growth need not rescan every edge; None
-        # for a surface built directly.
+        # Open directed edges {(u, v): (t, e)} of the base, which link the
+        # first planned ring to it; None for a surface built directly,
+        # whose growth works them out.
         self._open_edges = None
 
     # -- whole-surface views -------------------------------------------
 
     @cached_property
     def tris(self):
-        """list[(v0, v1, v2)] CCW, every planned sector built."""
-        self._build_all()
-        return self._tris
+        """list[(v0, v1, v2)] CCW, every planned triangle made."""
+        planned = range(len(self._tris), self.n_triangles())
+        return [*self._tris, *map(self.triangle, planned)]
 
     @cached_property
     def adj(self):
-        """{(t, e): (t', e')} symmetric, every planned sector built."""
-        self._build_all()
+        """{(t, e): (t', e')} symmetric, every planned neighbour worked
+        out."""
+        for t in range(self.n_triangles()):
+            for e in range(3):
+                self.neighbor(t, e)
         return self._adj
 
     @cached_property
@@ -235,6 +242,10 @@ class Triangulation:
     # -- basic queries -------------------------------------------------
 
     def n_triangles(self) -> int:
+        """Triangle count: the base's, or the end of the last plan's ids."""
+        if self._plans:
+            last = self._plans[-1]
+            return last.base + last.size
         return len(self._tris)
 
     def n_rings(self) -> int:
@@ -271,7 +282,7 @@ class Triangulation:
         if k < len(self._base_rings):
             raise SurfaceError(f"ring {k} is a ring of the base")
         p = self._plan_of_ring(k)
-        return len(self._tris) if p is None else p.base
+        return self.n_triangles() if p is None else p.base
 
     def birth_ring(self, v: int) -> int:
         """Ring index at birth of vertex v, from the base or its plan."""
@@ -302,29 +313,31 @@ class Triangulation:
             else:
                 yield from zip(new, repeat(rule.ring_degree(p.ring)))
 
-    def _n_base(self) -> int:
-        """Triangle count of the base the planned rings grow on."""
-        return self._plan_bases[0] if self._plans else len(self._tris)
-
     def n_vertices(self) -> int:
         return len(self.degree)
 
     def triangle(self, t: int):
-        """Vertices (v0, v1, v2) of triangle t."""
-        tv = self._tris[t]
+        """Vertices (v0, v1, v2) of triangle t; a planned triangle's are
+        made with the rest of its sector on first read."""
+        tris = self._tris
+        if t < len(tris):
+            return tris[t]
+        tv = self._made.get(t)
         if tv is None:
-            i = bisect_right(self._plan_bases, t) - 1
-            p = self._plans[i]
-            self._build_sector(i, p.sector_of(t - p.base))
-            tv = self._tris[t]
+            p = self._plans[bisect_right(self._plan_bases, t) - 1]
+            j = p.sector_of(t - p.base)
+            tvs = p.sector(j)
+            first = p.up[j - 1] + 1   # offsets taken cyclically
+            self._made.update(zip([p.base + (first + c) % p.size
+                                   for c in range(len(tvs))], tvs))
+            tv = self._made[t]
         return tv
 
     def neighbor(self, t: int, e: int):
         """(t', e') across edge e of triangle t, or None at the frontier."""
         nbr = self._adj.get((t, e))
         if nbr is None and self._plans:
-            self._build_across(t, e)
-            nbr = self._adj.get((t, e))
+            nbr = self._plan_neighbor(t, e)
         return nbr
 
     def on_frontier(self, v: int) -> bool:
@@ -335,7 +348,7 @@ class Triangulation:
         return v in self._base_frontier
 
     def edge_vertices(self, t: int, e: int):
-        tv = self._tris[t] or self.triangle(t)
+        tv = self.triangle(t)
         return tv[e], tv[(e + 1) % 3]
 
     def directed_edge(self, u: int, v: int):
@@ -353,19 +366,15 @@ class Triangulation:
         """Ring of triangle t: the largest birth ring of its vertices.
 
         The triangles of ring k > 0 lie between the cycles rings[k - 1]
-        and rings[k].  The index covers the whole surface and is built
-        on first use: a planned triangle's ring is its plan's, since each
+        and rings[k].  A planned triangle's ring is its plan's, since each
         planned triangle has a vertex the plan makes.
         """
-        index = self._tri_ring
-        if index is None:
-            ring_of = self._base_ring_of
-            index = [max(ring_of[a], ring_of[b], ring_of[c])
-                     for a, b, c in islice(self._tris, self._n_base())]
-            for p in self._plans:
-                index += [p.ring] * p.size
-            self._tri_ring = index
-        return index[t]
+        i = bisect_right(self._plan_bases, t)
+        if i:
+            return self._plans[i - 1].ring
+        ring_of = self._base_ring_of
+        a, b, c = self._tris[t]
+        return max(ring_of[a], ring_of[b], ring_of[c])
 
     def vertex_slot(self, t: int, v: int) -> int:
         tv = self.triangle(t)
@@ -379,7 +388,7 @@ class Triangulation:
         m = self._vert_tri
         if m is None:
             m = {}
-            for t, tv in enumerate(islice(self._tris, self._n_base())):
+            for t, tv in enumerate(self._tris):
                 for i in range(3):
                     m.setdefault(tv[i], (t, i))
             self._vert_tri = m
@@ -389,9 +398,7 @@ class Triangulation:
             if i < 0 or v >= self._plans[i].vend:
                 raise KeyError(v)
             p = self._plans[i]
-            t = p.base + p.incident_offset(v)
-            self.triangle(t)
-            hit = m[v] = (t, 2)
+            hit = (p.base + p.incident_offset(v), 2)
         return hit
 
     def fan_ccw(self, v: int):
@@ -403,10 +410,11 @@ class Triangulation:
         t0, s0 = self.incident(v)
         fan = [(t0, s0)]
         adj = self._adj
+        cap = self.n_triangles() + 1
         # Walk CCW: leave across the edge arriving at v, i.e. edge (slot+2).
         t, s = t0, s0
         closed = False
-        for _ in range(len(self._tris) + 1):
+        for _ in range(cap):
             e = (s + 2) % 3
             nxt = adj.get((t, e)) or self.neighbor(t, e)
             if nxt is None:
@@ -422,7 +430,7 @@ class Triangulation:
         # Walk CW from the start to find the fan's other end.
         t, s = t0, s0
         head = []
-        for _ in range(len(self._tris) + 1):
+        for _ in range(cap):
             nxt = adj.get((t, s)) or self.neighbor(t, s)
             if nxt is None:
                 break
@@ -437,7 +445,7 @@ class Triangulation:
     def content_hash(self) -> str:
         """Digest of every triangle's vertices in id order and of the
         frontier.  Planned rings are read from their plans, so hashing
-        builds nothing and reads no whole-surface view."""
+        makes nothing and reads no whole-surface view."""
         if self._hash is None:
             last = self._plans[-1] if self._plans else None
             frontier = sorted(self._base_frontier) if last is None \
@@ -454,9 +462,9 @@ class Triangulation:
 
     def _triangle_runs(self):
         """Runs of triangles (v0, v1, v2) that together give every
-        triangle in id order: the base's as built, and each planned
-        ring's from its plan, built or not."""
-        yield islice(self._tris, self._n_base())
+        triangle in id order: the base's, and each planned ring's from
+        its plan, made or not."""
+        yield self._tris
         for p, _ in self._plan_cycles():
             # Sector 0's up opens the ring, and its downs close it.
             s0 = p.sector(0)
@@ -499,10 +507,18 @@ class Triangulation:
                                        vbase, cycle, bytes(gaps))
         return self._next
 
-    def _build_across(self, t: int, e: int):
-        """Build triangle t and the planned sector across its edge e."""
+    def _plan_neighbor(self, t: int, e: int):
+        """(t', e') across edge e of a planned triangle t or of an open
+        edge of the base, read off the plans and kept in `_adj`; None at
+        the frontier.
+
+        A ring is one cyclic strip in id order: each triangle's edge 2
+        meets the next triangle's left edge (edge 0 of a down triangle,
+        edge 1 of an up triangle).  An up triangle's edge 0 lies on the
+        boundary the ring grows on, a down triangle's edge 1 on the
+        boundary it makes.
+        """
         plans = self._plans
-        self.triangle(t)
         i = bisect_right(self._plan_bases, t) - 1
         if i < 0:
             # An open edge of the base faces the first planned ring.
@@ -510,80 +526,36 @@ class Triangulation:
             p = plans[0]
             j = p.position(u)
             if j is None or p.vertex(j + 1) != w:
-                return
-            i_to, j_to = 0, j
+                return None
+            nbr = (p.base + p.up[j], 0)
         else:
             p = plans[i]
             o = t - p.base
-            ju = bisect_right(p.up, o) - 1
+            ju = bisect_right(p.up, o) - 1   # t's sector, or the one before
             is_up = p.up[ju] == o
             if e == 2:
-                i_to, j_to = i, p.sector_of((o + 1) % p.size)
+                o = (o + 1) % p.size
+                nbr = (p.base + o, 1 if o == p.up[(ju + 1) % p.n] else 0)
             elif e == (1 if is_up else 0):
-                i_to, j_to = i, p.sector_of((o - 1) % p.size)
-            elif is_up:
-                if i == 0:
-                    return  # the base is built, so the link exists
-                q = plans[i - 1]
-                i_to = i - 1
-                j_to = q.sector_of(q.down_offset((p.start + ju) % p.n))
-            else:
+                nbr = (p.base + (o - 1) % p.size, 2)
+            elif not is_up:
+                # Down c's edge 1 is edge c of the boundary the ring makes,
+                # on which the next ring's up c - start stands.
                 if i + 1 == len(plans):
-                    return  # the frontier
+                    return None   # the frontier
                 r = plans[i + 1]
-                i_to, j_to = i + 1, (o - ju - 1 - r.start) % r.n
-        q = plans[i_to]
-        if self._tris[q.base + q.up[j_to]] is None:
-            self._build_sector(i_to, j_to)
-
-    def _build_sector(self, i: int, j: int):
-        """Build sector j of planned ring i under its planned ids and link
-        it to every neighbour already built.
-
-        The ring is one cyclic strip in id order: each triangle's edge 2
-        meets the next triangle's left edge (edge 0 of a down triangle,
-        edge 1 of an up triangle).  An up triangle's edge 0 lies on the
-        boundary the ring grows on, a down triangle's edge 1 on the
-        boundary it makes.
-        """
-        plans = self._plans
-        p = plans[i]
-        tris, adj = self._tris, self._adj
-        n, base = p.n, p.base
-        up = p.up
-        tvs = p.sector(j)
-        m = len(tvs) - 1
-        first = base + up[j - 1] + 1
-        t_up = base + up[j]
-        tris[first:first + m] = tvs[:m]
-        tris[t_up] = tvs[m]
-        strip = [*range(first, first + m), t_up]
-        glue = [((strip[c], 2), (strip[c + 1], 0 if c + 1 < m else 1))
-                for c in range(m)]
-        prev = base + (first - base - 1) % p.size   # the previous sector's up
-        if tris[prev] is not None:
-            glue.append(((prev, 2), (strip[0], 0 if m else 1)))
-        nxt = base + (t_up - base + 1) % p.size
-        if tris[nxt] is not None:
-            glue.append(((t_up, 2), (nxt, 0 if p.ks[(j + 1) % n] > 2 else 1)))
-        if i:
-            q = plans[i - 1]
-            t_in = q.base + q.down_offset((p.start + j) % n)
-            if tris[t_in] is not None:
-                glue.append(((t_up, 0), (t_in, 1)))
-        else:
-            w, v, _ = tvs[m]
-            glue.append(((t_up, 0), self._open_edges[(v, w)]))
-        if i + 1 < len(plans):
-            r = plans[i + 1]
-            c0 = first - base - (j if j else n)   # index of the first down
-            for c in range(m):
-                t_out = r.base + r.up[(c0 + c - r.start) % r.n]
-                if tris[t_out] is not None:
-                    glue.append(((first + c, 1), (t_out, 0)))
-        for k1, k2 in glue:
-            adj[k1] = k2
-            adj[k2] = k1
+                nbr = (r.base + r.up[(o - ju - 1 - r.start) % r.n], 0)
+            elif i:
+                # Up j's edge 0 is edge start + j of the boundary the ring
+                # grows on, the previous ring's down there ...
+                q = plans[i - 1]
+                nbr = (q.base + q.down_offset((p.start + ju) % p.n), 1)
+            else:
+                # ... or the base's open edge.
+                nbr = self._open_edges[p.vertex(ju), p.vertex(ju + 1)]
+        self._adj[t, e] = nbr
+        self._adj[nbr] = (t, e)
+        return nbr
 
     def _plan_cycles(self):
         """(plan, the cycle it makes, as vertex ids) for each plan in ring
@@ -593,14 +565,6 @@ class Triangulation:
             p.set_inner_ids(inner)
             inner = p.outer_ids()
             yield p, inner
-
-    def _build_all(self):
-        """Build every planned sector not built yet."""
-        tris = self._tris
-        for i, (p, _) in enumerate(self._plan_cycles()):
-            for j, o in enumerate(p.up):
-                if tris[p.base + o] is None:
-                    self._build_sector(i, j)
 
 
 # -- planar development ----------------------------------------------------
@@ -829,13 +793,12 @@ def validate(surf: Triangulation) -> ValidationReport:
 
 
 class _Builder:
-    """Mutable scratch space used by seeds and by grow_frontier.
+    """Mutable scratch space in which seeds and triangle lists are built
+    triangle by triangle.
 
-    Seeds add triangles one at a time; grow_frontier starts from a copy of
-    a surface's built triangles and adjacency and adds ring plans.
     `freeze` hands the builder's containers to the new Triangulation, so
-    the builder must not be used after it.  It has no triangle cap:
-    `grow_frontier` refuses an over-budget ring before it makes one.
+    the builder must not be used after it.  Growth needs no builder:
+    `grow_frontier` adds ring plans to a surface's base.
     """
 
     def __init__(self):
@@ -845,27 +808,7 @@ class _Builder:
         self.pending = {}  # directed open edge (u, v) -> (t, e)
         self.ring_of = {}
         self.rings = []
-        self.plans = []
         self.next_vertex = 0
-
-    @classmethod
-    def from_surface(cls, surf: Triangulation) -> "_Builder":
-        """Copy of `surf`'s built triangles and adjacency; its base (degrees,
-        birth rings, ring cycles, open edges) and ring plans are shared,
-        since growth only adds plans."""
-        b = cls()
-        b.tris = list(surf._tris)
-        b.adj = dict(surf._adj)
-        b.degree = surf._base_degree
-        b.ring_of = surf._base_ring_of
-        b.rings = list(surf._base_rings)
-        b.plans = list(surf._plans)
-        b.pending = surf._open_edges
-        if b.pending is None:
-            b.pending = {(tv[e], tv[(e + 1) % 3]): (t, e)
-                         for t, tv in enumerate(b.tris) for e in range(3)
-                         if (t, e) not in b.adj}
-        return b
 
     def new_vertex(self, ring: int) -> int:
         v = self.next_vertex
@@ -909,11 +852,6 @@ class _Builder:
             raise SurfaceError(f"duplicate directed edge ({c},{a})")
         return t
 
-    def add_plan(self, plan: "_RingPlan"):
-        plan.index()
-        self.plans.append(plan)
-        self.tris.extend([None] * plan.size)
-
     def boundary_cycle(self):
         """Open directed edges chained into the boundary vertex cycle."""
         nxt = {}
@@ -936,9 +874,8 @@ class _Builder:
         return tuple(cyc)
 
     def freeze(self, rule, labels) -> Triangulation:
-        """The surface the builder holds; with ring plans, a planned surface
-        whose base is what they grow on."""
-        bd = () if self.plans else self.boundary_cycle()
+        """The surface the builder holds, with no ring plan."""
+        bd = self.boundary_cycle()
         surf = Triangulation(
             tris=self.tris,
             adj=self.adj,
@@ -949,13 +886,12 @@ class _Builder:
             ring_of=self.ring_of,
             rule=rule,
             labels=labels,
-            plans=tuple(self.plans),
         )
         surf._open_edges = self.pending
         # The surface owns the containers now; a stray later use of the
         # builder fails here instead of changing a frozen surface.
         self.tris = self.adj = self.degree = self.ring_of = None
-        self.pending = self.rings = self.plans = None
+        self.pending = self.rings = None
         return surf
 
 
@@ -1154,11 +1090,12 @@ def grow_frontier(surf: Triangulation, rings: int,
                   budget: int = GROWTH_BUDGET) -> Triangulation:
     """Push the frontier outward by `rings` layers under the surface rule.
 
-    The rings are planned, not built: the new surface builds each sector
-    when it is first read.  `budget` is the only limit on the result: a
-    ring that would take the surface past `budget` triangles raises
-    GrowthLimitExceeded, naming that budget, before anything of the
-    surface is copied.
+    The rings are planned, not built: the new surface shares `surf`'s
+    base and plans, adds a plan per ring, and starts from copies of the
+    neighbours and planned vertices `surf` has worked out.  `budget` is
+    the only limit on the result: a ring that would take the surface past
+    `budget` triangles raises GrowthLimitExceeded, naming that budget,
+    before the new surface is made.
     """
     plans = []
     total = surf.n_triangles()
@@ -1169,8 +1106,16 @@ def grow_frontier(surf: Triangulation, rings: int,
             raise GrowthLimitExceeded(
                 f"next ring would make {total} triangles, over the budget"
                 f" of {budget}")
+        plan.index()
         plans.append(plan)
-    b = _Builder.from_surface(surf)
-    for plan in plans:
-        b.add_plan(plan)
-    return b.freeze(surf.rule, surf.labels)
+    grown = Triangulation(
+        surf._tris, dict(surf._adj), surf._base_degree, surf._base_frontier,
+        surf._base_boundary, surf._base_rings, surf._base_ring_of,
+        rule=surf.rule, labels=surf.labels, plans=surf._plans + tuple(plans))
+    grown._made = dict(surf._made)
+    grown._open_edges = surf._open_edges
+    if grown._open_edges is None:
+        grown._open_edges = {(tv[e], tv[(e + 1) % 3]): (t, e)
+                             for t, tv in enumerate(surf._tris)
+                             for e in range(3) if (t, e) not in surf._adj}
+    return grown

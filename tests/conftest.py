@@ -25,3 +25,9 @@ def whole_surface_calls(monkeypatch):
         view.__set_name__(Triangulation, name)
         monkeypatch.setattr(Triangulation, name, view)
     return calls
+
+
+def built(surf):
+    """Triangles of `surf` whose vertices are made: the base's, and the
+    planned triangles some read has made."""
+    return len(surf._tris) + len(surf._made)

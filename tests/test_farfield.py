@@ -130,9 +130,7 @@ def test_exact_split_stays_in_q3():
     assert second.kcut == -1 and first.kcut == 0
     assert second.base == (tail.base[0] - nx * first.limit,
                            tail.base[1] - ny * first.limit)
-    assert any(cross(d[0], d[1], second.base[0] - p[0],
-                     second.base[1] - p[1]) == 0
-               for p, d in fc.cut_images())
+    assert fc.side(second.base) == 0
     # The cut is a ray: a tail crossing its line behind the base stays whole.
     behind = TailData((bx - 2 * dx + nx, by - 2 * dy + ny), (-nx, -ny),
                       0.0, 1.0)
@@ -290,3 +288,57 @@ def test_collinear_tails_meet_inside_both_ranges(ctx, b_base, b_dir, limits,
               None if limits[1] is None else Q3(limits[1]))
     got = tails_meet(ctx, a, b, (ctx.zero, ctx.zero))
     assert got == (None if want is None else pytest.approx(want))
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_tail_based_in_a_bank_triangle_starts_on_its_own_side(ctx):
+    # Triangle 312 of semi(4)'s far field for P is one the cut passes
+    # through, developed from the other bank than the cut's base triangle.
+    # A straight line from its centroid across the cut, developed as a
+    # tail, must put every point the line reaches outside the triangles
+    # the cut passes through on exactly one of its pieces, shifted by that
+    # piece's `kcut` holonomy shifts.
+    surf, fc, _, _ = far_field(ctx)
+    banks = {t for t in fc.frames
+             if any(frozenset(surf.edge_vertices(t, e)) in fc.cut_edges
+                    for e in range(3))}
+    assert 312 in banks
+    _, (dx, dy) = fc.cut
+    g = (ctx.half, ctx.sqrt3 * ctx.frac(1, 6))  # chart centroid
+    u = fc.frames[312].inverse().apply_vec(dy, -dx)
+    tail = C.TailInfo(312, g, u, 0.0, 0)
+    pieces = split_tail_at_cut(ctx, C._developed_tail(fc, tail), fc)
+    assert len(pieces) == 2
+    third = ctx.frac(1, 3)
+    path = trace(make_ray(surf, ctx, 312, (third,) * 3, u), surf, ctx,
+                 arc_budget=3.0, growth_budget=surf.n_triangles())
+    outside = [s for s in path.segments if s.tri not in banks]
+    assert len(outside) >= 5
+    for seg in outside:
+        px, py = fc.frames[seg.tri].apply(*seg.b)
+        on = []
+        for p in pieces:
+            qx = px + p.kcut * fc.delta[0] - p.base[0]
+            qy = py + p.kcut * fc.delta[1] - p.base[1]
+            t = dot(qx, qy, *p.dir) / dot(*p.dir, *p.dir)
+            if ctx.is_zero(cross(*p.dir, qx, qy)) and ctx.sign(t) >= 0 \
+                    and (p.limit is None or not ctx.lt(p.limit, t)):
+                on.append(p.kcut)
+        assert len(on) == 1, (seg.tri, on)
+
+
+def test_overlapping_cut_images_are_refused(monkeypatch):
+    # Flipping every seam's shift develops the left bank to the right of
+    # the right bank's image of the cut, where a side of the cut line no
+    # longer tells the banks apart.
+    surf, fc, cut, anchor = far_field(EXACT)
+    real = farfield.seams
+
+    def flipped(surf, ctx, frames, tree):
+        for t, e, direct, have in real(surf, ctx, frames, tree):
+            yield t, e, Isometry(ctx, direct.k, 2 * have.tx - direct.tx,
+                                 2 * have.ty - direct.ty), have
+
+    monkeypatch.setattr(farfield, "seams", flipped)
+    with pytest.raises(ValueError, match="overlap"):
+        FlatComplement(surf, EXACT, fc.ring, anchor, cut)

@@ -5,6 +5,7 @@ triangle gave; the digests below were recorded from that construction.
 """
 
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,8 @@ from smfgeo.surface import (
     Triangulation,
     grow_frontier,
 )
+
+from conftest import built
 
 FLOAT = Scalars("float")
 
@@ -81,10 +84,6 @@ def growth_fields(s):
             digest(list(s.degree.items())), digest(list(s.ring_of.items())),
             digest(s.rings), digest(s.boundary), digest(sorted(s.frontier)),
             s.content_hash())
-
-
-def built(surf):
-    return surf.n_triangles() - surf._tris.count(None)
 
 
 class TestSectorsInAnyOrder:
@@ -166,6 +165,21 @@ class TestRingAnswersFromPlans:
         assert surf.n_triangles() == 838_825
         assert len(surf.rings) == 16
         assert built(surf) == built(silo)
+
+    def test_growth_holds_no_slot_per_planned_triangle(self):
+        # Growth shares the base and the plans and copies only what the
+        # surface it grows from has worked out: growing silo(6) from 2,625
+        # to 838,825 triangles allocates its plans, about 5 MB, not a slot
+        # per planned triangle (14 MB when it did).
+        silo = build_silo(6)
+        tracemalloc.start()
+        try:
+            surf = grow_frontier(silo, 16 - silo.n_rings())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert surf.n_triangles() == 838_825
+        assert peak < 8 * 2**20
 
 
 def fan_audit(surf, ring):

@@ -22,6 +22,8 @@ from smfgeo.builders import (
 )
 from smfgeo.surface import GenerationRule, SurfaceError, grow_frontier, validate
 
+from conftest import built
+
 BUILD = {"flat": build_flat_plane, "semi": build_semi_paradoxist,
          "silo": build_silo}
 # Each model over a sweep of sizes; the fixture sizes are flat 3, semi 4
@@ -30,10 +32,6 @@ SIZES = ([("flat", r) for r in range(1, 9)]
          + [("semi", r) for r in range(2, 12)]
          + [("silo", r) for r in range(9)])
 IDS = [f"{name}{size}" for name, size in SIZES]
-
-
-def built(surf):
-    return sum(t is not None for t in surf._tris)
 
 
 def table_scan(surf):
@@ -79,6 +77,15 @@ def test_curved_vertices_of_a_vertex_pinned_in_a_planned_ring(pin):
     assert surf.curved_vertices() == dict([pin])
     surf.tris
     assert table_scan(surf) == [pin]
+
+
+def test_building_semi_makes_few_triangles():
+    # Placing semi(4)'s fixtures develops out to a centroid distance of 8,
+    # which reaches all 450 triangles, but development reads neighbours
+    # only: it made all 450 when a neighbour meant building its sector,
+    # and makes the 2 of the base now.
+    semi = build_semi_paradoxist(4)
+    assert semi.n_triangles() == 450 and built(semi) <= 20
 
 
 def test_building_a_model_builds_few_triangles():

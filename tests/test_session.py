@@ -15,6 +15,8 @@ from smfgeo.classify import Budgets
 from smfgeo.engine import EdgeCrossing, make_ray
 from smfgeo.numbers import Scalars
 
+from conftest import built
+
 FLOAT = Scalars("float")
 MODELS = {
     "silo": "model silo rings=6",
@@ -159,10 +161,6 @@ def test_out_of_budget_query_names_the_growth_budget():
     cls, surf, _, _ = classify.classify_labeled(
         silo, FLOAT, "P", "l", Budgets(200.0, 3000))
     assert surf is silo and cls.kind == classify.EUCLIDEAN
-
-
-def built(surf):
-    return surf.n_triangles() - surf._tris.count(None)
 
 
 def test_session_refuses_a_held_surface_over_a_smaller_budget():

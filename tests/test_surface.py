@@ -238,13 +238,12 @@ class TestSingleCopyGrowth:
             surf = grown
 
     def test_over_budget_ring_refused_before_copy(self, monkeypatch):
-        from smfgeo.surface import _Builder
         surf = build_flat_plane(2)
         assert len(surf.tris) + surf._next_plan().size == 54
 
-        def no_copy(cls, s):
-            raise AssertionError("builder created for a refused ring")
-        monkeypatch.setattr(_Builder, "from_surface", classmethod(no_copy))
+        def no_copy(self, *args, **kwargs):
+            raise AssertionError("surface created for a refused ring")
+        monkeypatch.setattr(Triangulation, "__init__", no_copy)
         with pytest.raises(GrowthLimitExceeded, match="budget of 53$"):
             grow_frontier(surf, 1, 53)
         monkeypatch.undo()

@@ -3,15 +3,17 @@
 An AST scan of the package and the scripts.  A Triangulation stores its
 base and its ring plans; `tris`, `adj`, `degree`, `ring_of`, `rings`,
 `boundary` and `frontier` are views of them, made on first read and
-kept.  Reading `tris` or `adj` builds every planned sector of a grown
-surface, and reading a vertex view makes that table for the whole
-surface.  A count must come from `n_triangles()` or `n_rings()`, a
-neighbour from `neighbor`, a ring from `ring_cycle` or `birth_ring`, and
-the interior vertices of degree other than 6 from `curved_vertices`,
-which read the ring plans and build only what they touch.  Inside
-`surface.py` the same holds for `Triangulation`'s own methods: outside
-the view definitions, `validate` and `n_vertices`, they read the base
-fields (`_base_degree`, ...) and the plans, not `self.<view>`.
+kept.  Reading `tris` makes the vertices of every planned triangle of a
+grown surface, reading `adj` works out every neighbour, and reading a
+vertex view makes that table for the whole surface.  A count must come
+from `n_triangles()` or `n_rings()`, a neighbour from `neighbor`, a ring
+from `ring_cycle` or `birth_ring`, and the interior vertices of degree
+other than 6 from `curved_vertices`, which read the ring plans and make
+only what they touch.  Inside `surface.py` the same holds for
+`Triangulation`'s own methods: outside the view definitions, `validate`
+and `n_vertices`, they read the base fields (`_base_degree`, ...) and
+the plans, not `self.<view>`.  Outside `surface.py` no module or script
+uses a private field (`_tris`, `_plans`, ...) of a surface at all.
 """
 
 import ast
@@ -35,18 +37,28 @@ SURFACE_NAMES = {"surf", "surface", "s", "s2", "flat", "semi", "silo"}
 VIEW_READERS = {"validate", "n_vertices"}
 
 
+def _owner(node):
+    """The name an attribute is read off: `surf` in `surf.adj` and in
+    `self.surf.adj`."""
+    return getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+
+
 def whole_reads(tree, names=SURFACE_NAMES):
     """(line, container) of every read of a whole-surface container off
     one of `names`, the names that hold a surface."""
-    reads = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in WHOLE \
-                and isinstance(node.ctx, ast.Load):
-            owner = node.value
-            name = getattr(owner, "id", None) or getattr(owner, "attr", None)
-            if name in names:
-                reads.append((node.lineno, node.attr))
-    return sorted(reads)
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in WHOLE
+                  and isinstance(node.ctx, ast.Load) and _owner(node) in names)
+
+
+def private_uses(tree):
+    """(line, field) of every use of a private field (`_name`, not a
+    dunder) off a name that holds a surface."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr.startswith("_")
+                  and not node.attr.startswith("__")
+                  and _owner(node) in SURFACE_NAMES)
 
 
 def _is_view(node):
@@ -138,6 +150,23 @@ def test_scan_ignores_fields_of_other_objects():
                      "m = surf.n_triangles() + surf.n_rings()\n"
                      "c = surf.ring_cycle(2)\n")
     assert whole_reads(tree) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_surface_field_used(path):
+    assert private_uses(_parse(path)) == []
+
+
+def test_scan_finds_each_private_field_use():
+    tree = ast.parse("a = surf._tris[t]\n"
+                     "b = self.surf._adj.get((t, e))\n"
+                     "silo._made = {}\n"
+                     "c = s.tris\n"
+                     "d = b._plans\n"
+                     "e = surf.__class__\n"
+                     "f = surf._next_plan().size\n")
+    assert private_uses(tree) == [(1, "_tris"), (2, "_adj"), (3, "_made"),
+                                  (7, "_next_plan")]
 
 
 def test_surface_module_reads_no_view():
