@@ -494,6 +494,7 @@ class Probe:
     bwd: EndResult
     status: object
     corners: list = None      # see _Partitioner; None when traced frameless
+    keys: frozenset = None    # the corner list's vertex keys
 
     def signature(self):
         return (_sig(self.fwd), _sig(self.bwd))
@@ -627,16 +628,25 @@ def _ccw_sorted(u, ws):
 class _Partitioner:
     """Partition of the direction circle at P into uniform intervals.
 
-    A cone closes only on an event, never on its width: its ends'
-    signatures agree, its two blend probes agree, a corner splits it, or
-    its halvings reach `Budgets.split_depth` (an unknown arc).
+    A cone (u, v) closes on one of five events, never on its width.  In
+    the order `run` checks them:
 
-    Every probe that bounds a cone is traced with frames once, and its
-    corner list is built then: the directions from P, in P's chart, of
-    the triangle corners its traces developed and of the two ends of a
-    chord of l it crossed.  A corner list is
+    - corner split: a corner of the probe at u or at v lies inside it;
+    - equal ends: the probes at u and v have one signature;
+    - midpoint window: the framed probe at its midpoint m is crossed or
+      escaped at both ends with no band transit, and no corner of m lies
+      inside the cone, so every direction of the cone passes m's edges;
+    - blend pair: its frameless probes at 1/1024 and 1023/1024 agree;
+    - split depth: its halvings reached `Budgets.split_depth` (an
+      unknown arc).  Any other cone is halved at m.
 
-    - built once per probe, when its vertex keys enter `corner_keys`;
+    Every probe that bounds a cone or checks a window is traced with
+    frames once, and its corner list is built then: the directions from
+    P, in P's chart, of the triangle corners its traces developed and of
+    the two ends of a chord of l it crossed.  A corner list is
+
+    - built once per probe, with its vertex keys (`Probe.keys`), which
+      enter `corner_keys` only once the probe bounds a cone;
     - deduplicated: one entry per direction key, placed where the key
       was first met and holding the direction last met, and a vertex
       shared with the previous strip triangle is not developed again;
@@ -648,7 +658,7 @@ class _Partitioner:
     and once it exists the probe drops the frames, segments and events of
     both ends: the cache keeps only what the partition reads.  Probes
     that only compare signatures or give a witness are traced without
-    frames, and traced again with them if they later bound a cone.
+    frames, and traced again with them if they later need corners.
     """
 
     def __init__(self, P, lctx, analysis, budgets):
@@ -672,7 +682,7 @@ class _Partitioner:
             got = _probe(self.P, d, self.lctx, self.analysis, self.budgets,
                          collect_frames=corners)
             if corners:
-                got.corners = self._corner_list(got)
+                got.corners, got.keys = self._corner_list(got)
             for res in (got.fwd, got.bwd):
                 res.frames = res.segments = res.events = None
             self.cache[key] = got
@@ -686,9 +696,9 @@ class _Partitioner:
         return (round(float(d[0]) / n, 12), round(float(d[1]) / n, 12))
 
     def _corner_list(self, pr: Probe):
-        """Corner list of a probe traced with frames: (fold key, order
-        met, direction) entries sorted by fold key.  A crossed chord's
-        ends develop with the crossing end's last frame."""
+        """Corner list of a probe traced with frames, (fold key, order
+        met, direction) entries sorted by fold key, and its vertex keys.
+        A crossed chord's ends develop with the crossing end's last frame."""
         ctx = self.ctx
         surf = self.surf
         triangle = surf.triangle
@@ -724,33 +734,42 @@ class _Partitioner:
             if res.chord is not None:
                 ends += (develop(res.frames[-1][1], c)
                          for c in (res.chord.a, res.chord.b))
-        self.corner_keys.update(met)
+        keys = frozenset(met)
         for got in ends:
             if got is not None and got[0] not in met:
                 met[got[0]] = (len(met), *got[1:])
         entries = [(_fold_key(h), i, w0) for i, h, w0 in met.values()]
         entries.sort(key=itemgetter(0))
-        return entries
+        return entries, keys
 
-    def _corners_inside(self, pr: Probe, u, v):
-        """Corner directions of `pr` strictly inside the open cone (u, v),
-        turned into it, in the order the probe met them."""
+    def _inside(self, entries, u, v):
+        """(order met, direction turned into the cone) of each entry of a
+        corner list strictly inside the open cone (u, v)."""
         ctx = self.ctx
-        entries = pr.corners
         cw = ctx.sign(cross(u[0], u[1], v[0], v[1]))
         if cw < 0 or not entries:
-            return []
+            return
         spans = ((0, len(entries)),) if cw == 0 else \
             self._fold_spans(entries, u, v)
-        got = []
         for lo, hi in spans:
             for k in range(lo, hi):
                 _, i, w0 = entries[k]
                 w = _orient_into(ctx, u, w0)
                 if _strictly_between(ctx, u, v, w):
-                    got.append((i, w))
-        got.sort(key=itemgetter(0))
-        return [w for _, w in got]
+                    yield i, w
+
+    def _corners_inside(self, pr: Probe, u, v):
+        """Corner directions of `pr` strictly inside the open cone (u, v),
+        turned into it, in the order the probe met them."""
+        return [w for _, w in sorted(self._inside(pr.corners, u, v),
+                                     key=itemgetter(0))]
+
+    def _window_closes(self, u, v, pm: Probe) -> bool:
+        """Does the framed probe `pm` at the midpoint of (u, v) close the
+        cone on its window?  See the class docstring."""
+        return all(res.kind in ("crossed", "escaped") and not res.band_tokens
+                   for res in (pm.fwd, pm.bwd)) \
+            and next(self._inside(pm.corners, u, v), None) is None
 
     def _fold_spans(self, entries, u, v):
         """Index ranges of a corner list that hold every corner strictly
@@ -794,6 +813,7 @@ class _Partitioner:
             pv = self.probe(v)
             self.boundaries.setdefault(self._key(u), (u, pu))
             self.boundaries.setdefault(self._key(v), (v, pv))
+            self.corner_keys.update(pu.keys, pv.keys)
             corners = self._split_points(
                 u, v, self._corners_inside(pu, u, v) +
                 self._corners_inside(pv, u, v))
@@ -809,6 +829,10 @@ class _Partitioner:
             if pu.signature() == pv.signature():
                 self.intervals.append((u, v, None))
                 continue
+            m = _blend(ctx, u, v, 1, 2)
+            if self._window_closes(u, v, self.probe(m)):
+                self.intervals.append((u, v, None))
+                continue
             # A boundary endpoint (vertex hit or flip) shows a different
             # signature than the open interval; close out when the interior
             # is uniform just inside both ends.
@@ -822,7 +846,6 @@ class _Partitioner:
             if depth >= self.budgets.split_depth:
                 self.unknowns.append((u, v))
                 continue
-            m = _blend(ctx, u, v, 1, 2)
             work.append((u, m, depth + 1))
             work.append((m, v, depth + 1))
         self._asymptotic_flips()

@@ -235,7 +235,9 @@ def _dispatch(args, config: RunConfig) -> int:
         for n in args.rings:
             try:
                 s = builders[args.family](n)
-            except ValueError:
+            except ValueError as exc:
+                print(f"note: {args.family}({n}) skipped: {exc}",
+                      file=sys.stderr)
                 continue
             try:
                 s = cls_mod.ensure_rings(s, min(12, n + 6), budgets.growth)
@@ -265,12 +267,14 @@ def _dispatch(args, config: RunConfig) -> int:
         return 1
 
     if args.command == "trace":
+        tqs = [q for q in queries if isinstance(q, smf.TraceQuery)]
+        if not tqs:
+            print("error: no trace query in scene", file=sys.stderr)
+            return 1
         out = {"model": args.smf, "mode": config.number_mode,
                "surface": surf.content_hash(), "config": asdict(config),
                "traces": []}
-        for q in queries:
-            if not isinstance(q, smf.TraceQuery):
-                continue
+        for q in tqs:
             ray = resolve_ray(surf, ctx, surf.labels[q.line_label])
             path = engine.trace(ray, surf, ctx,
                                 arc_budget=q.arc or config.arc_budget,
@@ -290,6 +294,9 @@ def _dispatch(args, config: RunConfig) -> int:
 
     if args.command == "classify":
         cqs = [q for q in queries if isinstance(q, smf.ClassifyQuery)]
+        if not cqs:
+            print("error: no classify query in scene", file=sys.stderr)
+            return 1
         session = cls_mod.Session(surf, ctx)
 
         def run_one(q):

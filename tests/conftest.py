@@ -27,6 +27,25 @@ def whole_surface_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def call_counts(monkeypatch):
+    """Calls of `engine.step`, `classify._probe` and `classify._trace_end`
+    made while the test runs, by those names.  Each is wrapped with a
+    counter for the test, and monkeypatch restores it afterwards."""
+    from smfgeo import classify, engine
+    counts = {}
+    for mod, name in ((engine, "step"), (classify, "_probe"),
+                      (classify, "_trace_end")):
+        key = f"{mod.__name__.rpartition('.')[2]}.{name}"
+        counts[key] = 0
+
+        def counted(*args, _key=key, _real=getattr(mod, name), **kwargs):
+            counts[_key] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
 def built(surf):
     """Triangles of `surf` whose vertices are made: the base's, and the
     planned triangles some read has made."""

@@ -645,16 +645,44 @@ def assert_same_corners(part, got, want):
 
 
 class RecordingPartitioner(C._Partitioner):
-    """Keeps every cone's corner search: (u, v, probe direction, corners)."""
+    """Keeps every cone's corner search, (u, v, probe direction, corners),
+    and apart from those every midpoint window check, (u, v, midpoint
+    direction, closed)."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.searches = []
+        self.windows = []
 
     def _corners_inside(self, pr, u, v):
         got = super()._corners_inside(pr, u, v)
         self.searches.append((u, v, pr.dvec, got))
         return got
+
+    def _window_closes(self, u, v, pm):
+        got = super()._window_closes(u, v, pm)
+        self.windows.append((u, v, pm.dvec, got))
+        return got
+
+
+def assert_window_closures_certified(part):
+    """Every cone closed on its midpoint's window: a freshly framed
+    midpoint has no reference corner inside the cone, both blend probes
+    have the midpoint's signature (so the blend pair would have closed
+    the cone too), and neither blend probe was traced."""
+    ctx = part.ctx
+    args = (part.lctx, part.analysis, part.budgets)
+    closed = [(u, v, d) for u, v, d, got in part.windows if got]
+    assert closed
+    for u, v, d in closed:
+        assert part._key(d) == part._key(C._blend(ctx, u, v, 1, 2))
+        framed = C._probe(part.P, d, *args, collect_frames=True)
+        assert reference_corners_inside(part, framed, u, v)[0] == []
+        for lam in (1, 1023):
+            b = C._blend(ctx, u, v, lam, 1024)
+            assert part._key(b) not in part.cache
+            assert C._probe(part.P, b, *args).signature() == \
+                framed.signature()
 
 
 # Pinned from the partition before corner lists: the number of corner
@@ -734,6 +762,17 @@ class TestCornerLists:
                 else:
                     assert math.atan2(a[1], a[0]) <= math.atan2(b[1], b[0])
 
+    def test_window_closed_cones_agree_with_the_blend_pair(self, corner_run):
+        _, part = corner_run
+        assert_window_closures_certified(part)
+
+    def test_window_closed_cones_on_flat_agree_with_the_blend_pair(self):
+        _, surf, an, lctx = classify_labeled(build_flat_plane(3), FLOAT,
+                                             "P", "l", B)
+        P = resolve_point(surf, FLOAT, surf.labels["P"])
+        assert_window_closures_certified(
+            RecordingPartitioner(P, lctx, an, B).run())
+
     @staticmethod
     def flat_part(ctx):
         # Arc budget 0.35 from a centroid: the corner list holds the three
@@ -746,6 +785,31 @@ class TestCornerLists:
         P = canonicalize_point(SurfacePoint(40, (third, third, third)),
                                surf, ctx)
         return C._Partitioner(P, lctx, an, Budgets(0.35, 10**6))
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_window_closes_only_on_crossed_or_escaped_ends_without_corners(
+            self, ctx):
+        # The corners of the probe at 60 degrees lie at 30, 90 and 150.
+        part = self.flat_part(ctx)
+        corners = part.probe(ctx.cos_sin_deg(60)).corners
+        a, b = ctx.cos_sin_deg(30), ctx.cos_sin_deg(90)
+        clear = (C._blend(ctx, a, b, 1, 6), C._blend(ctx, a, b, 5, 6))
+        holed = (ctx.cos_sin_deg(0), ctx.cos_sin_deg(120))
+
+        def window(fwd, bwd, band=(), cone=clear):
+            pm = SimpleNamespace(
+                fwd=SimpleNamespace(kind=fwd, band_tokens=band),
+                bwd=SimpleNamespace(kind=bwd, band_tokens=()),
+                corners=corners)
+            return part._window_closes(*cone, pm)
+
+        assert window("crossed", "crossed")
+        assert window("escaped", "escaped")
+        assert not window("crossed", "crossed", cone=holed)
+        assert not window("escaped", "escaped", band=(("top", 1),))
+        for other in ("closed", "unknown"):
+            assert not window(other, "escaped")
+            assert not window("escaped", other)
 
     @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
     def test_frameless_probe_is_traced_again_for_corners(self, ctx):
@@ -875,3 +939,4 @@ class TestCornerOrder:
             for w in raw:
                 assert any(ctx.sign(chart.cross(c[0], c[1], w[0], w[1])) == 0
                            for c in got)
+

@@ -295,3 +295,31 @@ def test_search_skips_a_radius_with_no_probe_point(tmp_path):
                          "-o", str(out[rings])]) == 0
     assert json.loads(out["1..1"].read_text())["candidates"] == []
     assert out["1..3"].read_bytes() == out["2..3"].read_bytes()
+
+
+@pytest.mark.parametrize("command,scene_line", [("classify", "trace l\n"),
+                                                ("trace", "classify P l\n")],
+                         ids=["classify", "trace"])
+def test_scene_without_the_commands_query_exits_1(files, tmp_path, capsys,
+                                                  command, scene_line):
+    # A scene that asks the command nothing is a diagnostic, as for render.
+    scene = tmp_path / "q.scn"
+    scene.write_text(scene_line)
+    out_path = tmp_path / "out.json"
+    assert cli.main([command, files["semi.smf"], str(scene),
+                     "-o", str(out_path)]) == 1
+    cap = capsys.readouterr()
+    assert cap.err == f"error: no {command} query in scene\n"
+    assert cap.out == ""
+    assert not out_path.exists()
+
+
+def test_search_notes_a_parameter_the_builder_refuses(capsys):
+    # semi_paradoxist(0) and (1) are below the builder's smallest radius:
+    # each is skipped with its reason, and the report is still written.
+    assert cli.main(["search", "semi_paradoxist", "--rings", "0..1"]) == 0
+    cap = capsys.readouterr()
+    assert json.loads(cap.out)["candidates"] == []
+    assert cap.err.splitlines() == [
+        "note: semi_paradoxist(0) skipped: radius must be >= 2",
+        "note: semi_paradoxist(1) skipped: radius must be >= 2"]

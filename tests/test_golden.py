@@ -69,3 +69,26 @@ def test_fixture_pass_makes_no_whole_surface(tmp_path, monkeypatch,
         want = (GOLDEN / f"{name}_{mode}.json").read_bytes()
         assert classify_report(name, mode) == want
     assert whole_surface_calls == []
+
+
+# Calls of engine.step, classify._probe and classify._trace_end, which
+# are the same in both number modes.
+WORK = [
+    (("silo", "semi", "flat"), "float", (3596, 412, 781)),
+    (("semi",), "exact", (1873, 170, 324)),
+]
+
+
+@pytest.mark.parametrize("names,mode,want", WORK,
+                         ids=["nine-query-float", "semi-exact"])
+def test_fixture_work_is_pinned(names, mode, want, tmp_path, monkeypatch,
+                                call_counts):
+    # A change that adds steps, probes or end traces to the fixture
+    # queries shows here, not only in a benchmark run.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    for name in names:
+        assert classify_report(name, mode) == \
+            (GOLDEN / f"{name}_{mode}.json").read_bytes()
+    assert call_counts == dict(zip(
+        ("engine.step", "classify._probe", "classify._trace_end"), want))
