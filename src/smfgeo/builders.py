@@ -26,6 +26,7 @@ from .surface import (
     canonicalize_point,
     develop,
     grow_frontier,
+    normalize_bary,
 )
 
 RULE_FLAT = GenerationRule("flat", (6,))
@@ -173,8 +174,9 @@ def _semi_fixtures(surf: Triangulation):
         "l": LineFixture(0, (Fraction(1), Fraction(0), Fraction(0)),
                          dirvec=SEMI_L_DIR),
     }
-    for name, at in (("P", SEMI_P_AT), ("Q", SEMI_Q_AT), ("R", SEMI_R_AT)):
-        labels[name] = PointFixture(_triangle_near(surf, at), _CENTROID)
+    at = (SEMI_P_AT, SEMI_Q_AT, SEMI_R_AT)
+    for name, t in zip("PQR", _triangles_near(surf, at)):
+        labels[name] = PointFixture(t, _CENTROID)
     # Hidden cut ray for the flat-complement development, heading east at
     # a slope that never meets a lattice vertex.
     tc = Fraction(1) - SEMI_CUT_OFFSET
@@ -188,23 +190,27 @@ def _semi_fixtures(surf: Triangulation):
 CENTROID_TIE = 1e-9
 
 
-def _triangle_near(surf: Triangulation, xy) -> int:
-    """Triangle whose developed centroid is closest to xy, in a winding
-    naive float development anchored at triangle 0."""
+def _triangles_near(surf: Triangulation, targets) -> list:
+    """For each xy of `targets`, the triangle whose developed centroid is
+    closest to it, in one winding naive float development anchored at
+    triangle 0."""
     ctx = Scalars("float")
     cs = chart.corners(ctx)
     cx = sum(c[0] for c in cs) / 3
     cy = sum(c[1] for c in cs) / 3
-    dist = {}
-    best = (float("inf"), 0)
-    # Development stops at triangles whose centroid lies farther than 8.
+    nearest = {}   # triangle -> squared distance to the nearest target
+    best = [(float("inf"), 0)] * len(targets)
+    # Development stops at triangles whose centroid lies farther than 8
+    # from every target.
     for t, frame in develop(surf, ctx, 0, chart.Isometry.identity(ctx),
-                            lambda t, e, t2: dist[t] <= 64.0):
+                            lambda t, e, t2: nearest[t] <= 64.0):
         px, py = frame.apply(cx, cy)
-        dist[t] = d = (px - xy[0]) ** 2 + (py - xy[1]) ** 2
-        if d < best[0] - CENTROID_TIE:
-            best = (d, t)
-    return best[1]
+        dists = [(px - x) ** 2 + (py - y) ** 2 for x, y in targets]
+        nearest[t] = min(dists)
+        for i, d in enumerate(dists):
+            if d < best[i][0] - CENTROID_TIE:
+                best[i] = (d, t)
+    return [t for _, t in best]
 
 
 def build_silo(hyperbolic_rings: int) -> Triangulation:
@@ -360,46 +366,31 @@ def straddle_pair(surf: Triangulation, ctx: Scalars, v: int, offset=None,
     """
     offset = ctx.half if offset is None else ctx.of(offset)
     back = ctx.half if back is None else ctx.of(back)
-    t0, s0 = surf.incident(v)
-    frames = engine.fan_frames(surf, ctx, v, (t0, s0))
-    # Direction of the middle line: along the first fan edge, i.e. the
-    # unfolded image of the edge from v to its CCW neighbor.
-    cs = chart.corners(ctx)
-    _, s, f0 = frames[0]
-    ux, uy = f0.apply_vec(cs[(s + 1) % 3][0] - cs[s][0],
-                          cs[(s + 1) % 3][1] - cs[s][1])
-    px, py = -ux * back, -uy * back  # one unit behind v in the fan plane
-    nx, ny = -uy, ux
-    rays = []
-    for sgn in (1, -1):
-        qx = px + nx * offset * ctx.of(sgn)
-        qy = py + ny * offset * ctx.of(sgn)
-        rays.append(_locate_fan_point(surf, ctx, frames, qx, qy, (ux, uy)))
-    return tuple(rays)
+    return tuple(_fan_ray(surf, ctx, v, offset * ctx.of(sgn), back)
+                 for sgn in (1, -1))
 
 
 def middle_line_ray(surf: Triangulation, ctx: Scalars, v: int):
     """Ray along the first fan edge into vertex v (the middle line of the
     straddle figures), starting half a unit before the vertex."""
-    t0, s0 = surf.incident(v)
-    frames = engine.fan_frames(surf, ctx, v, (t0, s0))
+    return _fan_ray(surf, ctx, v, ctx.zero, ctx.half)
+
+
+def _fan_ray(surf, ctx, v, offset, back) -> engine.Ray:
+    """Ray along the first fan edge into vertex v, i.e. the unfolded image
+    of the edge from v to its CCW neighbor, moved `offset` to its left in
+    the unfolded fan plane and starting `back` before the vertex, in the
+    fan triangle that holds its start."""
+    frames = engine.fan_frames(surf, ctx, v, surf.incident(v))
     cs = chart.corners(ctx)
     _, s, f0 = frames[0]
     ux, uy = f0.apply_vec(cs[(s + 1) % 3][0] - cs[s][0],
                           cs[(s + 1) % 3][1] - cs[s][1])
-    return _locate_fan_point(surf, ctx, frames, -ux * ctx.half, -uy * ctx.half,
-                             (ux, uy))
-
-
-def _locate_fan_point(surf, ctx, frames, x, y, d) -> engine.Ray:
-    """Map a point of the unfolded fan plane back onto the surface."""
-    for t, s, frame in frames:
+    x, y = -ux * back - uy * offset, -uy * back + ux * offset
+    for t, _, frame in frames:
         inv = frame.inverse()
-        lx, ly = inv.apply(x, y)
-        b = chart.bary_of_xy(ctx, lx, ly)
+        b = chart.bary_of_xy(ctx, *inv.apply(x, y))
         if all(ctx.sign(c) >= 0 for c in b):
-            from .surface import normalize_bary
-            bb = normalize_bary(ctx, b)
-            return engine.ray_canonical(
-                surf, ctx, SurfacePoint(t, bb), inv.apply_vec(*d))
+            return engine.ray_canonical(surf, ctx, SurfacePoint(
+                t, normalize_bary(ctx, b)), inv.apply_vec(ux, uy))
     raise RuntimeError("fan-plane point lies outside the unfolded fan")

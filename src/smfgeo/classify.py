@@ -312,7 +312,7 @@ class EndResult:
     closure_period: float = None
     via_vertices: tuple = ()
     frames: list = None       # (tri, Isometry, entered by a crossing)
-    rot: int = 0              # rotation to the final chart, None after vertex
+    frame: chart.Isometry = None  # final placement in the start chart
     carrier: int = None       # carrying triangle of the traced ray
     carrier_xy: tuple = None  # ray base point in the carrier chart
     band_tokens: tuple = ()   # collapsed band transit outcomes
@@ -321,13 +321,15 @@ class EndResult:
 
 
 def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
-               escape_ring=None, collect_frames=False) -> EndResult:
+               escape_ring=None) -> EndResult:
     """One end of the line through `ray`, walked until it crosses the
     reference line, closes, escapes a certified ring or runs out of
     budget.  A silo band is crossed in one `BandFrame.transit`; its exit
     is booked as one crossing, like the walk's, with the frame carried by
     `BandFrame.carry`.  Transits add to `band_tokens`; after the first,
-    no crossing adds to `tokens`."""
+    no crossing adds to `tokens`.  `frames` places each triangle the
+    trace entered outside a band in the start chart, and `frame` is the
+    last placement."""
     segments = []
     events = []
     frames = []
@@ -337,7 +339,6 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
     tokens = []
     arc = 0.0
     cur = ray
-    rot = 0
     frame = chart.Isometry.identity(ctx)
     start_xy = chart.xy_of_bary(ctx, ray.point.bary)
     bands = analysis.band_tris
@@ -346,8 +347,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
         return EndResult(kind, segments, events, arc,
                          rings=tuple(rings_crossed),
                          via_vertices=tuple(via_vertices),
-                         frames=frames if collect_frames else None,
-                         rot=rot,
+                         frames=frames, frame=frame,
                          carrier=ray.point.tri, carrier_xy=start_xy,
                          band_tokens=tuple(band_tokens),
                          tokens=tuple(tokens), end=cur, **kw)
@@ -357,7 +357,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
             return True
         return lctx is not None and analysis.escape_certifiable(k, lctx.max_ring)
 
-    if collect_frames and ray.point.tri not in bands:
+    if ray.point.tri not in bands:
         frames.append((ray.point.tri, frame, False))
     while True:
         band = bands.get(cur.point.tri)
@@ -393,9 +393,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                 if lctx is not None and _point_on_line(ctx, pt, lctx):
                     return result("crossed", crossing=(pt, arc, "band"))
                 item = EdgeCrossing(exit_.tri, e, pt, iso)
-            if collect_frames:
-                frame = frame.compose(band.carry(tri, exit_))
-            rot = None
+            frame = frame.compose(band.carry(tri, exit_))
             crossings = ((item, cur, surf),)
         for item, cur, _ in crossings:
             if isinstance(item, Segment):
@@ -430,19 +428,14 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                     return result("crossed", crossing=(
                         vertex_point(surf, ctx, v), arc, "vertex"))
                 ring_info = ring_crossing(surf, item.tri_in, cur.point.tri, v)
-                if collect_frames:
-                    link = engine.link_iso(surf, ctx, item.tri_in, item.tri_out)
-                    frame = frame.compose(link.inverse())
-                rot = None
+                link = engine.link_iso(surf, ctx, item.tri_in, item.tri_out)
+                frame = frame.compose(link.inverse())
             else:
                 ring_info = ring_crossing(surf, item.tri, cur.point.tri)
                 iso = item.gluing
                 if not band_tokens:
                     tokens.append((item.tri, item.edge))
-                if collect_frames:
-                    frame = frame.compose(iso.inverse())
-                if rot is not None:
-                    rot = (rot + iso.k) % 12
+                frame = frame.compose(iso.inverse())
             if ring_info is not None:
                 k, outward = ring_info
                 if outward:
@@ -456,9 +449,8 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                 return result("unknown")
             if cur.point.tri in bands:
                 break  # the next transit starts here
-            if collect_frames:
-                # Entered by a crossing, unless a transit led here.
-                frames.append((cur.point.tri, frame, band is None))
+            # Entered by a crossing, unless a transit led here.
+            frames.append((cur.point.tri, frame, band is None))
 
 
 def _hit_reference(ctx, seg, lctx: LineContext):
@@ -493,7 +485,7 @@ class Probe:
     fwd: EndResult
     bwd: EndResult
     status: object
-    corners: list = None      # see _Partitioner; None when traced frameless
+    corners: list = None      # see _Partitioner; None until a cone reads it
     keys: frozenset = None    # the corner list's vertex keys
 
     def signature(self):
@@ -504,13 +496,11 @@ def _sig(res: EndResult):
     return (res.kind, res.tokens, res.band_tokens, res.escape_ring)
 
 
-def _probe(P: SurfacePoint, d, lctx, analysis, budgets,
-           collect_frames=False) -> Probe:
+def _probe(P: SurfacePoint, d, lctx, analysis, budgets) -> Probe:
     surf, ctx = analysis.surf, analysis.ctx
     ray = engine.ray_canonical(surf, ctx, P, d)
     fwd = _trace_end(surf, ctx, ray, analysis, budgets, lctx,
-                     escape_ring=lctx.core_ring,
-                     collect_frames=collect_frames)
+                     escape_ring=lctx.core_ring)
     if fwd.kind in ("closed", "crossed"):
         # The forward end decides the line.  A backward end would only add
         # its tokens to the signature, and they change where its arc ends.
@@ -520,8 +510,7 @@ def _probe(P: SurfacePoint, d, lctx, analysis, budgets,
     except (EngineError, SurfaceError):
         return Probe(d, fwd, fwd, Unknown("reverse ray unavailable"))
     bwd = _trace_end(surf, ctx, back, analysis, budgets, lctx,
-                     escape_ring=lctx.core_ring,
-                     collect_frames=collect_frames)
+                     escape_ring=lctx.core_ring)
     status = _assemble(fwd, bwd, lctx, analysis)
     return Probe(d, fwd, bwd, status)
 
@@ -633,32 +622,33 @@ class _Partitioner:
 
     - corner split: a corner of the probe at u or at v lies inside it;
     - equal ends: the probes at u and v have one signature;
-    - midpoint window: the framed probe at its midpoint m is crossed or
-      escaped at both ends with no band transit, and no corner of m lies
-      inside the cone, so every direction of the cone passes m's edges;
-    - blend pair: its frameless probes at 1/1024 and 1023/1024 agree;
+    - midpoint window: the probe at its midpoint m is crossed or escaped
+      at both ends with no band transit, and no corner of m lies inside
+      the cone, so every direction of the cone passes m's edges;
+    - blend pair: its probes at 1/1024 and 1023/1024 agree;
     - split depth: its halvings reached `Budgets.split_depth` (an
       unknown arc).  Any other cone is halved at m.
 
-    Every probe that bounds a cone or checks a window is traced with
-    frames once, and its corner list is built then: the directions from
-    P, in P's chart, of the triangle corners its traces developed and of
-    the two ends of a chord of l it crossed.  A corner list is
+    Every probe is traced once, with frames.  The first time a cone reads
+    its corners, its corner list is built from those frames: the
+    directions from P, in P's chart, of the triangle corners its traces
+    developed and of the two ends of a chord of l it crossed.  A corner
+    list is
 
-    - built once per probe, with its vertex keys (`Probe.keys`), which
-      enter `corner_keys` only once the probe bounds a cone;
+    - built at most once per probe, with its vertex keys (`Probe.keys`),
+      which enter `corner_keys` once the probe bounds a cone;
     - deduplicated: one entry per direction key, placed where the key
       was first met and holding the direction last met, and a vertex
       shared with the previous strip triangle is not developed again;
       a chord end leaves an entry with its key as it is;
     - sorted by the fold key (`_fold_key`) of the folded direction, a
       pseudo-angle in the run's scalars, so that a cone takes its
-      corners by bisection;
+      corners by bisection.
 
-    and once it exists the probe drops the frames, segments and events of
-    both ends: the cache keeps only what the partition reads.  Probes
-    that only compare signatures or give a witness are traced without
-    frames, and traced again with them if they later need corners.
+    The cache keeps only what the partition reads: a probe drops the
+    segments and events of both ends when it is traced, and their frames
+    once its corner list exists.  A probe that only compares signatures
+    or gives a witness never builds one.
     """
 
     def __init__(self, P, lctx, analysis, budgets):
@@ -675,16 +665,13 @@ class _Partitioner:
         self.corner_keys = set()
         self.splits = 0
 
-    def probe(self, d, corners=True) -> Probe:
+    def probe(self, d) -> Probe:
         key = self._key(d)
         got = self.cache.get(key)
-        if got is None or (corners and got.corners is None):
-            got = _probe(self.P, d, self.lctx, self.analysis, self.budgets,
-                         collect_frames=corners)
-            if corners:
-                got.corners, got.keys = self._corner_list(got)
+        if got is None:
+            got = _probe(self.P, d, self.lctx, self.analysis, self.budgets)
             for res in (got.fwd, got.bwd):
-                res.frames = res.segments = res.events = None
+                res.segments = res.events = None
             self.cache[key] = got
         return got
 
@@ -696,9 +683,12 @@ class _Partitioner:
         return (round(float(d[0]) / n, 12), round(float(d[1]) / n, 12))
 
     def _corner_list(self, pr: Probe):
-        """Corner list of a probe traced with frames, (fold key, order
-        met, direction) entries sorted by fold key, and its vertex keys.
-        A crossed chord's ends develop with the crossing end's last frame."""
+        """Corner list of `pr`, (fold key, order met, direction) entries
+        sorted by fold key, built with its vertex keys from its frames on
+        the first call, which drops the frames.  A crossed chord's ends
+        develop with the crossing end's last frame."""
+        if pr.corners is not None:
+            return pr.corners
         ctx = self.ctx
         surf = self.surf
         triangle = surf.triangle
@@ -732,7 +722,7 @@ class _Partitioner:
                         seen = met.get(got[0])
                         met[got[0]] = (seen[0] if seen else len(met), *got[1:])
             if res.chord is not None:
-                ends += (develop(res.frames[-1][1], c)
+                ends += (develop(res.frame, c)
                          for c in (res.chord.a, res.chord.b))
         keys = frozenset(met)
         for got in ends:
@@ -740,7 +730,9 @@ class _Partitioner:
                 met[got[0]] = (len(met), *got[1:])
         entries = [(_fold_key(h), i, w0) for i, h, w0 in met.values()]
         entries.sort(key=itemgetter(0))
-        return entries, keys
+        pr.corners, pr.keys = entries, keys
+        pr.fwd.frames = pr.bwd.frames = None
+        return entries
 
     def _inside(self, entries, u, v):
         """(order met, direction turned into the cone) of each entry of a
@@ -761,15 +753,15 @@ class _Partitioner:
     def _corners_inside(self, pr: Probe, u, v):
         """Corner directions of `pr` strictly inside the open cone (u, v),
         turned into it, in the order the probe met them."""
-        return [w for _, w in sorted(self._inside(pr.corners, u, v),
-                                     key=itemgetter(0))]
+        inside = self._inside(self._corner_list(pr), u, v)
+        return [w for _, w in sorted(inside, key=itemgetter(0))]
 
     def _window_closes(self, u, v, pm: Probe) -> bool:
-        """Does the framed probe `pm` at the midpoint of (u, v) close the
-        cone on its window?  See the class docstring."""
+        """Does the probe `pm` at the midpoint of (u, v) close the cone on
+        its window?  See the class docstring."""
         return all(res.kind in ("crossed", "escaped") and not res.band_tokens
                    for res in (pm.fwd, pm.bwd)) \
-            and next(self._inside(pm.corners, u, v), None) is None
+            and next(self._inside(self._corner_list(pm), u, v), None) is None
 
     def _fold_spans(self, entries, u, v):
         """Index ranges of a corner list that hold every corner strictly
@@ -813,10 +805,10 @@ class _Partitioner:
             pv = self.probe(v)
             self.boundaries.setdefault(self._key(u), (u, pu))
             self.boundaries.setdefault(self._key(v), (v, pv))
-            self.corner_keys.update(pu.keys, pv.keys)
             corners = self._split_points(
                 u, v, self._corners_inside(pu, u, v) +
                 self._corners_inside(pv, u, v))
+            self.corner_keys.update(pu.keys, pv.keys)
             if corners:
                 self.splits += len(corners)
                 if self.splits > 3000:
@@ -838,8 +830,8 @@ class _Partitioner:
             # is uniform just inside both ends.
             pa_d = _blend(ctx, u, v, 1, 1024)
             pb_d = _blend(ctx, u, v, 1023, 1024)
-            pra = self.probe(pa_d, corners=False)
-            prb = self.probe(pb_d, corners=False)
+            pra = self.probe(pa_d)
+            prb = self.probe(pb_d)
             if pra.signature() == prb.signature():
                 self.intervals.append((u, v, None))
                 continue
@@ -861,16 +853,19 @@ class _Partitioner:
         out = []
         for (u, v, _) in self.intervals:
             w = _blend(ctx, u, v, 1, 2)
-            pr = self.probe(w, corners=False)
+            pr = self.probe(w)
             cands = {}
             for res in (pr.fwd, pr.bwd):
-                if fc is None or res.kind != "escaped" or res.rot is None:
+                # Only an end that crossed edges alone is turned by its
+                # frame's rotation: a vertex bends the line.
+                if fc is None or res.kind != "escaped" or res.via_vertices \
+                        or res.band_tokens:
                     continue
                 inv = engine.link_iso(self.surf, ctx, self.P.tri,
                                       res.carrier).inverse()
                 fk = fc.corridor_frame(res.tail.escape_tri).k
                 for tdir in self.lctx.tail_dirs:
-                    cand = chart.rotate(ctx, -(res.rot + fk), *tdir)
+                    cand = chart.rotate(ctx, res.frame.k - fk, *tdir)
                     cand = _orient_into(ctx, u, inv.apply_vec(*cand))
                     if _strictly_between(ctx, u, v, cand):
                         cands[self._key(cand)] = cand
@@ -881,11 +876,11 @@ class _Partitioner:
             for i in range(len(pts) - 1):
                 a, b = pts[i], pts[i + 1]
                 wm = _blend(ctx, a, b, 1, 2)
-                out.append((a, b, self.probe(wm, corners=False)))
+                out.append((a, b, self.probe(wm)))
                 if i + 1 < len(pts) - 1:
                     self.boundaries.setdefault(
                         self._key(pts[i + 1]),
-                        (pts[i + 1], self.probe(pts[i + 1], corners=False)))
+                        (pts[i + 1], self.probe(pts[i + 1])))
         self.intervals = out
 
     def _finalize(self):

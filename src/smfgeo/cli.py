@@ -19,7 +19,7 @@ from . import classify as cls_mod
 from . import engine, netdraw, smf
 from .builders import (_CENTROID, PointFixture, VertexFixture, resolve_point,
                        resolve_ray)
-from .numbers import DEFAULT_EPS, Scalars
+from .numbers import DEFAULT_EPS, Scalars, positive
 from .surface import GROWTH_BUDGET, GrowthLimitExceeded, SurfaceError
 
 CONFIG_ENV = "SMFGEO_CONFIG"
@@ -49,9 +49,12 @@ def _load_env_defaults():
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return {f.name: data[f.name] for f in fields(RunConfig)
-                if f.name in data}
-    except (OSError, ValueError) as exc:
+        out = {f.name: data[f.name] for f in fields(RunConfig)
+               if f.name in data}
+        for name in {"epsilon", "arc_budget"} & out.keys():
+            out[name] = positive(out[name])
+        return out
+    except (OSError, TypeError, ValueError) as exc:
         print(f"warning: ignoring {CONFIG_ENV}: {exc}", file=sys.stderr)
         return {}
 
@@ -60,9 +63,9 @@ def _common_options(default=None):
     common = argparse.ArgumentParser(add_help=False, argument_default=default)
     common.add_argument("--exact", action="store_true",
                         help="run in the exact quadratic-field mode")
-    common.add_argument("--epsilon", type=float,
+    common.add_argument("--epsilon", type=positive,
                         help="float-mode tolerance in edge lengths")
-    common.add_argument("--arc-budget", type=float)
+    common.add_argument("--arc-budget", type=positive)
     common.add_argument("--growth-budget", type=int)
     common.add_argument("--threads", type=int,
                         help="accepted for compatibility; queries run "

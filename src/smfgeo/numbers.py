@@ -410,6 +410,14 @@ def q3_chord(bary, d):
     return tuple(out), tuple(zeros) if unit else None
 
 
+def positive(x) -> float:
+    """`x` as a float, if it is finite and positive; else ValueError."""
+    got = float(x)
+    if not 0 < got < math.inf:
+        raise ValueError(f"{x!r} is not a finite positive number")
+    return got
+
+
 class Scalars:
     """Number-mode context: constructors, constants and comparisons.
 
@@ -421,10 +429,8 @@ class Scalars:
     def __init__(self, mode: str = "float", eps: float = DEFAULT_EPS):
         if mode not in ("float", "exact"):
             raise ValueError(f"unknown number mode {mode!r}")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         self.mode = mode
-        self.eps = eps
+        self.eps = positive(eps)
         self.exact = mode == "exact"
         self.gluings = None  # chart.gluing's table, built on first use
         if self.exact:

@@ -26,6 +26,7 @@ from .builders import (
     build_semi_paradoxist,
     build_silo,
 )
+from .numbers import positive
 from .surface import GROWTH_BUDGET, SurfaceError, _Builder, validate
 
 SMF_VERSION = 1
@@ -326,7 +327,7 @@ def _need_label(label, labels, ln, col, diags):
 
 
 def _opt_float(opts, key):
-    return float(opts[key]) if key in opts else None
+    return positive(opts[key]) if key in opts else None
 
 
 def _opt_int(opts, key):

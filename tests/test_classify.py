@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -383,8 +384,8 @@ class TestSearch:
         # reports must pin every isolated parallel to a line through it.
         surf = C.ensure_rings(semi, 9)
         an = ModelAnalysis(surf, FLOAT)
-        from smfgeo.builders import _triangle_near, _CENTROID
-        t = _triangle_near(surf, (1.0, 0.45))
+        from smfgeo.builders import _triangles_near, _CENTROID
+        [t] = _triangles_near(surf, [(1.0, 0.45)])
         P = canonicalize_point(
             SurfacePoint(t, tuple(FLOAT.of(x) for x in _CENTROID)), surf, FLOAT)
         cfg = [("semi", surf, FLOAT,
@@ -482,7 +483,7 @@ class TestBandTransitFrames:
         third = Fraction(1, 3)
         ray = engine.make_ray(surf, ctx, 0, (third, third, third), (5, -1))
         res = C._trace_end(surf, ctx, ray, session.analysis(surf),
-                           Budgets(arc=6.0), None, collect_frames=True)
+                           Budgets(arc=6.0), None)
         assert res.band_tokens == (("bottom", 1), ("bottom", 2))
         # The walk restarts after the transits with an uncrossed entry.
         restart = [i for i, (_, _, crossed) in enumerate(res.frames)
@@ -496,6 +497,64 @@ class TestBandTransitFrames:
             for p in (seg.a, seg.b):
                 px, py = frame.apply(*p)
                 assert ctx.sign(chart.cross(dx, dy, px - sx, py - sy)) == 0
+
+
+class TestEndFrames:
+    """An end trace's last frame places its end triangle in the start
+    chart, so with no vertex crossing it turns the end direction back into
+    the start direction: the rotation `_asymptotic_flips` reads."""
+
+    @pytest.fixture(scope="class", params=[FLOAT, EXACT],
+                    ids=["float", "exact"])
+    def semi_part(self, request):
+        ctx = request.param
+        _, surf, an, lctx = classify_labeled(build_semi_paradoxist(4), ctx,
+                                             "P", "l", B)
+        P = resolve_point(surf, ctx, surf.labels["P"])
+        return C._Partitioner(P, lctx, an, B).run()
+
+    def test_frame_turns_the_end_direction_to_the_start(self, semi_part):
+        part = semi_part
+        ctx, surf = part.ctx, part.surf
+        kinds = set()
+        for pr in part.cache.values():
+            ray = engine.ray_canonical(surf, ctx, part.P, pr.dvec)
+            ends = [(pr.fwd, ray)]
+            if pr.bwd is not pr.fwd:
+                ends.append((pr.bwd, engine.reverse_ray(surf, ctx, ray)))
+            for res, start in ends:
+                if res.via_vertices:
+                    continue
+                kinds.add(res.kind)
+                assert res.carrier == start.point.tri
+                got = res.frame.apply_vec(*res.end.dir)
+                if ctx.exact:
+                    assert got == start.dir
+                else:
+                    assert math.dist(got, start.dir) <= ctx.eps
+        assert {"crossed", "escaped"} <= kinds
+
+    def test_flip_at_an_ends_own_tail_is_its_witness(self, semi_part):
+        # Were l's tail parallel to the tail of an escaped end, the line of
+        # that end would turn parallel to it: `_asymptotic_flips` splits
+        # the interval at the witness direction.
+        part = semi_part
+        fc = part.lctx.flat_complement
+        turned = 0
+        for u, v, pr in part.intervals:
+            for res in (pr.fwd, pr.bwd):
+                if res.kind != "escaped" or res.via_vertices:
+                    continue
+                turned += res.frame.k % 6 != 0
+                lctx = dataclasses.replace(
+                    part.lctx, tail_dirs=[C._developed_tail(fc, res.tail).dir])
+                flips = C._Partitioner(part.P, lctx, part.analysis, B)
+                flips.cache = dict(part.cache)
+                flips.intervals = [(u, v, None)]
+                flips._asymptotic_flips()
+                assert [flips._key(b) for _, b, _ in flips.intervals] == \
+                    [part._key(pr.dvec), part._key(v)]
+        assert turned
 
 
 class TestModeAgreement:
@@ -676,7 +735,7 @@ def assert_window_closures_certified(part):
     assert closed
     for u, v, d in closed:
         assert part._key(d) == part._key(C._blend(ctx, u, v, 1, 2))
-        framed = C._probe(part.P, d, *args, collect_frames=True)
+        framed = C._probe(part.P, d, *args)
         assert reference_corners_inside(part, framed, u, v)[0] == []
         for lam in (1, 1023):
             b = C._blend(ctx, u, v, lam, 1024)
@@ -728,7 +787,7 @@ class TestCornerLists:
             key = part._key(d)
             if key not in framed:
                 framed[key] = C._probe(part.P, d, part.lctx, part.analysis,
-                                       part.budgets, collect_frames=True)
+                                       part.budgets)
             want, seen = reference_corners_inside(part, framed[key], u, v)
             assert_same_corners(part, got, want)
             keys |= seen
@@ -747,12 +806,17 @@ class TestCornerLists:
     def test_corner_lists_sorted_deduplicated_and_slim(self, corner_run):
         _, part = corner_run
         ctx = part.ctx
-        for pr in part.cache.values():
+        searched = {part._key(d) for _, _, d, _ in part.searches}
+        # Probes that only compared signatures or gave a witness built none.
+        assert any(pr.corners is None for pr in part.cache.values())
+        for key, pr in part.cache.items():
             for res in (pr.fwd, pr.bwd):
-                assert res.frames is None
                 assert res.segments is None and res.events is None
+            # A corner search builds the list, and the frames go then.
+            assert key not in searched or pr.corners is not None
             if pr.corners is None:
                 continue
+            assert pr.fwd.frames is None and pr.bwd.frames is None
             folded = [C._halfcirc(ctx, w0) for _, _, w0 in pr.corners]
             keys = [part._key(h) for h in folded]
             assert len(set(keys)) == len(keys)
@@ -791,16 +855,17 @@ class TestCornerLists:
             self, ctx):
         # The corners of the probe at 60 degrees lie at 30, 90 and 150.
         part = self.flat_part(ctx)
-        corners = part.probe(ctx.cos_sin_deg(60)).corners
+        built = part.probe(ctx.cos_sin_deg(60))
+        assert part._corner_list(built)
         a, b = ctx.cos_sin_deg(30), ctx.cos_sin_deg(90)
         clear = (C._blend(ctx, a, b, 1, 6), C._blend(ctx, a, b, 5, 6))
         holed = (ctx.cos_sin_deg(0), ctx.cos_sin_deg(120))
 
         def window(fwd, bwd, band=(), cone=clear):
-            pm = SimpleNamespace(
-                fwd=SimpleNamespace(kind=fwd, band_tokens=band),
-                bwd=SimpleNamespace(kind=bwd, band_tokens=()),
-                corners=corners)
+            # A stand-in with the built probe's corner list and these ends.
+            pm = dataclasses.replace(
+                built, fwd=SimpleNamespace(kind=fwd, band_tokens=band),
+                bwd=SimpleNamespace(kind=bwd, band_tokens=()))
             return part._window_closes(*cone, pm)
 
         assert window("crossed", "crossed")
@@ -812,18 +877,21 @@ class TestCornerLists:
             assert not window("escaped", other)
 
     @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
-    def test_frameless_probe_is_traced_again_for_corners(self, ctx):
-        # A direction first probed only for its signature, then used as a
-        # cone's end, must still show the corners its lines pass.
+    def test_corner_list_is_built_when_a_cone_reads_it(self, ctx,
+                                                       call_counts):
+        # A direction first probed only for its signature has no corner
+        # list yet.  Used as a cone's end, it builds one from the frames
+        # it kept, with no second trace, and shows the corners its lines
+        # pass.
         part = self.flat_part(ctx)
         d = ctx.cos_sin_deg(60)
-        assert part.probe(d, corners=False).corners is None
         pr = part.probe(d)
-        assert pr.corners
+        assert pr.corners is None and pr.fwd.frames
         u, v = ctx.cos_sin_deg(0), ctx.cos_sin_deg(120)
-        framed = C._probe(part.P, d, part.lctx, part.analysis, part.budgets,
-                          collect_frames=True)
-        got = part._corners_inside(pr, u, v)
+        got = part._corners_inside(part.probe(d), u, v)
+        assert call_counts["classify._probe"] == 1
+        assert pr.corners and pr.fwd.frames is None
+        framed = C._probe(part.P, d, part.lctx, part.analysis, part.budgets)
         assert_same_corners(
             part, got, reference_corners_inside(part, framed, u, v)[0])
         assert {round(C._theta_deg(w), 9) for w in got} == {30.0, 90.0}
@@ -833,8 +901,7 @@ class TestCornerLists:
         part = self.flat_part(ctx)
         d = ctx.cos_sin_deg(60)
         pr = part.probe(d)
-        framed = C._probe(part.P, d, part.lctx, part.analysis, part.budgets,
-                          collect_frames=True)
+        framed = C._probe(part.P, d, part.lctx, part.analysis, part.budgets)
         cones = [(30 * k, 30 * k + 30) for k in range(12)]
         # Cones across 180 degrees, whose corners wrap around the fold.
         cones += [(90, 210), (120, 240), (150, 300)]

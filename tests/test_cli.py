@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -275,6 +276,55 @@ def test_env_config(files, tmp_path, monkeypatch):
                      "-o", str(out_path)]) == 0
     data = json.loads(out_path.read_text())
     assert data["config"]["arc_budget"] == 123.0
+
+
+# Values that are not finite positive numbers.
+BAD_POSITIVE = ["nan", "inf", "-inf", "0", "-1"]
+
+
+@pytest.mark.parametrize("value", BAD_POSITIVE)
+@pytest.mark.parametrize("flag", ["--epsilon", "--arc-budget"])
+def test_bad_epsilon_or_arc_budget_flag_is_a_usage_error(files, tmp_path,
+                                                         capsys, flag, value):
+    scene = tmp_path / "c.scn"
+    scene.write_text("classify P l\n")
+    assert cli.main(["classify", f"{flag}={value}", files["semi.smf"],
+                     str(scene)]) == 2
+    cap = capsys.readouterr()
+    assert f"argument {flag}: invalid positive value: {value!r}" in cap.err
+    assert "Traceback" not in cap.err and cap.out == ""
+
+
+@pytest.mark.parametrize("value", BAD_POSITIVE)
+@pytest.mark.parametrize("command", ["classify", "trace"])
+def test_bad_scene_arc_is_a_diagnostic(files, tmp_path, capsys, command,
+                                       value):
+    scene = tmp_path / "q.scn"
+    scene.write_text(f"{command} {'P l' if command == 'classify' else 'l'}"
+                     f" arc={value}\n")
+    assert cli.main([command, files["semi.smf"], str(scene)]) == 1
+    cap = capsys.readouterr()
+    assert cap.err == (f"{scene}:1:1: BadQuery: {value!r} is not a finite "
+                       "positive number\n")
+    assert cap.out == ""
+
+
+@pytest.mark.parametrize("bad", [{"arc_budget": "abc"}, {"epsilon": None},
+                                 {"arc_budget": float("nan")},
+                                 {"epsilon": -1e-9}])
+def test_bad_config_value_is_ignored_with_a_warning(files, tmp_path,
+                                                    monkeypatch, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+    scene = tmp_path / "t.scn"
+    scene.write_text("trace l arc=30\n")
+    assert cli.main(["trace", files["silo.smf"], str(scene)]) == 0
+    cap = capsys.readouterr()
+    assert cap.err.startswith(f"warning: ignoring {cli.CONFIG_ENV}: ")
+    assert cap.err.count("\n") == 1
+    config = json.loads(cap.out)["config"]
+    assert config == json.loads(json.dumps(asdict(cli.RunConfig())))
 
 
 def test_search_family(files, tmp_path):

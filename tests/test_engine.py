@@ -525,6 +525,12 @@ class TestTrace:
 
 
 class TestStraddle:
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_middle_line_is_the_straddle_line_at_offset_0(self, semi5, ctx):
+        for v in semi5.curved_vertices():
+            mid = middle_line_ray(semi5, ctx, v)
+            assert straddle_pair(semi5, ctx, v, offset=0) == (mid, mid)
+
     def test_elliptic_straddle_lines_converge_and_meet(self, semi5):
         a, b = straddle_pair(semi5, FLOAT, 0)
         pa = trace(a, semi5, FLOAT, arc_budget=10.0, growth_budget=10**6)

@@ -70,6 +70,11 @@ class TestQ3:
 
 
 class TestScalars:
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, math.nan, math.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="finite positive"):
+            Scalars("float", eps=eps)
+
     def test_float_mode_tolerance(self):
         ctx = Scalars("float", eps=1e-9)
         assert ctx.sign(5e-10) == 0

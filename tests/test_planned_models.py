@@ -13,14 +13,20 @@ building a model builds few of its triangles.
 
 import pytest
 
-from smfgeo import smf
+from smfgeo import builders, smf
 from smfgeo.builders import (
     _seed_fan,
     build_flat_plane,
     build_semi_paradoxist,
     build_silo,
 )
-from smfgeo.surface import GenerationRule, SurfaceError, grow_frontier, validate
+from smfgeo.surface import (
+    GenerationRule,
+    SurfaceError,
+    develop,
+    grow_frontier,
+    validate,
+)
 
 from conftest import built
 
@@ -80,12 +86,27 @@ def test_curved_vertices_of_a_vertex_pinned_in_a_planned_ring(pin):
 
 
 def test_building_semi_makes_few_triangles():
-    # Placing semi(4)'s fixtures develops out to a centroid distance of 8,
-    # which reaches all 450 triangles, but development reads neighbours
-    # only: it made all 450 when a neighbour meant building its sector,
-    # and makes the 2 of the base now.
+    # Placing semi(4)'s fixtures develops out to a centroid distance of 8
+    # from them, which reaches all 450 triangles, but development reads
+    # neighbours only: it made all 450 when a neighbour meant building its
+    # sector, and makes the 2 of the base now.
     semi = build_semi_paradoxist(4)
     assert semi.n_triangles() == 450 and built(semi) <= 20
+
+
+@pytest.mark.parametrize("radius", range(2, 11))
+def test_semi_fixtures_are_placed_in_one_development(radius, monkeypatch):
+    # P, Q and R share one development from triangle 0, and they sit on
+    # the same triangles at every radius.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return develop(*args, **kwargs)
+    monkeypatch.setattr(builders, "develop", counted)
+    semi = build_semi_paradoxist(radius)
+    assert [semi.labels[name].tri for name in "PQR"] == [78, 35, 31]
+    assert calls == [0]
 
 
 def test_building_a_model_builds_few_triangles():
