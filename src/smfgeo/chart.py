@@ -8,7 +8,10 @@ the Scalars context so the same code runs in float and exact mode.
 
 from __future__ import annotations
 
-from .numbers import COS_SIN30_FLOAT, Scalars, q3_rotate, q3_xy_of_bary
+from math import gcd
+
+from .numbers import (COS_SIN30_FLOAT, Scalars, _q3, q3_ints, q3_rotate,
+                      q3_xy_of_bary, turn30)
 
 
 def corners(ctx: Scalars):
@@ -58,42 +61,167 @@ def rotate(ctx: Scalars, k30: int, x, y):
 
 
 class Isometry:
-    """Orientation-preserving rigid motion: rotation by k*30 deg then translate.
+    """Orientation-preserving rigid motion: rotation by k*30 deg, then
+    translation by (tx, ty).
 
-    Closed under composition; the rotation index keeps the exact mode exact.
+    Closed under composition; the rotation index keeps exact mode exact.
+    `Isometry(ctx, k, tx, ty)` makes the representation of ctx's mode:
+
+    - float mode: this class, with float tx and ty and float arithmetic;
+    - exact mode: `ExactIsometry`, which keeps the translation as
+      integers over one denominator and reads tx and ty as Q3 values.
+
+    An isometry is not changed once made, except that it keeps its
+    inverse the first time `inverse` is asked.  Two threads that ask at
+    once compute equal inverses, and either may be kept.
     """
 
-    __slots__ = ("ctx", "k", "tx", "ty")
+    __slots__ = ("ctx", "k", "tx", "ty", "_inv")
 
-    def __init__(self, ctx: Scalars, k: int, tx, ty):
-        self.ctx = ctx
-        self.k = k % 12
-        self.tx = tx
-        self.ty = ty
+    def __new__(cls, ctx: Scalars, k: int, tx, ty):
+        if ctx.exact:
+            return _exact(ctx, k % 12, *q3_ints(tx, ty))
+        return _float(ctx, k % 12, tx, ty)
 
     @classmethod
     def identity(cls, ctx: Scalars):
         return cls(ctx, 0, ctx.zero, ctx.zero)
 
     def apply(self, x, y):
-        rx, ry = rotate(self.ctx, self.k, x, y)
-        return (rx + self.tx, ry + self.ty)
+        c, s = COS_SIN30_FLOAT[self.k]
+        return (c * x - s * y + self.tx, s * x + c * y + self.ty)
 
     def apply_vec(self, x, y):
-        return rotate(self.ctx, self.k, x, y)
+        c, s = COS_SIN30_FLOAT[self.k]
+        return (c * x - s * y, s * x + c * y)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other: (self o other)(p) = self(other(p))."""
         tx, ty = self.apply(other.tx, other.ty)
-        return Isometry(self.ctx, self.k + other.k, tx, ty)
+        return _float(self.ctx, (self.k + other.k) % 12, tx, ty)
 
     def inverse(self) -> "Isometry":
+        inv = self._inv
+        if inv is None:
+            k = -self.k % 12
+            c, s = COS_SIN30_FLOAT[k]
+            x, y = -self.tx, -self.ty
+            inv = self._inv = _float(self.ctx, k, c * x - s * y,
+                                     s * x + c * y)
+        return inv
+
+    def offset(self, p, origin, k: int):
+        """The vector from `origin` to this motion's image of `p`, turned
+        by k * 30 degrees; None where the two points meet (within eps in
+        float mode)."""
+        px, py = self.apply(*p)
+        vx, vy = px - origin[0], py - origin[1]
         ctx = self.ctx
-        rx, ry = rotate(ctx, -self.k, -self.tx, -self.ty)
-        return Isometry(ctx, -self.k, rx, ry)
+        if ctx.sign(vx) == 0 and ctx.sign(vy) == 0:
+            return None
+        c, s = COS_SIN30_FLOAT[k % 12]
+        return (c * vx - s * vy, s * vx + c * vy)
 
     def __repr__(self):
         return f"Isometry(k={self.k}, t=({self.tx}, {self.ty}))"
+
+
+class ExactIsometry(Isometry):
+    """Exact-mode isometry: the translation is the integers (xa, xb, ya,
+    yb, d), tx = (xa + xb sqrt3)/d and ty = (ya + yb sqrt3)/d, kept
+    canonical: d > 0 and gcd(xa, xb, ya, yb, d) == 1.  `compose` and
+    `inverse` work on the integers and reduce once, with one gcd; `apply`
+    and `offset` reduce each coordinate they return once.  tx and ty are
+    canonical Q3 values made when read."""
+
+    __slots__ = ("xa", "xb", "ya", "yb", "d")
+
+    @property
+    def tx(self):
+        return _q3(self.xa, self.xb, self.d)
+
+    @property
+    def ty(self):
+        return _q3(self.ya, self.yb, self.d)
+
+    def apply(self, x, y):
+        xa, xb, ya, yb, e = q3_ints(x, y)
+        xa, xb, ya, yb, h = turn30(self.k, xa, xb, ya, yb)
+        e *= h
+        d = self.d
+        de = d * e
+        return (_q3(xa * d + self.xa * e, xb * d + self.xb * e, de),
+                _q3(ya * d + self.ya * e, yb * d + self.yb * e, de))
+
+    def apply_vec(self, x, y):
+        return q3_rotate(self.k, x, y)
+
+    def compose(self, other: "Isometry") -> "Isometry":
+        """self after other: (self o other)(p) = self(other(p))."""
+        xa, xb, ya, yb, h = turn30(self.k, other.xa, other.xb,
+                                   other.ya, other.yb)
+        e = h * other.d
+        d = self.d
+        return _exact(self.ctx, (self.k + other.k) % 12,
+                      xa * d + self.xa * e, xb * d + self.xb * e,
+                      ya * d + self.ya * e, yb * d + self.yb * e, e * d)
+
+    def inverse(self) -> "Isometry":
+        inv = self._inv
+        if inv is None:
+            k = -self.k % 12
+            xa, xb, ya, yb, h = turn30(k, -self.xa, -self.xb,
+                                       -self.ya, -self.yb)
+            inv = self._inv = _exact(self.ctx, k, xa, xb, ya, yb,
+                                     h * self.d)
+        return inv
+
+    def offset(self, p, origin, k: int):
+        """The vector from `origin` to this motion's image of `p`, turned
+        by k * 30 degrees; None where the two points meet.  One integer
+        expression, each coordinate reduced once."""
+        xa, xb, ya, yb, e = q3_ints(*p)
+        xa, xb, ya, yb, h = turn30(self.k, xa, xb, ya, yb)
+        e *= h
+        oa, ob, pa, pb, f = q3_ints(*origin)
+        d = self.d
+        # image - origin, over e * d * f
+        df, ef, ed = d * f, e * f, e * d
+        xa = xa * df + self.xa * ef - oa * ed
+        xb = xb * df + self.xb * ef - ob * ed
+        ya = ya * df + self.ya * ef - pa * ed
+        yb = yb * df + self.yb * ef - pb * ed
+        if not (xa or xb or ya or yb):
+            return None
+        xa, xb, ya, yb, h = turn30(k, xa, xb, ya, yb)
+        den = h * ed * f
+        return _q3(xa, xb, den), _q3(ya, yb, den)
+
+
+_new = object.__new__
+
+
+def _float(ctx, k, tx, ty):
+    """Float isometry from a reduced rotation index k."""
+    m = _new(Isometry)
+    m.ctx, m.k, m.tx, m.ty, m._inv = ctx, k, tx, ty, None
+    return m
+
+
+def _exact(ctx, k, xa, xb, ya, yb, d):
+    """Exact isometry from a reduced k and integers with d > 0, made
+    canonical with one gcd."""
+    g = gcd(xa, xb, ya, yb, d)
+    if g != 1:
+        xa //= g
+        xb //= g
+        ya //= g
+        yb //= g
+        d //= g
+    m = _new(ExactIsometry)
+    m.ctx, m.k, m._inv = ctx, k, None
+    m.xa, m.xb, m.ya, m.yb, m.d = xa, xb, ya, yb, d
+    return m
 
 
 def gluing(ctx: Scalars, e: int, e2: int) -> Isometry:
@@ -101,8 +229,9 @@ def gluing(ctx: Scalars, e: int, e2: int) -> Isometry:
 
     The neighbor meets edge e with its local edge e2, so the motion
     depends only on (e, e2).  The nine motions are built once per context
-    and shared; an Isometry is never mutated.  Threads that race to build
-    the table build equal ones, so the last write is as good as any.
+    and shared, and each keeps its inverse once asked.  Threads that race
+    to build the table build equal ones, so the last write is as good as
+    any.
     """
     table = ctx.gluings
     if table is None:

@@ -311,13 +311,53 @@ class EndResult:
     escape_ring: int = None
     closure_period: float = None
     via_vertices: tuple = ()
-    frames: list = None       # (tri, Isometry, entered by a crossing)
-    frame: chart.Isometry = None  # final placement in the start chart
+    # The start chart's identity, then the motion of each crossing: the
+    # placement after n crossings is steps[0] o ... o steps[n].
+    steps: list = None
+    # (tri, how many of `steps` place it, entered by a crossing) of each
+    # triangle the trace entered outside a band.
+    marks: list = None
     carrier: int = None       # carrying triangle of the traced ray
     carrier_xy: tuple = None  # ray base point in the carrier chart
     band_tokens: tuple = ()   # collapsed band transit outcomes
     tokens: tuple = ()        # concrete itinerary tokens before any transit
     end: Ray = None           # the ray the trace stopped at
+    _frame: chart.Isometry = field(default=None, repr=False)
+
+    def _placements(self):
+        """The placement after each of `steps`, in order."""
+        frame = self.steps[0]
+        out = [frame]
+        for step in self.steps[1:]:
+            frame = frame.compose(step)
+            out.append(frame)
+        return out
+
+    @property
+    def frames(self):
+        """(tri, placement in the start chart, entered by a crossing) of
+        each triangle in `marks`, composed from `steps` on each read; None
+        once dropped.  Setting None drops them and keeps `frame`."""
+        if self.marks is None:
+            return None
+        placed = self._placements()
+        self._frame = placed[-1]
+        return [(tri, placed[n - 1], crossed) for tri, n, crossed in self.marks]
+
+    @frames.setter
+    def frames(self, value):
+        if value is not None:
+            raise ValueError("frames are made from steps; only None is set")
+        self._frame = self.frame
+        self.steps = self.marks = None
+
+    @property
+    def frame(self) -> chart.Isometry:
+        """The last placement, of the triangle the trace ended in, in the
+        start chart; composed on the first read."""
+        if self._frame is None:
+            self._frame = self._placements()[-1]
+        return self._frame
 
 
 def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
@@ -327,19 +367,20 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
     budget.  A silo band is crossed in one `BandFrame.transit`; its exit
     is booked as one crossing, like the walk's, with the frame carried by
     `BandFrame.carry`.  Transits add to `band_tokens`; after the first,
-    no crossing adds to `tokens`.  `frames` places each triangle the
-    trace entered outside a band in the start chart, and `frame` is the
-    last placement."""
+    no crossing adds to `tokens`.  The trace keeps the motion of each
+    crossing in `steps` and marks each triangle it entered outside a
+    band; the placements in the start chart (`frames`, `frame`) are
+    composed only when read."""
     segments = []
     events = []
-    frames = []
+    steps = [chart.Isometry.identity(ctx)]
+    marks = []
     rings_crossed = []
     via_vertices = []
     band_tokens = []
     tokens = []
     arc = 0.0
     cur = ray
-    frame = chart.Isometry.identity(ctx)
     start_xy = chart.xy_of_bary(ctx, ray.point.bary)
     bands = analysis.band_tris
 
@@ -347,7 +388,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
         return EndResult(kind, segments, events, arc,
                          rings=tuple(rings_crossed),
                          via_vertices=tuple(via_vertices),
-                         frames=frames, frame=frame,
+                         steps=steps, marks=marks,
                          carrier=ray.point.tri, carrier_xy=start_xy,
                          band_tokens=tuple(band_tokens),
                          tokens=tuple(tokens), end=cur, **kw)
@@ -358,7 +399,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
         return lctx is not None and analysis.escape_certifiable(k, lctx.max_ring)
 
     if ray.point.tri not in bands:
-        frames.append((ray.point.tri, frame, False))
+        marks.append((ray.point.tri, 1, False))
     while True:
         band = bands.get(cur.point.tri)
         if band is None:
@@ -393,7 +434,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                 if lctx is not None and _point_on_line(ctx, pt, lctx):
                     return result("crossed", crossing=(pt, arc, "band"))
                 item = EdgeCrossing(exit_.tri, e, pt, iso)
-            frame = frame.compose(band.carry(tri, exit_))
+            steps.append(band.carry(tri, exit_))
             crossings = ((item, cur, surf),)
         for item, cur, _ in crossings:
             if isinstance(item, Segment):
@@ -429,13 +470,13 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                         vertex_point(surf, ctx, v), arc, "vertex"))
                 ring_info = ring_crossing(surf, item.tri_in, cur.point.tri, v)
                 link = engine.link_iso(surf, ctx, item.tri_in, item.tri_out)
-                frame = frame.compose(link.inverse())
+                steps.append(link.inverse())
             else:
                 ring_info = ring_crossing(surf, item.tri, cur.point.tri)
                 iso = item.gluing
                 if not band_tokens:
                     tokens.append((item.tri, item.edge))
-                frame = frame.compose(iso.inverse())
+                steps.append(iso.inverse())
             if ring_info is not None:
                 k, outward = ring_info
                 if outward:
@@ -450,7 +491,7 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
             if cur.point.tri in bands:
                 break  # the next transit starts here
             # Entered by a crossing, unless a transit led here.
-            frames.append((cur.point.tri, frame, band is None))
+            marks.append((cur.point.tri, len(steps), band is None))
 
 
 def _hit_reference(ctx, seg, lctx: LineContext):
@@ -629,11 +670,11 @@ class _Partitioner:
     - split depth: its halvings reached `Budgets.split_depth` (an
       unknown arc).  Any other cone is halved at m.
 
-    Every probe is traced once, with frames.  The first time a cone reads
-    its corners, its corner list is built from those frames: the
-    directions from P, in P's chart, of the triangle corners its traces
-    developed and of the two ends of a chord of l it crossed.  A corner
-    list is
+    Every probe is traced once, keeping each crossing's motion.  The
+    first time a cone reads its corners, the frames are composed from
+    those and its corner list is built from them: the directions from P,
+    in P's chart, of the triangle corners its traces developed and of the
+    two ends of a chord of l it crossed.  A corner list is
 
     - built at most once per probe, with its vertex keys (`Probe.keys`),
       which enter `corner_keys` once the probe bounds a cone;
@@ -686,7 +727,8 @@ class _Partitioner:
         """Corner list of `pr`, (fold key, order met, direction) entries
         sorted by fold key, built with its vertex keys from its frames on
         the first call, which drops the frames.  A crossed chord's ends
-        develop with the crossing end's last frame."""
+        develop with the crossing end's last frame.  Each direction is
+        `Isometry.offset`, one integer expression in exact mode."""
         if pr.corners is not None:
             return pr.corners
         ctx = self.ctx
@@ -697,16 +739,15 @@ class _Partitioner:
         met = {}
         ends = []
         for res in ((pr.fwd,) if pr.bwd is pr.fwd else (pr.fwd, pr.bwd)):
-            inv = engine.link_iso(surf, ctx, self.P.tri, res.carrier).inverse()
-            pcx, pcy = res.carrier_xy
+            # The carrier chart turns into P's by the link's inverse.
+            k = -engine.link_iso(surf, ctx, self.P.tri, res.carrier).k
+            pc = res.carrier_xy
 
             def develop(frame, c):
                 # (key, folded, direction) from P to c placed by `frame`
-                px, py = frame.apply(*c)
-                vx, vy = px - pcx, py - pcy
-                if ctx.sign(vx) == 0 and ctx.sign(vy) == 0:
+                w0 = frame.offset(c, pc, k)
+                if w0 is None:
                     return None
-                w0 = inv.apply_vec(vx, vy)
                 h = _halfcirc(ctx, w0)
                 return self._key(h), h, w0
 

@@ -19,7 +19,7 @@ from . import classify as cls_mod
 from . import engine, netdraw, smf
 from .builders import (_CENTROID, PointFixture, VertexFixture, resolve_point,
                        resolve_ray)
-from .numbers import DEFAULT_EPS, Scalars, positive
+from .numbers import DEFAULT_EPS, Scalars, positive, positive_int
 from .surface import GROWTH_BUDGET, GrowthLimitExceeded, SurfaceError
 
 CONFIG_ENV = "SMFGEO_CONFIG"
@@ -53,6 +53,8 @@ def _load_env_defaults():
                if f.name in data}
         for name in {"epsilon", "arc_budget"} & out.keys():
             out[name] = positive(out[name])
+        if "growth_budget" in out:
+            out["growth_budget"] = positive_int(out["growth_budget"])
         return out
     except (OSError, TypeError, ValueError) as exc:
         print(f"warning: ignoring {CONFIG_ENV}: {exc}", file=sys.stderr)
@@ -66,7 +68,7 @@ def _common_options(default=None):
     common.add_argument("--epsilon", type=positive,
                         help="float-mode tolerance in edge lengths")
     common.add_argument("--arc-budget", type=positive)
-    common.add_argument("--growth-budget", type=int)
+    common.add_argument("--growth-budget", type=positive_int)
     common.add_argument("--threads", type=int,
                         help="accepted for compatibility; queries run "
                              "sequentially")
@@ -124,6 +126,11 @@ def _ring_range(text: str) -> range:
         raise argparse.ArgumentTypeError(
             f"bad range {text!r}: expected a..b with a <= b")
     return rings
+
+
+def _given(value, default):
+    """A scene's budget where it gives one, else the configured one."""
+    return default if value is None else value
 
 
 def _config_from(args) -> RunConfig:
@@ -280,8 +287,9 @@ def _dispatch(args, config: RunConfig) -> int:
         for q in tqs:
             ray = resolve_ray(surf, ctx, surf.labels[q.line_label])
             path = engine.trace(ray, surf, ctx,
-                                arc_budget=q.arc or config.arc_budget,
-                                growth_budget=q.growth or config.growth_budget,
+                                arc_budget=_given(q.arc, config.arc_budget),
+                                growth_budget=_given(q.growth,
+                                                     config.growth_budget),
                                 two_sided=q.two_sided)
             period = engine.detect_closure(path)
             out["traces"].append({
@@ -303,8 +311,8 @@ def _dispatch(args, config: RunConfig) -> int:
         session = cls_mod.Session(surf, ctx)
 
         def run_one(q):
-            b = cls_mod.Budgets(q.arc or config.arc_budget,
-                                q.growth or config.growth_budget)
+            b = cls_mod.Budgets(_given(q.arc, config.arc_budget),
+                                _given(q.growth, config.growth_budget))
             cls, s2, _, _ = cls_mod.classify_labeled(
                 surf, ctx, q.point_label, q.line_label, b, session)
             return smf.classification_report(

@@ -9,19 +9,25 @@ Two number modes, fixed per run:
   chart transfer isometries and under rotation by any multiple of 30
   degrees, so the whole engine can run exactly.
 
-Every Q3 operation ends in a gcd reduction; the hot kernels `q3_rotate`
-and `q3_chord` (the integer kernel of `engine.step`) work on the triples
-and reduce each value they return once.  `q3_chord` leaves the exit of an
-entry that does not sum to exactly 1 for `surface.snap_bary` to snap.
+Every Q3 operation ends in a gcd reduction; the hot kernels work on the
+integers and reduce each value they return once.  They are `q3_chord`
+(the integer kernel of `engine.step`), `q3_rotate`, and the exact frames
+of `chart.ExactIsometry`, which keep a translation as integers over one
+denominator and compose, invert and develop corners on those.  One
+integer rotation, `turn30`, serves `q3_rotate` and the frames.
+`q3_chord` leaves the exit of an entry that does not sum to exactly 1 for
+`surface.snap_bary` to snap.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from math import gcd
 
 SQRT3 = math.sqrt(3.0)
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class Q3:
@@ -189,9 +195,16 @@ class Q3:
         # A rational value hashes like the int or Fraction it equals; an
         # irrational one equals neither, so its triple is enough.
         if self._b == 0:
-            if self._d == 1:
-                return hash(self._a)
-            return hash(Fraction(self._a, self._d))
+            a, d = self._a, self._d
+            if d == 1:
+                return hash(a)
+            # Fraction's hash of a / d, made without the Fraction.
+            try:
+                h = hash(hash(abs(a)) * pow(d, -1, _HASH_MODULUS))
+            except ValueError:  # d is a multiple of the (prime) modulus
+                h = sys.hash_info.inf
+            h = h if a >= 0 else -h
+            return -2 if h == -1 else h
         return hash((self._a, self._b, self._d))
 
     def __float__(self):
@@ -308,35 +321,58 @@ _SIN30 = [
 COS_SIN30_FLOAT = [(float(c), float(s)) for c, s in zip(_COS30, _SIN30)]
 
 
-def q3_rotate(k30: int, x, y):
-    """Rotate the exact vector (x, y) by k30 * 30 degrees counterclockwise.
+def turn30(k30: int, xa, xb, ya, yb):
+    """Rotate ((xa + xb sqrt3)/d, (ya + yb sqrt3)/d) by k30 * 30 degrees
+    counterclockwise, on the integers: returns (xa, xb, ya, yb, h), the
+    rotated vector over h * d, with h 2 when k30 is not a multiple of 3
+    and 1 when it is.
 
-    Quarter turns only swap and negate.  The 30 or 60 degrees left over
-    halve the vector and multiply one part by sqrt 3, which on the
-    integer form is the swap (a, b) -> (3b, a).
+    The 30 or 60 degrees below a quarter turn halve the vector and
+    multiply one part by sqrt 3, which on the integers is the swap
+    (a, b) -> (3b, a); quarter turns only swap and negate.
     """
+    q, r = divmod(k30 % 12, 3)
+    h = 1
+    if r == 1:    # (sqrt3 x - y, x + sqrt3 y) / 2
+        xa, xb, ya, yb, h = 3 * xb - ya, xa - yb, xa + 3 * yb, xb + ya, 2
+    elif r == 2:  # (x - sqrt3 y, sqrt3 x + y) / 2
+        xa, xb, ya, yb, h = xa - 3 * yb, xb - ya, 3 * xb + ya, xa + yb, 2
+    if q == 1:
+        return -ya, -yb, xa, xb, h
+    if q == 2:
+        return -xa, -xb, -ya, -yb, h
+    if q == 3:
+        return ya, yb, -xa, -xb, h
+    return xa, xb, ya, yb, h
+
+
+def q3_ints(x, y):
+    """(xa, xb, ya, yb, d): the exact pair (x, y) as integers over one
+    denominator d > 0, x = (xa + xb sqrt3)/d and y = (ya + yb sqrt3)/d.
+    The denominator is the product of the two when they differ."""
     if type(x) is not Q3:
         x = _coerce(x)
     if type(y) is not Q3:
         y = _coerce(y)
-    q, r = divmod(k30 % 12, 3)
-    if r:
-        xa, xb, xd = x._a, x._b, x._d
-        ya, yb, yd = y._a, y._b, y._d
-        if xd != yd:
-            xa, xb, ya, yb, xd = xa * yd, xb * yd, ya * xd, yb * xd, xd * yd
-        d = 2 * xd
-        if r == 1:  # (sqrt3 x - y, x + sqrt3 y) / 2
-            x, y = _q3(3 * xb - ya, xa - yb, d), _q3(xa + 3 * yb, xb + ya, d)
-        else:       # (x - sqrt3 y, sqrt3 x + y) / 2
-            x, y = _q3(xa - 3 * yb, xb - ya, d), _q3(3 * xb + ya, xa + yb, d)
-    if q == 0:
-        return (x, y)
-    if q == 1:
-        return (-y, x)
-    if q == 2:
-        return (-x, -y)
-    return (y, -x)
+    xd, yd = x._d, y._d
+    if xd == yd:
+        return x._a, x._b, y._a, y._b, xd
+    return x._a * yd, x._b * yd, y._a * xd, y._b * xd, xd * yd
+
+
+def q3_rotate(k30: int, x, y):
+    """Rotate the exact vector (x, y) by k30 * 30 degrees counterclockwise
+    (`turn30`), reducing each value once; a quarter turn of a pair over
+    one denominator needs no reduction."""
+    if type(x) is not Q3:
+        x = _coerce(x)
+    if type(y) is not Q3:
+        y = _coerce(y)
+    xa, xb, ya, yb, d = q3_ints(x, y)
+    xa, xb, ya, yb, h = turn30(k30, xa, xb, ya, yb)
+    if h == 1 and x._d == y._d:
+        return _raw(xa, xb, d), _raw(ya, yb, d)
+    return _q3(xa, xb, h * d), _q3(ya, yb, h * d)
 
 
 def q3_xy_of_bary(b):
@@ -415,6 +451,18 @@ def positive(x) -> float:
     got = float(x)
     if not 0 < got < math.inf:
         raise ValueError(f"{x!r} is not a finite positive number")
+    return got
+
+
+def positive_int(x) -> int:
+    """`x` as an int, if it is an int or the text of one, and above 0;
+    else ValueError."""
+    try:
+        got = int(x) if type(x) in (int, str) else None
+    except ValueError:
+        got = None
+    if got is None or got <= 0:
+        raise ValueError(f"{x!r} is not a positive integer")
     return got
 
 

@@ -26,7 +26,7 @@ from .builders import (
     build_semi_paradoxist,
     build_silo,
 )
-from .numbers import positive
+from .numbers import positive, positive_int
 from .surface import GROWTH_BUDGET, SurfaceError, _Builder, validate
 
 SMF_VERSION = 1
@@ -331,7 +331,7 @@ def _opt_float(opts, key):
 
 
 def _opt_int(opts, key):
-    return int(opts[key]) if key in opts else None
+    return positive_int(opts[key]) if key in opts else None
 
 
 # -- structured reports -----------------------------------------------------

@@ -46,6 +46,29 @@ def call_counts(monkeypatch):
     return counts
 
 
+@pytest.fixture()
+def isometry_counts(monkeypatch):
+    """Calls of `Isometry.compose`, and inverses `Isometry.inverse` made
+    rather than returned as kept, while the test runs, in both
+    representations (`chart.Isometry` and `chart.ExactIsometry`).  The
+    builders' shared exact context starts the test with no gluing table,
+    so its inverses count whichever tests ran before."""
+    from smfgeo import builders, chart
+    monkeypatch.setattr(builders._EXACT, "gluings", None)
+    counts = {"Isometry.compose": 0, "Isometry.inverse": 0}
+    for cls in (chart.Isometry, chart.ExactIsometry):
+        def compose(self, other, _real=cls.__dict__["compose"]):
+            counts["Isometry.compose"] += 1
+            return _real(self, other)
+
+        def inverse(self, _real=cls.__dict__["inverse"]):
+            counts["Isometry.inverse"] += self._inv is None
+            return _real(self)
+        monkeypatch.setattr(cls, "compose", compose)
+        monkeypatch.setattr(cls, "inverse", inverse)
+    return counts
+
+
 def built(surf):
     """Triangles of `surf` whose vertices are made: the base's, and the
     planned triangles some read has made."""

@@ -327,6 +327,68 @@ def test_bad_config_value_is_ignored_with_a_warning(files, tmp_path,
     assert config == json.loads(json.dumps(asdict(cli.RunConfig())))
 
 
+# Values that are not positive integers.
+BAD_COUNT = ["0", "-1", "-5", "1.5", "1e6", "abc"]
+
+
+@pytest.mark.parametrize("value", BAD_COUNT)
+def test_bad_growth_budget_flag_is_a_usage_error(files, tmp_path, capsys,
+                                                 value):
+    scene = tmp_path / "c.scn"
+    scene.write_text("classify P l\n")
+    assert cli.main(["classify", f"--growth-budget={value}",
+                     files["semi.smf"], str(scene)]) == 2
+    cap = capsys.readouterr()
+    assert (f"argument --growth-budget: invalid positive_int value: "
+            f"{value!r}") in cap.err
+    assert "Traceback" not in cap.err and cap.out == ""
+
+
+@pytest.mark.parametrize("value", BAD_COUNT)
+@pytest.mark.parametrize("command", ["classify", "trace"])
+def test_bad_scene_growth_is_a_diagnostic(files, tmp_path, capsys, command,
+                                          value):
+    scene = tmp_path / "q.scn"
+    scene.write_text(f"{command} {'P l' if command == 'classify' else 'l'}"
+                     f" growth={value}\n")
+    assert cli.main([command, files["semi.smf"], str(scene)]) == 1
+    cap = capsys.readouterr()
+    assert cap.err == (f"{scene}:1:1: BadQuery: {value!r} is not a positive "
+                       "integer\n")
+    assert cap.out == ""
+
+
+@pytest.mark.parametrize("bad", [-5, 0, 1.5, 1e6, "abc", True, None])
+def test_bad_config_growth_budget_is_ignored_with_a_warning(
+        files, tmp_path, monkeypatch, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"growth_budget": bad}))
+    monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+    scene = tmp_path / "t.scn"
+    scene.write_text("trace l arc=30\n")
+    assert cli.main(["trace", files["silo.smf"], str(scene)]) == 0
+    cap = capsys.readouterr()
+    assert cap.err == (f"warning: ignoring {cli.CONFIG_ENV}: {bad!r} is not "
+                       "a positive integer\n")
+    config = json.loads(cap.out)["config"]
+    assert config == json.loads(json.dumps(asdict(cli.RunConfig())))
+
+
+def test_scene_growth_is_never_replaced_by_the_configured_budget(
+        files, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"growth_budget": 500000}))
+    monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+    scene = tmp_path / "c.scn"
+    scene.write_text("classify P l growth=1\nclassify P l\n")
+    out_path = tmp_path / "c.json"
+    assert cli.main(["classify", files["semi.smf"], str(scene),
+                     "-o", str(out_path)]) == 0
+    data = json.loads(out_path.read_text())
+    assert [r["budgets"]["growth"] for r in data["reports"]] == [1, 500000]
+    assert data["reports"][0]["config"]["growth_budget"] == 500000
+
+
 def test_search_family(files, tmp_path):
     out_path = tmp_path / "s.json"
     assert cli.main(["search", "flat", "--rings", "3..3",

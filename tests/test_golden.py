@@ -92,3 +92,27 @@ def test_fixture_work_is_pinned(names, mode, want, tmp_path, monkeypatch,
             (GOLDEN / f"{name}_{mode}.json").read_bytes()
     assert call_counts == dict(zip(
         ("engine.step", "classify._probe", "classify._trace_end"), want))
+
+
+# Calls of Isometry.compose, and inverses Isometry.inverse made, in the
+# same passes.
+FRAME_WORK = [
+    (("silo", "semi", "flat"), "float", (6938, 698)),
+    (("semi",), "exact", (4221, 360)),
+]
+
+
+@pytest.mark.parametrize("names,mode,want", FRAME_WORK,
+                         ids=["nine-query-float", "semi-exact"])
+def test_fixture_frame_work_is_pinned(names, mode, want, tmp_path,
+                                      monkeypatch, isometry_counts):
+    # Frames are composed where a corner list or an end's last frame is
+    # read, and each inverse is made once: a return of per-crossing
+    # composing or inverting shows here.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    for name in names:
+        assert classify_report(name, mode) == \
+            (GOLDEN / f"{name}_{mode}.json").read_bytes()
+    assert isometry_counts == dict(zip(
+        ("Isometry.compose", "Isometry.inverse"), want))

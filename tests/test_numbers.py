@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -277,3 +278,115 @@ class TestKernelTables:
             assert [math.copysign(1.0, v) for v in got] == \
                 [math.copysign(1.0, v) for v in want]
             assert got == want
+
+
+# Rationals whose hash is -1 before Python maps it to -2 (a numerator of
+# -(d + modulus) over d), and whose denominator has no inverse modulo it.
+_MODULUS = sys.hash_info.modulus
+HASH_EDGES = [Fraction(-(d + _MODULUS), d) for d in (2, 3, 7)] + \
+    [Fraction(1, _MODULUS), Fraction(-3, 2 * _MODULUS), Fraction(-1, 2)]
+
+
+class TestQ3Hash:
+    @given(f=st.fractions() | st.sampled_from(HASH_EDGES)
+           | st.builds(Fraction, st.integers(), st.integers(1, 2 ** 70)))
+    def test_rational_hash_is_fractions(self, f):
+        assert hash(Q3(f)) == hash(f)
+        assert hash(Q3(f, 0)) == hash(f)
+
+    def test_hash_edges(self):
+        assert [hash(Q3(f)) for f in HASH_EDGES] == \
+            [hash(f) for f in HASH_EDGES]
+        assert hash(HASH_EDGES[0]) == -2
+        assert hash(Q3(HASH_EDGES[3])) == sys.hash_info.inf
+
+
+# -- integer isometries -------------------------------------------------------
+
+EXACT = Scalars("exact")
+FLOAT = Scalars("float")
+
+
+def generic_apply(k, t, p):
+    """The motion's formula on generic Q3 arithmetic."""
+    c, s = numbers._COS30[k % 12], numbers._SIN30[k % 12]
+    x, y = p
+    return (c * x - s * y + t[0], s * x + c * y + t[1])
+
+
+def assert_canonical_iso(m):
+    assert type(m) is chart.ExactIsometry and 0 <= m.k < 12
+    assert all(type(v) is int for v in (m.xa, m.xb, m.ya, m.yb, m.d))
+    assert m.d > 0 and math.gcd(m.xa, m.xb, m.ya, m.yb, m.d) == 1
+    for q in (m.tx, m.ty):
+        assert_canonical(q)
+
+
+ks = st.integers(-24, 24)
+
+
+class TestExactIsometry:
+    @settings(deadline=None)
+    @given(k=ks, tx=q3s, ty=q3s, j=ks, ux=q3s, uy=q3s, px=q3s, py=q3s)
+    def test_integer_motion_matches_generic(self, k, tx, ty, j, ux, uy,
+                                            px, py):
+        a = chart.Isometry(EXACT, k, tx, ty)
+        b = chart.Isometry(EXACT, j, ux, uy)
+        assert_canonical_iso(a)
+        assert (a.k, a.tx, a.ty) == (k % 12, tx, ty)
+        got = a.apply(px, py)
+        assert got == generic_apply(k, (tx, ty), (px, py))
+        for q in got + a.apply_vec(px, py):
+            assert_canonical(q)
+        ab = a.compose(b)
+        assert_canonical_iso(ab)
+        assert (ab.k, (ab.tx, ab.ty)) == \
+            ((k + j) % 12, generic_apply(k, (tx, ty), (ux, uy)))
+        inv = a.inverse()
+        assert_canonical_iso(inv)
+        assert (inv.k, (inv.tx, inv.ty)) == \
+            (-k % 12, generic_apply(-k, (0, 0), (-tx, -ty)))
+        assert inv is a.inverse()
+        one = a.compose(inv)
+        assert (one.k, one.xa, one.xb, one.ya, one.yb, one.d) == \
+            (0, 0, 0, 0, 0, 1)
+
+    @settings(deadline=None)
+    @given(k=ks, tx=q3s, ty=q3s, j=ks, px=q3s, py=q3s, ox=q3s, oy=q3s)
+    def test_offset_is_one_reduction_of_the_generic_steps(self, k, tx, ty,
+                                                          j, px, py, ox, oy):
+        a = chart.Isometry(EXACT, k, tx, ty)
+        x, y = generic_apply(k, (tx, ty), (px, py))
+        got = a.offset((px, py), (ox, oy), j)
+        if x == ox and y == oy:
+            assert got is None
+            return
+        assert got == chart.rotate(EXACT, j, x - ox, y - oy)
+        for q in got:
+            assert_canonical(q)
+        assert a.offset((px, py), a.apply(px, py), j) is None
+
+
+def test_float_gluing_inverses_are_kept_and_bit_identical():
+    # Each of the nine shared gluings keeps the inverse it made with the
+    # formula of a fresh one, bit for bit (signed zeros included).
+    ctx = Scalars("float")
+    for e in range(3):
+        for e2 in range(3):
+            g = chart.gluing(ctx, e, e2)
+            inv = g.inverse()
+            assert inv is g.inverse() is chart.gluing(ctx, e, e2).inverse()
+            fx, fy = chart.rotate(ctx, -g.k, -g.tx, -g.ty)
+            fresh = (-g.k % 12, fx, fy)
+            got = (inv.k, inv.tx, inv.ty)
+            assert got == fresh
+            assert [math.copysign(1.0, v) for v in got[1:]] == \
+                [math.copysign(1.0, v) for v in fresh[1:]]
+            assert type(inv) is chart.Isometry
+
+
+def test_isometry_representation_follows_the_mode():
+    assert type(chart.Isometry.identity(FLOAT)) is chart.Isometry
+    assert type(chart.Isometry.identity(EXACT)) is chart.ExactIsometry
+    m = chart.Isometry(FLOAT, 13, 0.5, -1.0)
+    assert (m.k, m.tx, m.ty) == (1, 0.5, -1.0)
