@@ -717,11 +717,14 @@ class _Partitioner:
         return got
 
     def _key(self, d):
-        d = _halfcirc(self.ctx, d)
+        return self._folded_key(_halfcirc(self.ctx, d))
+
+    def _folded_key(self, h):
+        """`_key` of a direction `_halfcirc` has folded already."""
         if self.ctx.exact:
-            return (d[0], d[1])
-        n = math.hypot(float(d[0]), float(d[1])) or 1.0
-        return (round(float(d[0]) / n, 12), round(float(d[1]) / n, 12))
+            return (h[0], h[1])
+        n = math.hypot(float(h[0]), float(h[1])) or 1.0
+        return (round(float(h[0]) / n, 12), round(float(h[1]) / n, 12))
 
     def _corner_list(self, pr: Probe):
         """Corner list of `pr`, (fold key, order met, direction) entries
@@ -749,7 +752,7 @@ class _Partitioner:
                 if w0 is None:
                     return None
                 h = _halfcirc(ctx, w0)
-                return self._key(h), h, w0
+                return self._folded_key(h), h, w0
 
             prev = None
             for tri, frame, crossed in res.frames:
