@@ -52,7 +52,7 @@ def isometry_counts(monkeypatch):
     rather than returned as kept, while the test runs, in both
     representations (`chart.Isometry` and `chart.ExactIsometry`).  The
     builders' shared exact context starts the test with no gluing table,
-    so its inverses count whichever tests ran before."""
+    so the inverses it makes count the same whichever tests ran before."""
     from smfgeo import builders, chart
     monkeypatch.setattr(builders._EXACT, "gluings", None)
     counts = {"Isometry.compose": 0, "Isometry.inverse": 0}
