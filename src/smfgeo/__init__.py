@@ -26,7 +26,6 @@ from .engine import (
     step,
     trace,
     transfer_edge,
-    unfold_strip,
 )
 from .classify import (
     Budgets,
@@ -52,7 +51,6 @@ __all__ = [
     "build_flat_plane", "build_semi_paradoxist", "build_silo",
     "GeodesicPath", "Ray", "cross_vertex", "detect_closure",
     "intersect_paths", "make_ray", "step", "trace", "transfer_edge",
-    "unfold_strip",
     "Budgets", "ModelAnalysis", "PointClassification", "build_line_context",
     "classify_direction", "classify_labeled", "classify_point",
     "connect_by_segments", "critical_directions", "enclosed_defect",

@@ -469,14 +469,11 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                     return result("crossed", crossing=(
                         vertex_point(surf, ctx, v), arc, "vertex"))
                 ring_info = ring_crossing(surf, item.tri_in, cur.point.tri, v)
-                link = engine.link_iso(surf, ctx, item.tri_in, item.tri_out)
-                steps.append(link.inverse())
             else:
                 ring_info = ring_crossing(surf, item.tri, cur.point.tri)
-                iso = item.gluing
                 if not band_tokens:
                     tokens.append((item.tri, item.edge))
-                steps.append(iso.inverse())
+            steps.append(item.gluing.inverse())
             if ring_info is not None:
                 k, outward = ring_info
                 if outward:
@@ -699,6 +696,14 @@ class _Partitioner:
         self.budgets = budgets
         self.ctx = analysis.ctx
         self.surf = analysis.surf
+        # The vertex test each probe's `engine.ray_canonical` makes: at a
+        # vertex the probes would start in triangles that share only that
+        # vertex with P's, and `engine.link_iso` links no such pair.
+        base = canonicalize_point(
+            SurfacePoint(P.tri, normalize_bary(self.ctx, P.bary)),
+            self.surf, self.ctx)
+        if point_at_vertex(self.surf, base, self.ctx) is not None:
+            raise ValueError("classification base point must not be a vertex")
         self.cache = {}
         self.intervals = []   # (u, v, probe) closed uniform
         self.unknowns = []    # (u, v)
@@ -970,12 +975,10 @@ def classify_point(P: SurfacePoint, lctx: LineContext,
                    analysis: ModelAnalysis, budgets: Budgets) -> PointClassification:
     """Taxonomy of P with respect to the reference line."""
     surf, ctx = analysis.surf, analysis.ctx
-    if point_at_vertex(surf, P, ctx) is not None:
-        raise ValueError("classification base point must not be a vertex")
+    part = _Partitioner(P, lctx, analysis, budgets)
     if _point_on_line(ctx, canonicalize_point(P, surf, ctx), lctx):
         raise ValueError("classification base point lies on the line")
-    part = _Partitioner(P, lctx, analysis, budgets).run()
-    return _tally(part)
+    return _tally(part.run())
 
 
 def _tally(part) -> PointClassification:
@@ -1018,7 +1021,7 @@ def critical_directions(P: SurfacePoint, lctx: LineContext,
 
     Found by adaptive subdivision: an interval closes when its endpoint
     itineraries match and the swept corridor holds no vertex; corridor
-    corners are returned exactly.
+    corners are returned exactly.  A P at a vertex is a ValueError.
     """
     part = _Partitioner(P, lctx, analysis, budgets).run()
     return sorted({round(_theta_deg(d), 9) for d in part.corner_keys})

@@ -51,10 +51,12 @@ def _load_env_defaults():
             data = json.load(fh)
         out = {f.name: data[f.name] for f in fields(RunConfig)
                if f.name in data}
+        if out.get("number_mode", "float") not in ("float", "exact"):
+            raise ValueError(f"{out['number_mode']!r} is not float or exact")
         for name in {"epsilon", "arc_budget"} & out.keys():
             out[name] = positive(out[name])
-        if "growth_budget" in out:
-            out["growth_budget"] = positive_int(out["growth_budget"])
+        for name in {"growth_budget", "threads"} & out.keys():
+            out[name] = positive_int(out[name])
         return out
     except (OSError, TypeError, ValueError) as exc:
         print(f"warning: ignoring {CONFIG_ENV}: {exc}", file=sys.stderr)
@@ -69,7 +71,7 @@ def _common_options(default=None):
                         help="float-mode tolerance in edge lengths")
     common.add_argument("--arc-budget", type=positive)
     common.add_argument("--growth-budget", type=positive_int)
-    common.add_argument("--threads", type=int,
+    common.add_argument("--threads", type=positive_int,
                         help="accepted for compatibility; queries run "
                              "sequentially")
     common.add_argument("-o", "--out", help="output path")
@@ -145,7 +147,7 @@ def _config_from(args) -> RunConfig:
     if args.growth_budget is not None:
         base["growth_budget"] = args.growth_budget
     if args.threads is not None:
-        base["threads"] = max(1, args.threads)
+        base["threads"] = args.threads
     return RunConfig(**base)
 
 

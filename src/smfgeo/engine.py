@@ -106,12 +106,19 @@ class EdgeCrossing:
 
 @dataclass(frozen=True)
 class VertexCrossing:
+    """The walk passing vertex `vertex` from `tri_in` into `tri_out`.
+
+    Equality and hash ignore `gluing`.
+    """
+
     vertex: int
     incoming_dir: tuple
     outgoing_dir: tuple
     cone_angle_deg: int
     tri_in: int
     tri_out: int
+    # Isometry from chart(tri_in) to chart(tri_out), made by cross_vertex.
+    gluing: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -188,11 +195,14 @@ def ray_canonical(surf: Triangulation, ctx: Scalars, point: SurfacePoint, d) -> 
     (the planar direction alone is ambiguous on a 420-degree cone).
     """
     b = normalize_bary(ctx, point.bary)
-    p = SurfacePoint(point.tri, b)
+    p, zeros = canonicalize_point(SurfacePoint(point.tri, b), surf, ctx,
+                                  with_zeros=True)
+    # Tested on the canonical point: in float mode the second snap can put
+    # on a vertex a point that the first left just off it.
     v = point_at_vertex(surf, p, ctx)
     if v is not None:
-        return _vertex_ray(surf, ctx, v, d, surf.vertex_slot(p.tri, v), p.tri)
-    p, zeros = canonicalize_point(p, surf, ctx, with_zeros=True)
+        return _vertex_ray(surf, ctx, v, d, surf.vertex_slot(point.tri, v),
+                           point.tri)
     if p.tri != point.tri:
         # Direction must follow the point into the canonical triangle.
         d = link_iso(surf, ctx, point.tri, p.tri).apply_vec(*d)
@@ -345,7 +355,10 @@ def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
     The target sector is found by accumulating intrinsic fan angle, not
     by planar containment: a degree-7 fan unfolds past 360 degrees, so
     planar sector tests are ambiguous in the overlap wedge.
-    Returns (outgoing Ray, VertexCrossing event).
+    Returns (outgoing Ray, VertexCrossing event).  This is where a vertex
+    crossing's chart motion is made: the event's `gluing` takes
+    `arrival_tri`'s chart to the outgoing triangle's, from the same fan
+    walk that placed the outgoing direction.
     """
     if surf.on_frontier(v):
         raise FrontierVertex(f"vertex {v} has an incomplete fan")
@@ -401,11 +414,21 @@ def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
     # modulo 360 this is the outgoing planar direction in the fan plane.
     wx, wy = chart.rotate(ctx, deg, bx, by)
     t, s, frame = frames[j]
-    out_d = frame.inverse().apply_vec(wx, wy)
+    inv = frame.inverse()
+    out_d = inv.apply_vec(wx, wy)
     b = [ctx.zero, ctx.zero, ctx.zero]
     b[s] = ctx.one
     out = Ray(SurfacePoint(t, tuple(b)), out_d)
-    ev = VertexCrossing(v, tuple(d), tuple(out_d), 60 * deg, arrival_tri, t)
+    # The chart motion across v: the gluing of the edge the two triangles
+    # share when they are fan neighbours, else the counterclockwise fan
+    # unfolding from the arrival triangle.
+    if j in (1, deg - 1):
+        edge = (slot + 2) % 3 if j == 1 else slot
+        motion = surf.transfer(ctx, arrival_tri, edge)
+    else:
+        motion = inv.compose(frames[0][2])
+    ev = VertexCrossing(v, tuple(d), tuple(out_d), 60 * deg, arrival_tri, t,
+                        motion)
     return out, ev
 
 
@@ -623,62 +646,19 @@ def intersect_paths(a: GeodesicPath, b: GeodesicPath, surf: Triangulation,
     return list(found.values())
 
 
-# -- unfolding ---------------------------------------------------------------
-
-
-@dataclass
-class UnfoldedStrip:
-    triangles: list   # (tri, ((x,y), (x,y), (x,y)))
-    polyline: list    # (x, y) floats
-    bends: list       # (index into polyline, signed bend degrees)
-
-
-def unfold_strip(path: GeodesicPath, surf: Triangulation, ctx: Scalars) -> UnfoldedStrip:
-    """Lay the path's triangle sequence flat and map the geodesic onto it.
-
-    The polyline is straight across every edge crossing and bends by the
-    defect angle (180 - cone/2, signed) at vertex crossings, where the
-    fan is unfolded along its counterclockwise side.
-    """
-    if not path.segments:
-        return UnfoldedStrip([], [], [])
-    frames = [Isometry.identity(ctx)]
-    segs = path.segments
-    for k in range(1, len(segs)):
-        iso = link_iso(surf, ctx, segs[k - 1].tri, segs[k].tri)
-        frames.append(frames[-1].compose(iso.inverse()))
-    cs = chart.corners(ctx)
-    placed = []
-    for seg, frame in zip(segs, frames):
-        pts = tuple(tuple(float(c) for c in frame.apply(px, py)) for px, py in cs)
-        placed.append((seg.tri, pts))
-    poly = [tuple(float(c) for c in frames[0].apply(*segs[0].a))]
-    for seg, frame in zip(segs, frames):
-        poly.append(tuple(float(c) for c in frame.apply(*seg.b)))
-    bends = []
-    for k, (_, ev) in enumerate(path.events):
-        if isinstance(ev, VertexCrossing):
-            bends.append((ev.vertex, 180 - ev.cone_angle_deg // 2))
-    return UnfoldedStrip(placed, poly, bends)
+# -- chart links -----------------------------------------------------------
 
 
 def link_iso(surf, ctx, tri_a: int, tri_b: int) -> Isometry:
-    """Chart(tri_a) -> chart(tri_b) across an edge or around a shared vertex."""
+    """Chart(tri_a) -> chart(tri_b) for one triangle or two across an edge.
+
+    The motion across a vertex is made where the crossing is decided:
+    `cross_vertex` puts it on its VertexCrossing as `gluing`.
+    """
     if tri_a == tri_b:
         return Isometry.identity(ctx)
     for e in range(3):
         nbr = surf.neighbor(tri_a, e)
         if nbr and nbr[0] == tri_b:
             return surf.transfer(ctx, tri_a, e)
-    shared = set(surf.triangle(tri_a)) & set(surf.triangle(tri_b))
-    if not shared:
-        raise EngineError(
-            f"triangles {tri_a}, {tri_b} share no vertex")
-    v = min(shared)
-    frames = fan_frames(surf, ctx, v, (tri_a, surf.vertex_slot(tri_a, v)))
-    f0 = frames[0][2]
-    for t, s, frame in frames:
-        if t == tri_b:
-            return frame.inverse().compose(f0)
-    raise EngineError(f"fan walk from {tri_a} never reaches {tri_b}")
-
+    raise EngineError(f"triangles {tri_a}, {tri_b} share no edge")

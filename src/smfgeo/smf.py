@@ -122,6 +122,10 @@ def parse_manifold(text: str):
                 saw_header = True
                 continue
             if kw == "model":
+                if doc.model is not None:
+                    diags.append(Diagnostic(ln, col, "BadModel",
+                                            "a second 'model' line"))
+                    continue
                 if len(toks) < 2:
                     diags.append(Diagnostic(ln, col, "BadModel", "missing model name"))
                     continue
@@ -185,15 +189,19 @@ def to_triangulation(doc: SmfDocument):
     diags = []
     if doc.model is not None:
         name, params = doc.model
+        # Each builder with the one parameter it takes and its default.
+        models = {"flat": (build_flat_plane, "radius", 3),
+                  "semi_paradoxist": (build_semi_paradoxist, "radius", 4),
+                  "silo": (build_silo, "rings", 3)}
+        if name not in models:
+            return None, [Diagnostic(1, 1, "UnknownModel", name)]
+        build, key, default = models[name]
+        extra = ", ".join(sorted(set(params) - {key}))
+        if extra:
+            return None, [Diagnostic(1, 1, "BadModelParams",
+                                     f"model {name} takes {key}=, not {extra}")]
         try:
-            if name == "flat":
-                surf = build_flat_plane(int(params.get("radius", 3)))
-            elif name == "semi_paradoxist":
-                surf = build_semi_paradoxist(int(params.get("radius", 4)))
-            elif name == "silo":
-                surf = build_silo(int(params.get("rings", 3)))
-            else:
-                return None, [Diagnostic(1, 1, "UnknownModel", name)]
+            surf = build(int(params.get(key, default)))
         except (ValueError, RuntimeError, SurfaceError) as exc:
             return None, [Diagnostic(1, 1, "BadModelParams", str(exc))]
     elif len(doc.triangles) > GROWTH_BUDGET:

@@ -237,6 +237,19 @@ class TestCriticalDirections:
         assert crit == sorted(crit)
         assert len(set(crit)) == len(crit)
 
+    @pytest.mark.parametrize("bary", [(0, 0, 1), (-8.5e-9, -8.5e-9, 1.1)],
+                             ids=["clean", "float-dirt"])
+    def test_vertex_base_point_is_refused(self, bary):
+        # At a vertex the probes start in triangles that share only the
+        # vertex with P's; the partition refuses P before probing.
+        surf = C.ensure_rings(build_flat_plane(3), 9)
+        an = ModelAnalysis(surf, FLOAT)
+        lray = resolve_ray(surf, FLOAT, surf.labels["l"])
+        lctx = build_line_context(surf, FLOAT, lray, an, Budgets(30.0, 10**6))
+        P = SurfacePoint(40, tuple(FLOAT.of(x) for x in bary))
+        with pytest.raises(ValueError, match="must not be a vertex"):
+            critical_directions(P, lctx, an, Budgets(0.35, 10**6))
+
     def test_silo_qprime_sees_direction_through_I(self, silo, silo_ctxs):
         an, lctx = silo_ctxs
         P = resolve_point(silo, FLOAT, silo.labels["Qp"])

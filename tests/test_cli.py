@@ -435,3 +435,79 @@ def test_search_notes_a_parameter_the_builder_refuses(capsys):
     assert cap.err.splitlines() == [
         "note: semi_paradoxist(0) skipped: radius must be >= 2",
         "note: semi_paradoxist(1) skipped: radius must be >= 2"]
+
+
+@pytest.mark.parametrize("model,named", [
+    ("silo ring=6", "not ring\n"), ("flat radius=3 radus=5", "not radus\n")])
+def test_model_parameter_the_builder_does_not_take_is_a_diagnostic(
+        tmp_path, capsys, model, named):
+    p = tmp_path / "m.smf"
+    p.write_text(f"smf 1\nmodel {model}\n")
+    assert cli.main(["validate", str(p)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith(f"{p}:1:1: BadModelParams: ")
+    assert named in cap.err and cap.err.count("\n") == 1
+
+
+def test_second_model_line_is_a_diagnostic(tmp_path, capsys):
+    p = tmp_path / "m.smf"
+    p.write_text("smf 1\nmodel flat radius=2\nmodel silo rings=1\n")
+    assert cli.main(["validate", str(p)]) == 1
+    cap = capsys.readouterr()
+    assert cap.err == f"{p}:3:1: BadModel: a second 'model' line\n"
+    assert cap.out == ""
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({"number_mode": "quad"}, "'quad' is not float or exact"),
+    ({"threads": "many"}, "'many' is not a positive integer"),
+    ({"threads": 0}, "0 is not a positive integer"),
+    ({"threads": True}, "True is not a positive integer"),
+])
+def test_bad_config_mode_or_threads_is_ignored_with_a_warning(
+        files, tmp_path, monkeypatch, capsys, bad, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+    scene = tmp_path / "c.scn"
+    scene.write_text("classify P l\n")
+    assert cli.main(["classify", files["semi.smf"], str(scene)]) == 0
+    cap = capsys.readouterr()
+    assert cap.err == f"warning: ignoring {cli.CONFIG_ENV}: {message}\n"
+    report = json.loads(cap.out)["reports"][0]
+    assert report["mode"] == "float"
+    assert report["config"] == json.loads(json.dumps(asdict(cli.RunConfig())))
+
+
+@pytest.mark.parametrize("value", BAD_COUNT)
+def test_bad_threads_flag_is_a_usage_error(files, tmp_path, capsys, value):
+    scene = tmp_path / "c.scn"
+    scene.write_text("classify P l\n")
+    assert cli.main(["classify", f"--threads={value}", files["semi.smf"],
+                     str(scene)]) == 2
+    cap = capsys.readouterr()
+    assert (f"argument --threads: invalid positive_int value: "
+            f"{value!r}") in cap.err
+    assert "Traceback" not in cap.err and cap.out == ""
+
+
+def test_search_probes_near_the_curved_vertices(tmp_path, monkeypatch):
+    # semi_paradoxist(3) has one degree-5 and one degree-7 vertex (0 and
+    # 1); the search probes the centroids of their fans and of the fans'
+    # neighbours, in the order met.
+    probed = []
+
+    def spy(surf, ctx, _real=cli._probe_points_near_curvature):
+        got = _real(surf, ctx)
+        probed.append([p.tri for p in got])
+        return got
+    monkeypatch.setattr(cli, "_probe_points_near_curvature", spy)
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert cli.main(["search", "semi_paradoxist", "--rings", "3..3",
+                         "-o", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert json.loads(outs[0].read_text())["candidates"] == []
+    near = [0, 1, 10, 14, 13, 15, 40, 2, 3, 6, 5, 7, 24, 8, 27, 9, 30, 11]
+    assert probed == [near, near]

@@ -29,7 +29,6 @@ from smfgeo.engine import (
     step,
     trace,
     transfer_edge,
-    unfold_strip,
 )
 from smfgeo.numbers import Scalars
 from smfgeo.surface import SurfacePoint, canonicalize_point, normalize_bary
@@ -327,6 +326,19 @@ def arrival_off_fan(surf, ctx, turn):
     return t, frames[0][2].inverse().apply_vec(-bx, -by)
 
 
+@pytest.mark.parametrize("tri", [41, 45, 50])
+def test_vertex_point_off_by_float_dirt_gets_the_vertex_ray(tri):
+    # The first snap leaves these barycentrics off the vertex and the
+    # second puts them on it; the ray must be the clean vertex point's.
+    surf = build_semi_paradoxist(4)
+    dirty = SurfacePoint(tri, (-8.5e-9, -8.5e-9, 1.1))
+    clean = SurfacePoint(tri, (0.0, 0.0, 1.0))
+    for k in range(24):
+        d = FLOAT.direction(15.0 * k)
+        assert engine.ray_canonical(surf, FLOAT, dirty, d) == \
+            engine.ray_canonical(surf, FLOAT, clean, d)
+
+
 class TestFanDirt:
     """cross_vertex's float fallback: a back direction just outside
     every fan sector takes the least violated one, within FAN_DIRT."""
@@ -356,8 +368,7 @@ class TestTrace:
     def test_flat_trace_is_straight(self, flat3):
         ray = make_ray(flat3, FLOAT, 0, CENTROID, FLOAT.direction(23.0))
         path = trace(ray, flat3, FLOAT, arc_budget=3.0, growth_budget=len(flat3.tris))
-        strip = unfold_strip(path, path.surface, FLOAT)
-        pts = strip.polyline
+        pts = developed_polyline(path, FLOAT)
         assert len(pts) >= 3
         x0, y0 = pts[0]
         x1, y1 = pts[-1]
@@ -609,41 +620,83 @@ class TestIntersections:
         assert [(float(x), float(y)) for x, y in got] == want
 
 
-class TestUnfold:
-    def test_flat_polyline_single_direction(self, flat3):
+def placements(path, ctx):
+    """Placement of each chord's triangle in the first chord's chart,
+    composed from the inverse motions of the crossings between them."""
+    frames = [chart.Isometry.identity(ctx)]
+    for _, ev in path.events:
+        if isinstance(ev, (EdgeCrossing, VertexCrossing)):
+            frames.append(frames[-1].compose(ev.gluing.inverse()))
+    return frames[:len(path.segments)]
+
+
+def developed_polyline(path, ctx):
+    """The path's chords laid flat by `placements`, as float points."""
+    frames = placements(path, ctx)
+    pts = [frames[0].apply(*path.segments[0].a)]
+    pts += [f.apply(*seg.b) for seg, f in zip(path.segments, frames)]
+    return [(float(x), float(y)) for x, y in pts]
+
+
+def turn_deg(u, v):
+    """Counterclockwise angle from direction u to direction v, in degrees."""
+    ux, uy, vx, vy = (float(c) for c in (*u, *v))
+    return math.degrees(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
+
+
+class TestCrossingMotions:
+    """Composing the crossings' motions lays a traced strip flat."""
+
+    def test_flat_line_never_turns(self, flat3):
         ray = make_ray(flat3, FLOAT, 0, CENTROID, FLOAT.direction(19.0))
         path = trace(ray, flat3, FLOAT, arc_budget=2.0, growth_budget=10**6)
-        strip = unfold_strip(path, path.surface, FLOAT)
-        assert strip.bends == []
+        frames = placements(path, FLOAT)
+        dirs = [f.apply_vec(s.b[0] - s.a[0], s.b[1] - s.a[1])
+                for s, f in zip(path.segments, frames)]
+        assert len(dirs) >= 3
+        assert all(abs(turn_deg(dirs[0], w)) < 1e-9 for w in dirs)
 
-    def test_degree5_bend_is_30(self, semi5):
-        ray = middle_line_ray(semi5, FLOAT, 0)
+    @pytest.mark.parametrize("vertex,degree,bend", [(0, 5, 30), (1, 7, -30)],
+                             ids=["degree5", "degree7"])
+    def test_vertex_bends_the_developed_line(self, semi5, vertex, degree,
+                                             bend):
+        # Laid flat along the fan's counterclockwise side, the line turns
+        # clockwise by the defect, 180 - cone / 2 degrees.
+        ray = middle_line_ray(semi5, FLOAT, vertex)
         path = trace(ray, semi5, FLOAT, arc_budget=2.0, growth_budget=10**6)
-        strip = unfold_strip(path, path.surface, FLOAT)
-        assert (0, 30) in strip.bends
+        frames = placements(path, FLOAT)
+        k = 0
+        for _, ev in path.events:
+            if isinstance(ev, VertexCrossing) and ev.vertex == vertex:
+                break
+            k += isinstance(ev, (EdgeCrossing, VertexCrossing))
+        else:
+            pytest.fail(f"the line does not cross vertex {vertex}")
+        assert ev.cone_angle_deg == 60 * degree
+        before = frames[k].apply_vec(*ev.incoming_dir)
+        after = frames[k + 1].apply_vec(*ev.outgoing_dir)
+        assert -turn_deg(before, after) == pytest.approx(bend, abs=1e-9)
 
-    def test_degree7_bend_is_minus_30(self, semi5):
-        ray = middle_line_ray(semi5, FLOAT, 1)
-        path = trace(ray, semi5, FLOAT, arc_budget=2.0, growth_budget=10**6)
-        strip = unfold_strip(path, path.surface, FLOAT)
-        assert (1, -30) in strip.bends
-
-    def test_unfolded_strip_edges_glue(self, silo3):
-        ray = make_ray(silo3, FLOAT, 20, (0.2, 0.3, 0.5), FLOAT.direction(33.0))
-        path = trace(ray, silo3, FLOAT, arc_budget=3.0, growth_budget=10**6)
-        strip = unfold_strip(path, path.surface, FLOAT)
-        # Consecutive placed triangles share two corners exactly (the
-        # unfolded shared edge) unless a vertex crossing intervened.
-        vertex_arcs = {round(a, 9) for a, ev in path.events
-                       if isinstance(ev, VertexCrossing)}
-        if not vertex_arcs:
-            for (t1, pts1), (t2, pts2) in zip(strip.triangles, strip.triangles[1:]):
-                shared = 0
-                for p in pts1:
-                    for q in pts2:
-                        if abs(p[0] - q[0]) < 1e-9 and abs(p[1] - q[1]) < 1e-9:
-                            shared += 1
-                assert shared == 2
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_placed_triangles_share_the_crossed_edge(self, silo3, ctx):
+        ray = make_ray(silo3, ctx, 20, (Fraction(1, 5), Fraction(3, 10),
+                                        Fraction(1, 2)), (3, 1))
+        path = trace(ray, silo3, ctx, arc_budget=3.0, growth_budget=10**6)
+        frames = placements(path, ctx)
+        cs = chart.corners(ctx)
+        crossings = [ev for _, ev in path.events
+                     if isinstance(ev, (EdgeCrossing, VertexCrossing))]
+        assert len(crossings) >= 5
+        assert all(isinstance(ev, EdgeCrossing) for ev in crossings)
+        for ev, f, g in zip(crossings, frames, frames[1:]):
+            # Edge e runs from corner e to corner e + 1; the neighbour
+            # holds it from corner e2 + 1 to corner e2.
+            _, e2 = path.surface.neighbor(ev.tri, ev.edge)
+            ends = [f.apply(*cs[ev.edge]), f.apply(*cs[(ev.edge + 1) % 3])]
+            there = [g.apply(*cs[(e2 + 1) % 3]), g.apply(*cs[e2])]
+            for (x, y), (x2, y2) in zip(ends, there):
+                # Exact equality in exact mode, within eps in float mode.
+                assert ctx.eq(x, x2) and ctx.eq(y, y2)
 
 
 class TestConsumerAgreement:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from smfgeo import cli
+from smfgeo import chart, cli, engine
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -97,8 +97,8 @@ def test_fixture_work_is_pinned(names, mode, want, tmp_path, monkeypatch,
 # Calls of Isometry.compose, and inverses Isometry.inverse made, in the
 # same passes.
 FRAME_WORK = [
-    (("silo", "semi", "flat"), "float", (6938, 698)),
-    (("semi",), "exact", (4221, 360)),
+    (("silo", "semi", "flat"), "float", (6160, 545)),
+    (("semi",), "exact", (3843, 282)),
 ]
 
 
@@ -116,3 +116,46 @@ def test_fixture_frame_work_is_pinned(names, mode, want, tmp_path,
             (GOLDEN / f"{name}_{mode}.json").read_bytes()
     assert isometry_counts == dict(zip(
         ("Isometry.compose", "Isometry.inverse"), want))
+
+
+def fan_motion(surf, ctx, ev):
+    """The chart motion across a vertex crossing, worked out from the fan:
+    the gluing of the edge `tri_in` shares with `tri_out`, if any, else
+    the counterclockwise unfolding from `tri_in`.  Returns (motion,
+    whether the two triangles are fan neighbours)."""
+    if ev.tri_in == ev.tri_out:
+        return chart.Isometry.identity(ctx), False
+    for e in range(3):
+        nbr = surf.neighbor(ev.tri_in, e)
+        if nbr and nbr[0] == ev.tri_out:
+            return surf.transfer(ctx, ev.tri_in, e), True
+    frames = engine.fan_frames(
+        surf, ctx, ev.vertex, (ev.tri_in, surf.vertex_slot(ev.tri_in, ev.vertex)))
+    frame = next(f for t, _, f in frames if t == ev.tri_out)
+    return frame.inverse().compose(frames[0][2]), False
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_vertex_crossings_carry_the_fan_motion(mode, tmp_path, monkeypatch):
+    # Every vertex crossing of the silo and semi fixture passes carries,
+    # bit for bit, the motion the end traces used to unfold again.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    crossings = []
+
+    def spy(surf, ctx, *args, _real=engine.cross_vertex):
+        out, ev = _real(surf, ctx, *args)
+        crossings.append((surf, ctx, ev))
+        return out, ev
+    monkeypatch.setattr(engine, "cross_vertex", spy)
+    for name in ("silo", "semi"):
+        assert classify_report(name, mode) == \
+            (GOLDEN / f"{name}_{mode}.json").read_bytes()
+    neighbours = 0
+    for surf, ctx, ev in crossings:
+        want, neighbour = fan_motion(surf, ctx, ev)
+        neighbours += neighbour
+        got = ev.gluing
+        # repr tells every float bit that matters apart, -0.0 from 0.0 too.
+        assert repr((got.k, got.tx, got.ty)) == repr((want.k, want.tx, want.ty))
+    assert 0 < neighbours < len(crossings)
