@@ -1,8 +1,9 @@
 """Model builders: flat plane, the adjacent 5-7 pair model, and the silo.
 
-Each builder seeds a small disk, grows rings under a generation rule and
-exposes named fixtures (points, vertices and line specs) whose
-classifications, not coordinates, are the contract.  Fixture positions
+Each builder seeds a small disk, a triangle list that
+`surface.from_triangles` pairs into a surface, grows rings under a
+generation rule and exposes named fixtures (points, vertices and line
+specs) whose classifications, not coordinates, are the contract.  Fixture positions
 are computed once with exact arithmetic so both number modes see the
 same points.
 
@@ -22,9 +23,9 @@ from .surface import (
     GenerationRule,
     SurfacePoint,
     Triangulation,
-    _Builder,
     canonicalize_point,
     develop,
+    from_triangles,
     grow_frontier,
     normalize_bary,
 )
@@ -91,24 +92,19 @@ def resolve_ray(surf: Triangulation, ctx: Scalars, fx: LineFixture) -> engine.Ra
 # -- seeds -----------------------------------------------------------------
 
 
-def _seed_fan(n: int) -> _Builder:
-    b = _Builder()
-    center = b.new_vertex(0)
-    ring = [b.new_vertex(1) for _ in range(n)]
-    for i in range(n):
-        b.add_triangle(center, ring[i], ring[(i + 1) % n])
-    b.rings = [(center,), tuple(ring)]
-    return b
+def _seed_fan(n: int, rule: GenerationRule) -> Triangulation:
+    """n triangles around vertex 0 (ring 0), on the cycle 1..n (ring 1)."""
+    ring = range(1, n + 1)
+    return from_triangles([(0, v, v % n + 1) for v in ring], rule,
+                          rings=((0,), tuple(ring)),
+                          ring_of={0: 0, **dict.fromkeys(ring, 1)})
 
 
 def build_flat_plane(radius: int) -> Triangulation:
     """Disk of the regular triangular tiling, every interior vertex degree 6."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    b = _seed_fan(6)
-    surf = b.freeze(RULE_FLAT, {})
-    if radius > 1:
-        surf = grow_frontier(surf, radius - 1)
+    surf = grow_frontier(_seed_fan(6, RULE_FLAT), radius - 1)
     surf.labels.update(_flat_fixtures(surf))
     return surf
 
@@ -136,15 +132,9 @@ def build_semi_paradoxist(radius: int) -> Triangulation:
     """Planar disk with one degree-5 and one degree-7 vertex sharing an edge."""
     if radius < 2:
         raise ValueError("radius must be >= 2")
-    b = _Builder()
-    e = b.new_vertex(0)   # degree-5 vertex
-    h = b.new_vertex(0)   # degree-7 vertex
-    a = b.new_vertex(0)
-    c = b.new_vertex(0)
-    b.add_triangle(e, h, a)
-    b.add_triangle(h, e, c)
-    b.rings = [b.boundary_cycle()]
-    surf = b.freeze(RULE_SEMI, {})
+    # The degree-5 vertex 0 and the degree-7 vertex 1 share the edge of
+    # two triangles.
+    surf = from_triangles([(0, 1, 2), (1, 0, 3)], RULE_SEMI)
     surf = grow_frontier(surf, max(radius, SEMI_FIXTURE_RADIUS))
     surf.labels.update(_semi_fixtures(surf))
     return surf
@@ -218,9 +208,7 @@ def build_silo(hyperbolic_rings: int) -> Triangulation:
     below by degree-7 rings."""
     if hyperbolic_rings < 0:
         raise ValueError("hyperbolic_rings must be >= 0")
-    b = _seed_fan(5)
-    surf = b.freeze(RULE_SILO, {})
-    surf = grow_frontier(surf, 2 + hyperbolic_rings)
+    surf = grow_frontier(_seed_fan(5, RULE_SILO), 2 + hyperbolic_rings)
     surf.labels.update(_silo_fixtures(surf, hyperbolic_rings))
     return surf
 

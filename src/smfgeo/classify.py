@@ -279,8 +279,9 @@ def _cut_ray(surf, ctx, analysis, budgets, core_ring):
     if t is None:
         raise ValueError("cut ray failed to escape the core ring")
     # The cut runs on straight past the escape, up to six arc budgets.
-    (_, after, _), _ = engine._trace_one_way(
-        res.end, surf, ctx, 6 * budgets.arc - res.arc, surf.n_triangles())
+    after = engine.trace(res.end, surf, ctx,
+                         arc_budget=6 * budgets.arc - res.arc,
+                         growth_budget=surf.n_triangles()).events
     crossed = [ev for _, ev in res.events[t.event0:]]
     crossed += [ev for _, ev in after]
     cut_edges = frozenset(frozenset(surf.edge_vertices(ev.tri, ev.edge))
@@ -414,8 +415,6 @@ def _trace_end(surf, ctx, ray, analysis, budgets, lctx,
                 band_tokens.append(("closed", band.top))
                 return result("closed", closure_period=exit_.arc)
             if exit_.vertex is not None:
-                if surf.on_frontier(exit_.vertex):
-                    return result("unknown")
                 try:
                     cur, item = engine.cross_vertex(surf, ctx, exit_.vertex,
                                                     exit_.tri, exit_.dir)

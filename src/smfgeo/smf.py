@@ -27,7 +27,7 @@ from .builders import (
     build_silo,
 )
 from .numbers import positive, positive_int
-from .surface import GROWTH_BUDGET, SurfaceError, _Builder, validate
+from .surface import GROWTH_BUDGET, SurfaceError, from_triangles, validate
 
 SMF_VERSION = 1
 
@@ -46,7 +46,7 @@ class Diagnostic:
 @dataclass
 class SmfDocument:
     version: int = SMF_VERSION
-    model: tuple = None          # (name, {param: value})
+    model: tuple = None          # (name, {param: value}, line_no, col)
     triangles: list = field(default_factory=list)   # (v0, v1, v2, line_no)
     points: dict = field(default_factory=dict)      # label -> PointFixture
     lines: dict = field(default_factory=dict)       # label -> LineFixture
@@ -140,7 +140,7 @@ def parse_manifold(text: str):
                     k, v = t.split("=", 1)
                     params[k] = v
                 if ok:
-                    doc.model = (toks[1], params)
+                    doc.model = (toks[1], params, ln, col)
             elif kw == "t":
                 if len(toks) != 4:
                     diags.append(Diagnostic(ln, col, "BadTriangle",
@@ -188,46 +188,50 @@ def to_triangulation(doc: SmfDocument):
     refusals that check it as it is built are BadModelParams here."""
     diags = []
     if doc.model is not None:
-        name, params = doc.model
+        name, params, ln, col = doc.model
         # Each builder with the one parameter it takes and its default.
         models = {"flat": (build_flat_plane, "radius", 3),
                   "semi_paradoxist": (build_semi_paradoxist, "radius", 4),
                   "silo": (build_silo, "rings", 3)}
         if name not in models:
-            return None, [Diagnostic(1, 1, "UnknownModel", name)]
+            return None, [Diagnostic(ln, col, "UnknownModel", name)]
         build, key, default = models[name]
         extra = ", ".join(sorted(set(params) - {key}))
         if extra:
-            return None, [Diagnostic(1, 1, "BadModelParams",
+            return None, [Diagnostic(ln, col, "BadModelParams",
                                      f"model {name} takes {key}=, not {extra}")]
         try:
             surf = build(int(params.get(key, default)))
         except (ValueError, RuntimeError, SurfaceError) as exc:
-            return None, [Diagnostic(1, 1, "BadModelParams", str(exc))]
+            return None, [Diagnostic(ln, col, "BadModelParams", str(exc))]
     elif len(doc.triangles) > GROWTH_BUDGET:
         return None, [Diagnostic(1, 1, "BadTriangulation", f"{len(doc.triangles)} "
                                  f"triangles, over the growth budget of {GROWTH_BUDGET}")]
     else:
-        b = _Builder()
-        edge_uses = {}
+        uses = {}   # undirected edge -> its first use (u, w), then 2
+        for (v0, v1, v2, ln) in doc.triangles:
+            dup = None
+            for u, w in ((v0, v1), (v1, v2), (v2, v0)):
+                key = frozenset((u, w))
+                first = uses.get(key)
+                if first is None:
+                    uses[key] = (u, w)
+                elif first == 2:
+                    return None, [Diagnostic(
+                        ln, 1, "EdgeShared3",
+                        f"edge ({u},{w}) already shared by two triangles")]
+                else:
+                    uses[key] = 2
+                    # Used twice one way, the edge was never paired; a
+                    # loop (u, u) pairs with itself.
+                    if dup is None and first == (u, w) and u != w:
+                        dup = first
+            if dup is not None:
+                return None, [Diagnostic(
+                    ln, 1, "EdgeShared3",
+                    f"duplicate directed edge ({dup[0]},{dup[1]})")]
         try:
-            for (v0, v1, v2, ln) in doc.triangles:
-                b.ring_of.update(dict.fromkeys((v0, v1, v2), 0))
-                for u, w in ((v0, v1), (v1, v2), (v2, v0)):
-                    key = frozenset((u, w))
-                    edge_uses[key] = edge_uses.get(key, 0) + 1
-                    if edge_uses[key] > 2:
-                        diags.append(Diagnostic(
-                            ln, 1, "EdgeShared3",
-                            f"edge ({u},{w}) already shared by two triangles"))
-                        return None, diags
-                try:
-                    b.add_triangle(v0, v1, v2)
-                except SurfaceError as exc:
-                    diags.append(Diagnostic(ln, 1, "EdgeShared3", str(exc)))
-                    return None, diags
-            b.rings = [b.boundary_cycle()]
-            surf = b.freeze(None, {})
+            surf = from_triangles(tv[:3] for tv in doc.triangles)
         except SurfaceError as exc:
             return None, [Diagnostic(1, 1, "BadTriangulation", str(exc))]
     for kind, fixtures in (("point", doc.points), ("line", doc.lines)):
@@ -253,7 +257,7 @@ def print_manifold(doc: SmfDocument) -> str:
     """Canonical text for a document; print/parse round-trips."""
     out = [f"smf {doc.version}"]
     if doc.model is not None:
-        name, params = doc.model
+        name, params, _, _ = doc.model
         kv = " ".join(f"{k}={params[k]}" for k in sorted(params))
         out.append(f"model {name}{(' ' + kv) if kv else ''}")
     for (v0, v1, v2, _) in doc.triangles:

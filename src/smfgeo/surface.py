@@ -6,6 +6,11 @@ frontier.  All geometry lives in per-triangle canonical charts; this
 module owns the combinatorics, canonical point forms, planar development
 and the ring growth used by the model builders.
 
+A surface is built in two ways only.  `from_triangles` pairs the edges
+of a triangle list into a surface with no ring plan: the model seeds
+and every explicit SMF list are built so.  `grow_frontier` adds ring
+plans to a surface and shares its base.
+
 Growth plans rings instead of building them: a ring's size and the ids
 of all its triangles, vertices and neighbours follow from the degree
 pattern of the boundary it grows on.  A planned ring is its plan: a
@@ -135,6 +140,8 @@ class Triangulation:
     """Immutable-by-convention triangulated surface.
 
     Readers may share an instance freely; growth produces a new one.
+    Build one with `from_triangles` or `grow_frontier`; the constructor
+    keeps the containers it is given as they are.
 
     A surface is its base plus planned rings (`_RingPlan`): the ids,
     vertices and neighbours of every planned triangle are fixed by the
@@ -183,8 +190,8 @@ class Triangulation:
         self._hash = None
         self._next = None   # plan of the ring grown next, made on demand
         # Open directed edges {(u, v): (t, e)} of the base, which link the
-        # first planned ring to it; None for a surface built directly,
-        # whose growth works them out.
+        # first planned ring to it; `grow_frontier` works them out when it
+        # first plans a ring on the base, None before.
         self._open_edges = None
 
     # -- whole-surface views -------------------------------------------
@@ -792,107 +799,50 @@ def validate(surf: Triangulation) -> ValidationReport:
 # -- construction and growth ---------------------------------------------
 
 
-class _Builder:
-    """Mutable scratch space in which seeds and triangle lists are built
-    triangle by triangle.
+def from_triangles(tris, rule=None, rings=None, ring_of=None):
+    """The surface, with no ring plan, of `tris`: vertex triples,
+    counterclockwise, in triangle id order.
 
-    `freeze` hands the builder's containers to the new Triangulation, so
-    the builder must not be used after it.  Growth needs no builder:
-    `grow_frontier` adds ring plans to a surface's base.
+    Vertex degrees are counted in the order vertices are first met, and
+    one pass pairs each directed edge (u, v) with an open (v, u).  The
+    edges left open chain into the boundary cycle, which starts at its
+    smallest vertex.  `rings` defaults to that cycle alone and `ring_of`
+    to ring 0 for every vertex.  Raises SurfaceError for a directed edge
+    used twice or for open edges that do not form one cycle.
     """
-
-    def __init__(self):
-        self.tris = []
-        self.adj = {}
-        self.degree = {}
-        self.pending = {}  # directed open edge (u, v) -> (t, e)
-        self.ring_of = {}
-        self.rings = []
-        self.next_vertex = 0
-
-    def new_vertex(self, ring: int) -> int:
-        v = self.next_vertex
-        self.next_vertex += 1
-        self.degree[v] = 0
-        self.ring_of[v] = ring
-        return v
-
-    def add_triangle(self, a: int, b: int, c: int) -> int:
-        tris = self.tris
-        t = len(tris)
-        tris.append((a, b, c))
-        degree = self.degree
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-        degree[c] = degree.get(c, 0) + 1
-        adj = self.adj
-        pending = self.pending
+    tris = list(tris)
+    degree = {}
+    for v in chain.from_iterable(tris):
+        degree[v] = degree.get(v, 0) + 1
+    adj, pending = {}, {}   # pending: open directed edge (u, v) -> (t, e)
+    pop, setdefault = pending.pop, pending.setdefault
+    for t, (a, b, c) in enumerate(tris):
         # Each edge's (t, e) tuple is at once its adj key, the other
         # side's adj value and its pending entry: one object, not three.
-        te = (t, 0)
-        other = pending.pop((b, a), None)
-        if other is not None:
-            adj[te] = other
-            adj[other] = te
-        elif pending.setdefault((a, b), te) is not te:
-            raise SurfaceError(f"duplicate directed edge ({a},{b})")
-        te = (t, 1)
-        other = pending.pop((c, b), None)
-        if other is not None:
-            adj[te] = other
-            adj[other] = te
-        elif pending.setdefault((b, c), te) is not te:
-            raise SurfaceError(f"duplicate directed edge ({b},{c})")
-        te = (t, 2)
-        other = pending.pop((a, c), None)
-        if other is not None:
-            adj[te] = other
-            adj[other] = te
-        elif pending.setdefault((c, a), te) is not te:
-            raise SurfaceError(f"duplicate directed edge ({c},{a})")
-        return t
-
-    def boundary_cycle(self):
-        """Open directed edges chained into the boundary vertex cycle."""
-        nxt = {}
-        for (u, v) in self.pending:
-            if u in nxt:
-                raise SurfaceError(f"non-manifold boundary at vertex {u}")
-            nxt[u] = v
-        if not nxt:
-            return ()
-        start = min(nxt)
-        cyc = [start]
-        v = nxt[start]
-        while v != start:
-            cyc.append(v)
-            v = nxt[v]
-            if len(cyc) > len(nxt):
-                raise SurfaceError("boundary is not a single cycle")
-        if len(cyc) != len(nxt):
-            raise SurfaceError("boundary is not a single cycle")
-        return tuple(cyc)
-
-    def freeze(self, rule, labels) -> Triangulation:
-        """The surface the builder holds, with no ring plan."""
-        bd = self.boundary_cycle()
-        surf = Triangulation(
-            tris=self.tris,
-            adj=self.adj,
-            degree=self.degree,
-            frontier=frozenset(bd),
-            boundary=bd,
-            rings=tuple(self.rings),
-            ring_of=self.ring_of,
-            rule=rule,
-            labels=labels,
-        )
-        surf._open_edges = self.pending
-        # The surface owns the containers now; a stray later use of the
-        # builder fails here instead of changing a frozen surface.
-        self.tris = self.adj = self.degree = self.ring_of = None
-        self.pending = self.rings = None
-        return surf
+        for te, u, v in (((t, 0), a, b), ((t, 1), b, c), ((t, 2), c, a)):
+            other = pop((v, u), None)
+            if other is not None:
+                adj[te] = other
+                adj[other] = te
+            elif setdefault((u, v), te) is not te:
+                raise SurfaceError(f"duplicate directed edge ({u},{v})")
+    nxt = {}
+    for u, v in pending:
+        if nxt.setdefault(u, v) != v:
+            raise SurfaceError(f"non-manifold boundary at vertex {u}")
+    # A triangle adds as many edges into a vertex as out of it, and a pair
+    # takes one of each away, so `nxt` is a permutation of its vertices.
+    boundary = [min(nxt)] if nxt else []
+    while len(boundary) < len(nxt):
+        boundary.append(nxt[boundary[-1]])
+    if len(set(boundary)) < len(boundary):
+        raise SurfaceError("boundary is not a single cycle")
+    boundary = tuple(boundary)
+    return Triangulation(
+        tris, adj, degree, frozenset(boundary), boundary,
+        (boundary,) if rings is None else tuple(rings),
+        dict.fromkeys(degree, 0) if ring_of is None else ring_of,
+        rule=rule)
 
 
 # The boundary a ring makes, per sector with gap k, as vertex degrees: a
@@ -1113,9 +1063,7 @@ def grow_frontier(surf: Triangulation, rings: int,
         surf._base_boundary, surf._base_rings, surf._base_ring_of,
         rule=surf.rule, labels=surf.labels, plans=surf._plans + tuple(plans))
     grown._made = dict(surf._made)
-    grown._open_edges = surf._open_edges
-    if grown._open_edges is None:
-        grown._open_edges = {(tv[e], tv[(e + 1) % 3]): (t, e)
-                             for t, tv in enumerate(surf._tris)
-                             for e in range(3) if (t, e) not in surf._adj}
+    grown._open_edges = surf._open_edges or {
+        (tv[e], tv[(e + 1) % 3]): (t, e) for t, tv in enumerate(surf._tris)
+        for e in range(3) if (t, e) not in surf._adj}
     return grown

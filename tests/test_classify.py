@@ -149,6 +149,23 @@ class TestSiloClassifications:
         assert st.kind == "parallel"
         assert any(c.kind == "closure" for c in st.certificates)
 
+    # A short arc budget leaves some directions unknown, and an unknown
+    # makes the point undetermined unless a parallel arc and a crossing
+    # arc both stand.
+    @pytest.mark.parametrize("name,arc,want,unknown_arcs,iso_unknown", [
+        ("Q", 4.0, C.REGULARLY_HYPERBOLIC, 14, 14),
+        ("Qp", 4.0, C.UNDETERMINED, 0, 1),
+        ("R", 2.0, C.UNDETERMINED, 1, 0),
+    ])
+    def test_fixture_with_unknowns(self, name, arc, want, unknown_arcs,
+                                   iso_unknown):
+        cls, *_ = classify_labeled(build_silo(6), FLOAT, name, "l",
+                                   Budgets(arc=arc))
+        assert cls.kind == want
+        assert cls.unknown_arcs == unknown_arcs
+        assert [i.status.kind for i in cls.isolated].count("unknown") \
+            == iso_unknown
+
 
 class TestSemiClassifications:
     @pytest.mark.parametrize("name,want", [

@@ -96,6 +96,18 @@ def test_render_fan(files, tmp_path, capsys):
     assert "<polyline" in svg
 
 
+def test_render_triangle_ids_with_a_path(files, tmp_path, capsys):
+    scene = tmp_path / "r.scn"
+    scene.write_text("render tris 0,1,2,3 paths=l\n")
+    out_path = tmp_path / "tris.svg"
+    assert cli.main(["render", files["semi.smf"], str(scene),
+                     "-o", str(out_path)]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"wrote {out_path}: 4 triangles, 1 polylines, 0 cut edges ")
+    svg = out_path.read_text()
+    assert svg.count("<polygon") == 4 and svg.count("<polyline") == 1
+
+
 def test_audit(files, tmp_path):
     out_path = tmp_path / "audit.json"
     assert cli.main(["audit", files["silo.smf"], "--rings", "2..4",
@@ -437,6 +449,30 @@ def test_search_notes_a_parameter_the_builder_refuses(capsys):
         "note: semi_paradoxist(1) skipped: radius must be >= 2"]
 
 
+def test_search_notes_a_radius_over_the_growth_budget(capsys):
+    assert cli.main(["search", "silo", "--rings", "3..3",
+                     "--growth-budget", "500"]) == 0
+    cap = capsys.readouterr()
+    assert json.loads(cap.out)["candidates"] == []
+    assert cap.err == ("note: silo(3) skipped: next ring would make 1015 "
+                       "triangles, over the budget of 500\n")
+
+
+@pytest.mark.parametrize("text,line,diagnostic", [
+    ("smf 1\n# c\nmodel blob\n", 3, "UnknownModel: blob"),
+    ("smf 1\nmodel semi_paradoxist radius=1\n", 2,
+     "BadModelParams: radius must be >= 2"),
+], ids=["unknown", "refused"])
+def test_model_diagnostic_points_at_the_model_line(tmp_path, capsys, text,
+                                                   line, diagnostic):
+    p = tmp_path / "u.smf"
+    p.write_text(text)
+    assert cli.main(["validate", str(p)]) == 1
+    cap = capsys.readouterr()
+    assert cap.err == f"{p}:{line}:1: {diagnostic}\n"
+    assert cap.out == ""
+
+
 @pytest.mark.parametrize("model,named", [
     ("silo ring=6", "not ring\n"), ("flat radius=3 radus=5", "not radus\n")])
 def test_model_parameter_the_builder_does_not_take_is_a_diagnostic(
@@ -446,7 +482,7 @@ def test_model_parameter_the_builder_does_not_take_is_a_diagnostic(
     assert cli.main(["validate", str(p)]) == 1
     cap = capsys.readouterr()
     assert cap.out == ""
-    assert cap.err.startswith(f"{p}:1:1: BadModelParams: ")
+    assert cap.err.startswith(f"{p}:2:1: BadModelParams: ")
     assert named in cap.err and cap.err.count("\n") == 1
 
 

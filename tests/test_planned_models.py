@@ -79,7 +79,7 @@ def test_curved_vertices_match_the_table_scan(name, size, whole_surface_calls):
 @pytest.mark.parametrize("pin", [(7, 5), (10, 7), (31, 5)])
 def test_curved_vertices_of_a_vertex_pinned_in_a_planned_ring(pin):
     rule = GenerationRule("pinned", (6,), special=(pin,))
-    surf = grow_frontier(_seed_fan(6).freeze(rule, {}), 5)
+    surf = grow_frontier(_seed_fan(6, rule), 5)
     assert surf.curved_vertices() == dict([pin])
     surf.tris
     assert table_scan(surf) == [pin]
@@ -123,7 +123,7 @@ def test_building_a_model_builds_few_triangles():
 ])
 def test_plan_refusals_are_model_diagnostics(monkeypatch, rule, message):
     def build(rings):
-        return grow_frontier(_seed_fan(5).freeze(rule, {}), 2 + rings)
+        return grow_frontier(_seed_fan(5, rule), 2 + rings)
 
     with pytest.raises(SurfaceError, match=message):
         build(0)

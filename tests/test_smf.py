@@ -71,13 +71,26 @@ class TestParseManifold:
         surf, diags = smf.to_triangulation(doc)
         assert not diags and surf.n_triangles() == 2
 
-    @pytest.mark.parametrize("method", ["add_triangle", "boundary_cycle"])
-    def test_builder_bug_propagates(self, method, monkeypatch):
-        def broken(self, *args):
-            raise RuntimeError(f"bug in {method}")
-        monkeypatch.setattr(smf._Builder, method, broken)
+    @pytest.mark.parametrize("tris,diagnostic", [
+        ("0 1 2|0 1 3", "3:1: EdgeShared3: duplicate directed edge (0,1)"),
+        ("0 1 2|1 0 3|0 1 4",
+         "4:1: EdgeShared3: edge (0,1) already shared by two triangles"),
+        ("0 1 2|0 3 4",
+         "1:1: BadTriangulation: non-manifold boundary at vertex 0"),
+        ("0 1 2|3 4 5", "1:1: BadTriangulation: boundary is not a single cycle"),
+    ], ids=["duplicate", "three", "bow-tie", "two-cycles"])
+    def test_triangle_list_diagnostics(self, tris, diagnostic):
+        text = "smf 1\n" + "".join(f"t {t}\n" for t in tris.split("|"))
+        doc, _ = smf.parse_manifold(text)
+        surf, diags = smf.to_triangulation(doc)
+        assert surf is None and [str(d) for d in diags] == [diagnostic]
+
+    def test_builder_bug_propagates(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("bug in from_triangles")
+        monkeypatch.setattr(smf, "from_triangles", broken)
         doc, _ = smf.parse_manifold(GOOD_EXPLICIT)
-        with pytest.raises(RuntimeError, match=f"bug in {method}"):
+        with pytest.raises(RuntimeError, match="bug in from_triangles"):
             smf.to_triangulation(doc)
 
     def test_round_trip_is_identity(self):

@@ -163,15 +163,8 @@ ICOSAHEDRON = [
 class TestClosedSurfaces:
     def test_all_degree5_closed_surface_validates(self):
         # Twenty triangles, every vertex of degree 5, no frontier.
-        from smfgeo.surface import _Builder
-        b = _Builder()
-        for v in range(12):
-            b.degree[v] = 0
-            b.ring_of[v] = 0
-            b.next_vertex = 12
-        for f in ICOSAHEDRON:
-            b.add_triangle(*f)
-        surf = b.freeze(None, {})
+        from smfgeo.surface import from_triangles
+        surf = from_triangles(ICOSAHEDRON)
         assert surf.frontier == frozenset()
         assert validate(surf).ok()
         assert all(d == 5 for d in surf.degree.values())
