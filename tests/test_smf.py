@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smfgeo import smf
+from smfgeo import smf, surface
 
 GOOD_SILO = "smf 1\nmodel silo rings=3\n"
 GOOD_EXPLICIT = """smf 1
@@ -85,12 +85,20 @@ class TestParseManifold:
         surf, diags = smf.to_triangulation(doc)
         assert surf is None and [str(d) for d in diags] == [diagnostic]
 
-    def test_builder_bug_propagates(self, monkeypatch):
-        def broken(*args):
-            raise RuntimeError("bug in from_triangles")
-        monkeypatch.setattr(smf, "from_triangles", broken)
+    @pytest.mark.parametrize("method", ["add_triangle", "boundary_cycle"])
+    def test_builder_bug_propagates(self, method, monkeypatch):
+        # A bug inside from_triangles, while it reads the triangles or
+        # once it has chained the boundary cycle, is no diagnostic.
+        def broken(*args, **kwargs):
+            raise RuntimeError(f"bug in {method}")
+        if method == "add_triangle":
+            real = smf.from_triangles
+            monkeypatch.setattr(smf, "from_triangles", lambda tris: real(
+                map(lambda t: map(broken, t), tris)))
+        else:
+            monkeypatch.setattr(surface, "Triangulation", broken)
         doc, _ = smf.parse_manifold(GOOD_EXPLICIT)
-        with pytest.raises(RuntimeError, match="bug in from_triangles"):
+        with pytest.raises(RuntimeError, match=f"bug in {method}"):
             smf.to_triangulation(doc)
 
     def test_round_trip_is_identity(self):
