@@ -48,8 +48,8 @@ class SmfDocument:
     version: int = SMF_VERSION
     model: tuple = None          # (name, {param: value}, line_no, col)
     triangles: list = field(default_factory=list)   # (v0, v1, v2, line_no)
-    points: dict = field(default_factory=dict)      # label -> PointFixture
-    lines: dict = field(default_factory=dict)       # label -> LineFixture
+    points: dict = field(default_factory=dict)  # label -> (PointFixture, line_no, col)
+    lines: dict = field(default_factory=dict)   # label -> (LineFixture, line_no, col)
 
 
 # -- queries -------------------------------------------------------------
@@ -152,16 +152,17 @@ def parse_manifold(text: str):
                     diags.append(Diagnostic(ln, col, "BadPoint",
                                             "expected 'point L tri b0 b1 b2'"))
                     continue
-                doc.points[toks[1]] = PointFixture(
-                    int(toks[2]), (_num(toks[3]), _num(toks[4]), _num(toks[5])))
+                doc.points[toks[1]] = (PointFixture(
+                    int(toks[2]), (_num(toks[3]), _num(toks[4]), _num(toks[5]))),
+                    ln, col)
             elif kw == "line":
                 if len(toks) != 7:
                     diags.append(Diagnostic(ln, col, "BadLine",
                                             "expected 'line L tri b0 b1 b2 thetadeg'"))
                     continue
-                doc.lines[toks[1]] = LineFixture(
+                doc.lines[toks[1]] = (LineFixture(
                     int(toks[2]), (_num(toks[3]), _num(toks[4]), _num(toks[5])),
-                    theta_deg=float(toks[6]))
+                    theta_deg=float(toks[6])), ln, col)
             else:
                 diags.append(Diagnostic(ln, col, "UnknownDirective", kw))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -235,9 +236,9 @@ def to_triangulation(doc: SmfDocument):
         except SurfaceError as exc:
             return None, [Diagnostic(1, 1, "BadTriangulation", str(exc))]
     for kind, fixtures in (("point", doc.points), ("line", doc.lines)):
-        for label, fx in fixtures.items():
+        for label, (fx, ln, col) in fixtures.items():
             if fx.tri >= surf.n_triangles():
-                diags.append(Diagnostic(1, 1, "UnknownTriangle",
+                diags.append(Diagnostic(ln, col, "UnknownTriangle",
                                         f"{kind} {label}: triangle {fx.tri}"))
             else:
                 surf.labels[label] = fx
@@ -263,11 +264,11 @@ def print_manifold(doc: SmfDocument) -> str:
     for (v0, v1, v2, _) in doc.triangles:
         out.append(f"t {v0} {v1} {v2}")
     for label in sorted(doc.points):
-        fx = doc.points[label]
+        fx = doc.points[label][0]
         b = " ".join(str(x) for x in fx.bary)
         out.append(f"point {label} {fx.tri} {b}")
     for label in sorted(doc.lines):
-        fx = doc.lines[label]
+        fx = doc.lines[label][0]
         b = " ".join(str(x) for x in fx.bary)
         out.append(f"line {label} {fx.tri} {b} {fx.theta_deg:g}")
     return "\n".join(out) + "\n"

@@ -845,14 +845,6 @@ def from_triangles(tris, rule=None, rings=None, ring_of=None):
         rule=rule)
 
 
-# The boundary a ring makes, per sector with gap k, as vertex degrees: a
-# sector with k = 2 adds no vertex (0 marks one more sector under the
-# previous apex), any other k - 3 chain vertices of degree 2 and an apex
-# of degree 3.
-_OUTER = [b"\x00" if k == 2 else b"\x02" * (k - 3) + b"\x03"
-          for k in range(256)]
-
-
 def _short_gap(rule, v, k):
     return SurfaceError(f"rule {rule.name} leaves vertex {v} with gap {k} < 2")
 
@@ -898,11 +890,15 @@ class _RingPlan:
         """Make the prefix sums that place each sector (a ring that is only
         measured, never added to a surface, needs none): up[j] is the
         offset of sector j's up triangle, dn[j] the number of down
-        triangles, and of new vertices, in sectors 1..j."""
+        triangles, and of new vertices, in sectors 1..j.  Each is one
+        running sum over the gaps of sectors 1..n-1, translated to k - 1
+        and to k - 2 (gaps are at least 2)."""
         if self.up is None:
-            self.up = array("q", accumulate(map((-1).__add__, self.ks[1:]),
-                                            initial=0))
-            self.dn = array("q", map(int.__sub__, self.up, range(self.n)))
+            ks = self.ks[1:]
+            self.up = array("q", accumulate(
+                ks.translate(b"\x00" + bytes(range(255))), initial=0))
+            self.dn = array("q", accumulate(
+                ks.translate(b"\x00\x00" + bytes(range(254))), initial=0))
 
     def vertex(self, j: int) -> int:
         """Boundary vertex of sector j."""
@@ -1000,10 +996,19 @@ class _RingPlan:
     def outer_degrees(self) -> bytes:
         """Degrees of the boundary the ring makes, by position: a chain
         vertex has degree 2, an apex spanning z sectors with k = 2 has
-        degree z + 3."""
+        degree z + 3.
+
+        The gaps of sectors 1..n-1 are rewritten with one `replace` per
+        gap value: k = 2 adds no vertex and becomes a 0 (one more
+        sector under the apex before it), then each k from 4 up becomes
+        its k - 3 chain vertices and its apex (k = 3 is its apex already),
+        so no rewrite meets the 2s and 3s an earlier one wrote.  The 0s
+        then merge into the apex before them."""
         ks = self.ks
-        d = b"\x03" + b"".join(map(_OUTER.__getitem__, ks[1:])) \
-            + b"\x02" * (ks[0] - 3)
+        d = ks[1:].replace(b"\x02", b"\x00")
+        for k in range(4, max(ks) + 1):
+            d = d.replace(bytes((k,)), b"\x02" * (k - 3) + b"\x03")
+        d = b"\x03" + d + b"\x02" * (ks[0] - 3)
         top = 3
         while b"\x00" in d:
             d = d.replace(bytes((top, 0)), bytes((top + 1,)))
@@ -1014,15 +1019,16 @@ class _RingPlan:
         """Plan of the next ring out, from this ring's pattern alone."""
         degs = self.outer_degrees()
         target = rule.ring_degree(self.ring)
-        gaps = degs.translate(bytes(max(target - d, 0) for d in range(256)))
+        # Gap max(target - d, 0) for each degree d.
+        gaps = degs.translate(bytes(range(target, 0, -1)).ljust(256, b"\x00"))
         pins = [(v, d) for v, d in rule.special if self.vbase <= v < self.vend]
-        if pins or min(gaps) < 2:
+        if pins or b"\x00" in gaps or b"\x01" in gaps:
             self.index()
             gaps = bytearray(gaps)
             for v, d in pins:
                 c = self.outer_ids().index(v)
                 gaps[c] = max(d - degs[c], 0)
-            if min(gaps) < 2:
+            if b"\x00" in gaps or b"\x01" in gaps:
                 c = next(c for c, k in enumerate(gaps) if k < 2)
                 v = self.outer_id(c)
                 raise _short_gap(rule, v, rule.degree_for(v, self.ring) - degs[c])

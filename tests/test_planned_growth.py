@@ -21,9 +21,12 @@ from smfgeo.engine import (
 from smfgeo.farfield import audit_ring_convexity
 from smfgeo.numbers import Scalars
 from smfgeo.surface import (
+    GenerationRule,
+    GrowthLimitExceeded,
     IncompleteRing,
     SurfaceError,
     Triangulation,
+    _RingPlan,
     grow_frontier,
 )
 
@@ -324,3 +327,130 @@ class TestVertexLookups:
             with pytest.raises(SurfaceError) as got:
                 surf.directed_edge(u, v)
             assert str(got.value) == str(want.value)
+
+
+# Plans of silo(6) grown to 16 rings, the rings the trace_grow ray reads:
+# ring -> digests of ks, up, dn and outer_degrees(), as `plan_fields`
+# computes them; recorded from the per-sector kernels (up and dn summed
+# sector by sector, outer degrees joined per sector).
+SILO6_PLANS = {
+    2: ("f814c0702b2c2a60", "ecff9218a3252f30", "86c1b3261036a829", "f814c0702b2c2a60"),
+    3: ("f814c0702b2c2a60", "ecff9218a3252f30", "86c1b3261036a829", "f814c0702b2c2a60"),
+    4: ("3b838a825ae47bb0", "8e18d04bb2a6a16c", "ecff9218a3252f30", "ccd82ed41bebbeec"),
+    5: ("056a4545822c6fe9", "3faf41bfbd914860", "e4a7b9e41a63bdb7", "7c00a241255db956"),
+    6: ("703df5b3f0787074", "c651b3da5d26519c", "0d9868558b9040d6", "b6754ade46ef262f"),
+    7: ("26f83b7db443de5f", "21ad198c838a22a1", "aa8ac4c80c16ba3b", "3094e7a75f241614"),
+    8: ("0b884f45f2a8fad3", "d5d8ecdf3fb7fbb4", "ed10ac4fa7ee9443", "7733e4439adb2fa2"),
+    9: ("07bb46d1a3533c40", "cbb38d14a7fe10a3", "0ec1b643183253f1", "fe22eb51b26f8d32"),
+    10: ("8e0911930d520fc4", "b30af2e2c96f0ee9", "89bd085d59199dd8", "c28cf54a9c8e5a8e"),
+    11: ("360cc6e040df3172", "0a8a9547c2fe3e26", "45dca7cc64874600", "c64a5a0c2d832bbf"),
+    12: ("fade11487bfa3b91", "217e3ee056f145af", "bf5ec0df9deb3c26", "028057e9292a2acd"),
+    13: ("7688b5e6ea830db3", "916b778a33dbe7a8", "f2428b5fbc16e120", "05eb07560a3134e7"),
+    14: ("0ec5170a0ec33e5c", "2eeb80908ea97354", "6de0cbab876b07e1", "36df0e93c3551773"),
+    15: ("b0a054c9fee9ce30", "743eb10ad4e23911", "286c4b7a1b321996", "5a9008e11387c12a"),
+}
+# The ring a 17th growth would add: (n, size, digest of ks).
+SILO6_REFUSED = (375_125, 1_357_215, "f21835b195eba54b")
+
+
+def plan_fields(plan):
+    return (digest(plan.ks), digest(plan.up.tolist()),
+            digest(plan.dn.tolist()), digest(plan.outer_degrees()))
+
+
+def silo6_at_16_rings():
+    silo = build_silo(6)
+    return grow_frontier(silo, 16 - silo.n_rings())
+
+
+# The per-sector formulas the byte kernels of _RingPlan must agree with.
+
+def reference_index(ks):
+    """up[j]: sum of k - 1 over sectors 1..j; dn[j]: of k - 2."""
+    up, dn = [0], [0]
+    for k in ks[1:]:
+        up.append(up[-1] + k - 1)
+        dn.append(dn[-1] + k - 2)
+    return up, dn
+
+
+def reference_outer_degrees(ks):
+    """Sector 0's apex, then per sector 1..n-1 its k - 3 chain vertices
+    and its apex, or one more degree on the apex before it if k = 2;
+    sector 0's chain vertices last."""
+    degs = [3]
+    for k in ks[1:]:
+        if k == 2:
+            degs[-1] += 1
+        else:
+            degs += [2] * (k - 3) + [3]
+    return bytes(degs + [2] * (ks[0] - 3))
+
+
+gap_strings = st.lists(st.integers(2, 7), min_size=1, max_size=3000).filter(
+    lambda ks: max(ks) > 2).map(bytes)
+
+
+class TestRingPlanKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(gaps=gap_strings, target=st.integers(4, 8), pin=st.data())
+    def test_kernels_match_per_sector_formulas(self, gaps, target, pin):
+        n = len(gaps)
+        plan = _RingPlan(3, 100, 1000, tuple(range(n)), gaps)
+        s = plan.start
+        assert plan.ks == gaps[s:] + gaps[:s] and plan.ks[0] > 2
+        plan.index()
+        up, dn = reference_index(plan.ks)
+        assert plan.up.tolist() == up and plan.dn.tolist() == dn
+        degs = reference_outer_degrees(plan.ks)
+        assert plan.outer_degrees() == degs
+        assert len(degs) == plan.vend - plan.vbase
+
+        special = ()
+        if pin.draw(st.booleans()):
+            c = pin.draw(st.integers(0, len(degs) - 1))
+            special = ((plan.outer_ids()[c], pin.draw(st.integers(4, 9))),)
+        rule = GenerationRule("r", (target,), special)
+        pinned = dict(special)
+        ids = plan.outer_ids()
+        want = [max(pinned.get(v, target) - d, 0) for v, d in zip(ids, degs)]
+        short = next((c for c, k in enumerate(want) if k < 2), None)
+        if short is not None:
+            v = ids[short]
+            refusal = (f"rule r leaves vertex {v} with gap "
+                       f"{pinned.get(v, target) - degs[short]} < 2")
+        elif max(want) == 2:
+            refusal = "ring would close the surface; unsupported"
+        else:
+            nxt = plan.following(rule)
+            assert (nxt.ring, nxt.base, nxt.vbase, nxt.inner) == (
+                4, 100 + plan.size, plan.vend, plan)
+            k0 = bytes(want).lstrip(b"\x02")
+            assert nxt.ks == k0 + bytes(want)[:len(want) - len(k0)]
+            return
+        with pytest.raises(SurfaceError) as exc:
+            plan.following(rule)
+        assert str(exc.value) == refusal
+
+    def test_plans_trace_grow_reaches_are_pinned(self):
+        surf = silo6_at_16_rings()
+        plans = {p.ring: plan_fields(p) for p in surf._plans}
+        assert plans == SILO6_PLANS
+        refused = surf._plans[-1].following(surf.rule)
+        assert (refused.n, refused.size, digest(refused.ks)) == SILO6_REFUSED
+
+    def test_refused_ring_is_planned_in_little_memory(self):
+        # Planning the refused 17th ring reads the 143,285 sectors of the
+        # 16th in a few passes over byte strings, about 1.1 MiB; joining a
+        # byte string per sector took 12.5 MiB.
+        surf = silo6_at_16_rings()
+        tracemalloc.start()
+        try:
+            with pytest.raises(GrowthLimitExceeded) as exc:
+                grow_frontier(surf, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == ("next ring would make 2196040 triangles,"
+                                  " over the budget of 1000000")
+        assert peak < 2 * 2**20

@@ -85,6 +85,20 @@ class TestParseManifold:
         surf, diags = smf.to_triangulation(doc)
         assert surf is None and [str(d) for d in diags] == [diagnostic]
 
+    @pytest.mark.parametrize("entry,diagnostic", [
+        ("point P 5 1/3 1/3 1/3",
+         "5:1: UnknownTriangle: point P: triangle 5"),
+        ("  line m 7 1/2 1/2 0 30",
+         "5:3: UnknownTriangle: line m: triangle 7"),
+    ], ids=["point", "line"])
+    def test_unknown_triangle_is_reported_at_its_entry(self, entry,
+                                                       diagnostic):
+        text = "smf 1\nt 0 1 2\nt 1 0 3\n# a fixture off the surface\n" \
+            + entry + "\n"
+        doc, _ = smf.parse_manifold(text)
+        surf, diags = smf.to_triangulation(doc)
+        assert surf is None and [str(d) for d in diags] == [diagnostic]
+
     @pytest.mark.parametrize("method", ["add_triangle", "boundary_cycle"])
     def test_builder_bug_propagates(self, method, monkeypatch):
         # A bug inside from_triangles, while it reads the triangles or
