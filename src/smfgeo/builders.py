@@ -14,7 +14,7 @@ fixtures builds only the sectors it reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import chart, engine
@@ -45,30 +45,28 @@ _F3 = Fraction(1, 3)
 _CENTROID = (_F3, _F3, _F3)
 
 
-@dataclass(frozen=True)
-class PointFixture:
-    tri: int
-    bary: tuple  # Fractions or Q3, mode independent
+class PointFixture(namedtuple("PointFixture", "tri bary")):
+    """`bary` holds Fractions or Q3s: it is mode independent."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EdgePointFixture:
-    u: int
-    v: int
-    t: object  # exact parameter from u to v, Fraction or Q3
+class EdgePointFixture(namedtuple("EdgePointFixture", "u v t")):
+    """`t` is the exact parameter from u to v, a Fraction or a Q3."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VertexFixture:
-    vertex: int
+class VertexFixture(namedtuple("VertexFixture", "vertex")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LineFixture:
-    tri: int
-    bary: tuple
-    dirvec: tuple = None   # (Q3, Q3) exact chart direction
-    theta_deg: float = None  # float-mode fallback for arbitrary angles
+class LineFixture(namedtuple("LineFixture", "tri bary dirvec theta_deg",
+                             defaults=(None, None))):
+    """`dirvec` is an exact chart direction (Q3, Q3); `theta_deg` the
+    float-mode fallback for arbitrary angles."""
+
+    __slots__ = ()
 
 
 def resolve_point(surf: Triangulation, ctx: Scalars, fx) -> SurfacePoint:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter
 
 from . import chart, engine, farfield
@@ -41,6 +41,7 @@ from .surface import (
     SurfaceError,
     SurfacePoint,
     Triangulation,
+    Value,
     canonicalize_point,
     grow_frontier,
     normalize_bary,
@@ -65,65 +66,73 @@ COMPLETELY_HYPERBOLIC = "completely_hyperbolic"
 UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class Budgets:
-    arc: float = ARC_BUDGET
-    growth: int = GROWTH_BUDGET
-    split_depth: int = 48  # halvings of one cone; corner splits do not count
+class Budgets(Value):
+    __slots__ = ("arc", "growth", "split_depth")
+
+    def __init__(self, arc: float = ARC_BUDGET, growth: int = GROWTH_BUDGET,
+                 split_depth: int = 48):
+        self.arc = arc
+        self.growth = growth
+        # Halvings of one cone; corner splits do not count.
+        self.split_depth = split_depth
 
     def doubled(self) -> "Budgets":
         return Budgets(self.arc * 2, self.growth * 2, self.split_depth + 8)
 
 
-@dataclass(frozen=True)
-class Crossing:
-    point: object        # SurfacePoint for located hits, None for far hits
-    arc: float
-    via_vertices: tuple = ()
-    where: str = "traced"
-
+class Crossing(Value):
+    __slots__ = ("point", "arc", "via_vertices", "where")
     kind = "crossing"
 
+    def __init__(self, point, arc: float, via_vertices: tuple = (),
+                 where: str = "traced"):
+        self.point = point  # SurfacePoint for located hits, None for far hits
+        self.arc = arc
+        self.via_vertices = via_vertices
+        self.where = where
 
-@dataclass(frozen=True)
-class ParallelCertified:
-    certificates: tuple
-    via_vertices: tuple = ()
 
+class ParallelCertified(Value):
+    __slots__ = ("certificates", "via_vertices")
     kind = "parallel"
 
+    def __init__(self, certificates: tuple, via_vertices: tuple = ()):
+        self.certificates = certificates
+        self.via_vertices = via_vertices
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str
 
+class Unknown(Value):
+    __slots__ = ("reason",)
     kind = "unknown"
 
-
-@dataclass
-class DirectionInterval:
-    lo: float            # degrees in [0, 180)
-    hi: float
-    status: object
-    witness: tuple
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
-@dataclass
-class IsolatedDirection:
-    theta: float
-    direction: tuple
-    status: object
+class DirectionInterval(namedtuple("DirectionInterval", "lo hi status witness")):
+    """`lo` and `hi` in degrees in [0, 180)."""
+
+    __slots__ = ()
 
 
-@dataclass
+class IsolatedDirection(namedtuple("IsolatedDirection", "theta direction status")):
+    __slots__ = ()
+
+
 class PointClassification:
-    kind: str
-    count: int = 0
-    intervals: list = field(default_factory=list)
-    isolated: list = field(default_factory=list)
-    parallel_arcs: int = 0
-    crossing_arcs: int = 0
-    unknown_arcs: int = 0
+    __slots__ = ("kind", "count", "intervals", "isolated", "parallel_arcs",
+                 "crossing_arcs", "unknown_arcs")
+
+    def __init__(self, kind: str, count: int = 0, intervals: list = None,
+                 isolated: list = None, parallel_arcs: int = 0,
+                 crossing_arcs: int = 0, unknown_arcs: int = 0):
+        self.kind = kind
+        self.count = count
+        self.intervals = [] if intervals is None else intervals
+        self.isolated = [] if isolated is None else isolated
+        self.parallel_arcs = parallel_arcs
+        self.crossing_arcs = crossing_arcs
+        self.unknown_arcs = unknown_arcs
 
 
 # -- model analysis ----------------------------------------------------------
@@ -175,30 +184,35 @@ class ModelAnalysis:
 # -- reference line context --------------------------------------------------
 
 
-@dataclass
-class TailInfo:
-    escape_tri: int
-    xy: tuple
-    dir: tuple
-    arc0: float
-    event0: int    # first trace event of the tail: its escape crossing, if any
+class TailInfo(namedtuple("TailInfo", "escape_tri xy dir arc0 event0")):
+    """`event0` is the first trace event of the tail: its escape crossing,
+    if any."""
+
+    __slots__ = ()
 
 
-@dataclass
 class LineContext:
-    ray: Ray
-    path: engine.GeodesicPath
-    surf: Triangulation
-    ctx: Scalars
-    by_tri: dict
-    max_ring: int
-    closed: bool
-    period: float = None
-    core_ring: int = None
-    tail_pieces: list = None    # developed TailData pieces
-    tail_dirs: list = None      # developed tail directions
-    flat_complement: farfield.FlatComplement = None  # developed far field
-    on_vertices: frozenset = frozenset()  # vertices the line passes through
+    __slots__ = ("ray", "path", "surf", "ctx", "by_tri", "max_ring", "closed",
+                 "period", "core_ring", "tail_pieces", "tail_dirs",
+                 "flat_complement", "on_vertices")
+
+    def __init__(self, ray: Ray, path: engine.GeodesicPath,
+                 surf: Triangulation, ctx: Scalars, by_tri: dict,
+                 max_ring: int, closed: bool, period: float = None,
+                 core_ring: int = None, on_vertices: frozenset = frozenset()):
+        self.ray = ray
+        self.path = path
+        self.surf = surf
+        self.ctx = ctx
+        self.by_tri = by_tri
+        self.max_ring = max_ring
+        self.closed = closed
+        self.period = period
+        self.core_ring = core_ring
+        self.tail_pieces = None      # developed TailData pieces
+        self.tail_dirs = None        # developed tail directions
+        self.flat_complement = None  # developed far field
+        self.on_vertices = on_vertices  # vertices the line passes through
 
     def segments_in(self, tri):
         return self.by_tri.get(tri, ())
@@ -299,31 +313,43 @@ def _developed_tail(fc, tail: TailInfo) -> farfield.TailData:
 # -- one-end tracing ----------------------------------------------------
 
 
-@dataclass
 class EndResult:
-    kind: str                 # crossed | escaped | closed | unknown
-    segments: list
-    events: list
-    arc: float
-    crossing: tuple = None    # (point, arc, where)
-    chord: Segment = None     # the chord of the reference line crossed
-    tail: TailInfo = None
-    rings: tuple = ()
-    escape_ring: int = None
-    closure_period: float = None
-    via_vertices: tuple = ()
-    # The start chart's identity, then the motion of each crossing: the
-    # placement after n crossings is steps[0] o ... o steps[n].
-    steps: list = None
-    # (tri, how many of `steps` place it, entered by a crossing) of each
-    # triangle the trace entered outside a band.
-    marks: list = None
-    carrier: int = None       # carrying triangle of the traced ray
-    carrier_xy: tuple = None  # ray base point in the carrier chart
-    band_tokens: tuple = ()   # collapsed band transit outcomes
-    tokens: tuple = ()        # concrete itinerary tokens before any transit
-    end: Ray = None           # the ray the trace stopped at
-    _frame: chart.Isometry = field(default=None, repr=False)
+    __slots__ = ("kind", "segments", "events", "arc", "crossing", "chord",
+                 "tail", "rings", "escape_ring", "closure_period",
+                 "via_vertices", "steps", "marks", "carrier", "carrier_xy",
+                 "band_tokens", "tokens", "end", "_frame")
+
+    def __init__(self, kind: str, segments: list, events: list, arc: float,
+                 crossing: tuple = None, chord: Segment = None,
+                 tail: TailInfo = None, rings: tuple = (),
+                 escape_ring: int = None, closure_period: float = None,
+                 via_vertices: tuple = (), steps: list = None,
+                 marks: list = None, carrier: int = None,
+                 carrier_xy: tuple = None, band_tokens: tuple = (),
+                 tokens: tuple = (), end: Ray = None):
+        self.kind = kind            # crossed | escaped | closed | unknown
+        self.segments = segments
+        self.events = events
+        self.arc = arc
+        self.crossing = crossing    # (point, arc, where)
+        self.chord = chord          # the chord of the reference line crossed
+        self.tail = tail
+        self.rings = rings
+        self.escape_ring = escape_ring
+        self.closure_period = closure_period
+        self.via_vertices = via_vertices
+        # The start chart's identity, then the motion of each crossing: the
+        # placement after n crossings is steps[0] o ... o steps[n].
+        self.steps = steps
+        # (tri, how many of `steps` place it, entered by a crossing) of each
+        # triangle the trace entered outside a band.
+        self.marks = marks
+        self.carrier = carrier      # carrying triangle of the traced ray
+        self.carrier_xy = carrier_xy  # ray base point in the carrier chart
+        self.band_tokens = band_tokens  # collapsed band transit outcomes
+        self.tokens = tokens        # concrete itinerary tokens before any transit
+        self.end = end              # the ray the trace stopped at
+        self._frame = None
 
     def _placements(self):
         """The placement after each of `steps`, in order."""
@@ -516,14 +542,17 @@ def classify_direction(P: SurfacePoint, d, lctx: LineContext,
     return _probe(P, d, lctx, analysis, budgets).status
 
 
-@dataclass
 class Probe:
-    dvec: tuple
-    fwd: EndResult
-    bwd: EndResult
-    status: object
-    corners: list = None      # see _Partitioner; None until a cone reads it
-    keys: frozenset = None    # the corner list's vertex keys
+    __slots__ = ("dvec", "fwd", "bwd", "status", "corners", "keys")
+
+    def __init__(self, dvec: tuple, fwd: EndResult, bwd: EndResult, status,
+                 corners: list = None, keys: frozenset = None):
+        self.dvec = dvec
+        self.fwd = fwd
+        self.bwd = bwd
+        self.status = status
+        self.corners = corners  # see _Partitioner; None until a cone reads it
+        self.keys = keys        # the corner list's vertex keys
 
     def signature(self):
         return (_sig(self.fwd), _sig(self.bwd))

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 
 from . import classify as cls_mod
 from . import engine, netdraw, smf
@@ -25,13 +25,10 @@ from .surface import GROWTH_BUDGET, GrowthLimitExceeded, SurfaceError
 CONFIG_ENV = "SMFGEO_CONFIG"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    number_mode: str = "float"
-    epsilon: float = DEFAULT_EPS
-    arc_budget: float = engine.ARC_BUDGET
-    growth_budget: int = GROWTH_BUDGET
-    threads: int = 1
+class RunConfig(namedtuple(
+        "RunConfig", "number_mode epsilon arc_budget growth_budget threads",
+        defaults=("float", DEFAULT_EPS, engine.ARC_BUDGET, GROWTH_BUDGET, 1))):
+    __slots__ = ()
 
     def scalars(self) -> Scalars:
         if self.number_mode == "exact":
@@ -49,8 +46,7 @@ def _load_env_defaults():
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        out = {f.name: data[f.name] for f in fields(RunConfig)
-               if f.name in data}
+        out = {name: data[name] for name in RunConfig._fields if name in data}
         if out.get("number_mode", "float") not in ("float", "exact"):
             raise ValueError(f"{out['number_mode']!r} is not float or exact")
         for name in {"epsilon", "arc_budget"} & out.keys():
@@ -136,7 +132,7 @@ def _given(value, default):
 
 
 def _config_from(args) -> RunConfig:
-    base = asdict(RunConfig())
+    base = RunConfig()._asdict()
     base.update(_load_env_defaults())
     if args.exact:
         base["number_mode"] = "exact"
@@ -217,7 +213,7 @@ def _dispatch(args, config: RunConfig) -> int:
 
     if args.command == "audit":
         out = {"model": args.smf, "mode": config.number_mode,
-               "surface": surf.content_hash(), "config": asdict(config),
+               "surface": surf.content_hash(), "config": config._asdict(),
                "audits": []}
         code = 0
         from .farfield import audit_ring_convexity
@@ -265,7 +261,7 @@ def _dispatch(args, config: RunConfig) -> int:
                 [(f"{args.family}({n})", s, ctx, lray, pts)], budgets)
             results.extend(found)
         out = {"family": args.family, "mode": config.number_mode,
-               "config": asdict(config),
+               "config": config._asdict(),
                "candidates": [
                    {"model": f["model"], "point": repr(f["point"]),
                     "caveat": f["caveat"]} for f in results]}
@@ -284,7 +280,7 @@ def _dispatch(args, config: RunConfig) -> int:
             print("error: no trace query in scene", file=sys.stderr)
             return 1
         out = {"model": args.smf, "mode": config.number_mode,
-               "surface": surf.content_hash(), "config": asdict(config),
+               "surface": surf.content_hash(), "config": config._asdict(),
                "traces": []}
         for q in tqs:
             ray = resolve_ray(surf, ctx, surf.labels[q.line_label])
@@ -320,7 +316,7 @@ def _dispatch(args, config: RunConfig) -> int:
             return smf.classification_report(
                 args.smf, f"classify {q.point_label} {q.line_label}",
                 cls, b, config.number_mode, s2.content_hash(),
-                asdict(config))
+                config._asdict())
 
         # Threads do not speed up this pure-Python work, so --threads is
         # accepted and the queries run one after another.
@@ -378,7 +374,7 @@ def _dispatch(args, config: RunConfig) -> int:
             print(f"wrote {target}: {len(drawing.triangles)} triangles, "
                   f"{len(drawing.polylines)} polylines, "
                   f"{len(drawing.cut_edges)} cut edges "
-                  f"(config {json.dumps(asdict(config), sort_keys=True)})")
+                  f"(config {json.dumps(config._asdict(), sort_keys=True)})")
         return code
 
     print(f"error: unhandled command {args.command}", file=sys.stderr)

@@ -14,8 +14,9 @@ traces) is a consumer that adds its own stopping rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
+from operator import attrgetter
 
 from . import chart
 from .chart import Isometry, cross, dot
@@ -27,6 +28,7 @@ from .surface import (
     SurfacePoint,
     Triangulation,
     UnmatchedEdge,
+    Value,
     canonicalize_point,
     grow_frontier,
     normalize_bary,
@@ -48,40 +50,37 @@ class FrontierReached(EngineError):
         self.edge = edge
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Ray:
-    """Canonical surface point plus direction in that triangle's chart.
+class Ray(Value):
+    """Canonical surface point plus direction in that triangle's chart."""
 
-    Immutable by convention, like every chord value type here: nothing
-    assigns to a field after construction.
-    """
+    __slots__ = ("point", "dir")
 
-    point: SurfacePoint
-    dir: tuple
+    def __init__(self, point: SurfacePoint, dir: tuple):
+        self.point = point
+        self.dir = dir
 
     def __repr__(self):
         return f"Ray({self.point}, dir=({self.dir[0]}, {self.dir[1]}))"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Segment:
+class Segment(Value):
     """A chord inside triangle `tri`, from `a` to `b` in its chart.
 
-    Immutable by convention; equality and hash read `tri`, `a` and `b`.
+    Equality and hash read `tri`, `a` and `b`.
     """
 
-    tri: int
-    a: tuple  # entry point, chart coords
-    b: tuple  # exit point, chart coords
-    _length: float = field(init=False, repr=False, compare=False)
-    # Normalized barycentrics of `b` when `step` made the chord.
-    exit_b: tuple = field(default=None, repr=False, compare=False)
+    __slots__ = ("tri", "a", "b", "_length", "exit_b")
+    _key = attrgetter("tri", "a", "b")
 
-    def __post_init__(self):
+    def __init__(self, tri: int, a: tuple, b: tuple, exit_b: tuple = None):
+        self.tri = tri
+        self.a = a  # entry point, chart coords
+        self.b = b  # exit point, chart coords
         # Computed once: the walk's stall guard and every consumer need it.
-        dx = float(self.b[0]) - float(self.a[0])
-        dy = float(self.b[1]) - float(self.a[1])
-        self._length = math.hypot(dx, dy)
+        self._length = math.hypot(float(b[0]) - float(a[0]),
+                                  float(b[1]) - float(a[1]))
+        # Normalized barycentrics of `b` when `step` made the chord.
+        self.exit_b = exit_b
 
     def length(self) -> float:
         return self._length
@@ -90,59 +89,68 @@ class Segment:
 # -- path events -----------------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class EdgeCrossing:
+class EdgeCrossing(Value):
     """The walk leaving `tri` across `edge` at `point`.
 
-    Immutable by convention; equality and hash ignore `gluing`.
+    Equality and hash ignore `gluing`.
     """
 
-    tri: int
-    edge: int
-    point: SurfacePoint
-    # Isometry from chart(tri) to the neighbor's chart across `edge`.
-    gluing: object = field(default=None, repr=False, compare=False)
+    __slots__ = ("tri", "edge", "point", "gluing")
+    _key = attrgetter("tri", "edge", "point")
+
+    def __init__(self, tri: int, edge: int, point: SurfacePoint, gluing=None):
+        self.tri = tri
+        self.edge = edge
+        self.point = point
+        # Isometry from chart(tri) to the neighbor's chart across `edge`.
+        self.gluing = gluing
 
 
-@dataclass(frozen=True)
-class VertexCrossing:
+class VertexCrossing(Value):
     """The walk passing vertex `vertex` from `tri_in` into `tri_out`.
 
     Equality and hash ignore `gluing`.
     """
 
-    vertex: int
-    incoming_dir: tuple
-    outgoing_dir: tuple
-    cone_angle_deg: int
-    tri_in: int
-    tri_out: int
-    # Isometry from chart(tri_in) to chart(tri_out), made by cross_vertex.
-    gluing: object = field(default=None, repr=False, compare=False)
+    __slots__ = ("vertex", "incoming_dir", "outgoing_dir", "cone_angle_deg",
+                 "tri_in", "tri_out", "gluing")
+    _key = attrgetter(*__slots__[:-1])
+
+    def __init__(self, vertex: int, incoming_dir: tuple, outgoing_dir: tuple,
+                 cone_angle_deg: int, tri_in: int, tri_out: int, gluing=None):
+        self.vertex = vertex
+        self.incoming_dir = incoming_dir
+        self.outgoing_dir = outgoing_dir
+        self.cone_angle_deg = cone_angle_deg
+        self.tri_in = tri_in
+        self.tri_out = tri_out
+        # Isometry from chart(tri_in) to chart(tri_out), made by cross_vertex.
+        self.gluing = gluing
 
 
-@dataclass(frozen=True)
-class Closure:
-    period: float
+class Closure(namedtuple("Closure", "period")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ArcBudgetExhausted:
-    arc: float
+class ArcBudgetExhausted(namedtuple("ArcBudgetExhausted", "arc")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GrowthLimit:
-    detail: str
+class GrowthLimit(namedtuple("GrowthLimit", "detail")):
+    __slots__ = ()
 
 
-@dataclass
 class GeodesicPath:
-    start: Ray
-    segments: list = field(default_factory=list)
-    events: list = field(default_factory=list)  # (signed arc position, event)
-    arc_length: float = 0.0
-    surface: Triangulation = None
+    __slots__ = ("start", "segments", "events", "arc_length", "surface")
+
+    def __init__(self, start: Ray, segments: list = None, events: list = None,
+                 arc_length: float = 0.0, surface: Triangulation = None):
+        self.start = start
+        self.segments = [] if segments is None else segments
+        # (signed arc position, event)
+        self.events = [] if events is None else events
+        self.arc_length = arc_length
+        self.surface = surface
 
 
 # -- ray canonical form ----------------------------------------------------

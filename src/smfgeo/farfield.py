@@ -21,7 +21,7 @@ arc budget (nearly parallel directions) in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import chart
 from .chart import Isometry, cross, dot
@@ -32,12 +32,11 @@ from .surface import IncompleteRing, Triangulation, develop, seams
 # -- ring audits -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingAudit:
-    ring: int
-    surface_hash: str
-    passed: bool
-    outward_angles: tuple  # (vertex, degrees) per ring vertex
+class RingAudit(namedtuple("RingAudit",
+                           "ring surface_hash passed outward_angles")):
+    """`outward_angles` holds (vertex, degrees) per ring vertex."""
+
+    __slots__ = ()
 
     @property
     def audit_id(self) -> str:
@@ -93,37 +92,33 @@ def max_ring_of_path(surf: Triangulation, segments) -> int:
 # -- certificates -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosureCertificate:
-    period: float
-
+class ClosureCertificate(namedtuple("ClosureCertificate", "period")):
+    __slots__ = ()
     kind = "closure"
 
 
-@dataclass(frozen=True)
-class RingEscapeCertificate:
-    rings_crossed: tuple  # strictly increasing ring indices
-    escape_ring: int
-    audit_id: str
+class RingEscapeCertificate(namedtuple(
+        "RingEscapeCertificate", "rings_crossed escape_ring audit_id")):
+    """`rings_crossed` holds strictly increasing ring indices."""
 
+    __slots__ = ()
     kind = "ring_escape"
 
 
-@dataclass(frozen=True)
-class FlatSeparationCertificate:
+class FlatSeparationCertificate(namedtuple("FlatSeparationCertificate",
+                                           "detail")):
     """Both straight tails compared against both target tails in the
     developed flat complement; every admissible copy misses."""
 
-    detail: str
-
+    __slots__ = ()
     kind = "flat_separation"
 
 
 # -- silo band ---------------------------------------------------------------
 
 
-@dataclass
-class BandExit:
+class BandExit(namedtuple("BandExit", "kind tri dir edge bary vertex arc x",
+                          defaults=(None, None, None, None, None, 0.0, None))):
     """Where a straight run through a band leaves it, in the chart of a
     band triangle `tri`; `dir` is the run's direction in that chart and
     `arc` the length run inside the band.
@@ -135,14 +130,7 @@ class BandExit:
     kind "closed": the run stays in the band and circles it once per `arc`.
     """
 
-    kind: str
-    tri: int = None
-    dir: tuple = None
-    edge: int = None
-    bary: tuple = None
-    vertex: int = None
-    arc: float = 0.0
-    x: object = None
+    __slots__ = ()
 
 
 class BandFrame:
@@ -273,16 +261,16 @@ class BandFrame:
 # -- flat complement ----------------------------------------------------------
 
 
-@dataclass
-class TailData:
-    """A straight escaped tail (or tail piece) in developed coordinates."""
+class TailData(namedtuple("TailData", "base dir arc0 speed kcut limit",
+                          defaults=(0, None))):
+    """A straight escaped tail (or tail piece) in developed coordinates:
+    its developed base point and direction (not necessarily unit), the
+    arc length along the line where the piece starts, its speed |dir| as
+    a float, which converts parameters to arc length, the signed cut
+    crossings the access chain accumulated, and the parameter bound (a
+    run scalar) of a leading piece."""
 
-    base: tuple      # developed base point
-    dir: tuple       # developed direction (not necessarily unit)
-    arc0: float      # arc length along the line when the piece starts
-    speed: float     # |dir| as float, converts parameters to arc length
-    kcut: int = 0    # signed cut crossings accumulated by the access chain
-    limit: object = None  # parameter bound (run scalar) of a leading piece
+    __slots__ = ()
 
 
 class FlatComplement:
@@ -429,7 +417,7 @@ def split_tail_at_cut(ctx, tail: TailData, fc: "FlatComplement"):
     t = hit[0]
     at = (tail.base[0] + tail.dir[0] * t, tail.base[1] + tail.dir[1] * t)
     side = ctx.sign(cross(*fc.cut[1], *tail.dir))
-    return [replace(tail, limit=t),
+    return [TailData(tail.base, tail.dir, tail.arc0, tail.speed, tail.kcut, t),
             TailData(at, tail.dir, _arc(tail, t), tail.speed, tail.kcut + side)]
 
 

@@ -8,8 +8,6 @@ the figures cut open a cone vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import chart, engine
 from .numbers import Scalars
 from .surface import Triangulation, develop, seams
@@ -26,12 +24,14 @@ class RegionNotUnfoldable(Exception):
         self.pair = (t1, t2)
 
 
-@dataclass
 class NetDrawing:
-    triangles: list = field(default_factory=list)  # (tri, ((x,y),)*3)
-    polylines: list = field(default_factory=list)  # (label, [(x,y), ...])
-    cut_edges: list = field(default_factory=list)  # ((x,y),(x,y), tri, edge)
-    labels: list = field(default_factory=list)     # (text, (x,y))
+    __slots__ = ("triangles", "polylines", "cut_edges", "labels")
+
+    def __init__(self):
+        self.triangles = []  # (tri, ((x,y),)*3)
+        self.polylines = []  # (label, [(x,y), ...])
+        self.cut_edges = []  # ((x,y),(x,y), tri, edge)
+        self.labels = []     # (text, (x,y))
 
     def bounds(self):
         xs = [p[0] for _, pts in self.triangles for p in pts]

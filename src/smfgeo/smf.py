@@ -16,7 +16,7 @@ malformed input produces positioned diagnostics, never an exception.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .builders import (
@@ -27,55 +27,62 @@ from .builders import (
     build_silo,
 )
 from .numbers import positive, positive_int
-from .surface import GROWTH_BUDGET, SurfaceError, from_triangles, validate
+from .surface import (GROWTH_BUDGET, SurfaceError, Value, from_triangles,
+                      validate)
 
 SMF_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    line: int
-    column: int
-    code: str
-    message: str
+class Diagnostic(namedtuple("Diagnostic", "line column code message")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.line}:{self.column}: {self.code}: {self.message}"
 
 
-@dataclass
 class SmfDocument:
-    version: int = SMF_VERSION
-    model: tuple = None          # (name, {param: value}, line_no, col)
-    triangles: list = field(default_factory=list)   # (v0, v1, v2, line_no)
-    points: dict = field(default_factory=dict)  # label -> (PointFixture, line_no, col)
-    lines: dict = field(default_factory=dict)   # label -> (LineFixture, line_no, col)
+    __slots__ = ("version", "model", "triangles", "points", "lines")
+
+    def __init__(self):
+        self.version = SMF_VERSION
+        self.model = None    # (name, {param: value}, line_no, col)
+        self.triangles = []  # (v0, v1, v2, line_no)
+        self.points = {}     # label -> (PointFixture, line_no, col)
+        self.lines = {}      # label -> (LineFixture, line_no, col)
 
 
 # -- queries -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceQuery:
-    line_label: str
-    arc: float = None
-    growth: int = None
-    two_sided: bool = True
+class TraceQuery(Value):
+    __slots__ = ("line_label", "arc", "growth", "two_sided")
+
+    def __init__(self, line_label: str, arc: float = None, growth: int = None,
+                 two_sided: bool = True):
+        self.line_label = line_label
+        self.arc = arc
+        self.growth = growth
+        self.two_sided = two_sided
 
 
-@dataclass(frozen=True)
-class ClassifyQuery:
-    point_label: str
-    line_label: str
-    arc: float = None
-    growth: int = None
+class ClassifyQuery(Value):
+    __slots__ = ("point_label", "line_label", "arc", "growth")
+
+    def __init__(self, point_label: str, line_label: str, arc: float = None,
+                 growth: int = None):
+        self.point_label = point_label
+        self.line_label = line_label
+        self.arc = arc
+        self.growth = growth
 
 
-@dataclass(frozen=True)
-class RenderQuery:
-    region: tuple            # ("fan", vertex_label) or ("tris", (ids...))
-    paths: tuple = ()        # line labels
-    out: str = None
+class RenderQuery(Value):
+    __slots__ = ("region", "paths", "out")
+
+    def __init__(self, region: tuple, paths: tuple = (), out: str = None):
+        self.region = region  # ("fan", vertex_label) or ("tris", (ids...))
+        self.paths = paths    # line labels
+        self.out = out
 
 
 def _tokenize(text):

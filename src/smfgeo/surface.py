@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 
@@ -61,32 +60,56 @@ class IncompleteRing(SurfaceError):
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SurfacePoint:
-    """A point as (triangle, barycentric coordinates).
+class Value:
+    """Base of the hashed value types.  Equality and hash read the fields
+    `_key` gets, every slot unless a class names fewer, as a dataclass's
+    generated methods did: another class compares as NotImplemented, and
+    the hash is that of the field tuple.  Nothing assigns to a field
+    after construction, so values are hashed and shared freely."""
 
-    Immutable by convention: nothing assigns to a field after
-    construction, so points are hashed and shared freely.
-    """
+    __slots__ = ()
 
-    tri: int
-    bary: tuple
+    def _key(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self.__class__._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__class__._key(self))
+
+
+class SurfacePoint(Value):
+    """A point as (triangle, barycentric coordinates)."""
+
+    __slots__ = ("tri", "bary")
+
+    def __init__(self, tri: int, bary: tuple):
+        self.tri = tri
+        self.bary = bary
 
     def __repr__(self):
         b = ", ".join(str(x) for x in self.bary)
         return f"SurfacePoint(t{self.tri}; {b})"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    element: tuple
-    detail: str = ""
+class Violation(Value):
+    __slots__ = ("kind", "element", "detail")
+
+    def __init__(self, kind: str, element: tuple, detail: str = ""):
+        self.kind = kind
+        self.element = element
+        self.detail = detail
 
 
-@dataclass
 class ValidationReport:
-    violations: list = field(default_factory=list)
+    __slots__ = ("violations",)
+
+    def __init__(self):
+        self.violations = []
 
     def ok(self) -> bool:
         return not self.violations
@@ -98,18 +121,20 @@ class ValidationReport:
         return {v.kind for v in self.violations}
 
 
-@dataclass(frozen=True)
-class GenerationRule:
+class GenerationRule(Value):
     """Target vertex degrees for lazy outward growth.
 
     ``ring_degrees[i]`` is the degree for vertices born on growth ring i
     (the last entry repeats forever); ``special`` pins individual seed
-    vertices regardless of ring.
+    vertices regardless of ring: ((vertex, degree), ...).
     """
 
-    name: str
-    ring_degrees: tuple
-    special: tuple = ()  # ((vertex, degree), ...)
+    __slots__ = ("name", "ring_degrees", "special")
+
+    def __init__(self, name: str, ring_degrees: tuple, special: tuple = ()):
+        self.name = name
+        self.ring_degrees = ring_degrees
+        self.special = special
 
     def degree_for(self, v: int, ring: int) -> int:
         for sv, sd in self.special:
@@ -872,7 +897,7 @@ class _RingPlan:
     """
 
     __slots__ = ("ring", "base", "size", "vbase", "vend", "start", "n",
-                 "ks", "inner", "up", "dn", "_pos", "_order")
+                 "ks", "kmax", "inner", "up", "dn", "_pos", "_order")
 
     def __init__(self, ring, base, vbase, inner, gaps: bytes):
         n = len(gaps)
@@ -882,7 +907,14 @@ class _RingPlan:
         self.ring, self.base, self.vbase, self.inner = ring, base, vbase, inner
         self.start, self.n = s, n
         self.ks = gaps[s:] + gaps[:s]   # gaps in sector order
-        self.size = sum(gaps) - n
+        # Sum and largest gap, one count per value (the rule bounds them).
+        total, left, k = 0, n, 1
+        while left:
+            k += 1
+            c = gaps.count(k)
+            total += k * c
+            left -= c
+        self.size, self.kmax = total - n, k
         self.vend = vbase + self.size - n
         self.up = self.dn = self._pos = self._order = None
 
@@ -1006,7 +1038,7 @@ class _RingPlan:
         then merge into the apex before them."""
         ks = self.ks
         d = ks[1:].replace(b"\x02", b"\x00")
-        for k in range(4, max(ks) + 1):
+        for k in range(4, self.kmax + 1):
             d = d.replace(bytes((k,)), b"\x02" * (k - 3) + b"\x03")
         d = b"\x03" + d + b"\x02" * (ks[0] - 3)
         top = 3

@@ -21,8 +21,10 @@ from smfgeo.builders import (
     build_semi_paradoxist,
     build_silo,
 )
-from smfgeo.classify import _blend
+from smfgeo.classify import Budgets, Crossing, _blend
+from smfgeo.cli import RunConfig
 from smfgeo.engine import (
+    ARC_BUDGET,
     EdgeCrossing,
     EngineError,
     FrontierReached,
@@ -34,8 +36,15 @@ from smfgeo.engine import (
     step,
     walk,
 )
-from smfgeo.numbers import Q3, Scalars, q3_chord
-from smfgeo.surface import SurfaceError, SurfacePoint, snap_bary
+from smfgeo.numbers import DEFAULT_EPS, Q3, Scalars, q3_chord
+from smfgeo.surface import (
+    GROWTH_BUDGET,
+    GenerationRule,
+    SurfaceError,
+    SurfacePoint,
+    Violation,
+    snap_bary,
+)
 
 FLOAT = Scalars("float")
 EXACT = Scalars("exact")
@@ -207,11 +216,44 @@ def test_value_type_equality_and_hash():
     r = Ray(p, (1.0, 0.0))
     assert r == Ray(q, (1.0, 0.0)) and hash(r) == hash((p, (1.0, 0.0)))
     assert r != Ray(p, (0.0, 1.0))
+    turn = (9, (1.0, 0.0), (0.5, 0.5), 420, 4, 5)
+    v1 = VertexCrossing(*turn, gluing="one")
+    v2 = VertexCrossing(*turn, gluing="other")
+    assert v1 == v2 and hash(v1) == hash(v2) == hash(turn)
+    assert v1 != VertexCrossing(*turn[:-1], 6)
+    c = Crossing(p, 2.5, (3,), "far")
+    assert c == Crossing(q, 2.5, (3,), "far") and hash(c) == hash((p, 2.5, (3,), "far"))
+    assert c != Crossing(p, 2.5) and Crossing(None, 1.0).via_vertices == ()
+    bad = Violation("BadDegree", (7,), "interior vertex degree 4")
+    assert bad == Violation("BadDegree", (7,), "interior vertex degree 4")
+    assert hash(bad) == hash(("BadDegree", (7,), "interior vertex degree 4"))
+    assert bad != Violation("BadDegree", (7,))
+    rule = GenerationRule("silo", (5, 5, 6, 7))
+    assert rule == GenerationRule("silo", (5, 5, 6, 7), ())
+    assert hash(rule) == hash(("silo", (5, 5, 6, 7), ()))
+    assert rule != GenerationRule("silo", (5, 5, 6, 7), ((0, 5),))
+    b = Budgets()
+    assert b == Budgets(ARC_BUDGET, GROWTH_BUDGET, 48)
+    assert hash(b) == hash((ARC_BUDGET, GROWTH_BUDGET, 48))
+    assert b != b.doubled()
     for obj, fields in ((p, (4, (0.25, 0.75, 0.0))),
                         (s1, (4, (0.0, 0.0), (1.0, 0.0))),
-                        (e1, (4, 2, p)), (r, (p, (1.0, 0.0)))):
-        assert obj != fields
+                        (e1, (4, 2, p)), (r, (p, (1.0, 0.0))), (v1, turn),
+                        (c, (p, 2.5, (3,), "far")),
+                        (bad, ("BadDegree", (7,), "interior vertex degree 4")),
+                        (rule, ("silo", (5, 5, 6, 7), ())),
+                        (b, (ARC_BUDGET, GROWTH_BUDGET, 48))):
+        assert obj != fields and fields != obj
         assert not hasattr(obj, "__dict__")
+    # The run configuration is a namedtuple: its hash is its field tuple's,
+    # and, as a tuple, it also equals that tuple, so nothing compares it
+    # with anything but another RunConfig.
+    cfg = RunConfig()
+    want = ("float", DEFAULT_EPS, ARC_BUDGET, GROWTH_BUDGET, 1)
+    assert cfg == RunConfig(**cfg._asdict()) and hash(cfg) == hash(want)
+    assert cfg != RunConfig(number_mode="exact") and tuple(cfg) == want
+    assert RunConfig._fields == ("number_mode", "epsilon", "arc_budget",
+                                 "growth_budget", "threads")
 
 
 # -- exact and float traces agree --------------------------------------------------

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import math
 import random
 from fractions import Fraction
@@ -576,8 +576,8 @@ class TestEndFrames:
                 if res.kind != "escaped" or res.via_vertices:
                     continue
                 turned += res.frame.k % 6 != 0
-                lctx = dataclasses.replace(
-                    part.lctx, tail_dirs=[C._developed_tail(fc, res.tail).dir])
+                lctx = copy.copy(part.lctx)
+                lctx.tail_dirs = [C._developed_tail(fc, res.tail).dir]
                 flips = C._Partitioner(part.P, lctx, part.analysis, B)
                 flips.cache = dict(part.cache)
                 flips.intervals = [(u, v, None)]
@@ -893,9 +893,9 @@ class TestCornerLists:
 
         def window(fwd, bwd, band=(), cone=clear):
             # A stand-in with the built probe's corner list and these ends.
-            pm = dataclasses.replace(
-                built, fwd=SimpleNamespace(kind=fwd, band_tokens=band),
-                bwd=SimpleNamespace(kind=bwd, band_tokens=()))
+            pm = C.Probe(built.dvec, SimpleNamespace(kind=fwd, band_tokens=band),
+                         SimpleNamespace(kind=bwd, band_tokens=()),
+                         built.status, built.corners, built.keys)
             return part._window_closes(*cone, pm)
 
         assert window("crossed", "crossed")

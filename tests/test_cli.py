@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 
 import pytest
 
@@ -336,7 +335,7 @@ def test_bad_config_value_is_ignored_with_a_warning(files, tmp_path,
     assert cap.err.startswith(f"warning: ignoring {cli.CONFIG_ENV}: ")
     assert cap.err.count("\n") == 1
     config = json.loads(cap.out)["config"]
-    assert config == json.loads(json.dumps(asdict(cli.RunConfig())))
+    assert config == json.loads(json.dumps(cli.RunConfig()._asdict()))
 
 
 # Values that are not positive integers.
@@ -383,7 +382,7 @@ def test_bad_config_growth_budget_is_ignored_with_a_warning(
     assert cap.err == (f"warning: ignoring {cli.CONFIG_ENV}: {bad!r} is not "
                        "a positive integer\n")
     config = json.loads(cap.out)["config"]
-    assert config == json.loads(json.dumps(asdict(cli.RunConfig())))
+    assert config == json.loads(json.dumps(cli.RunConfig()._asdict()))
 
 
 def test_scene_growth_is_never_replaced_by_the_configured_budget(
@@ -513,7 +512,7 @@ def test_bad_config_mode_or_threads_is_ignored_with_a_warning(
     assert cap.err == f"warning: ignoring {cli.CONFIG_ENV}: {message}\n"
     report = json.loads(cap.out)["reports"][0]
     assert report["mode"] == "float"
-    assert report["config"] == json.loads(json.dumps(asdict(cli.RunConfig())))
+    assert report["config"] == json.loads(json.dumps(cli.RunConfig()._asdict()))
 
 
 @pytest.mark.parametrize("value", BAD_COUNT)

@@ -1,4 +1,5 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package and its tests is used, and the
+package does not import `dataclasses`.
 
 An AST scan: a name bound by an import statement must be read somewhere
 in the same module, as a plain name, as the base of an attribute, or
@@ -7,6 +8,8 @@ so are the re-exports a package `__init__.py` names in `__all__`.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,32 @@ def test_scan_finds_an_unused_import():
     names = imported_names(tree)
     assert sorted(n for n in names if n not in used_names(tree)) == ["gcd", "os"]
     assert "Fraction" in used_names(tree)
+
+
+def imported_modules(tree):
+    """The module named by every import statement."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "smfgeo").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_does_not_import_dataclasses(path):
+    # `dataclasses` pulls in `inspect`, and its decorators run at import:
+    # together about 30 ms of every CLI command's cold start.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert "dataclasses" not in imported_modules(tree)
+
+
+def test_fresh_import_leaves_dataclasses_out():
+    # -S: no site hooks, so the check sees what the package imports.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import smfgeo.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -432,6 +432,17 @@ class TestRingPlanKernels:
             plan.following(rule)
         assert str(exc.value) == refusal
 
+    @settings(max_examples=60, deadline=None)
+    @given(gaps=st.one_of(gap_strings, st.lists(
+        st.sampled_from((2, 3, 4, 9, 17, 40, 255)), min_size=1,
+        max_size=500).filter(lambda ks: max(ks) > 2).map(bytes)))
+    def test_size_and_largest_gap_are_sum_and_max(self, gaps):
+        # Counted per gap value, not summed per gap.
+        plan = _RingPlan(3, 100, 1000, tuple(range(len(gaps))), gaps)
+        assert plan.size == sum(gaps) - len(gaps)
+        assert plan.kmax == max(gaps)
+        assert plan.vend == 1000 + sum(gaps) - 2 * len(gaps)
+
     def test_plans_trace_grow_reaches_are_pinned(self):
         surf = silo6_at_16_rings()
         plans = {p.ring: plan_fields(p) for p in surf._plans}
