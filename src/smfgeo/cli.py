@@ -186,8 +186,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # e.g. a scene angle the exact mode cannot represent
+    except (ValueError, SurfaceError, engine.EngineError) as exc:
+        # e.g. a scene angle the exact mode cannot represent, or a ray
+        # at a frontier vertex into the missing part of its fan
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -156,19 +156,6 @@ class GeodesicPath:
 # -- ray canonical form ----------------------------------------------------
 
 
-def _sector_take(ctx, ux, uy, wx, wy, vx, vy):
-    """Does direction w belong to the CCW sector from u to v?
-
-    A direction along u belongs to this sector (carrying triangle on the
-    left of travel); a direction along v belongs to the next one.
-    """
-    c1 = ctx.sign(cross(ux, uy, wx, wy))
-    c2 = ctx.sign(cross(wx, wy, vx, vy))
-    if c1 == 0 and ctx.sign(dot(ux, uy, wx, wy)) > 0:
-        return True
-    return c1 > 0 and c2 > 0
-
-
 def fan_frames(surf: Triangulation, ctx: Scalars, v: int, start):
     """Unfold the fan around v into the plane with v at the origin.
 
@@ -194,13 +181,65 @@ def fan_frames(surf: Triangulation, ctx: Scalars, v: int, start):
     return frames
 
 
+def _sector_sides(ctx, s):
+    """The chart edges leaving corner `s`, as vectors: the clockwise and
+    the counterclockwise side of the triangle's sector at that corner."""
+    cs = chart.corners(ctx)
+    (x0, y0), (x1, y1), (x2, y2) = cs[s], cs[(s + 1) % 3], cs[(s + 2) % 3]
+    return (x1 - x0, y1 - y0), (x2 - x0, y2 - y0)
+
+
+def fan_sector(surf: Triangulation, ctx: Scalars, v: int, tri: int, d,
+               closed: bool):
+    """The sector of the fan at v that holds direction `d` (in the chart
+    of `tri`, a triangle at v): closed, or half-open without its
+    counterclockwise side.
+
+    A walk from `tri` crosses one fan edge at a time, carrying `d` by
+    the gluings, towards the side of the sector's bisector `d` lies on
+    (counterclockwise on a tie): the sector found is the one nearest to
+    `tri` by fan angle.  Returns (tri, slot of v, `d` in its chart,
+    sectors moved, counterclockwise positive).  Raises FrontierVertex at
+    an open edge of the fan.
+    """
+    sign = ctx.sign
+    s = surf.vertex_slot(tri, v)
+    w = d
+    moved = k = 0
+    # A direction lies at most 180 degrees, three moves, from the first
+    # sector's bisector.
+    for _ in range(4):
+        (ux, uy), (vx, vy) = _sector_sides(ctx, s)
+        c2 = sign(cross(w[0], w[1], vx, vy))
+        if sign(cross(ux, uy, w[0], w[1])) >= 0 and (
+                c2 > 0 or closed and c2 == 0):
+            return tri, s, w, moved
+        mx, my = chart.rotate(ctx, 1, ux, uy)
+        ccw = sign(cross(mx, my, w[0], w[1])) >= 0
+        # Counterclockwise around v leaves across the edge arriving at v.
+        e = (s + 2) % 3 if ccw else s
+        nbr = surf.neighbor(tri, e)
+        if nbr is None:
+            raise FrontierVertex(f"vertex {v}: the direction lies past "
+                                 f"the open edge {e} of triangle {tri}")
+        # The gluings turn by multiples of 30 degrees: `d` is turned once,
+        # by their sum.
+        k += surf.transfer(ctx, tri, e).k
+        w = chart.rotate(ctx, k, *d)
+        moved += 1 if ccw else -1
+        tri, e2 = nbr
+        s = e2 if ccw else (e2 + 1) % 3
+    raise EngineError(f"direction not in any fan sector at vertex {v}")
+
+
 def ray_canonical(surf: Triangulation, ctx: Scalars, point: SurfacePoint, d) -> Ray:
     """Express (point, direction) with the correct carrying triangle.
 
     Edge points with an along-edge direction are carried by the triangle
-    on the left of travel; vertex points by the fan sector containing
-    the direction, resolved by nearest fan walk from the given chart
-    (the planar direction alone is ambiguous on a 420-degree cone).
+    on the left of travel; vertex points by the fan sector, half-open,
+    that holds the direction and lies nearest to the given triangle by
+    fan angle, ties counterclockwise (`fan_sector`: the planar direction
+    alone is ambiguous on a 300- or 420-degree cone).
     """
     b = normalize_bary(ctx, point.bary)
     p, zeros = canonicalize_point(SurfacePoint(point.tri, b), surf, ctx,
@@ -209,8 +248,10 @@ def ray_canonical(surf: Triangulation, ctx: Scalars, point: SurfacePoint, d) -> 
     # on a vertex a point that the first left just off it.
     v = point_at_vertex(surf, p, ctx)
     if v is not None:
-        return _vertex_ray(surf, ctx, v, d, surf.vertex_slot(point.tri, v),
-                           point.tri)
+        t, s, d, _ = fan_sector(surf, ctx, v, point.tri, d, closed=False)
+        b = [ctx.zero, ctx.zero, ctx.zero]
+        b[s] = ctx.one
+        return Ray(SurfacePoint(t, tuple(b)), tuple(d))
     if p.tri != point.tri:
         # Direction must follow the point into the canonical triangle.
         d = link_iso(surf, ctx, point.tri, p.tri).apply_vec(*d)
@@ -226,40 +267,6 @@ def ray_canonical(surf: Triangulation, ctx: Scalars, point: SurfacePoint, d) -> 
             if surf.neighbor(p.tri, e) is not None:
                 return _across(surf, ctx, p.tri, e, p.bary, d)
     return Ray(p, tuple(d))
-
-
-def _nearest_first(n):
-    """Fan positions in the order 0, 1, n-1, 2, n-2, ..."""
-    order = [0]
-    for k in range(1, n // 2 + 1):
-        order.append(k)
-        if k != n - k:
-            order.append(n - k)
-    return order
-
-
-def _sector_edges(cs, frames, j):
-    """The edges of fan triangle j leaving the fan vertex, in the fan plane
-    (`cs` are the chart corners)."""
-    _, s, frame = frames[j]
-    (x0, y0), (x1, y1), (x2, y2) = cs[s], cs[(s + 1) % 3], cs[(s + 2) % 3]
-    return frame.apply_vec(x1 - x0, y1 - y0), frame.apply_vec(x2 - x0, y2 - y0)
-
-
-def _vertex_ray(surf, ctx, v, d, slot, tri) -> Ray:
-    """Canonical ray at a vertex: fan sector containing d, preferring the
-    sector nearest (in fan steps) to the chart the direction was given in."""
-    frames = fan_frames(surf, ctx, v, (tri, slot))
-    w = frames[0][2].apply_vec(*d)
-    cs = chart.corners(ctx)
-    for j in _nearest_first(len(frames)):
-        t, s, frame = frames[j]
-        (u1x, u1y), (u2x, u2y) = _sector_edges(cs, frames, j)
-        if _sector_take(ctx, u1x, u1y, w[0], w[1], u2x, u2y):
-            b = [ctx.zero, ctx.zero, ctx.zero]
-            b[s] = ctx.one
-            return Ray(SurfacePoint(t, tuple(b)), frame.inverse().apply_vec(*w))
-    raise EngineError(f"direction not in any fan sector at vertex {v}")
 
 
 def make_ray(surf: Triangulation, ctx: Scalars, tri: int, bary, d) -> Ray:
@@ -346,12 +353,6 @@ def _across(surf, ctx, tri, edge, bary, d, iso=None) -> Ray:
     return Ray(SurfacePoint(t2, tuple(nb)), iso.apply_vec(*d))
 
 
-# Float mode: the largest relative violation of a fan sector's test,
-# cross product over the length of the back direction, that cross_vertex
-# still accepts for the back direction after float dirt.
-FAN_DIRT = 1e-6
-
-
 def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
                  d):
     """Continue a geodesic through vertex v by the equal-angle rule.
@@ -360,13 +361,16 @@ def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
     at v). The outgoing ray leaves v so the fan angle on each side
     between the incoming and outgoing lines is half the cone angle.
 
-    The target sector is found by accumulating intrinsic fan angle, not
-    by planar containment: a degree-7 fan unfolds past 360 degrees, so
-    planar sector tests are ambiguous in the overlap wedge.
+    The turn is counted in the counterclockwise unfolding of the fan
+    from the closed sector that holds the back direction `-d`, nearest
+    to `arrival_tri` (`fan_sector`; a microchord that clips a corner can
+    leave it in a neighbour's): by intrinsic fan angle, not by planar
+    containment, as a degree-7 fan unfolds past 360 degrees.
     Returns (outgoing Ray, VertexCrossing event).  This is where a vertex
     crossing's chart motion is made: the event's `gluing` takes
-    `arrival_tri`'s chart to the outgoing triangle's, from the same fan
-    walk that placed the outgoing direction.
+    `arrival_tri`'s chart to the outgoing triangle's, the gluing of the
+    edge they share when they are fan neighbours, else the
+    counterclockwise unfolding of the fan from `arrival_tri`.
     """
     if surf.on_frontier(v):
         raise FrontierVertex(f"vertex {v} has an incomplete fan")
@@ -375,36 +379,11 @@ def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
     deg = len(frames)
     if deg not in (5, 6, 7):
         raise EngineError(f"vertex {v} has degree {deg}")
-    bx, by = frames[0][2].apply_vec(-d[0], -d[1])
-    cs = chart.corners(ctx)
-
-    # Anchor at the sector actually containing the back direction; the
-    # arrival label can be off by a step after a degenerate microchord.
-    # Nearest-first keeps the 420-degree overlap unambiguous.
-    order = _nearest_first(deg)
-    j0 = None
-    for j in order:
-        (u1x, u1y), (u2x, u2y) = _sector_edges(cs, frames, j)
-        c0 = ctx.sign(cross(u1x, u1y, bx, by))
-        c60 = ctx.sign(cross(bx, by, u2x, u2y))
-        if c0 >= 0 and c60 >= 0:
-            j0 = j
-            break
-    if j0 is None and not ctx.exact:
-        # Float dirt: accept the sector with the least violation.
-        best = None
-        n = math.hypot(float(bx), float(by))
-        for j in order:
-            (u1x, u1y), (u2x, u2y) = _sector_edges(cs, frames, j)
-            worst = min(float(cross(u1x, u1y, bx, by)),
-                        float(cross(bx, by, u2x, u2y))) / n
-            if best is None or worst > best[1]:
-                best = (j, worst)
-        if best is not None and best[1] > -FAN_DIRT:
-            j0 = best[0]
-    if j0 is None:
-        raise EngineError(f"arrival direction not inside the fan at vertex {v}")
-    (u1x, u1y), (u2x, u2y) = _sector_edges(cs, frames, j0)
+    t0, s0, back, moved = fan_sector(surf, ctx, v, arrival_tri,
+                                     (-d[0], -d[1]), closed=True)
+    turn = fan_frames(surf, ctx, v, (t0, s0)) if moved else frames
+    bx, by = turn[0][2].apply_vec(*back)
+    (u1x, u1y), (u2x, u2y) = _sector_sides(ctx, s0)
     c0 = ctx.sign(cross(u1x, u1y, bx, by))
     c60 = ctx.sign(cross(bx, by, u2x, u2y))
     mx, my = chart.rotate(ctx, 1, u1x, u1y)
@@ -417,24 +396,20 @@ def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
         off = deg // 2 if deg % 2 == 0 else (deg - 1) // 2
     else:
         off = (deg + 1) // 2
-    j = (j0 + off) % deg
     # Rotate the back direction CCW by half the cone angle (deg * 30 deg);
     # modulo 360 this is the outgoing planar direction in the fan plane.
     wx, wy = chart.rotate(ctx, deg, bx, by)
-    t, s, frame = frames[j]
-    inv = frame.inverse()
-    out_d = inv.apply_vec(wx, wy)
+    t, s, frame = turn[off]
+    out_d = frame.inverse().apply_vec(wx, wy)
     b = [ctx.zero, ctx.zero, ctx.zero]
     b[s] = ctx.one
     out = Ray(SurfacePoint(t, tuple(b)), out_d)
-    # The chart motion across v: the gluing of the edge the two triangles
-    # share when they are fan neighbours, else the counterclockwise fan
-    # unfolding from the arrival triangle.
+    j = (off + moved) % deg  # the outgoing triangle's place in `frames`
     if j in (1, deg - 1):
         edge = (slot + 2) % 3 if j == 1 else slot
         motion = surf.transfer(ctx, arrival_tri, edge)
     else:
-        motion = inv.compose(frames[0][2])
+        motion = frames[j][2].inverse().compose(frames[0][2])
     ev = VertexCrossing(v, tuple(d), tuple(out_d), 60 * deg, arrival_tri, t,
                         motion)
     return out, ev

@@ -16,6 +16,7 @@ malformed input produces positioned diagnostics, never an exception.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -102,6 +103,20 @@ def _num(tok: str):
     return Fraction(int(tok))
 
 
+def _fixture_fault(b, theta=0.0):
+    """Why a fixture's barycentrics `b`, or a line's angle `theta`, name
+    no point or direction, or None."""
+    if not math.isfinite(theta):
+        return f"angle {theta} is not finite"
+    if any(isinstance(x, float) and not math.isfinite(x) for x in b):
+        return "barycentrics must be finite"
+    if any(x < 0 for x in b):
+        return "barycentrics must not be negative"
+    if not any(b):
+        return "barycentrics must not all be zero"
+    return None
+
+
 def parse_manifold(text: str):
     """Parse SMF text. Returns (SmfDocument or None, [Diagnostic])."""
     doc = SmfDocument()
@@ -159,17 +174,26 @@ def parse_manifold(text: str):
                     diags.append(Diagnostic(ln, col, "BadPoint",
                                             "expected 'point L tri b0 b1 b2'"))
                     continue
-                doc.points[toks[1]] = (PointFixture(
-                    int(toks[2]), (_num(toks[3]), _num(toks[4]), _num(toks[5]))),
-                    ln, col)
+                bary = tuple(_num(t) for t in toks[3:6])
+                fault = _fixture_fault(bary)
+                if fault:
+                    diags.append(Diagnostic(ln, col, "BadPoint", fault))
+                    continue
+                doc.points[toks[1]] = (PointFixture(int(toks[2]), bary),
+                                       ln, col)
             elif kw == "line":
                 if len(toks) != 7:
                     diags.append(Diagnostic(ln, col, "BadLine",
                                             "expected 'line L tri b0 b1 b2 thetadeg'"))
                     continue
-                doc.lines[toks[1]] = (LineFixture(
-                    int(toks[2]), (_num(toks[3]), _num(toks[4]), _num(toks[5])),
-                    theta_deg=float(toks[6])), ln, col)
+                bary = tuple(_num(t) for t in toks[3:6])
+                theta = float(toks[6])
+                fault = _fixture_fault(bary, theta)
+                if fault:
+                    diags.append(Diagnostic(ln, col, "BadLine", fault))
+                    continue
+                doc.lines[toks[1]] = (LineFixture(int(toks[2]), bary,
+                                                  theta_deg=theta), ln, col)
             else:
                 diags.append(Diagnostic(ln, col, "UnknownDirective", kw))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -1,3 +1,4 @@
+import math
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -73,3 +74,42 @@ def built(surf):
     """Triangles of `surf` whose vertices are made: the base's, and the
     planned triangles some read has made."""
     return len(surf._tris) + len(surf._made)
+
+
+def fan_turn(surf, ctx, ev):
+    """Equal-angle oracle for the vertex crossing `ev`: (k, turn).
+
+    The back direction `-incoming_dir` lies k fan sectors counterclockwise
+    of `tri_in` (clockwise for k < 0), nearest by fan angle; `turn` is the
+    counterclockwise fan angle in degrees from it to the outgoing
+    direction, walked one fan edge at a time with `surf.neighbor` and
+    measured by atan2 in each triangle's own chart, with no unfolding.
+    The equal-angle rule makes it 30 degrees times the degree."""
+    from smfgeo import chart
+    v = ev.vertex
+
+    def angle(t, w):
+        # From the clockwise side of t's sector at v, in (-180, 180].
+        s = surf.vertex_slot(t, v)
+        cs = chart.corners(ctx)
+        ux = float(cs[(s + 1) % 3][0] - cs[s][0])
+        uy = float(cs[(s + 1) % 3][1] - cs[s][1])
+        wx, wy = float(w[0]), float(w[1])
+        return math.degrees(math.atan2(ux * wy - uy * wx, ux * wx + uy * wy))
+
+    def step(t, ccw):
+        s = surf.vertex_slot(t, v)
+        return surf.neighbor(t, (s + 2) % 3 if ccw else s)[0]
+
+    a = angle(ev.tri_in, (-ev.incoming_dir[0], -ev.incoming_dir[1]))
+    k = 0 if 0.0 <= a <= 60.0 else math.floor(a / 60.0)
+    t = ev.tri_in
+    for _ in range(abs(k)):
+        t = step(t, k > 0)
+    turn = -(a - 60.0 * k)
+    for _ in range(ev.cone_angle_deg // 60):
+        if t == ev.tri_out:
+            return k, turn + angle(t, ev.outgoing_dir)
+        t = step(t, True)
+        turn += 60.0
+    raise AssertionError(f"triangle {ev.tri_out} is not in the fan of {v}")

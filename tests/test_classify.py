@@ -149,6 +149,21 @@ class TestSiloClassifications:
         assert st.kind == "parallel"
         assert any(c.kind == "closure" for c in st.certificates)
 
+    def test_back_direction_past_the_degree_5_seam(self, silo):
+        # The backward end of this probe reaches vertex 1 from a microchord
+        # that clips the corner of triangle 0: its back direction lies in
+        # the clockwise neighbour's sector, past the seam of the fan
+        # unfolded counterclockwise from triangle 0.  It is turned from
+        # that sector.
+        b = Budgets(arc=4.0)
+        an = ModelAnalysis(silo, FLOAT)
+        lctx = build_line_context(
+            silo, FLOAT, resolve_ray(silo, FLOAT, silo.labels["l"]), an, b)
+        Q = resolve_point(silo, FLOAT, silo.labels["Q"])
+        st = classify_direction(Q, (-1.5000000037252899, 2.0207259486160822),
+                                lctx, an, b)
+        assert st.kind == "crossing"
+
     # A short arc budget leaves some directions unknown, and an unknown
     # makes the point undetermined unless a parallel arc and a crossing
     # arc both stand.

@@ -42,6 +42,49 @@ def test_oversized_model_is_a_diagnostic(tmp_path, capsys):
     assert "BadModelParams" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("body,query,diagnostic", [
+    ("model silo rings=3\nline m 0 2 -1 0 30", "trace m",
+     "BadLine: barycentrics must not be negative"),
+    ("model silo rings=3\nline m 0 0 0 0 30", "trace m",
+     "BadLine: barycentrics must not all be zero"),
+    ("model silo rings=3\nline m 0 1/2 1/2 0 nan", "trace m",
+     "BadLine: angle nan is not finite"),
+    ("model silo rings=3\npoint X 0 2 -1 0", "classify X l",
+     "BadPoint: barycentrics must not be negative"),
+    # A line at a corner of two triangles, pointing where the fan is
+    # missing.
+    ("t 0 1 2\nt 0 2 3\nline m 0 1 0 0 -30", "trace m",
+     "error: vertex 0: the direction lies past the open edge"),
+], ids=["negative", "all-zero", "nan-angle", "negative-point",
+        "frontier-fan"])
+def test_input_the_engine_cannot_place_is_a_diagnostic(
+        tmp_path, capsys, body, query, diagnostic):
+    model = tmp_path / "m.smf"
+    model.write_text(f"smf 1\n{body}\n")
+    scene = tmp_path / "m.scn"
+    scene.write_text(query + "\n")
+    assert cli.main([query.split()[0], str(model), str(scene)]) == 1
+    err = capsys.readouterr().err
+    assert diagnostic in err and "Traceback" not in err
+
+
+def test_line_clipping_a_corner_traces(tmp_path):
+    # A microchord of this line clips the corner of triangle 0, so its
+    # back direction at vertex 1 lies in the clockwise neighbour's sector.
+    model = tmp_path / "m.smf"
+    model.write_text("smf 1\nmodel silo rings=6\n"
+                     "line m 25 1/3 1/3 1/3 126.58677553417182\n")
+    scene = tmp_path / "m.scn"
+    scene.write_text("trace m\n")
+    out_path = tmp_path / "trace.json"
+    assert cli.main(["trace", str(model), str(scene),
+                     "-o", str(out_path)]) == 0
+    events = json.loads(out_path.read_text())["traces"][0]["events"]
+    assert {"vertex": 1, "cone_deg": 300} in [
+        {k: e[k] for k in ("vertex", "cone_deg")} for e in events
+        if e["event"] == "VertexCrossing"]
+
+
 def test_usage_error_exit_2(files, capsys):
     assert cli.main([]) == 2
     assert cli.main(["classify", files["silo.smf"]]) == 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fan_turn
 from smfgeo import chart, engine
 from smfgeo.builders import (
     build_flat_plane,
@@ -17,7 +18,6 @@ from smfgeo.builders import (
 )
 from smfgeo.engine import (
     EdgeCrossing,
-    EngineError,
     FrontierReached,
     GrowthLimit,
     VertexCrossing,
@@ -31,7 +31,13 @@ from smfgeo.engine import (
     transfer_edge,
 )
 from smfgeo.numbers import Scalars
-from smfgeo.surface import SurfacePoint, canonicalize_point, normalize_bary
+from smfgeo.surface import (
+    FrontierVertex,
+    SurfacePoint,
+    canonicalize_point,
+    from_triangles,
+    normalize_bary,
+)
 
 FLOAT = Scalars("float")
 EXACT = Scalars("exact")
@@ -311,19 +317,19 @@ class TestCrossVertex:
 
 def arrival_off_fan(surf, ctx, turn):
     """(arrival triangle, direction) at vertex 0 from its smallest
-    triangle, the back direction being fan sector 0's first edge turned
-    clockwise: by `turn` radians in float mode, by `turn` times its
-    normal in exact mode.  At a degree-5 vertex that turn leaves the
-    fan."""
+    triangle, the back direction being that triangle's first fan edge
+    turned clockwise: by `turn` radians in float mode, by `turn` times
+    its normal in exact mode.  That turn leaves the triangle's sector for
+    its clockwise neighbour's."""
     t, s = surf.incident(0)
-    frames = fan_frames(surf, ctx, 0, (t, s))
-    (ux, uy), _ = engine._sector_edges(chart.corners(ctx), frames, 0)
+    cs = chart.corners(ctx)
+    ux, uy = cs[(s + 1) % 3][0] - cs[s][0], cs[(s + 1) % 3][1] - cs[s][1]
     if ctx.exact:
         bx, by = ux + uy * turn, uy - ux * turn
     else:
         c, sn = math.cos(turn), math.sin(turn)
         bx, by = c * ux + sn * uy, c * uy - sn * ux
-    return t, frames[0][2].inverse().apply_vec(-bx, -by)
+    return t, (-bx, -by)
 
 
 @pytest.mark.parametrize("tri", [41, 45, 50])
@@ -339,29 +345,85 @@ def test_vertex_point_off_by_float_dirt_gets_the_vertex_ray(tri):
             engine.ray_canonical(surf, FLOAT, clean, d)
 
 
-class TestFanDirt:
-    """cross_vertex's float fallback: a back direction just outside
-    every fan sector takes the least violated one, within FAN_DIRT."""
+class TestVertexRay:
+    """A ray at a vertex is carried by the fan sector nearest, by fan
+    angle, to the triangle its direction is given in."""
 
-    def test_float_dirt_is_accepted(self, semi3, monkeypatch):
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_degree_7_takes_the_nearer_sector(self, silo3, ctx):
+        # 90 degrees clockwise of triangle 38's sector at its corner 2:
+        # two sectors clockwise, not four counterclockwise (210 degrees
+        # away on the 420-degree cone).
+        v = silo3.triangle(38)[2]
+        assert silo3.degree[v] == 7
+        corner = SurfacePoint(38, (ctx.zero, ctx.zero, ctx.one))
+        ray = engine.ray_canonical(silo3, ctx, corner,
+                                   (-ctx.half_sqrt3, ctx.half))
+        fan = [t for t, _ in silo3.fan_ccw(v)]
+        assert ray.point.tri == 72
+        assert (fan.index(38) - fan.index(72)) % 7 == 2
+
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_opposite_the_bisector_goes_counterclockwise(self, semi3, ctx):
+        # At the degree-5 vertex 0 the direction opposite a sector's
+        # bisector lies 180 degrees from it both ways round; the tie
+        # goes counterclockwise, three sectors on.
+        t, s = semi3.incident(0)
+        cs = chart.corners(ctx)
+        ux, uy = cs[(s + 1) % 3][0] - cs[s][0], cs[(s + 1) % 3][1] - cs[s][1]
+        mx, my = chart.rotate(ctx, 1, ux, uy)
+        corner = [ctx.zero, ctx.zero, ctx.zero]
+        corner[s] = ctx.one
+        ray = engine.ray_canonical(semi3, ctx, SurfacePoint(t, tuple(corner)),
+                                   (-mx, -my))
+        fan = [f for f, _ in semi3.fan_ccw(0)]
+        assert (fan.index(ray.point.tri) - fan.index(t)) % 5 == 3
+
+    def test_missing_part_of_a_frontier_fan_is_refused(self):
+        # Vertex 0 of two triangles has a fan of 120 degrees: a direction
+        # inside it is carried, one clockwise of it is a FrontierVertex.
+        surf = from_triangles([(0, 1, 2), (0, 2, 3)])
+        corner = SurfacePoint(0, (1, 0, 0))
+        ray = engine.ray_canonical(surf, FLOAT, corner, FLOAT.direction(90.0))
+        assert ray.point.tri == 1
+        with pytest.raises(FrontierVertex, match="open edge"):
+            engine.ray_canonical(surf, FLOAT, corner, FLOAT.direction(-30.0))
+
+
+class TestBackDirectionOffTheArrivalSector:
+    """A back direction outside the arrival triangle's sector is turned
+    from the sector that holds it, in both modes."""
+
+    @pytest.mark.parametrize("ctx,turn", [
+        (FLOAT, 1e-8), (FLOAT, 1e-5), (EXACT, Fraction(1, 10**8))],
+        ids=["float-1e-8", "float-1e-5", "exact-1e-8"])
+    def test_turned_from_the_clockwise_neighbour(self, semi3, ctx, turn):
+        # Just clockwise of the arrival's sector, as a microchord that
+        # clips its corner leaves it, however small the step past the
+        # fan edge.
         assert semi3.degree[0] == 5
-        t, d = arrival_off_fan(semi3, FLOAT, 1e-8)
-        out, ev = cross_vertex(semi3, FLOAT, 0, t, d)
-        assert out.point.tri == ev.tri_out == 15
-        # The fallback alone accepts it: without its slack it is refused.
-        monkeypatch.setattr(engine, "FAN_DIRT", 0.0)
-        with pytest.raises(EngineError, match="not inside the fan"):
-            cross_vertex(semi3, FLOAT, 0, t, d)
+        t, d = arrival_off_fan(semi3, ctx, turn)
+        out, ev = cross_vertex(semi3, ctx, 0, t, d)
+        assert out.point.tri == ev.tri_out
+        k, ccw = fan_turn(semi3, ctx, ev)
+        assert k == -1
+        assert ccw == pytest.approx(150.0, abs=1e-9)
+        assert 300.0 - ccw == pytest.approx(150.0, abs=1e-9)
 
-    def test_more_than_dirt_is_refused(self, semi3):
-        t, d = arrival_off_fan(semi3, FLOAT, 1e-5)
-        with pytest.raises(EngineError, match="not inside the fan"):
-            cross_vertex(semi3, FLOAT, 0, t, d)
-
-    def test_exact_mode_has_no_fallback(self, semi3):
-        t, d = arrival_off_fan(semi3, EXACT, Fraction(1, 10**8))
-        with pytest.raises(EngineError, match="not inside the fan"):
-            cross_vertex(semi3, EXACT, 0, t, d)
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_turned_across_the_seam(self, semi3, ctx):
+        # A back direction 150 degrees counterclockwise of the arrival
+        # triangle's first fan edge lies two sectors on, on a bisector;
+        # the turn of 150 degrees from there crosses the seam of the
+        # degree-5 fan unfolded from the arrival triangle.
+        t, s = semi3.incident(0)
+        cs = chart.corners(ctx)
+        bx, by = chart.rotate(ctx, 5, cs[(s + 1) % 3][0] - cs[s][0],
+                              cs[(s + 1) % 3][1] - cs[s][1])
+        out, ev = cross_vertex(semi3, ctx, 0, t, (-bx, -by))
+        k, ccw = fan_turn(semi3, ctx, ev)
+        assert k == 2
+        assert ccw == pytest.approx(150.0, abs=1e-9)
 
 
 class TestTrace:
@@ -580,6 +642,23 @@ class TestIntersections:
         pb = trace(b, flat3, FLOAT, arc_budget=1.0, growth_budget=10**6)
         pts = intersect_paths(pa, pb, flat3, FLOAT)
         assert len(pts) == 1
+
+    def test_straddle_pair_meets_once_in_exact_mode(self):
+        # The degree-5 straddle lines converge and meet once, in triangle
+        # 10; exact mode keys the point by its exact barycentrics and finds
+        # the point float mode finds.
+        surf = build_semi_paradoxist(6)
+        meets = {}
+        for ctx in (FLOAT, EXACT):
+            a, b = straddle_pair(surf, ctx, 0)
+            pa = trace(a, surf, ctx, arc_budget=10.0, growth_budget=10**6)
+            pb = trace(b, pa.surface, ctx, arc_budget=10.0,
+                       growth_budget=10**6)
+            meets[ctx.mode] = intersect_paths(pa, pb, pb.surface, ctx)
+        (exact,), (flt,) = meets["exact"], meets["float"]
+        assert exact.tri == flt.tri == 10
+        assert [float(x) for x in exact.bary] == pytest.approx(
+            [float(x) for x in flt.bary], abs=1e-9)
 
     def test_self_intersection_brute_force_oracle(self, silo3):
         # A near-horizontal helix on the silo cylinder self-intersects after

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fan_turn
 from smfgeo import chart, cli, engine
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -97,8 +98,8 @@ def test_fixture_work_is_pinned(names, mode, want, tmp_path, monkeypatch,
 # Calls of Isometry.compose, and inverses Isometry.inverse made, in the
 # same passes.
 FRAME_WORK = [
-    (("silo", "semi", "flat"), "float", (6160, 545)),
-    (("semi",), "exact", (3843, 282)),
+    (("silo", "semi", "flat"), "float", (6159, 544)),
+    (("semi",), "exact", (3831, 279)),
 ]
 
 
@@ -159,3 +160,32 @@ def test_vertex_crossings_carry_the_fan_motion(mode, tmp_path, monkeypatch):
         # repr tells every float bit that matters apart, -0.0 from 0.0 too.
         assert repr((got.k, got.tx, got.ty)) == repr((want.k, want.tx, want.ty))
     assert 0 < neighbours < len(crossings)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_vertex_crossings_turn_by_half_the_cone_angle(mode, tmp_path,
+                                                      monkeypatch):
+    # Every vertex crossing of the silo and semi fixture passes turns the
+    # line by the equal-angle rule, counted from the fan sector that
+    # holds the back direction, wherever the arrival triangle lies.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    crossings = []
+
+    def spy(surf, ctx, *args, _real=engine.cross_vertex):
+        out, ev = _real(surf, ctx, *args)
+        crossings.append((name, surf, ctx, ev))
+        return out, ev
+    monkeypatch.setattr(engine, "cross_vertex", spy)
+    for name in ("silo", "semi"):
+        assert classify_report(name, mode) == \
+            (GOLDEN / f"{name}_{mode}.json").read_bytes()
+    sectors = set()
+    for name, surf, ctx, ev in crossings:
+        k, turn = fan_turn(surf, ctx, ev)
+        assert turn == pytest.approx(ev.cone_angle_deg / 2, abs=1e-9), \
+            (name, ev.vertex, ev.tri_in, k)
+        sectors.add((name, ev.vertex, ev.cone_angle_deg, k))
+    # Silo P's band exit through vertex 15 names a band triangle as its
+    # arrival, two sectors counterclockwise of its back direction's.
+    assert ("silo", 15, 420, -2) in sectors

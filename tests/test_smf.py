@@ -99,6 +99,21 @@ class TestParseManifold:
         surf, diags = smf.to_triangulation(doc)
         assert surf is None and [str(d) for d in diags] == [diagnostic]
 
+    @pytest.mark.parametrize("entry,diagnostic", [
+        ("point P 0 1/2 -1/2 1", "3:1: BadPoint: barycentrics must not be "
+         "negative"),
+        ("  point P 0 0 0.0 0", "3:3: BadPoint: barycentrics must not all be "
+         "zero"),
+        ("line m 0 1 1e999 0 30", "3:1: BadLine: barycentrics must be "
+         "finite"),
+        ("line m 0 1/3 1/3 1/3 -inf", "3:1: BadLine: angle -inf is not "
+         "finite"),
+    ], ids=["negative", "all-zero", "infinite", "infinite-angle"])
+    def test_fixture_naming_no_point_is_reported_at_its_entry(
+            self, entry, diagnostic):
+        doc, diags = smf.parse_manifold(f"smf 1\nmodel silo\n{entry}\n")
+        assert doc is None and [str(d) for d in diags] == [diagnostic]
+
     @pytest.mark.parametrize("method", ["add_triangle", "boundary_cycle"])
     def test_builder_bug_propagates(self, method, monkeypatch):
         # A bug inside from_triangles, while it reads the triangles or

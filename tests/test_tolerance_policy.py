@@ -16,17 +16,16 @@ SMALL = 1e-3
 
 # The named small constants each module keeps: the default run tolerance
 # and the whole-degree slack of exact directions (numbers), an arc length
-# below which a return is no closure and the float fan-sector slack of
-# cross_vertex (engine), the centroid tie of the fixture placement
-# (builders), and the overlap slack and polyline join of the nets
-# (netdraw).
+# below which a return is no closure (engine), the centroid tie of the
+# fixture placement (builders), and the overlap slack and polyline join
+# of the nets (netdraw).
 NAMED = {
     "smfgeo": set(),
     "smfgeo.builders": {"CENTROID_TIE"},
     "smfgeo.chart": set(),
     "smfgeo.classify": set(),
     "smfgeo.cli": set(),
-    "smfgeo.engine": {"MIN_PERIOD", "FAN_DIRT"},
+    "smfgeo.engine": {"MIN_PERIOD"},
     "smfgeo.farfield": set(),
     "smfgeo.netdraw": {"OVERLAP_SLACK", "JOIN_GAP"},
     "smfgeo.numbers": {"DEFAULT_EPS", "WHOLE_DEGREE_SLACK"},
