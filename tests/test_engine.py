@@ -390,25 +390,48 @@ class TestVertexRay:
             engine.ray_canonical(surf, FLOAT, corner, FLOAT.direction(-30.0))
 
 
+def assert_turned_from_the_clockwise_neighbour(surf, ctx, turn):
+    # Just clockwise of the arrival's sector, as a microchord that clips
+    # its corner leaves it, however small the step past the fan edge.
+    assert surf.degree[0] == 5
+    t, d = arrival_off_fan(surf, ctx, turn)
+    out, ev = cross_vertex(surf, ctx, 0, t, d)
+    assert out.point.tri == ev.tri_out
+    k, ccw = fan_turn(surf, ctx, ev)
+    assert k == -1
+    assert ccw == pytest.approx(150.0, abs=1e-9)
+    assert 300.0 - ccw == pytest.approx(150.0, abs=1e-9)
+
+
+class TestFanDirt:
+    """A float back direction just outside the arrival triangle's fan
+    sector, by float dirt or by more, is continued: the arrival sector
+    refuses it and the clockwise neighbour's sector holds it."""
+
+    def test_float_dirt_is_accepted(self, semi3):
+        t, d = arrival_off_fan(semi3, FLOAT, 1e-8)
+        out, ev = cross_vertex(semi3, FLOAT, 0, t, d)
+        assert out.point.tri == ev.tri_out == 15
+        assert_turned_from_the_clockwise_neighbour(semi3, FLOAT, 1e-8)
+
+    def test_more_than_dirt_is_refused(self, semi3):
+        # Refused by the arrival triangle's closed sector, not by
+        # cross_vertex: the walk moves one sector clockwise.
+        t, d = arrival_off_fan(semi3, FLOAT, 1e-5)
+        t0, _, _, moved = engine.fan_sector(semi3, FLOAT, 0, t,
+                                            (-d[0], -d[1]), closed=True)
+        assert moved == -1 and t0 != t
+        assert_turned_from_the_clockwise_neighbour(semi3, FLOAT, 1e-5)
+
+
 class TestBackDirectionOffTheArrivalSector:
     """A back direction outside the arrival triangle's sector is turned
-    from the sector that holds it, in both modes."""
+    from the sector that holds it, in exact mode as in float mode."""
 
-    @pytest.mark.parametrize("ctx,turn", [
-        (FLOAT, 1e-8), (FLOAT, 1e-5), (EXACT, Fraction(1, 10**8))],
-        ids=["float-1e-8", "float-1e-5", "exact-1e-8"])
+    @pytest.mark.parametrize("ctx,turn", [(EXACT, Fraction(1, 10**8))],
+                             ids=["exact-1e-8"])
     def test_turned_from_the_clockwise_neighbour(self, semi3, ctx, turn):
-        # Just clockwise of the arrival's sector, as a microchord that
-        # clips its corner leaves it, however small the step past the
-        # fan edge.
-        assert semi3.degree[0] == 5
-        t, d = arrival_off_fan(semi3, ctx, turn)
-        out, ev = cross_vertex(semi3, ctx, 0, t, d)
-        assert out.point.tri == ev.tri_out
-        k, ccw = fan_turn(semi3, ctx, ev)
-        assert k == -1
-        assert ccw == pytest.approx(150.0, abs=1e-9)
-        assert 300.0 - ccw == pytest.approx(150.0, abs=1e-9)
+        assert_turned_from_the_clockwise_neighbour(semi3, ctx, turn)
 
     @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
     def test_turned_across_the_seam(self, semi3, ctx):
