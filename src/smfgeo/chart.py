@@ -248,6 +248,17 @@ def gluing(ctx: Scalars, e: int, e2: int) -> Isometry:
     return table[3 * e + e2]
 
 
+def vertex_motion(ctx: Scalars, s_in: int, s_out: int, m: int) -> Isometry:
+    """Rigid motion from a chart with vertex v at slot `s_in` to the chart
+    m fan sectors counterclockwise round v (clockwise for m < 0), with v
+    at slot `s_out`: the m fan edges' `gluing`s composed.  Each turns by
+    4 * (slot after - slot before) - 2 (+ 2 clockwise) and fixes v."""
+    k = (4 * (s_out - s_in) - 2 * m) % 12
+    cs = corners(ctx)
+    px, py = rotate(ctx, k, *cs[s_in])
+    return Isometry(ctx, k, cs[s_out][0] - px, cs[s_out][1] - py)
+
+
 def segment_intersection(ctx: Scalars, a0, a1, b0, b1):
     """Proper or touching intersection of two closed segments.
 

@@ -195,17 +195,18 @@ def fan_sector(surf: Triangulation, ctx: Scalars, v: int, tri: int, d,
     of `tri`, a triangle at v): closed, or half-open without its
     counterclockwise side.
 
-    A walk from `tri` crosses one fan edge at a time, carrying `d` by
-    the gluings, towards the side of the sector's bisector `d` lies on
-    (counterclockwise on a tie): the sector found is the one nearest to
-    `tri` by fan angle.  Returns (tri, slot of v, `d` in its chart,
-    sectors moved, counterclockwise positive).  Raises FrontierVertex at
-    an open edge of the fan.
+    A walk from `tri` crosses one fan edge at a time, towards the side
+    of the sector's bisector `d` lies on (counterclockwise on a tie): the
+    sector found is the one nearest to `tri` by fan angle.  `d` is
+    carried there by `chart.vertex_motion`, one turn from `tri`'s chart.
+    Returns (tri, slot of v, `d` in its chart, sectors moved,
+    counterclockwise positive).  Raises FrontierVertex at an open edge
+    of the fan.
     """
     sign = ctx.sign
-    s = surf.vertex_slot(tri, v)
+    s = s0 = surf.vertex_slot(tri, v)
     w = d
-    moved = k = 0
+    moved = 0
     # A direction lies at most 180 degrees, three moves, from the first
     # sector's bisector.
     for _ in range(4):
@@ -222,13 +223,10 @@ def fan_sector(surf: Triangulation, ctx: Scalars, v: int, tri: int, d,
         if nbr is None:
             raise FrontierVertex(f"vertex {v}: the direction lies past "
                                  f"the open edge {e} of triangle {tri}")
-        # The gluings turn by multiples of 30 degrees: `d` is turned once,
-        # by their sum.
-        k += surf.transfer(ctx, tri, e).k
-        w = chart.rotate(ctx, k, *d)
         moved += 1 if ccw else -1
         tri, e2 = nbr
         s = e2 if ccw else (e2 + 1) % 3
+        w = chart.vertex_motion(ctx, s0, s, moved).apply_vec(*d)
     raise EngineError(f"direction not in any fan sector at vertex {v}")
 
 
@@ -361,55 +359,43 @@ def cross_vertex(surf: Triangulation, ctx: Scalars, v: int, arrival_tri: int,
     at v). The outgoing ray leaves v so the fan angle on each side
     between the incoming and outgoing lines is half the cone angle.
 
-    The turn is counted in the counterclockwise unfolding of the fan
-    from the closed sector that holds the back direction `-d`, nearest
-    to `arrival_tri` (`fan_sector`; a microchord that clips a corner can
-    leave it in a neighbour's): by intrinsic fan angle, not by planar
-    containment, as a degree-7 fan unfolds past 360 degrees.
-    Returns (outgoing Ray, VertexCrossing event).  This is where a vertex
-    crossing's chart motion is made: the event's `gluing` takes
-    `arrival_tri`'s chart to the outgoing triangle's, the gluing of the
-    edge they share when they are fan neighbours, else the
-    counterclockwise unfolding of the fan from `arrival_tri`.
+    The turn is counted from the closed sector that holds the back
+    direction `-d`, nearest to `arrival_tri` by intrinsic fan angle
+    (`fan_sector`; a microchord that clips a corner can leave it in a
+    neighbour's), not by planar containment, as a degree-7 fan spans
+    more than 360 degrees.  Returns (outgoing Ray, VertexCrossing event).
+    This is where a vertex crossing's chart motion is made: the event's
+    `gluing`, `chart.vertex_motion` along the sectors the direction took
+    (the walk's, then the turn's), takes `arrival_tri`'s chart to the
+    outgoing triangle's.
     """
     if surf.on_frontier(v):
         raise FrontierVertex(f"vertex {v} has an incomplete fan")
-    slot = surf.vertex_slot(arrival_tri, v)
-    frames = fan_frames(surf, ctx, v, (arrival_tri, slot))
-    deg = len(frames)
+    fan = surf.fan_ccw(v)
+    deg = len(fan)
     if deg not in (5, 6, 7):
         raise EngineError(f"vertex {v} has degree {deg}")
-    t0, s0, back, moved = fan_sector(surf, ctx, v, arrival_tri,
-                                     (-d[0], -d[1]), closed=True)
-    turn = fan_frames(surf, ctx, v, (t0, s0)) if moved else frames
-    bx, by = turn[0][2].apply_vec(*back)
-    (u1x, u1y), (u2x, u2y) = _sector_sides(ctx, s0)
-    c0 = ctx.sign(cross(u1x, u1y, bx, by))
-    c60 = ctx.sign(cross(bx, by, u2x, u2y))
-    mx, my = chart.rotate(ctx, 1, u1x, u1y)
-    cmid = ctx.sign(cross(mx, my, bx, by))
-    if c0 == 0:
-        off = deg // 2
-    elif c60 == 0:
-        off = 1 + deg // 2
-    elif cmid < 0:
-        off = deg // 2 if deg % 2 == 0 else (deg - 1) // 2
+    t0, s0, (bx, by), moved = fan_sector(surf, ctx, v, arrival_tri,
+                                         (-d[0], -d[1]), closed=True)
+    # The outgoing direction, deg * 30 degrees on from the back direction,
+    # lies deg // 2 sectors on from t0's, or one more where it passes a
+    # fan edge: the outgoing sector holds its clockwise side only.
+    (ux, uy), (vx, vy) = _sector_sides(ctx, s0)
+    if deg % 2:
+        mx, my = chart.rotate(ctx, 1, ux, uy)
+        off = deg // 2 + (ctx.sign(cross(mx, my, bx, by)) >= 0)
     else:
-        off = (deg + 1) // 2
-    # Rotate the back direction CCW by half the cone angle (deg * 30 deg);
-    # modulo 360 this is the outgoing planar direction in the fan plane.
+        off = deg // 2 + (ctx.sign(cross(bx, by, vx, vy)) == 0)
+    t, s = fan[(fan.index((t0, s0)) + off) % deg]
+    # Turn the back direction by half the cone angle in t0's chart, then
+    # carry it `off` sectors on, into the outgoing triangle's chart.
     wx, wy = chart.rotate(ctx, deg, bx, by)
-    t, s, frame = turn[off]
-    out_d = frame.inverse().apply_vec(wx, wy)
+    out_d = chart.vertex_motion(ctx, s0, s, off).apply_vec(wx, wy)
     b = [ctx.zero, ctx.zero, ctx.zero]
     b[s] = ctx.one
     out = Ray(SurfacePoint(t, tuple(b)), out_d)
-    j = (off + moved) % deg  # the outgoing triangle's place in `frames`
-    if j in (1, deg - 1):
-        edge = (slot + 2) % 3 if j == 1 else slot
-        motion = surf.transfer(ctx, arrival_tri, edge)
-    else:
-        motion = frames[j][2].inverse().compose(frames[0][2])
+    motion = chart.vertex_motion(ctx, surf.vertex_slot(arrival_tri, v), s,
+                                 moved + off)
     ev = VertexCrossing(v, tuple(d), tuple(out_d), 60 * deg, arrival_tri, t,
                         motion)
     return out, ev

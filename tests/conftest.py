@@ -113,3 +113,18 @@ def fan_turn(surf, ctx, ev):
         t = step(t, True)
         turn += 60.0
     raise AssertionError(f"triangle {ev.tri_out} is not in the fan of {v}")
+
+
+def turned_back_signs(ctx, ev):
+    """Does the vertex crossing `ev` glue along its turn?  The signs of
+    the cross and the dot product of the outgoing direction with the
+    back direction `-incoming_dir`, turned by half the cone angle and
+    carried by `ev.gluing` into the outgoing chart: (0, 1) when the two
+    point the same way."""
+    from smfgeo import chart
+    bx, by = chart.rotate(ctx, ev.cone_angle_deg // 60,
+                          -ev.incoming_dir[0], -ev.incoming_dir[1])
+    gx, gy = ev.gluing.apply_vec(bx, by)
+    ox, oy = ev.outgoing_dir
+    return (ctx.sign(chart.cross(gx, gy, ox, oy)),
+            ctx.sign(chart.dot(gx, gy, ox, oy)))

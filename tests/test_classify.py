@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import turned_back_signs
 from smfgeo import chart, engine
 from smfgeo import classify as C
 from smfgeo.builders import (
@@ -164,11 +165,31 @@ class TestSiloClassifications:
                                 lctx, an, b)
         assert st.kind == "crossing"
 
+    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_crossings_glue_along_the_turn(self, ctx, monkeypatch):
+        # At vertex 1 (degree 5) a backward end arrives in triangle 13
+        # with its back direction two sectors on and leaves through
+        # triangle 4, four sectors counterclockwise of 13 and also its
+        # clockwise neighbour: the gluing is the motion along the four.
+        crossings = []
+
+        def spy(surf, ctx, *args, _real=engine.cross_vertex):
+            out, ev = _real(surf, ctx, *args)
+            crossings.append((ctx, ev))
+            return out, ev
+        monkeypatch.setattr(engine, "cross_vertex", spy)
+        classify_labeled(build_silo(6), ctx, "Q", "l", Budgets(arc=4.0))
+        for c, ev in crossings:
+            assert turned_back_signs(c, ev) == (0, 1), \
+                (ev.vertex, ev.tri_in, ev.tri_out)
+        assert (1, 13, 4) in {(ev.vertex, ev.tri_in, ev.tri_out)
+                              for _, ev in crossings}
+
     # A short arc budget leaves some directions unknown, and an unknown
     # makes the point undetermined unless a parallel arc and a crossing
     # arc both stand.
     @pytest.mark.parametrize("name,arc,want,unknown_arcs,iso_unknown", [
-        ("Q", 4.0, C.REGULARLY_HYPERBOLIC, 14, 14),
+        ("Q", 4.0, C.REGULARLY_HYPERBOLIC, 20, 19),
         ("Qp", 4.0, C.UNDETERMINED, 0, 1),
         ("R", 2.0, C.UNDETERMINED, 1, 0),
     ])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fan_turn
+from conftest import fan_turn, turned_back_signs
 from smfgeo import chart, engine
 from smfgeo.builders import (
     build_flat_plane,
@@ -433,20 +433,28 @@ class TestBackDirectionOffTheArrivalSector:
     def test_turned_from_the_clockwise_neighbour(self, semi3, ctx, turn):
         assert_turned_from_the_clockwise_neighbour(semi3, ctx, turn)
 
-    @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
-    def test_turned_across_the_seam(self, semi3, ctx):
-        # A back direction 150 degrees counterclockwise of the arrival
-        # triangle's first fan edge lies two sectors on, on a bisector;
+    @pytest.mark.parametrize("ctx,k30,sectors", [
+        (FLOAT, 5, 2), (EXACT, 5, 2), (FLOAT, 3, 1), (EXACT, 3, 1),
+        (FLOAT, 4, 2), (EXACT, 4, 2)],
+        ids=["float", "exact", "float-90", "exact-90", "float-120",
+             "exact-120"])
+    def test_turned_across_the_seam(self, semi3, ctx, k30, sectors):
+        # A back direction 90, 120 or 150 degrees counterclockwise of the
+        # arrival triangle's first fan edge lies one or two sectors on;
         # the turn of 150 degrees from there crosses the seam of the
-        # degree-5 fan unfolded from the arrival triangle.
+        # degree-5 fan unfolded from the arrival triangle.  The gluing
+        # follows the sectors the direction took, so it carries the
+        # turned back direction onto the outgoing one.
         t, s = semi3.incident(0)
         cs = chart.corners(ctx)
-        bx, by = chart.rotate(ctx, 5, cs[(s + 1) % 3][0] - cs[s][0],
+        bx, by = chart.rotate(ctx, k30, cs[(s + 1) % 3][0] - cs[s][0],
                               cs[(s + 1) % 3][1] - cs[s][1])
         out, ev = cross_vertex(semi3, ctx, 0, t, (-bx, -by))
         k, ccw = fan_turn(semi3, ctx, ev)
-        assert k == 2
+        assert k == sectors
         assert ccw == pytest.approx(150.0, abs=1e-9)
+        assert ev.outgoing_dir == out.dir
+        assert turned_back_signs(ctx, ev) == (0, 1)
 
 
 class TestTrace:
