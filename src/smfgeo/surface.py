@@ -26,7 +26,6 @@ made on first read for `validate` and for tests.
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property
@@ -479,6 +478,7 @@ class Triangulation:
         frontier.  Planned rings are read from their plans, so hashing
         makes nothing and reads no whole-surface view."""
         if self._hash is None:
+            import hashlib   # here, so importing the package loads no OpenSSL
             last = self._plans[-1] if self._plans else None
             frontier = sorted(self._base_frontier) if last is None \
                 else range(last.vbase, last.vend)
@@ -498,11 +498,13 @@ class Triangulation:
         its plan, made or not."""
         yield self._tris
         for p, _ in self._plan_cycles():
-            # Sector 0's up opens the ring, and its downs close it.
-            s0 = p.sector(0)
+            # Sector 0's up opens the ring, and its downs close it.  Every
+            # sector is read, so `dn` is read whole.
+            dn = p.dn.tolist()
+            s0 = p.sector(0, dn)
             yield s0[-1:]
             for j in range(1, p.n):
-                yield p.sector(j)
+                yield p.sector(j, dn)
             yield s0[:-1]
 
     # -- chart transfer ------------------------------------------------
@@ -563,7 +565,7 @@ class Triangulation:
         else:
             p = plans[i]
             o = t - p.base
-            ju = bisect_right(p.up, o) - 1   # t's sector, or the one before
+            ju = p.up.right(o) - 1   # t's sector, or the one before
             is_up = p.up[ju] == o
             if e == 2:
                 o = (o + 1) % p.size
@@ -874,6 +876,73 @@ def _short_gap(rule, v, k):
     return SurfaceError(f"rule {rule.name} leaves vertex {v} with gap {k} < 2")
 
 
+# Entries per block of a `_Prefix`: a power of two, so that an entry's
+# block and place in it are a shift and a mask.
+_SHIFT = 10
+_BLOCK = 1 << _SHIFT
+_MASK = _BLOCK - 1
+
+
+class _Prefix:
+    """Running sum 0, g[0] - less, g[0] + g[1] - 2 * less, ... over gap
+    bytes g: entry j is the sum of g[i] - less for i < j, for j in
+    0..len(g).  The gaps are at least `less`, so the sum never falls.
+
+    It is kept as the entry at the start of each block of `_BLOCK`
+    entries, from one `sum` per block of gap bytes (`block_sums`, shared
+    by the sums over the same gaps); a block's own entries are made with
+    one `accumulate` the first time something reads one of them.  A long
+    ring read at a few sectors fills a few blocks."""
+
+    __slots__ = ("gaps", "table", "n", "starts", "blocks")
+
+    def __init__(self, gaps: bytes, less: int, block_sums):
+        self.gaps, self.n = gaps, len(gaps) + 1
+        self.table = bytes(less) + bytes(range(256 - less))   # g -> g - less
+        self.starts = list(accumulate(
+            (s - less * _BLOCK for s in block_sums), initial=0))
+        self.blocks = [None] * len(self.starts)
+
+    @staticmethod
+    def block_sums(gaps: bytes) -> list:
+        """Sum of each whole block of `gaps` but the last: what the block
+        starts of a prefix over them are made from."""
+        return [sum(gaps[i - _BLOCK:i])
+                for i in range(_BLOCK, len(gaps) + 1, _BLOCK)]
+
+    def _fill(self, b: int):
+        i = b << _SHIFT
+        blk = self.blocks[b] = array("q", accumulate(
+            self.gaps[i:i + _BLOCK - 1].translate(self.table),
+            initial=self.starts[b]))
+        return blk
+
+    def __getitem__(self, j: int) -> int:
+        if j < 0:
+            j += self.n
+            if j < 0:
+                raise IndexError("prefix index out of range")
+        return (self.blocks[j >> _SHIFT] or self._fill(j >> _SHIFT))[j & _MASK]
+
+    def right(self, x: int) -> int:
+        """`bisect_right` over every entry: how many are at most x."""
+        b = bisect_right(self.starts, x) - 1
+        if b < 0:
+            return 0
+        return (b << _SHIFT) + bisect_right(self.blocks[b] or self._fill(b), x)
+
+    def left(self, x: int) -> int:
+        """`bisect_left` over every entry: how many are below x."""
+        b = bisect_left(self.starts, x) - 1
+        if b < 0:
+            return 0
+        return (b << _SHIFT) + bisect_left(self.blocks[b] or self._fill(b), x)
+
+    def tolist(self) -> list:
+        """Every entry, for a caller that reads them all; fills no block."""
+        return list(accumulate(self.gaps.translate(self.table), initial=0))
+
+
 class _RingPlan:
     """One ring of outward growth, planned from the gaps of the boundary
     it grows on (gap k = rule degree - degree of a boundary vertex).
@@ -892,8 +961,11 @@ class _RingPlan:
     Ids are the ones building the ring triangle by triangle assigns: up
     0 first, then sectors 1..n-1 (downs, then up), then sector 0's downs;
     each sector's apex is born before its chain vertices, and sector 0's
-    chain vertices come last.  A plan is immutable and shared by every
-    surface grown from it.
+    chain vertices come last.  `index` sets up `up` and `dn`, the
+    running sums that place each sector, as `_Prefix`es: their entries
+    are made a block at a time, where something reads them.  A plan is
+    immutable, but for the blocks it fills, and shared by every surface
+    grown from it.
     """
 
     __slots__ = ("ring", "base", "size", "vbase", "vend", "start", "n",
@@ -919,18 +991,18 @@ class _RingPlan:
         self.up = self.dn = self._pos = self._order = None
 
     def index(self):
-        """Make the prefix sums that place each sector (a ring that is only
-        measured, never added to a surface, needs none): up[j] is the
+        """Set up the prefix sums that place each sector (a ring that is
+        only measured, never added to a surface, needs none): up[j] is the
         offset of sector j's up triangle, dn[j] the number of down
-        triangles, and of new vertices, in sectors 1..j.  Each is one
-        running sum over the gaps of sectors 1..n-1, translated to k - 1
-        and to k - 2 (gaps are at least 2)."""
+        triangles, and of new vertices, in sectors 1..j.  Each is a
+        `_Prefix`, a running sum over the gaps of sectors 1..n-1 less 1
+        and less 2 (gaps are at least 2): one `sum` per block of gaps
+        gives both their block starts, and a block's entries are made
+        when something first reads one."""
         if self.up is None:
             ks = self.ks[1:]
-            self.up = array("q", accumulate(
-                ks.translate(b"\x00" + bytes(range(255))), initial=0))
-            self.dn = array("q", accumulate(
-                ks.translate(b"\x00\x00" + bytes(range(254))), initial=0))
+            sums = _Prefix.block_sums(ks)
+            self.up, self.dn = _Prefix(ks, 1, sums), _Prefix(ks, 2, sums)
 
     def vertex(self, j: int) -> int:
         """Boundary vertex of sector j."""
@@ -946,40 +1018,42 @@ class _RingPlan:
         s = self.start
         self._order = [*ids[s:], *ids[:s]]
 
-    def apex(self, j: int) -> int:
-        """Apex of sector j (j = -1 is sector n - 1)."""
+    def apex(self, j: int, dn=None) -> int:
+        """Apex of sector j (j = -1 is sector n - 1).  `dn` is `self.dn`
+        or, for a caller that reads every sector, `self.dn.tolist()`."""
         j %= self.n
         ks = self.ks
         while j and ks[j] == 2:
             j -= 1
-        return self.vbase + 1 + self.dn[j - 1] if j else self.vbase
+        return self.vbase + 1 + (dn or self.dn)[j - 1] if j else self.vbase
 
-    def sector(self, j: int) -> list:
+    def sector(self, j: int, dn=None) -> list:
         """Vertices of sector j's triangles in strip order: its k - 2
         downs (v, chain[c], chain[c + 1]), then its up (w, v, apex), for
         the boundary vertices v and w of sectors j and j + 1.  They lie at
         offsets up[j - 1] + 1 .. up[j], taken cyclically: sector 0's
-        downs end the ring and its up opens it."""
+        downs end the ring and its up opens it.  `dn` as for `apex`."""
+        dn = dn or self.dn
         v, w = self.vertex(j), self.vertex(j + 1)
         m = self.ks[j] - 2
-        a = self.apex(j)
+        a = self.apex(j, dn)
         if not m:
             return [(w, v, a)]
         # Chain vertex c is a + c, but sector 0's chain vertices are born
         # last.
-        c0 = a if j else self.vbase + self.dn[-1]
-        chain = [self.apex(j - 1), *range(c0 + 1, c0 + m), a]
+        c0 = a if j else self.vbase + dn[-1]
+        chain = [self.apex(j - 1, dn), *range(c0 + 1, c0 + m), a]
         return [*zip(repeat(v), chain, chain[1:]), (w, v, a)]
 
     def sector_of(self, o: int) -> int:
         """Sector of the triangle at offset o."""
-        ju = bisect_right(self.up, o) - 1
+        ju = self.up.right(o) - 1
         return ju if self.up[ju] == o else (ju + 1) % self.n
 
     def down_offset(self, c: int) -> int:
         """Offset of the c-th down triangle, whose edge 1 is edge c of the
         boundary the ring makes."""
-        return c + bisect_right(self.dn, c)
+        return c + self.dn.right(c)
 
     def position(self, u: int):
         """Sector of inner boundary vertex u, or None."""
@@ -997,7 +1071,7 @@ class _RingPlan:
             # The first apex ends up 0; a chain vertex of sector 0 the
             # down before it.
             return up[n - 1] + w - dn[n - 1] if w else 0
-        j = bisect_left(dn, w)
+        j = dn.left(w)
         c = w - dn[j - 1] - 1
         # The apex ends the sector's last down, chain vertex c its c-th.
         return up[j] - 1 if c == 0 else up[j - 1] + c
@@ -1012,11 +1086,11 @@ class _RingPlan:
         dn = self.dn
         if c == 0 or c > dn[-1]:
             return self.vbase + c
-        j = bisect_left(dn, c)
+        j = dn.left(c)
         return self.vbase + (dn[j - 1] + 1 if c == dn[j] else c + 1)
 
     def outer_ids(self):
-        vb, dn = self.vbase, self.dn
+        vb, dn = self.vbase, self.dn.tolist()
         ids = list(range(vb, vb + dn[-1] + 1))
         for a, b in zip(dn, dn[1:]):
             if b > a:

@@ -115,3 +115,13 @@ def test_fresh_import_leaves_dataclasses_out():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_fresh_import_leaves_hashlib_out():
+    # `hashlib` loads OpenSSL's `_hashlib`, which only `content_hash`
+    # needs; it imports it on its first call.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import smfgeo; "
+            "print(sorted({'hashlib', '_hashlib'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

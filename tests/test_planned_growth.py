@@ -5,7 +5,9 @@ triangle gave; the digests below were recorded from that construction.
 """
 
 import hashlib
+import random
 import tracemalloc
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from smfgeo.surface import (
     IncompleteRing,
     SurfaceError,
     Triangulation,
+    _BLOCK,
     _RingPlan,
     grow_frontier,
 )
@@ -172,8 +175,9 @@ class TestRingAnswersFromPlans:
     def test_growth_holds_no_slot_per_planned_triangle(self):
         # Growth shares the base and the plans and copies only what the
         # surface it grows from has worked out: growing silo(6) from 2,625
-        # to 838,825 triangles allocates its plans, about 5 MB, not a slot
-        # per planned triangle (14 MB when it did).
+        # to 838,825 triangles allocates its plans, gap bytes and a block
+        # start per 1,024 sectors, under 1 MB; not a slot per planned
+        # triangle (14 MB when it did), nor whole prefix arrays (4 MB).
         silo = build_silo(6)
         tracemalloc.start()
         try:
@@ -182,7 +186,7 @@ class TestRingAnswersFromPlans:
         finally:
             tracemalloc.stop()
         assert surf.n_triangles() == 838_825
-        assert peak < 8 * 2**20
+        assert peak < 2 * 2**20
 
 
 def fan_audit(surf, ring):
@@ -271,20 +275,49 @@ class TestTracesOnPlannedSurfaces:
         assert paths[0] == paths[1]
 
 
+# The benchmark's trace_grow rays (silo(3), triangle 20, 61..73 degrees):
+# degrees -> digests of the segments and events of the trace that built
+# every ring whole, and its last event.
+TRACE_GROW = {
+    61: ("8d14912fb1c12ea7", "175bb25a3bc24a5c", 11.38699718543358, 527780),
+    62: ("d11639e3db006e7f", "da1902b425a67a28", 11.437422672542153, 527826),
+    63: ("6ef006efc46d3c21", "28d93414adab8268", 11.565309303923133, 528622),
+    64: ("b9f3b04db85ead7d", "9920c3015e614bf6", 11.699692322137478, 529986),
+    65: ("4bfd7f574339aeab", "1b3311a50d6cc468", 11.840884229013524, 533557),
+    66: ("ea990d702d14c410", "48a80a56a627aaae", 10.918755947056548, 533560),
+    67: ("5e336d1c553bdb49", "220c06280d32febc", 11.060689147265919, 542913),
+    68: ("1db4db37b4027790", "ef7fed1536215bed", 11.209820523603986, 542924),
+    69: ("7952f833976c6d25", "f42fdfef7fee4e48", 11.366538020786413, 542953),
+    70: ("44cc52d50de18736", "83732a112924060e", 11.470655525822668, 543031),
+    71: ("65931b72440ecca6", "d4456e3617745d50", 10.556953195777695, 567707),
+    72: ("248d5f10669842bb", "9be02e5ae57e84c5", 10.721239577626847, 567707),
+    73: ("583a66211cc1d6d7", "199cf6c10af8c0ba", 10.894090912751851, 567711),
+}
+
+
+def filled_blocks(prefix):
+    return sum(b is not None for b in prefix.blocks)
+
+
 class TestTraceGrowRay:
-    def test_trace_builds_only_the_sectors_it_crosses(self):
-        # The benchmark's trace_grow ray (silo(3), 67 degrees): digests of
-        # the output of the trace that built every ring whole.
+    @pytest.mark.parametrize("degrees", sorted(TRACE_GROW))
+    def test_trace_builds_only_the_sectors_it_crosses(self, degrees):
+        segs_digest, evs_digest, arc, tri = TRACE_GROW[degrees]
         surf = build_silo(3)
-        ray = make_ray(surf, FLOAT, 20, (0.2, 0.3, 0.5), FLOAT.direction(67.0))
+        ray = make_ray(surf, FLOAT, 20, (0.2, 0.3, 0.5),
+                       FLOAT.direction(float(degrees)))
         path = trace(ray, surf, FLOAT, arc_budget=15.0, growth_budget=10**6)
         segs, evs = path_record(path)
-        assert digest(segs) == "5e336d1c553bdb49"
-        assert digest(evs) == "220c06280d32febc"
-        assert evs[-1] == ("limit", 11.060689147265919,
-                           "frontier at edge 1 of triangle 542913")
+        assert digest(segs) == segs_digest
+        assert digest(evs) == evs_digest
+        assert evs[-1] == ("limit", arc, f"frontier at edge 1 of triangle {tri}")
         assert path.surface.n_triangles() == 838_825
         assert built(path.surface) < 10_000
+        # The ray crosses the 143,285-sector last ring near one place, so
+        # its prefix sums are made there only.
+        last = path.surface._plans[-1]
+        assert (last.n, len(last.up.blocks)) == (143_285, 140)
+        assert filled_blocks(last.up) <= 2
 
 
 SCANNED = {"flat3": lambda: build_flat_plane(3),
@@ -387,6 +420,23 @@ def reference_outer_degrees(ks):
     return bytes(degs + [2] * (ks[0] - 3))
 
 
+def check_prefix_sums(plan):
+    """up and dn of an indexed plan against `reference_index`: every entry,
+    by index from either end and through `tolist`, and `right` and `left`
+    at every value from 0 to past the total against `bisect`."""
+    n = plan.n
+    for got, want in zip((plan.up, plan.dn), reference_index(plan.ks)):
+        assert got.tolist() == want
+        assert [got[j] for j in range(n)] == want
+        assert [got[j - n] for j in range(n)] == want
+        for j in (n, -n - 1):
+            with pytest.raises(IndexError):
+                got[j]
+        for x in range(-1, want[-1] + 2):
+            assert got.right(x) == bisect_right(want, x)
+            assert got.left(x) == bisect_left(want, x)
+
+
 gap_strings = st.lists(st.integers(2, 7), min_size=1, max_size=3000).filter(
     lambda ks: max(ks) > 2).map(bytes)
 
@@ -400,8 +450,7 @@ class TestRingPlanKernels:
         s = plan.start
         assert plan.ks == gaps[s:] + gaps[:s] and plan.ks[0] > 2
         plan.index()
-        up, dn = reference_index(plan.ks)
-        assert plan.up.tolist() == up and plan.dn.tolist() == dn
+        check_prefix_sums(plan)
         degs = reference_outer_degrees(plan.ks)
         assert plan.outer_degrees() == degs
         assert len(degs) == plan.vend - plan.vbase
@@ -431,6 +480,19 @@ class TestRingPlanKernels:
         with pytest.raises(SurfaceError) as exc:
             plan.following(rule)
         assert str(exc.value) == refusal
+
+    # Sector counts about a block end: one block an entry short of full,
+    # one full block, and a last block of one entry after one or two.
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 1])
+    def test_prefix_sums_across_block_ends(self, n):
+        rng = random.Random(n)
+        gaps = bytes([3] + [rng.choice((2, 2, 3, 4, 7)) for _ in range(n - 1)])
+        plan = _RingPlan(3, 100, 1000, tuple(range(n)), gaps)
+        plan.index()
+        assert len(plan.up.blocks) == -(-n // _BLOCK)
+        assert filled_blocks(plan.up) == filled_blocks(plan.dn) == 0
+        check_prefix_sums(plan)
 
     @settings(max_examples=60, deadline=None)
     @given(gaps=st.one_of(gap_strings, st.lists(
