@@ -27,9 +27,10 @@ made on first read for `validate` and for tests.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat
+from operator import sub
 
 from . import chart
 from .numbers import Scalars
@@ -222,9 +223,13 @@ class Triangulation:
 
     @cached_property
     def tris(self):
-        """list[(v0, v1, v2)] CCW, every planned triangle made."""
-        planned = range(len(self._tris), self.n_triangles())
-        return [*self._tris, *map(self.triangle, planned)]
+        """list[(v0, v1, v2)] CCW, every planned triangle made: read off
+        the plans a ring at a time (`_planned_runs`) and kept as made."""
+        tris = list(self._tris)
+        for run in self._planned_runs():
+            tris += zip(*[iter(run)] * 3)
+        self._made.update(enumerate(tris[len(self._tris):], len(self._tris)))
+        return tris
 
     @cached_property
     def adj(self):
@@ -356,9 +361,8 @@ class Triangulation:
         tv = self._made.get(t)
         if tv is None:
             p = self._plans[bisect_right(self._plan_bases, t) - 1]
-            j = p.sector_of(t - p.base)
+            j, first = p.sector_of(t - p.base)
             tvs = p.sector(j)
-            first = p.up[j - 1] + 1   # offsets taken cyclically
             self._made.update(zip([p.base + (first + c) % p.size
                                    for c in range(len(tvs))], tvs))
             tv = self._made[t]
@@ -475,37 +479,38 @@ class Triangulation:
 
     def content_hash(self) -> str:
         """Digest of every triangle's vertices in id order and of the
-        frontier.  Planned rings are read from their plans, so hashing
-        makes nothing and reads no whole-surface view."""
+        frontier.  Planned rings are read from their plans, a ring at a
+        time, so hashing makes nothing and reads no whole-surface view."""
         if self._hash is None:
             import hashlib   # here, so importing the package loads no OpenSSL
             last = self._plans[-1] if self._plans else None
             frontier = sorted(self._base_frontier) if last is None \
                 else range(last.vbase, last.vend)
             h = hashlib.sha256()
-            fmt = "%d,%d,%d;".__mod__
-            tvs = chain.from_iterable(self._triangle_runs())
-            while run := "".join(map(fmt, islice(tvs, 1 << 16))):
-                h.update(run.encode())
+            base = self._tris
+            runs = (list(chain.from_iterable(base[i:i + _RUN]))
+                    for i in range(0, len(base), _RUN))
+            for run in chain(runs, self._planned_runs()):
+                h.update((("%d,%d,%d;" * (len(run) // 3)) % tuple(run))
+                         .encode())
             h.update(b"|")
-            h.update("".join(f"{v}," for v in frontier).encode())
+            for i in range(0, len(frontier), _RUN):
+                part = frontier[i:i + _RUN]
+                h.update((("%d," * len(part)) % tuple(part)).encode())
             self._hash = h.hexdigest()[:16]
         return self._hash
 
-    def _triangle_runs(self):
-        """Runs of triangles (v0, v1, v2) that together give every
-        triangle in id order: the base's, and each planned ring's from
-        its plan, made or not."""
-        yield self._tris
-        for p, _ in self._plan_cycles():
-            # Sector 0's up opens the ring, and its downs close it.  Every
-            # sector is read, so `dn` is read whole.
-            dn = p.dn.tolist()
-            s0 = p.sector(0, dn)
-            yield s0[-1:]
-            for j in range(1, p.n):
-                yield p.sector(j, dn)
-            yield s0[:-1]
+    def _planned_runs(self):
+        """Every planned triangle's vertex ids in id order, flat, as each
+        plan's `strip` gives them, with the plan's boundary ids set from
+        the plan before (`outer_ids`)."""
+        plans = self._plans
+        inner = plans and plans[0].inner
+        for p in plans:
+            p.set_inner_ids(inner)
+            yield from p.strip()
+            if p is not plans[-1]:
+                inner = p.outer_ids()
 
     # -- chart transfer ------------------------------------------------
 
@@ -565,11 +570,11 @@ class Triangulation:
         else:
             p = plans[i]
             o = t - p.base
-            ju = p.up.right(o) - 1   # t's sector, or the one before
-            is_up = p.up[ju] == o
-            if e == 2:
-                o = (o + 1) % p.size
-                nbr = (p.base + o, 1 if o == p.up[(ju + 1) % p.n] else 0)
+            ju, up, nxt = p.up.floor(o)   # t's sector, or the one before
+            is_up = up == o
+            if e == 2:   # past sector n - 1 the next up is up 0, at `size`
+                o += 1
+                nbr = (p.base + o % p.size, 1 if o == (nxt or p.size) else 0)
             elif e == (1 if is_up else 0):
                 nbr = (p.base + (o - 1) % p.size, 2)
             elif not is_up:
@@ -590,15 +595,6 @@ class Triangulation:
         self._adj[t, e] = nbr
         self._adj[nbr] = (t, e)
         return nbr
-
-    def _plan_cycles(self):
-        """(plan, the cycle it makes, as vertex ids) for each plan in ring
-        order; gives each plan its boundary's ids on the way."""
-        inner = self._plans and self._plans[0].inner
-        for p in self._plans:
-            p.set_inner_ids(inner)
-            inner = p.outer_ids()
-            yield p, inner
 
 
 # -- planar development ----------------------------------------------------
@@ -881,6 +877,8 @@ def _short_gap(rule, v, k):
 _SHIFT = 10
 _BLOCK = 1 << _SHIFT
 _MASK = _BLOCK - 1
+# Triangles per run of vertex ids that hashing and `tris` read a ring in.
+_RUN = 1 << 16
 
 
 class _Prefix:
@@ -924,23 +922,18 @@ class _Prefix:
                 raise IndexError("prefix index out of range")
         return (self.blocks[j >> _SHIFT] or self._fill(j >> _SHIFT))[j & _MASK]
 
-    def right(self, x: int) -> int:
-        """`bisect_right` over every entry: how many are at most x."""
+    def floor(self, x: int):
+        """(j, entry j, entry j + 1) for the last entry j at most x, read
+        from one block; entry -1 and entry n are None."""
         b = bisect_right(self.starts, x) - 1
         if b < 0:
-            return 0
-        return (b << _SHIFT) + bisect_right(self.blocks[b] or self._fill(b), x)
-
-    def left(self, x: int) -> int:
-        """`bisect_left` over every entry: how many are below x."""
-        b = bisect_left(self.starts, x) - 1
-        if b < 0:
-            return 0
-        return (b << _SHIFT) + bisect_left(self.blocks[b] or self._fill(b), x)
-
-    def tolist(self) -> list:
-        """Every entry, for a caller that reads them all; fills no block."""
-        return list(accumulate(self.gaps.translate(self.table), initial=0))
+            return -1, None, 0
+        blk = self.blocks[b] or self._fill(b)
+        i = bisect_right(blk, x)
+        j = (b << _SHIFT) + i - 1
+        if i == len(blk):   # entry j + 1 starts the next block, if any
+            return j, blk[-1], self.starts[b + 1] if j + 1 < self.n else None
+        return j, blk[i - 1], blk[i]
 
 
 class _RingPlan:
@@ -1018,42 +1011,69 @@ class _RingPlan:
         s = self.start
         self._order = [*ids[s:], *ids[:s]]
 
-    def apex(self, j: int, dn=None) -> int:
-        """Apex of sector j (j = -1 is sector n - 1).  `dn` is `self.dn`
-        or, for a caller that reads every sector, `self.dn.tolist()`."""
+    def apex(self, j: int) -> int:
+        """Apex of sector j (j = -1 is sector n - 1)."""
         j %= self.n
         ks = self.ks
         while j and ks[j] == 2:
             j -= 1
-        return self.vbase + 1 + (dn or self.dn)[j - 1] if j else self.vbase
+        return self.vbase + 1 + self.dn[j - 1] if j else self.vbase
 
-    def sector(self, j: int, dn=None) -> list:
+    def sector(self, j: int) -> list:
         """Vertices of sector j's triangles in strip order: its k - 2
         downs (v, chain[c], chain[c + 1]), then its up (w, v, apex), for
         the boundary vertices v and w of sectors j and j + 1.  They lie at
         offsets up[j - 1] + 1 .. up[j], taken cyclically: sector 0's
-        downs end the ring and its up opens it.  `dn` as for `apex`."""
-        dn = dn or self.dn
+        downs end the ring and its up opens it."""
         v, w = self.vertex(j), self.vertex(j + 1)
         m = self.ks[j] - 2
-        a = self.apex(j, dn)
+        a = self.apex(j)
         if not m:
             return [(w, v, a)]
         # Chain vertex c is a + c, but sector 0's chain vertices are born
         # last.
-        c0 = a if j else self.vbase + dn[-1]
-        chain = [self.apex(j - 1, dn), *range(c0 + 1, c0 + m), a]
+        c0 = a if j else self.vbase + self.dn[-1]
+        chain = [self.apex(j - 1), *range(c0 + 1, c0 + m), a]
         return [*zip(repeat(v), chain, chain[1:]), (w, v, a)]
 
-    def sector_of(self, o: int) -> int:
-        """Sector of the triangle at offset o."""
-        ju = self.up.right(o) - 1
-        return ju if self.up[ju] == o else (ju + 1) % self.n
+    def strip(self):
+        """Vertex ids of the ring's triangles in id order, flat, in lists
+        of at most `_RUN` triangles, as `sector` gives them: up 0, sectors
+        1..n-1 (downs, then up), then sector 0's downs.  One walk with the
+        last apex and the next new vertex id; needs `set_inner_ids`."""
+        vs, vbase, full = self._order, self.vbase, 3 * (_RUN - self.kmax)
+        apex, new = vbase, vbase + 1
+        run = [vs[1 % self.n], vs[0], apex]
+        for k, v, w in zip(self.ks[1:], vs[1:], vs[2:] + vs[:1]):
+            if k > 2:   # downs along the chain apex, a + 1, ..., new - 1, a
+                a, b = new, apex
+                new += k - 2
+                for c in range(a + 1, new):
+                    run += (v, b, c)
+                    b = c
+                run += (v, b, a)
+                apex = a
+            run += (w, v, apex)
+            if len(run) > full:
+                yield run
+                run = []
+        for c in (*range(new, self.vend), vbase):   # sector 0's chain
+            run += (vs[0], apex, c)
+            apex = c
+        yield run
+
+    def sector_of(self, o: int):
+        """(sector of the triangle at offset o, offset of the sector's
+        first triangle, taken cyclically)."""
+        ju, up, _ = self.up.floor(o)
+        if up == o:   # the up of sector ju, its last triangle
+            return ju, (o + 2 - self.ks[ju]) % self.size
+        return (ju + 1) % self.n, up + 1
 
     def down_offset(self, c: int) -> int:
         """Offset of the c-th down triangle, whose edge 1 is edge c of the
         boundary the ring makes."""
-        return c + self.dn.right(c)
+        return c + 1 + self.dn.floor(c)[0]
 
     def position(self, u: int):
         """Sector of inner boundary vertex u, or None."""
@@ -1071,10 +1091,10 @@ class _RingPlan:
             # The first apex ends up 0; a chain vertex of sector 0 the
             # down before it.
             return up[n - 1] + w - dn[n - 1] if w else 0
-        j = dn.left(w)
-        c = w - dn[j - 1] - 1
+        i, below, _ = dn.floor(w - 1)   # w is a vertex of sector i + 1
+        c = w - below - 1
         # The apex ends the sector's last down, chain vertex c its c-th.
-        return up[j] - 1 if c == 0 else up[j - 1] + c
+        return up[i + 1] - 1 if c == 0 else up[i] + c
 
     # Positions on the boundary the ring makes count from its smallest
     # vertex, the first apex; the vertices of sector j >= 1 sit at
@@ -1086,18 +1106,18 @@ class _RingPlan:
         dn = self.dn
         if c == 0 or c > dn[-1]:
             return self.vbase + c
-        j = dn.left(c)
-        return self.vbase + (dn[j - 1] + 1 if c == dn[j] else c + 1)
+        _, below, last = dn.floor(c - 1)   # the sector c is a position of
+        return self.vbase + (below + 1 if c == last else c + 1)
 
     def outer_ids(self):
-        vb, dn = self.vbase, self.dn.tolist()
-        ids = list(range(vb, vb + dn[-1] + 1))
-        for a, b in zip(dn, dn[1:]):
-            if b > a:
-                ids[a + 1:b] = range(vb + a + 2, vb + b + 1)
-                ids[b] = vb + a + 1
-        ids.extend(range(vb + dn[-1] + 1, self.vend))
-        return ids
+        """The cycle the ring makes: vbase + c + 1 at position c, less
+        k - 2 at the apex of a sector 1..n-1 and 1 elsewhere off a chain;
+        one `replace` per gap value, k = 2 first, makes those amounts."""
+        d = self.ks[1:].replace(b"\x02", b"")
+        for k in range(3, self.kmax + 1):
+            d = d.replace(bytes((k,)), bytes(k - 3) + bytes((k - 2,)))
+        d = b"\x01" + d + b"\x01" * (self.ks[0] - 3)
+        return list(map(sub, range(self.vbase + 1, self.vend + 1), d))
 
     def outer_degrees(self) -> bytes:
         """Degrees of the boundary the ring makes, by position: a chain

@@ -7,11 +7,12 @@ triangle gave; the digests below were recorded from that construction.
 import hashlib
 import random
 import tracemalloc
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smfgeo import smf
 from smfgeo.builders import build_flat_plane, build_semi_paradoxist, build_silo
 from smfgeo.engine import (
     EdgeCrossing,
@@ -29,6 +30,7 @@ from smfgeo.surface import (
     SurfaceError,
     Triangulation,
     _BLOCK,
+    _RUN,
     _RingPlan,
     grow_frontier,
 )
@@ -47,18 +49,22 @@ UNGROWN = {"flat1": lambda: build_flat_plane(1)}
 _built = {}
 
 
+def rebuild(s):
+    """A copy of `s` built directly from its containers, which has no
+    planned rings, so the first ring grown on it is linked to it through
+    its open edges."""
+    return Triangulation(
+        tris=list(s.tris), adj=dict(s.adj), degree=dict(s.degree),
+        frontier=s.frontier, boundary=s.boundary, rings=s.rings,
+        ring_of=dict(s.ring_of), rule=s.rule, labels=s.labels)
+
+
 def base(name, rebuilt=False):
-    """The named base surface; `rebuilt` gives a copy built directly from
-    its containers, which has no planned rings, so the first ring grown
-    on it is linked to it through its open edges."""
+    """The named base surface, shared by every test that asks for it;
+    `rebuilt` gives it rebuilt."""
     if (name, rebuilt) not in _built:
         s = {**BASES, **UNGROWN}[name]()
-        if rebuilt:
-            s = Triangulation(
-                tris=list(s.tris), adj=dict(s.adj), degree=dict(s.degree),
-                frontier=s.frontier, boundary=s.boundary, rings=s.rings,
-                ring_of=dict(s.ring_of), rule=s.rule, labels=s.labels)
-        _built[name, rebuilt] = s
+        _built[name, rebuilt] = rebuild(s) if rebuilt else s
     return _built[name, rebuilt]
 
 
@@ -187,6 +193,93 @@ class TestRingAnswersFromPlans:
             tracemalloc.stop()
         assert surf.n_triangles() == 838_825
         assert peak < 2 * 2**20
+
+
+def trace_grow_surface():
+    """silo(3) grown a ring at a time until the 10**6 budget refuses the
+    next: the 838,825-triangle surface the trace_grow rays end on."""
+    surf = build_silo(3)
+    while True:
+        try:
+            surf = grow_frontier(surf, 1)
+        except GrowthLimitExceeded:
+            return surf
+
+
+def explicit_hexagon():
+    """An explicit SMF triangle list: six triangles round vertex 0."""
+    fan = [(0, c, c % 6 + 1) for c in range(1, 7)]
+    doc, _ = smf.parse_manifold(
+        "smf 1\n" + "".join(f"t {a} {b} {c}\n" for a, b, c in fan))
+    return smf.to_triangulation(doc)[0]
+
+
+HASHED = {
+    "silo3+1": lambda: grow_frontier(build_silo(3), 1),   # 8 rings
+    "silo6": lambda: build_silo(6),                       # 10 rings
+    "silo6+2": lambda: grow_frontier(build_silo(6), 2),   # 12 rings
+    "silo6+4": lambda: grow_frontier(build_silo(6), 4),   # 14 rings
+    "trace_grow": trace_grow_surface,                     # 16 rings
+    "semi4": lambda: build_semi_paradoxist(4),
+    "flat3+4": lambda: grow_frontier(build_flat_plane(3), 4),
+    "hexagon": explicit_hexagon,
+}
+# name -> (triangle count, content hash), recorded when hashing still made
+# each planned sector's triangles through `_RingPlan.sector`.
+CONTENT_HASHES = {
+    "silo3+1": (400, "c78330fec43c478c"),
+    "silo6": (2625, "8b141c8ce6f9e080"),
+    "silo6+2": (17_875, "0adfcfac9757e7f4"),
+    "silo6+4": (122_400, "8538bba22c05091b"),
+    "trace_grow": (838_825, "41f1125729a9dfa3"),
+    "semi4": (450, "1b856be819767822"),
+    "flat3+4": (294, "2f45fe39dc9e334b"),
+    "hexagon": (6, "91ba10d56a785953"),
+}
+
+
+class TestContentHash:
+    @pytest.mark.parametrize("name", sorted(HASHED))
+    def test_content_hash_is_pinned(self, name):
+        surf = HASHED[name]()
+        assert (surf.n_triangles(), surf.content_hash()) == \
+            CONTENT_HASHES[name]
+
+    @pytest.mark.parametrize("name", ["silo6+2", "semi4"])
+    def test_tris_are_the_triangles_in_id_order(self, name):
+        fresh = HASHED[name]()
+        want = [fresh.triangle(t) for t in range(fresh.n_triangles())]
+        surf = HASHED[name]()
+        assert surf.tris == want
+        assert built(surf) == len(want)
+
+    @pytest.mark.parametrize("name, rings, pinned", [
+        ("silo3", 5, "silo6+2"), ("semi4", 2, None), ("flat2", 3, None)])
+    def test_hashing_makes_nothing(self, name, rings, pinned):
+        # A rebuilt base of its own: a shared one keeps the plan of the
+        # ring grown on it, whose prefix sums other tests read.
+        surf = grow_frontier(rebuild(BASES[name]()), rings)
+        got = surf.content_hash()
+        assert surf._made == {}
+        assert all(b is None for p in surf._plans
+                   for b in (*p.up.blocks, *p.dn.blocks))
+        if pinned:
+            assert got == CONTENT_HASHES[pinned][1]
+
+    def test_hashing_a_large_surface_peaks_under_32_mib(self):
+        # Hashing reads a planned ring in runs of at most _RUN triangles,
+        # and the frontier in runs of _RUN vertices: 17 MiB.  A string per
+        # frontier vertex, joined, peaked at 38.7 MiB; a ring in one run,
+        # at 62 MiB.
+        surf = trace_grow_surface()
+        tracemalloc.start()
+        try:
+            got = surf.content_hash()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == CONTENT_HASHES["trace_grow"][1]
+        assert peak < 32 * 2**20
 
 
 def fan_audit(surf, ring):
@@ -387,8 +480,12 @@ SILO6_REFUSED = (375_125, 1_357_215, "f21835b195eba54b")
 
 
 def plan_fields(plan):
-    return (digest(plan.ks), digest(plan.up.tolist()),
-            digest(plan.dn.tolist()), digest(plan.outer_degrees()))
+    return (digest(plan.ks), digest(entries(plan.up, plan.n)),
+            digest(entries(plan.dn, plan.n)), digest(plan.outer_degrees()))
+
+
+def entries(prefix, n):
+    return [prefix[j] for j in range(n)]
 
 
 def silo6_at_16_rings():
@@ -422,23 +519,45 @@ def reference_outer_degrees(ks):
 
 def check_prefix_sums(plan):
     """up and dn of an indexed plan against `reference_index`: every entry,
-    by index from either end and through `tolist`, and `right` and `left`
-    at every value from 0 to past the total against `bisect`."""
+    by index from either end, and `floor` at every value from -1 to past
+    the total against `bisect_right`."""
     n = plan.n
     for got, want in zip((plan.up, plan.dn), reference_index(plan.ks)):
-        assert got.tolist() == want
-        assert [got[j] for j in range(n)] == want
+        assert entries(got, n) == want
         assert [got[j - n] for j in range(n)] == want
         for j in (n, -n - 1):
             with pytest.raises(IndexError):
                 got[j]
         for x in range(-1, want[-1] + 2):
-            assert got.right(x) == bisect_right(want, x)
-            assert got.left(x) == bisect_left(want, x)
+            j = bisect_right(want, x) - 1
+            assert got.floor(x) == (j, want[j] if j >= 0 else None,
+                                    want[j + 1] if j + 1 < n else None)
 
 
 gap_strings = st.lists(st.integers(2, 7), min_size=1, max_size=3000).filter(
     lambda ks: max(ks) > 2).map(bytes)
+
+
+def sector_triangles(plan):
+    """Every triangle of an indexed plan in id order, placed from
+    `sector(j)` at offsets up[j - 1] + 1 .. up[j], taken cyclically."""
+    tris = [None] * plan.size
+    for j in range(plan.n):
+        first = plan.up[j - 1] + 1
+        for c, tv in enumerate(plan.sector(j)):
+            tris[(first + c) % plan.size] = tv
+    return tris
+
+
+def strip_triangles(plan, ids):
+    """The triangles `plan.strip()` gives once the plan has its boundary's
+    ids, and the number of runs it gives them in; every run is whole
+    triangles and at most `_RUN` of them."""
+    plan.set_inner_ids(ids)
+    runs = list(plan.strip())
+    assert all(0 < len(r) <= 3 * _RUN and len(r) % 3 == 0 for r in runs)
+    flat = iter([v for r in runs for v in r])
+    return list(zip(flat, flat, flat)), len(runs)
 
 
 class TestRingPlanKernels:
@@ -480,6 +599,47 @@ class TestRingPlanKernels:
         with pytest.raises(SurfaceError) as exc:
             plan.following(rule)
         assert str(exc.value) == refusal
+
+    @settings(max_examples=60, deadline=None)
+    @given(gaps=gap_strings, k0=st.sampled_from((3, 4, 7)),
+           head=st.integers(0, 3), tail=st.integers(0, 3),
+           extra=st.integers(1, 5), pin=st.data())
+    def test_strip_gives_the_sectors_at_their_ids(self, gaps, k0, head, tail,
+                                                  extra, pin):
+        # Sector 0 (k0 = 3: a single down) is followed by `head` sectors of
+        # k = 2 and preceded, across the wrap, by `tail` of them: the
+        # boundary's leading 2s, which the plan moves to the end.
+        gaps = b"\x02" * tail + bytes((k0,)) + b"\x02" * head + gaps
+        n = len(gaps)
+        plan = _RingPlan(3, 100, 10_000, tuple(range(7, 7 + 3 * n, 3)), gaps)
+        assert plan.start == tail and plan.ks[0] == k0
+        plan.index()
+        want = sector_triangles(plan)   # boundary ids read from `inner`
+        assert strip_triangles(plan, list(plan.inner)) == (want, 1)
+        # The ring grown on it, with one vertex pinned a degree or more
+        # over the rest: its boundary is the cycle `outer_ids` gives,
+        # against `sector`, which reads it position by position.
+        degs = plan.outer_degrees()
+        ids = plan.outer_ids()
+        assert ids == [plan.outer_id(c) for c in range(len(degs))]
+        target = max(degs) + 2
+        v = ids[pin.draw(st.integers(0, len(ids) - 1))]
+        nxt = plan.following(GenerationRule("r", (target,),
+                                            ((v, target + extra),)))
+        nxt.index()
+        want = sector_triangles(nxt)
+        assert strip_triangles(nxt, ids) == (want, 1)
+        assert len(set(want)) == nxt.size
+
+    def test_strip_of_a_ring_longer_than_a_run(self):
+        rng = random.Random(5)
+        gaps = bytes([4] + [rng.choice((2, 3, 4, 7)) for _ in range(60_000)])
+        plan = _RingPlan(3, 100, 10**6, tuple(range(len(gaps))), gaps)
+        plan.index()
+        assert plan.size > 2 * _RUN
+        want = sector_triangles(plan)
+        got, runs = strip_triangles(plan, list(plan.inner))
+        assert got == want and runs >= 2
 
     # Sector counts about a block end: one block an entry short of full,
     # one full block, and a last block of one entry after one or two.
