@@ -43,7 +43,6 @@ from .classify import (
 )
 from .farfield import audit_ring_convexity
 from .smf import parse_manifold, parse_scene, to_triangulation
-from .netdraw import NetDrawing, draw_region, render_svg
 
 __all__ = [
     "Q3", "Scalars", "GenerationRule", "SurfacePoint", "Triangulation",
@@ -57,7 +56,6 @@ __all__ = [
     "find_unjoinable_pair", "search_finitely_hyperbolic",
     "audit_ring_convexity",
     "parse_manifold", "parse_scene", "to_triangulation",
-    "NetDrawing", "draw_region", "render_svg",
 ]
 
 __version__ = "0.1.0"

@@ -211,6 +211,13 @@ def build_silo(hyperbolic_rings: int) -> Triangulation:
     return surf
 
 
+# Each model builder by the name an SMF `model` line and `smfgeo search`
+# give it, with the one parameter it takes and that parameter's default.
+MODELS = {"flat": (build_flat_plane, "radius", 3),
+          "semi_paradoxist": (build_semi_paradoxist, "radius", 4),
+          "silo": (build_silo, "rings", 3)}
+
+
 # Calibrated placements for the silo (see scripts/calibrate_fixtures.py).
 # The line through vertex I runs down a chain of alternating vertices and
 # edge midpoints; Q' sits on its ring-8 edge crossing, deep enough that I

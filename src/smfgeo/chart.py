@@ -225,38 +225,49 @@ def _exact(ctx, k, xa, xb, ya, yb, d):
 
 
 def gluing(ctx: Scalars, e: int, e2: int) -> Isometry:
-    """Rigid motion from a chart to its neighbor's across local edge e.
-
-    The neighbor meets edge e with its local edge e2, so the motion
-    depends only on (e, e2).  The nine motions are built once per context
-    and shared, and each keeps its inverse once asked.  Threads that race
-    to build the table build equal ones, so the last write is as good as
-    any.
-    """
-    table = ctx.gluings
-    if table is None:
-        cs = corners(ctx)
-        table = []
-        for a in range(3):
-            for b in range(3):
-                k = (4 * b + 6 - 4 * a) % 12
-                px, py = cs[a]
-                qx, qy = cs[(b + 1) % 3]
-                rx, ry = rotate(ctx, k, px, py)
-                table.append(Isometry(ctx, k, qx - rx, qy - ry))
-        ctx.gluings = table
-    return table[3 * e + e2]
+    """Rigid motion from a chart to its neighbor's across local edge e,
+    which the neighbor meets with its edge e2: the one-sector clockwise
+    fan motion round the vertex at slot e, which the neighbor has at slot
+    e2 + 1, `vertex_motion(ctx, e, (e2 + 1) % 3, -1)`."""
+    i = 18 * e + 6 * ((e2 + 1) % 3) + 5
+    return ctx.motions[i] or _fan_motion(ctx, i)
 
 
 def vertex_motion(ctx: Scalars, s_in: int, s_out: int, m: int) -> Isometry:
     """Rigid motion from a chart with vertex v at slot `s_in` to the chart
     m fan sectors counterclockwise round v (clockwise for m < 0), with v
-    at slot `s_out`: the m fan edges' `gluing`s composed.  Each turns by
-    4 * (slot after - slot before) - 2 (+ 2 clockwise) and fixes v."""
-    k = (4 * (s_out - s_in) - 2 * m) % 12
-    cs = corners(ctx)
-    px, py = rotate(ctx, k, *cs[s_in])
-    return Isometry(ctx, k, cs[s_out][0] - px, cs[s_out][1] - py)
+    at slot `s_out`: the m fan edges' `gluing`s composed.  It depends on
+    m mod 6 only, so it is one of 54, each made once per context."""
+    i = 18 * s_in + 6 * s_out + m % 6
+    return ctx.motions[i] or _fan_motion(ctx, i)
+
+
+# Chart corners as integers (xa, xb, ya, yb) over 2, as in ExactIsometry.
+_CORNERS2 = ((0, 0, 0, 0), (2, 0, 0, 0), (1, 0, 0, 1))
+# Each fan motion's k, exact translation (xa, xb, ya, yb, d) and float
+# translation, by `vertex_motion`'s index, made on first use.
+_FAN = [None] * 54
+
+
+def _fan_motion(ctx: Scalars, i: int) -> Isometry:
+    """Make entry i of ctx's motion table from the exact closed form: the
+    turn by k = 4 * (s_out - s_in) - 2 * m, each fan edge's 4 * (slot
+    after - slot before) - 2 (+ 2 clockwise), then the shift that carries
+    corner s_in onto corner s_out.  A float entry is the exact one rounded
+    once.  Threads that race to make an entry make equal ones."""
+    fan = _FAN[i]
+    if fan is None:
+        s_in, s_out, m = i // 18, i // 6 % 3, i % 6
+        k = (4 * (s_out - s_in) - 2 * m) % 12
+        *turned, h = turn30(k, *_CORNERS2[s_in])
+        xa, xb, ya, yb = (q * h - r for q, r in zip(_CORNERS2[s_out], turned))
+        d = 2 * h
+        fan = _FAN[i] = (k, (xa, xb, ya, yb, d),
+                         (float(_q3(xa, xb, d)), float(_q3(ya, yb, d))))
+    k, exact, floats = fan
+    motion = _exact(ctx, k, *exact) if ctx.exact else _float(ctx, k, *floats)
+    ctx.motions[i] = motion
+    return motion
 
 
 def segment_intersection(ctx: Scalars, a0, a1, b0, b1):

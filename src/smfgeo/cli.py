@@ -16,9 +16,9 @@ import sys
 from collections import namedtuple
 
 from . import classify as cls_mod
-from . import engine, netdraw, smf
-from .builders import (_CENTROID, PointFixture, VertexFixture, resolve_point,
-                       resolve_ray)
+from . import engine, smf
+from .builders import (_CENTROID, MODELS, PointFixture, VertexFixture,
+                       resolve_point, resolve_ray)
 from .numbers import DEFAULT_EPS, Scalars, positive, positive_int
 from .surface import GROWTH_BUDGET, GrowthLimitExceeded, SurfaceError
 
@@ -233,17 +233,13 @@ def _dispatch(args, config: RunConfig) -> int:
         return code
 
     if args.command == "search":
-        from .builders import build_flat_plane, build_semi_paradoxist, build_silo
-        builders = {"flat": build_flat_plane,
-                    "semi_paradoxist": build_semi_paradoxist,
-                    "silo": build_silo}
-        if args.family not in builders:
+        if args.family not in MODELS:
             print(f"error: unknown family {args.family}", file=sys.stderr)
             return 2
         results = []
         for n in args.rings:
             try:
-                s = builders[args.family](n)
+                s = MODELS[args.family][0](n)
             except ValueError as exc:
                 print(f"note: {args.family}({n}) skipped: {exc}",
                       file=sys.stderr)
@@ -327,6 +323,7 @@ def _dispatch(args, config: RunConfig) -> int:
         return 0
 
     if args.command == "render":
+        from . import netdraw   # here, so no other command loads it
         rqs = [q for q in queries if isinstance(q, smf.RenderQuery)]
         if not rqs:
             print("error: no render query in scene", file=sys.stderr)

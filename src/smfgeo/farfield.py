@@ -169,13 +169,10 @@ class BandFrame:
         # (b, a); its frame maps b to (1, h) and a to (0, h), band below.
         t0, e0 = self.edge_tris["top"][0]
         cs = chart.corners(ctx)
-        px, py = cs[e0]
-        qx, qy = cs[(e0 + 1) % 3]
-        # map p -> (1, h), q -> (0, h): the rotation taking the unit edge
-        # q - p to (-1, 0)
-        k = next(k for k in range(12) if ctx.is_zero(
-            chart.rotate(ctx, k, qx - px, qy - py)[0] + ctx.one))
-        rx, ry = chart.rotate(ctx, k, px, py)
+        # Edge e0 runs at 120 * e0 degrees; turned to (-1, 0), it maps
+        # corner e0 to (1, h) and corner e0 + 1 to (0, h).
+        k = (6 - 4 * e0) % 12
+        rx, ry = chart.rotate(ctx, k, *cs[e0])
         base = Isometry(ctx, k, ctx.one - rx, self.h - ry)
         # Each triangle is placed once: the band is a cycle, and placing a
         # triangle again would shift its frame by the period.

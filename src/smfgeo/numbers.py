@@ -480,7 +480,9 @@ class Scalars:
         self.mode = mode
         self.eps = positive(eps)
         self.exact = mode == "exact"
-        self.gluings = None  # chart.gluing's table, built on first use
+        # chart.vertex_motion's table of the 54 fan motions, filled on
+        # first use.
+        self.motions = [None] * 54
         if self.exact:
             self.zero = Q3(0)
             self.one = Q3(1)

@@ -20,13 +20,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .builders import (
-    LineFixture,
-    PointFixture,
-    build_flat_plane,
-    build_semi_paradoxist,
-    build_silo,
-)
+from .builders import MODELS, LineFixture, PointFixture
 from .numbers import positive, positive_int
 from .surface import (GROWTH_BUDGET, SurfaceError, Value, from_triangles,
                       validate)
@@ -221,13 +215,9 @@ def to_triangulation(doc: SmfDocument):
     diags = []
     if doc.model is not None:
         name, params, ln, col = doc.model
-        # Each builder with the one parameter it takes and its default.
-        models = {"flat": (build_flat_plane, "radius", 3),
-                  "semi_paradoxist": (build_semi_paradoxist, "radius", 4),
-                  "silo": (build_silo, "rings", 3)}
-        if name not in models:
+        if name not in MODELS:
             return None, [Diagnostic(ln, col, "UnknownModel", name)]
-        build, key, default = models[name]
+        build, key, default = MODELS[name]
         extra = ", ".join(sorted(set(params) - {key}))
         if extra:
             return None, [Diagnostic(ln, col, "BadModelParams",

@@ -502,15 +502,14 @@ class Triangulation:
 
     def _planned_runs(self):
         """Every planned triangle's vertex ids in id order, flat, as each
-        plan's `strip` gives them, with the plan's boundary ids set from
+        plan's `strip` gives them, with the boundary ids of each plan from
         the plan before (`outer_ids`)."""
         plans = self._plans
-        inner = plans and plans[0].inner
+        ids = plans and plans[0].inner
         for p in plans:
-            p.set_inner_ids(inner)
-            yield from p.strip()
+            yield from p.strip(ids)
             if p is not plans[-1]:
-                inner = p.outer_ids()
+                ids = p.outer_ids()
 
     # -- chart transfer ------------------------------------------------
 
@@ -962,7 +961,7 @@ class _RingPlan:
     """
 
     __slots__ = ("ring", "base", "size", "vbase", "vend", "start", "n",
-                 "ks", "kmax", "inner", "up", "dn", "_pos", "_order")
+                 "ks", "kmax", "inner", "up", "dn", "_pos")
 
     def __init__(self, ring, base, vbase, inner, gaps: bytes):
         n = len(gaps)
@@ -981,7 +980,7 @@ class _RingPlan:
             left -= c
         self.size, self.kmax = total - n, k
         self.vend = vbase + self.size - n
-        self.up = self.dn = self._pos = self._order = None
+        self.up = self.dn = self._pos = None
 
     def index(self):
         """Set up the prefix sums that place each sector (a ring that is
@@ -999,17 +998,9 @@ class _RingPlan:
 
     def vertex(self, j: int) -> int:
         """Boundary vertex of sector j."""
-        if self._order is not None:
-            return self._order[j % self.n]
         c = (self.start + j) % self.n
         inner = self.inner
         return inner.outer_id(c) if isinstance(inner, _RingPlan) else inner[c]
-
-    def set_inner_ids(self, ids):
-        """Keep the boundary's vertex ids, when something has made them,
-        so that `vertex` reads them instead of working each one out."""
-        s = self.start
-        self._order = [*ids[s:], *ids[:s]]
 
     def apex(self, j: int) -> int:
         """Apex of sector j (j = -1 is sector n - 1)."""
@@ -1036,12 +1027,14 @@ class _RingPlan:
         chain = [self.apex(j - 1), *range(c0 + 1, c0 + m), a]
         return [*zip(repeat(v), chain, chain[1:]), (w, v, a)]
 
-    def strip(self):
+    def strip(self, ids):
         """Vertex ids of the ring's triangles in id order, flat, in lists
         of at most `_RUN` triangles, as `sector` gives them: up 0, sectors
         1..n-1 (downs, then up), then sector 0's downs.  One walk with the
-        last apex and the next new vertex id; needs `set_inner_ids`."""
-        vs, vbase, full = self._order, self.vbase, 3 * (_RUN - self.kmax)
+        last apex and the next new vertex id, over `ids`, the vertex ids
+        of the boundary the ring grows on."""
+        s, vbase, full = self.start, self.vbase, 3 * (_RUN - self.kmax)
+        vs = [*ids[s:], *ids[:s]]
         apex, new = vbase, vbase + 1
         run = [vs[1 % self.n], vs[0], apex]
         for k, v, w in zip(self.ks[1:], vs[1:], vs[2:] + vs[:1]):

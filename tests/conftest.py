@@ -52,10 +52,11 @@ def isometry_counts(monkeypatch):
     """Calls of `Isometry.compose`, and inverses `Isometry.inverse` made
     rather than returned as kept, while the test runs, in both
     representations (`chart.Isometry` and `chart.ExactIsometry`).  The
-    builders' shared exact context starts the test with no gluing table,
-    so the inverses it makes count the same whichever tests ran before."""
+    builders' shared exact context starts the test with an empty motion
+    table, so the inverses it makes count the same whichever tests ran
+    before."""
     from smfgeo import builders, chart
-    monkeypatch.setattr(builders._EXACT, "gluings", None)
+    monkeypatch.setattr(builders._EXACT, "motions", [None] * 54)
     counts = {"Isometry.compose": 0, "Isometry.inverse": 0}
     for cls in (chart.Isometry, chart.ExactIsometry):
         def compose(self, other, _real=cls.__dict__["compose"]):

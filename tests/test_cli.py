@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smfgeo import cli, smf
+from smfgeo import builders, cli
 
 SILO_SMF = "smf 1\nmodel silo rings=6\n"
 SEMI_SMF = "smf 1\nmodel semi_paradoxist radius=4\n"
@@ -195,14 +195,14 @@ def test_validate_checks_a_model_whole(files, monkeypatch, capsys):
     # Loading a model checks nothing whole, so a model that only `validate`
     # can fault still loads; the validate command completes it and runs
     # every check.
-    real = smf.build_silo
+    real, key, default = builders.MODELS["silo"]
 
     def miscounted(rings):
         surf = real(rings)
         surf._base_degree[0] = 4   # the apex has five triangles
         return surf
 
-    monkeypatch.setattr(smf, "build_silo", miscounted)
+    monkeypatch.setitem(builders.MODELS, "silo", (miscounted, key, default))
     scene = files["dir"] / "t.scn"
     scene.write_text("trace l arc=5\n")
     assert cli.main(["trace", files["silo.smf"], str(scene),

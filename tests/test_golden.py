@@ -101,8 +101,8 @@ def test_fixture_work_is_pinned(names, mode, want, tmp_path, monkeypatch,
 # Calls of Isometry.compose, and inverses Isometry.inverse made, in the
 # same passes.
 FRAME_WORK = [
-    (("silo", "semi", "flat"), "float", (4974, 349)),
-    (("semi",), "exact", (3293, 189)),
+    (("silo", "semi", "flat"), "float", (4974, 221)),
+    (("semi",), "exact", (3293, 122)),
 ]
 
 

@@ -125,3 +125,21 @@ def test_fresh_import_leaves_hashlib_out():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_netdraw_loads_for_render_only(tmp_path):
+    # Only `smfgeo render` draws nets; no other command, and no plain
+    # import of the package, compiles and runs `netdraw`.
+    model, scene = tmp_path / "flat.smf", tmp_path / "scene.txt"
+    model.write_text("smf 1\nmodel flat radius=3\n")
+    scene.write_text("classify P l\n")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import smfgeo; "
+            "loaded = ['smfgeo.netdraw' in sys.modules]; "
+            "from smfgeo import cli; "
+            "code = cli.main(['classify', '-o', sys.argv[4], sys.argv[2], "
+            "sys.argv[3]]); "
+            "print(code, loaded + ['smfgeo.netdraw' in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src"),
+                          str(model), str(scene), str(tmp_path / "out.json")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 [False, False]"

@@ -127,7 +127,7 @@ def test_plan_refusals_are_model_diagnostics(monkeypatch, rule, message):
 
     with pytest.raises(SurfaceError, match=message):
         build(0)
-    monkeypatch.setattr(smf, "build_silo", build)
+    monkeypatch.setitem(builders.MODELS, "silo", (build, "rings", 3))
     doc, diags = smf.parse_manifold("smf 1\nmodel silo rings=0\n")
     assert diags == []
     surf, diags = smf.to_triangulation(doc)

@@ -391,19 +391,21 @@ class TestTransferTable:
     @pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
     def test_all_edge_pairs_match_corner_formula(self, ctx):
         cs = chart.corners(ctx)
+        exact = chart.corners(EXACT)
         for e in range(3):
             for e2 in range(3):
                 iso = _glued_pair(e, e2).transfer(ctx, 0, e)
-                # Corner formula: rotate by k*30 degrees, then carry
-                # corner e onto the neighbor's corner e2 + 1.
+                # Corner formula, exact: rotate by k*30 degrees, then
+                # carry corner e onto the neighbor's corner e2 + 1.  A
+                # float motion is the exact one rounded once.
                 k = (4 * e2 + 6 - 4 * e) % 12
-                c, s = (numbers._COS30[k], numbers._SIN30[k]) if ctx.exact \
-                    else (float(numbers._COS30[k]), float(numbers._SIN30[k]))
-                px, py = cs[e]
-                qx, qy = cs[(e2 + 1) % 3]
+                c, s = numbers._COS30[k], numbers._SIN30[k]
+                px, py = exact[e]
+                qx, qy = exact[(e2 + 1) % 3]
+                want = (qx - (c * px - s * py), qy - (s * px + c * py))
                 assert iso.k == k
-                assert (iso.tx, iso.ty) == (qx - (c * px - s * py),
-                                            qy - (s * px + c * py))
+                assert (iso.tx, iso.ty) == (want if ctx.exact
+                                            else tuple(map(float, want)))
                 # The shared edge lands on itself, endpoints swapped.
                 if ctx.exact:
                     assert iso.apply(*cs[e]) == cs[(e2 + 1) % 3]

@@ -4,18 +4,21 @@ Between two triangles of one fan the motion is a rotation about the
 vertex by k = 4 * (s_out - s_in) - 2 * m turns of 30 degrees, for a path
 of m sectors counterclockwise.  It is checked here against the edge
 gluings composed one fan edge at a time along the same path, both ways
-round, at vertices of degree 5, 6 and 7.  An AST scan checks that the
+round, at vertices of degree 5, 6 and 7, and all 54 motions (slot in,
+slot out, m mod 6) against the closed form in exact arithmetic; an edge
+gluing is the one-sector clockwise motion.  An AST scan checks that the
 engine's vertex crossing makes no fan unfolding: `cross_vertex` and
 `fan_sector` compose no gluings and call neither `fan_frames` nor
 `surf.transfer`.
 """
 
 import ast
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from smfgeo import chart
+from smfgeo import chart, numbers
 from smfgeo.builders import build_semi_paradoxist, build_silo
 from smfgeo.numbers import Scalars
 
@@ -67,6 +70,34 @@ def test_closed_form_is_the_composed_gluings(surfaces, name, v, deg, ctx):
                 else:
                     assert abs(got.tx - want.tx) <= 1e-15, (i, j, m)
                     assert abs(got.ty - want.ty) <= 1e-15, (i, j, m)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_every_motion_is_the_exact_closed_form(mode):
+    # In a fresh context: the rotation by k = 4 * (s_out - s_in) - 2 * m
+    # turns that carries corner s_in onto corner s_out, worked out in
+    # exact arithmetic; a float motion is the exact one rounded once.
+    # Paths of m and m - 6 sectors share one motion.
+    ctx = Scalars(mode)
+    cs = chart.corners(EXACT)
+    for s_in, s_out, m in product(range(3), range(3), range(6)):
+        got = chart.vertex_motion(ctx, s_in, s_out, m)
+        k = (4 * (s_out - s_in) - 2 * m) % 12
+        c, s = numbers._COS30[k], numbers._SIN30[k]
+        (px, py), (qx, qy) = cs[s_in], cs[s_out]
+        want = (qx - (c * px - s * py), qy - (s * px + c * py))
+        assert (got.k, got.tx, got.ty) == (
+            k, *(want if ctx.exact else map(float, want))), (s_in, s_out, m)
+        assert got.ctx is ctx
+        assert chart.vertex_motion(ctx, s_in, s_out, m - 6) is got
+    assert None not in ctx.motions
+
+
+@pytest.mark.parametrize("ctx", [FLOAT, EXACT], ids=["float", "exact"])
+def test_gluing_is_the_one_sector_clockwise_motion(ctx):
+    for e, e2 in product(range(3), repeat=2):
+        assert chart.gluing(ctx, e, e2) is \
+            chart.vertex_motion(ctx, e, (e2 + 1) % 3, -1)
 
 
 # Names whose calls would unfold a fan or glue charts edge by edge.
