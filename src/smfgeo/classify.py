@@ -23,7 +23,7 @@ from collections import namedtuple
 from operator import itemgetter
 
 from . import chart, engine, farfield
-from .chart import cross, dot
+from .chart import cross
 from .engine import (
     ARC_BUDGET,
     Closure,
@@ -110,7 +110,7 @@ class Unknown(Value):
 
 
 class DirectionInterval(namedtuple("DirectionInterval", "lo hi status witness")):
-    """`lo` and `hi` in degrees in [0, 180)."""
+    """`lo` and `hi` in degrees, 0 <= lo <= hi <= 180."""
 
     __slots__ = ()
 
@@ -639,21 +639,8 @@ def _halfcirc(ctx, d):
     return (x, y)
 
 
-def _orient_into(ctx, u, w):
-    """Choose w or -w so it lies counterclockwise of u (within 180 deg)."""
-    c = ctx.sign(cross(u[0], u[1], w[0], w[1]))
-    if c > 0:
-        return w
-    if c < 0:
-        return (-w[0], -w[1])
-    if ctx.sign(dot(u[0], u[1], w[0], w[1])) > 0:
-        return w
-    return (-w[0], -w[1])
-
-
 def _theta_deg(d) -> float:
-    t = math.degrees(math.atan2(float(d[1]), float(d[0]))) % 180.0
-    return t
+    return math.degrees(math.atan2(float(d[1]), float(d[0]))) % 180.0
 
 
 def _blend(ctx, u, v, lam_num: int, lam_den: int):
@@ -666,22 +653,21 @@ def _blend(ctx, u, v, lam_num: int, lam_den: int):
 def _fold_key(h):
     """Sort key of a folded direction h = (x, y): the pseudo-angle
     -x / (|x| + y), which rises strictly from -1 at 0 degrees towards 1
-    at 180 degrees.  One division in the run's scalars: exact in exact
-    mode, a float in float mode."""
+    at 180 degrees; the unfolded 180-degree seed (-1, 0) keys 1, above
+    every folded direction.  One division in the run's scalars: exact in
+    exact mode, a float in float mode."""
     x, y = h
     return -x / (abs(x) + y)
 
 
-def _ccw_sorted(u, ws):
-    """Directions strictly inside one cone from u, in CCW order from u:
-    each w is keyed by the fold key of (dot(u, w), cross(u, w))."""
-    ux, uy = u
-    return sorted(ws, key=lambda w: _fold_key(
-        (dot(ux, uy, w[0], w[1]), cross(ux, uy, w[0], w[1]))))
-
-
 class _Partitioner:
     """Partition of the direction circle at P into uniform intervals.
+
+    Every direction it holds lies on the closed upper half plane, folded
+    by `_halfcirc` and ordered by `_fold_key`, but the 180-degree seed
+    (-1, 0).  A cone is a 30-degree seed or a piece of one, so it never
+    wraps past the fold; one whose ends have no positive cross sign
+    (narrower than eps in float) holds no direction.
 
     A cone (u, v) closes on one of five events, never on its width.  In
     the order `run` checks them:
@@ -707,9 +693,9 @@ class _Partitioner:
       was first met and holding the direction last met, and a vertex
       shared with the previous strip triangle is not developed again;
       a chord end leaves an entry with its key as it is;
-    - sorted by the fold key (`_fold_key`) of the folded direction, a
-      pseudo-angle in the run's scalars, so that a cone takes its
-      corners by bisection.
+    - folded, and sorted by its fold key, a pseudo-angle in the run's
+      scalars, so that a cone takes its corners as one span found by
+      bisection.
 
     The cache keeps only what the partition reads: a probe drops the
     segments and events of both ends when it is traced, and their frames
@@ -760,18 +746,19 @@ class _Partitioner:
         return (round(float(h[0]) / n, 12), round(float(h[1]) / n, 12))
 
     def _corner_list(self, pr: Probe):
-        """Corner list of `pr`, (fold key, order met, direction) entries
-        sorted by fold key, built with its vertex keys from its frames on
-        the first call, which drops the frames.  A crossed chord's ends
-        develop with the crossing end's last frame.  Each direction is
-        `Isometry.offset`, one integer expression in exact mode."""
+        """Corner list of `pr`, (fold key, order met, folded direction)
+        entries sorted by fold key, built with its vertex keys from its
+        frames on the first call, which drops the frames.  A crossed
+        chord's ends develop with the crossing end's last frame.  Each
+        direction is `Isometry.offset`, one integer expression in exact
+        mode."""
         if pr.corners is not None:
             return pr.corners
         ctx = self.ctx
         surf = self.surf
         triangle = surf.triangle
         cs = chart.corners(ctx)
-        # direction key -> (order first met, folded, direction last met)
+        # direction key -> (order first met, folded direction last met)
         met = {}
         ends = []
         for res in ((pr.fwd,) if pr.bwd is pr.fwd else (pr.fwd, pr.bwd)):
@@ -780,12 +767,12 @@ class _Partitioner:
             pc = res.carrier_xy
 
             def develop(frame, c):
-                # (key, folded, direction) from P to c placed by `frame`
+                # (key, folded direction) from P to c placed by `frame`
                 w0 = frame.offset(c, pc, k)
                 if w0 is None:
                     return None
                 h = _halfcirc(ctx, w0)
-                return self._folded_key(h), h, w0
+                return self._folded_key(h), h
 
             prev = None
             for tri, frame, crossed in res.frames:
@@ -797,39 +784,36 @@ class _Partitioner:
                     got = None if vtx in done else develop(frame, c)
                     if got is not None:
                         seen = met.get(got[0])
-                        met[got[0]] = (seen[0] if seen else len(met), *got[1:])
+                        met[got[0]] = (seen[0] if seen else len(met), got[1])
             if res.chord is not None:
                 ends += (develop(res.frame, c)
                          for c in (res.chord.a, res.chord.b))
         keys = frozenset(met)
         for got in ends:
             if got is not None and got[0] not in met:
-                met[got[0]] = (len(met), *got[1:])
-        entries = [(_fold_key(h), i, w0) for i, h, w0 in met.values()]
+                met[got[0]] = (len(met), got[1])
+        entries = [(_fold_key(h), i, h) for i, h in met.values()]
         entries.sort(key=itemgetter(0))
         pr.corners, pr.keys = entries, keys
         pr.fwd.frames = pr.bwd.frames = None
         return entries
 
     def _inside(self, entries, u, v):
-        """(order met, direction turned into the cone) of each entry of a
-        corner list strictly inside the open cone (u, v)."""
+        """(order met, direction) of each corner-list entry strictly inside
+        the open cone (u, v), taken from the span its ends' keys bisect."""
         ctx = self.ctx
-        cw = ctx.sign(cross(u[0], u[1], v[0], v[1]))
-        if cw < 0 or not entries:
+        if ctx.sign(cross(u[0], u[1], v[0], v[1])) <= 0:
             return
-        spans = ((0, len(entries)),) if cw == 0 else \
-            self._fold_spans(entries, u, v)
-        for lo, hi in spans:
-            for k in range(lo, hi):
-                _, i, w0 = entries[k]
-                w = _orient_into(ctx, u, w0)
-                if _strictly_between(ctx, u, v, w):
-                    yield i, w
+        first = itemgetter(0)
+        for k in range(bisect_right(entries, _fold_key(u), key=first),
+                       bisect_left(entries, _fold_key(v), key=first)):
+            _, i, w = entries[k]
+            if _strictly_between(ctx, u, v, w):
+                yield i, w
 
     def _corners_inside(self, pr: Probe, u, v):
         """Corner directions of `pr` strictly inside the open cone (u, v),
-        turned into it, in the order the probe met them."""
+        in the order the probe met them."""
         inside = self._inside(self._corner_list(pr), u, v)
         return [w for _, w in sorted(inside, key=itemgetter(0))]
 
@@ -840,37 +824,22 @@ class _Partitioner:
                    for res in (pm.fwd, pm.bwd)) \
             and next(self._inside(self._corner_list(pm), u, v), None) is None
 
-    def _fold_spans(self, entries, u, v):
-        """Index ranges of a corner list that hold every corner strictly
-        inside the cone (u, v) of less than 180 degrees, bisected by the
-        fold keys of its folded ends; the cone wraps past the fold when
-        those turn clockwise."""
-        ctx = self.ctx
-        first = itemgetter(0)
-        hu, hv = _halfcirc(ctx, u), _halfcirc(ctx, v)
-        lo = bisect_right(entries, _fold_key(hu), key=first)
-        hi = bisect_left(entries, _fold_key(hv), key=first)
-        if ctx.sign(cross(hu[0], hu[1], hv[0], hv[1])) > 0:
-            return ((lo, hi),)
-        return ((lo, len(entries)), (0, hi))
-
-    def _split_points(self, u, v, raw):
-        """Corners from `raw` (inside the cone (u, v)) in CCW order, one
-        per direction: a corner merges into the one before it when the
-        sign of their cross product is 0, which is exactly parallel in
-        exact mode and within eps in float mode."""
+    def _split_points(self, raw):
+        """Folded corners from `raw` in fold-key order, one per direction:
+        a corner merges into the one before it when the sign of their
+        cross product is 0, which is exactly parallel in exact mode and
+        within eps in float mode."""
         ctx = self.ctx
         corners = []
-        for w in _ccw_sorted(u, raw):
+        for w in sorted(raw, key=_fold_key):
             if not corners or ctx.sign(cross(*corners[-1], *w)) != 0:
                 corners.append(w)
         return corners
 
     def run(self):
         ctx = self.ctx
-        # Interval endpoints are cone-consistent vectors: each interval's
-        # second endpoint lies strictly CCW of the first, the last one at
-        # 180 degrees unfolded, so convex blends stay inside the cone.
+        # Each cone's second end lies strictly CCW of its first, the last
+        # one at 180 degrees unfolded, so convex blends stay folded.
         seeds = [ctx.cos_sin_deg(30 * k) for k in range(6)]
         seeds.append((-ctx.one, ctx.zero))
         work = []
@@ -883,7 +852,7 @@ class _Partitioner:
             self.boundaries.setdefault(self._key(u), (u, pu))
             self.boundaries.setdefault(self._key(v), (v, pv))
             corners = self._split_points(
-                u, v, self._corners_inside(pu, u, v) +
+                self._corners_inside(pu, u, v) +
                 self._corners_inside(pv, u, v))
             self.corner_keys.update(pu.keys, pv.keys)
             if corners:
@@ -943,13 +912,13 @@ class _Partitioner:
                 fk = fc.corridor_frame(res.tail.escape_tri).k
                 for tdir in self.lctx.tail_dirs:
                     cand = chart.rotate(ctx, res.frame.k - fk, *tdir)
-                    cand = _orient_into(ctx, u, inv.apply_vec(*cand))
+                    cand = _halfcirc(ctx, inv.apply_vec(*cand))
                     if _strictly_between(ctx, u, v, cand):
                         cands[self._key(cand)] = cand
             if not cands:
                 out.append((u, v, pr))
                 continue
-            pts = [u] + _ccw_sorted(u, cands.values()) + [v]
+            pts = [u] + sorted(cands.values(), key=_fold_key) + [v]
             for i in range(len(pts) - 1):
                 a, b = pts[i], pts[i + 1]
                 wm = _blend(ctx, a, b, 1, 2)
@@ -961,39 +930,27 @@ class _Partitioner:
         self.intervals = out
 
     def _finalize(self):
-        final = []
-        for (u, v, pr) in self.intervals:
-            lo = _theta_deg(u)
-            hi = _theta_deg(v)
-            if hi <= lo:
-                hi += 180.0
-            final.append(DirectionInterval(
-                lo, hi, pr.status,
-                (float(pr.dvec[0]), float(pr.dvec[1]))))
-        self.result_intervals = final
-        iso = []
-        for d, pr in self.boundaries.values():
-            iso.append(IsolatedDirection(_theta_deg(d),
-                                         (float(d[0]), float(d[1])),
-                                         pr.status))
-        iso.sort(key=lambda x: x.theta)
-        self.result_isolated = iso
-        self.result_unknown = [(_theta_deg(u), _theta_deg(v))
-                               for (u, v) in self.unknowns]
+        def degrees(u, v):
+            # Only the 180-degree end reads below its start.
+            lo, hi = _theta_deg(u), _theta_deg(v)
+            return lo, hi + 180.0 if hi < lo else hi
+
+        self.result_intervals = [
+            DirectionInterval(*degrees(u, v), pr.status,
+                              (float(pr.dvec[0]), float(pr.dvec[1])))
+            for (u, v, pr) in self.intervals]
+        self.result_isolated = sorted(
+            (IsolatedDirection(_theta_deg(d), (float(d[0]), float(d[1])),
+                               pr.status)
+             for d, pr in self.boundaries.values()), key=itemgetter(0))
+        self.result_unknown = [degrees(u, v) for (u, v) in self.unknowns]
 
 
 def _strictly_between(ctx, u, v, w) -> bool:
     """Is direction w strictly inside the cone from u to v (< 180 deg)?"""
-    c1 = ctx.sign(cross(u[0], u[1], w[0], w[1]))
-    c2 = ctx.sign(cross(w[0], w[1], v[0], v[1]))
-    cw = ctx.sign(cross(u[0], u[1], v[0], v[1]))
-    if cw > 0:
-        return c1 > 0 and c2 > 0
-    if cw == 0:
-        # u and v antipodal on the half circle fold; treat as the arc
-        # from u through +90 degrees of it
-        return c1 > 0
-    return False
+    return ctx.sign(cross(u[0], u[1], v[0], v[1])) > 0 \
+        and ctx.sign(cross(u[0], u[1], w[0], w[1])) > 0 \
+        and ctx.sign(cross(w[0], w[1], v[0], v[1])) > 0
 
 
 # -- point-level classification ------------------------------------------------

@@ -340,6 +340,13 @@ def _dispatch(args, config: RunConfig) -> int:
                 tris = netdraw.fan_region(surf, fx.vertex)
             else:
                 tris = list(q.region[1])
+                n = surf.n_triangles()
+                missing = [t for t in tris if not 0 <= t < n]
+                if missing:
+                    print(f"error: triangle {missing[0]} is not in the "
+                          f"surface ({n} triangles)", file=sys.stderr)
+                    code = 1
+                    continue
             paths = []
             for label in q.paths:
                 ray = resolve_ray(surf, ctx, surf.labels[label])

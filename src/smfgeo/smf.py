@@ -9,8 +9,10 @@ whitespace separated and the `smf <version>` header is mandatory:
     line  l 6 0 1/2 1/2 0
 
 Scene files hold one query per line: trace / classify / render; any
-other keyword is an `UnknownQuery` diagnostic.  Parsing is total:
-malformed input produces positioned diagnostics, never an exception.
+other keyword is an `UnknownQuery` diagnostic, and an option the query
+does not take (`QUERY_OPTIONS`) or a stray argument is a `BadQuery`.
+Parsing is total: malformed input produces positioned diagnostics,
+never an exception.
 """
 
 from __future__ import annotations
@@ -297,6 +299,13 @@ def print_manifold(doc: SmfDocument) -> str:
 
 # -- scene queries ---------------------------------------------------------
 
+# The `key=value` options each scene query takes.
+QUERY_OPTIONS = {
+    "trace": ("arc", "growth", "two_sided"),
+    "classify": ("arc", "growth"),
+    "render": ("paths", "out"),
+}
+
 
 def parse_scene(text: str, doc_labels):
     """Parse scene queries against known fixture labels.
@@ -309,24 +318,35 @@ def parse_scene(text: str, doc_labels):
         toks = body.split()
         col = body.index(toks[0]) + 1
         kw = toks[0]
+        if kw not in QUERY_OPTIONS:
+            diags.append(Diagnostic(ln, col, "UnknownQuery", kw))
+            continue
         opts = {}
         pos = []
-        bad = False
-        for t in toks[1:]:
-            if "=" in t:
-                k, v = t.split("=", 1)
-                opts[k] = v
-            else:
-                pos.append(t)
         try:
+            for t in toks[1:]:
+                if "=" not in t:
+                    pos.append(t)
+                    continue
+                k, v = t.split("=", 1)
+                if k not in QUERY_OPTIONS[kw]:
+                    raise ValueError(f"'{kw}' takes no option '{k}' (only "
+                                     f"{', '.join(QUERY_OPTIONS[kw])})")
+                if k in opts:
+                    raise ValueError(f"option '{k}' given twice")
+                opts[k] = v
             if kw == "trace":
                 if len(pos) != 1:
                     raise ValueError("expected 'trace <line> [arc=..]'")
+                two_sided = opts.get("two_sided", "true")
+                if two_sided not in ("true", "false"):
+                    raise ValueError(f"two_sided must be true or false, "
+                                     f"not '{two_sided}'")
                 _need_label(pos[0], doc_labels, ln, col, diags)
                 queries.append(TraceQuery(
                     pos[0], arc=_opt_float(opts, "arc"),
                     growth=_opt_int(opts, "growth"),
-                    two_sided=opts.get("two_sided", "true") != "false"))
+                    two_sided=two_sided == "true"))
             elif kw == "classify":
                 if len(pos) != 2:
                     raise ValueError("expected 'classify <point> <line>'")
@@ -335,21 +355,21 @@ def parse_scene(text: str, doc_labels):
                 queries.append(ClassifyQuery(
                     pos[0], pos[1], arc=_opt_float(opts, "arc"),
                     growth=_opt_int(opts, "growth")))
-            elif kw == "render":
-                if len(pos) >= 2 and pos[0] == "fan":
-                    _need_label(pos[1], doc_labels, ln, col, diags)
-                    region = ("fan", pos[1])
-                elif len(pos) >= 2 and pos[0] == "tris":
-                    region = ("tris", tuple(int(x) for x in pos[1].split(",")))
-                else:
+            else:
+                if len(pos) > 2:
+                    raise ValueError(f"unexpected '{pos[2]}' after the region")
+                if len(pos) != 2 or pos[0] not in ("fan", "tris"):
                     raise ValueError("expected 'render fan <vertex>' or "
                                      "'render tris <id,id,...>'")
+                if pos[0] == "fan":
+                    _need_label(pos[1], doc_labels, ln, col, diags)
+                    region = ("fan", pos[1])
+                else:
+                    region = ("tris", tuple(int(x) for x in pos[1].split(",")))
                 paths = tuple(x for x in opts.get("paths", "").split(",") if x)
                 for p in paths:
                     _need_label(p, doc_labels, ln, col, diags)
                 queries.append(RenderQuery(region, paths, opts.get("out")))
-            else:
-                diags.append(Diagnostic(ln, col, "UnknownQuery", kw))
         except (ValueError, OverflowError) as exc:
             diags.append(Diagnostic(ln, col, "BadQuery", str(exc)))
     return queries, diags

@@ -71,6 +71,35 @@ def isometry_counts(monkeypatch):
     return counts
 
 
+@pytest.fixture()
+def partitions(monkeypatch):
+    """Every run `classify._Partitioner` that `classify_point` tallies
+    while the test runs, in order."""
+    from smfgeo import classify
+    parts = []
+
+    def tally(part, _real=classify._tally):
+        parts.append(part)
+        return _real(part)
+    monkeypatch.setattr(classify, "_tally", tally)
+    return parts
+
+
+def assert_tiles(part):
+    """The intervals and unknown arcs of a run partition tile [0, 180)
+    degrees once: in order, each arc starts where the one before it
+    ended (to 1e-9 degrees), none is reversed or 180 degrees wide or
+    more, and their widths add up to 180 (to 1e-6)."""
+    arcs = sorted([(i.lo, i.hi) for i in part.result_intervals]
+                  + list(part.result_unknown))
+    end = 0.0
+    for lo, hi in arcs:
+        assert abs(lo - end) <= 1e-9, (end, lo, hi)
+        assert 0.0 <= hi - lo < 180.0, (lo, hi)
+        end = hi
+    assert abs(sum(hi - lo for lo, hi in arcs) - 180.0) <= 1e-6
+
+
 def built(surf):
     """Triangles of `surf` whose vertices are made: the base's, and the
     planned triangles some read has made."""

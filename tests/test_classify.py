@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import turned_back_signs
+from conftest import assert_tiles, turned_back_signs
 from smfgeo import chart, engine
 from smfgeo import classify as C
 from smfgeo.builders import (
@@ -189,14 +189,15 @@ class TestSiloClassifications:
     # makes the point undetermined unless a parallel arc and a crossing
     # arc both stand.
     @pytest.mark.parametrize("name,arc,want,unknown_arcs,iso_unknown", [
-        ("Q", 4.0, C.REGULARLY_HYPERBOLIC, 20, 19),
+        ("Q", 4.0, C.REGULARLY_HYPERBOLIC, 30, 23),
         ("Qp", 4.0, C.UNDETERMINED, 0, 1),
         ("R", 2.0, C.UNDETERMINED, 1, 0),
     ])
     def test_fixture_with_unknowns(self, name, arc, want, unknown_arcs,
-                                   iso_unknown):
+                                   iso_unknown, partitions):
         cls, *_ = classify_labeled(build_silo(6), FLOAT, name, "l",
                                    Budgets(arc=arc))
+        assert_tiles(partitions[-1])
         assert cls.kind == want
         assert cls.unknown_arcs == unknown_arcs
         assert [i.status.kind for i in cls.isolated].count("unknown") \
@@ -704,6 +705,42 @@ class TestSteppingErrors:
         assert probe.status == C.Unknown("reverse ray unavailable")
 
 
+# -- partition tiling --------------------------------------------------------
+
+
+TILING_FIXTURES = {
+    "silo": (lambda: build_silo(6), ("P", "R", "Q", "Qp", "Qpp")),
+    "semi": (lambda: build_semi_paradoxist(4), ("P", "Q", "R")),
+    "flat": (lambda: build_flat_plane(3), ("P",)),
+}
+
+
+def refuses_budget(model, name, arc):
+    """Does the line l not escape the core ring of `model` within `arc`?"""
+    return model != "silo" and (
+        arc <= 3 or (model, name, arc) == ("semi", "P", 4))
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("model", sorted(TILING_FIXTURES))
+def test_partition_tiles_the_half_circle(model, mode, partitions):
+    # At tight arc budgets too, where cones are halved to split depth and
+    # float ends lie within eps of each other.
+    build, names = TILING_FIXTURES[model]
+    ctx = FLOAT if mode == "float" else EXACT
+    base = build()
+    session = C.Session(base, ctx)
+    for name in names:
+        for arc in (2.0, 3.0, 4.0, 5.0, 8.0, 25.0):
+            query = (base, ctx, name, "l", Budgets(arc=arc), session)
+            if refuses_budget(model, name, arc):
+                with pytest.raises(ValueError, match="escape the core ring"):
+                    classify_labeled(*query)
+                continue
+            classify_labeled(*query)
+            assert_tiles(partitions[-1])
+
+
 # -- corner lists ------------------------------------------------------------
 
 
@@ -738,19 +775,19 @@ def reference_corners_inside(part, pr, u, v):
                 w0 = develop(frame, c)
                 if w0 is None:
                     continue
-                keys.add(part._key(C._halfcirc(ctx, w0)))
-                w = C._orient_into(ctx, u, w0)
+                w = C._halfcirc(ctx, w0)
+                keys.add(part._key(w))
                 if C._strictly_between(ctx, u, v, w):
-                    out[part._key(C._halfcirc(ctx, w))] = w
+                    out[part._key(w)] = w
         if res.chord is not None:
             ends += [develop(res.frames[-1][1], c)
                      for c in (res.chord.a, res.chord.b)]
     for w0 in ends:
-        if w0 is None or part._key(C._halfcirc(ctx, w0)) in keys:
+        if w0 is None:
             continue
-        w = C._orient_into(ctx, u, w0)
-        if C._strictly_between(ctx, u, v, w):
-            out[part._key(C._halfcirc(ctx, w))] = w
+        w = C._halfcirc(ctx, w0)
+        if part._key(w) not in keys and C._strictly_between(ctx, u, v, w):
+            out[part._key(w)] = w
     return list(out.values()), keys
 
 
@@ -883,7 +920,8 @@ class TestCornerLists:
             if pr.corners is None:
                 continue
             assert pr.fwd.frames is None and pr.bwd.frames is None
-            folded = [C._halfcirc(ctx, w0) for _, _, w0 in pr.corners]
+            folded = [h for _, _, h in pr.corners]
+            assert folded == [C._halfcirc(ctx, h) for h in folded]
             keys = [part._key(h) for h in folded]
             assert len(set(keys)) == len(keys)
             for a, b in zip(folded, folded[1:]):
@@ -968,10 +1006,10 @@ class TestCornerLists:
         d = ctx.cos_sin_deg(60)
         pr = part.probe(d)
         framed = C._probe(part.P, d, part.lctx, part.analysis, part.budgets)
-        cones = [(30 * k, 30 * k + 30) for k in range(12)]
-        # Cones across 180 degrees, whose corners wrap around the fold.
-        cones += [(90, 210), (120, 240), (150, 300)]
-        cones = [(ctx.cos_sin_deg(a), ctx.cos_sin_deg(b)) for a, b in cones]
+        # The six seed cones, the last one closed by the unfolded (-1, 0).
+        cones = [(ctx.cos_sin_deg(30 * k), ctx.cos_sin_deg(30 * k + 30))
+                 for k in range(5)]
+        cones.append((ctx.cos_sin_deg(150), (-ctx.one, ctx.zero)))
         # Cones a millionth of 60 degrees wide around each corner.
         for c in (30, 90, 150):
             lo, mid, hi = (ctx.cos_sin_deg(c + k) for k in (-30, 0, 30))
@@ -981,7 +1019,7 @@ class TestCornerLists:
             got = part._corners_inside(pr, u, v)
             assert_same_corners(
                 part, got, reference_corners_inside(part, framed, u, v)[0])
-        for u, v in cones[-6:]:
+        for u, v in cones[-3:]:
             assert part._corners_inside(pr, u, v)
 
 
@@ -1036,8 +1074,7 @@ class TestCornerOrder:
 
     @staticmethod
     def split(ctx, raw):
-        u, v = (ctx.one, ctx.zero), (-ctx.one, ctx.zero)
-        return C._Partitioner._split_points(SimpleNamespace(ctx=ctx), u, v, raw)
+        return C._Partitioner._split_points(SimpleNamespace(ctx=ctx), raw)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 9)),

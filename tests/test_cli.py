@@ -150,6 +150,45 @@ def test_render_triangle_ids_with_a_path(files, tmp_path, capsys):
     assert svg.count("<polygon") == 4 and svg.count("<polyline") == 1
 
 
+@pytest.mark.parametrize("command,query,message", [
+    ("classify", "classify P l bogus=3",
+     "s.scn:1:1: BadQuery: 'classify' takes no option 'bogus'"),
+    ("trace", "trace l two_sided=yes",
+     "s.scn:1:1: BadQuery: two_sided must be true or false, not 'yes'"),
+    ("render", "render tris 0,1 junk",
+     "s.scn:1:1: BadQuery: unexpected 'junk' after the region"),
+    ("render", "render tris 99999",
+     "error: triangle 99999 is not in the surface (54 triangles)"),
+    ("render", "render tris -1,0",
+     "error: triangle -1 is not in the surface (54 triangles)"),
+], ids=["unknown-option", "two-sided", "stray-argument", "id-past-the-end",
+        "negative-id"])
+def test_scene_input_is_never_dropped(tmp_path, capsys, command, query,
+                                      message):
+    model = tmp_path / "flat.smf"
+    model.write_text("smf 1\nmodel flat radius=3\n")
+    scene = tmp_path / "s.scn"
+    scene.write_text(query + "\n")
+    out = tmp_path / "out"
+    assert cli.main([command, str(model), str(scene), "-o", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_refuses_only_the_query_with_a_missing_triangle(tmp_path,
+                                                               capsys):
+    model = tmp_path / "flat.smf"
+    model.write_text("smf 1\nmodel flat radius=3\n")
+    scene = tmp_path / "s.scn"
+    scene.write_text(f"render tris 0,54 out={tmp_path / 'a.svg'}\n"
+                     f"render tris 0,1 out={tmp_path / 'b.svg'}\n")
+    assert cli.main(["render", str(model), str(scene)]) == 1
+    captured = capsys.readouterr()
+    assert "error: triangle 54 is not in the surface" in captured.err
+    assert not (tmp_path / "a.svg").exists()
+    assert (tmp_path / "b.svg").read_text().count("<polygon") == 2
+
+
 def test_audit(files, tmp_path):
     out_path = tmp_path / "audit.json"
     assert cli.main(["audit", files["silo.smf"], "--rings", "2..4",

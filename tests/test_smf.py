@@ -186,6 +186,37 @@ class TestParseScene:
         codes = {d.code for d in diags}
         assert "BadQuery" in codes and "UnknownQuery" in codes
 
+    @pytest.mark.parametrize("line", [
+        "classify P l bogus=3",
+        "classify P l paths=l",
+        "trace l out=x.svg",
+        "render fan E arc=3",
+        "classify P l arc=3 arc=4",
+        "trace l two_sided=no",
+        "trace l two_sided=False",
+        "render tris 0,1 junk",
+        "render fan E R",
+        "classify P l R",
+    ])
+    def test_input_a_query_does_not_take_is_a_bad_query(self, line):
+        qs, diags = smf.parse_scene(line + "\n", self.LABELS)
+        assert qs == []
+        assert [(d.line, d.column, d.code) for d in diags] == \
+            [(1, 1, "BadQuery")]
+
+    def test_each_query_takes_its_options(self):
+        text = ("trace l arc=5 growth=9 two_sided=false\n"
+                "trace l two_sided=true\n"
+                "classify P l arc=2 growth=7\n"
+                "render tris 0,1 paths=l out=n.svg\n")
+        qs, diags = smf.parse_scene(text, self.LABELS)
+        assert not diags
+        assert qs == [smf.TraceQuery("l", 5.0, 9, False),
+                      smf.TraceQuery("l", None, None, True),
+                      smf.ClassifyQuery("P", "l", 2.0, 7),
+                      smf.RenderQuery(("tris", (0, 1)), ("l",), "n.svg")]
+        assert set(smf.QUERY_OPTIONS) == {"trace", "classify", "render"}
+
 
 class TestReports:
     def test_classification_report_shape(self):
