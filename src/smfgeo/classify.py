@@ -1137,7 +1137,8 @@ def ensure_rings(surf: Triangulation, n: int,
                  budget: int = GROWTH_BUDGET) -> Triangulation:
     """Grow the surface until it has at least n ring cycles; a ring that
     would take it past `budget` triangles raises GrowthLimitExceeded
-    before it is built."""
+    before it is built; `grow_frontier` measures such a ring from the one
+    before it, without planning it, wherever it can."""
     if surf.n_rings() >= n:
         return surf
     return grow_frontier(surf, n - surf.n_rings(), budget)

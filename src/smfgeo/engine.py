@@ -531,7 +531,9 @@ def _trace_one_way(ray: Ray, surf: Triangulation, ctx: Scalars, arc_budget,
 
 def _try_grow(surf: Triangulation, growth_budget: int):
     # grow_frontier refuses a ring over the budget before it copies the
-    # surface; a surface without rule or frontier raises too.
+    # surface, and one grown on a planned ring from that ring's closed-form
+    # count, without planning it; a surface without rule or frontier
+    # raises too.
     try:
         return grow_frontier(surf, 1, growth_budget)
     except SurfaceError:

@@ -1134,13 +1134,42 @@ class _RingPlan:
             top += 1
         return d
 
+    def next_size(self, rule: GenerationRule) -> int:
+        """Triangles of the ring `following(rule)` plans, from this ring's
+        size and sector count alone.
+
+        The ring makes size - n new boundary vertices, whose degrees sum
+        to 2 * size - n (a down adds 2 to them, an up 1), so at gap T - d
+        each, for T = `rule.ring_degree(self.ring)`, the next ring has
+        (T - 3) * size - (T - 2) * n triangles.  Exact wherever `following`
+        accepts and no pin of `rule.special` lies in [vbase, vend)."""
+        t = rule.ring_degree(self.ring)
+        return (t - 3) * self.size - (t - 2) * self.n
+
+    def next_accepted(self, rule: GenerationRule) -> bool:
+        """True only when `following(rule)` is sure to plan a ring of
+        `next_size(rule)` triangles, told without planning it.  With
+        T >= 5 a chain vertex (degree 2) has gap T - 2 >= 3 and an apex
+        over z sectors with k = 2 has degree z + 3, so only a run of T - 4
+        such sectors leaves a gap below 2; a chain vertex (kmax >= 4)
+        keeps the next ring from closing; and no pin may lie in
+        [vbase, vend).  False decides nothing: `following` does."""
+        t = rule.ring_degree(self.ring)
+        return (t >= 5 and self.kmax >= 4 and b"\x02" * (t - 4) not in self.ks
+                and not self.pins(rule))
+
+    def pins(self, rule: GenerationRule) -> list:
+        """The (vertex, degree) pins of `rule.special` on the ring's new
+        vertices, [vbase, vend)."""
+        return [(v, d) for v, d in rule.special if self.vbase <= v < self.vend]
+
     def following(self, rule: GenerationRule) -> "_RingPlan":
         """Plan of the next ring out, from this ring's pattern alone."""
         degs = self.outer_degrees()
         target = rule.ring_degree(self.ring)
         # Gap max(target - d, 0) for each degree d.
         gaps = degs.translate(bytes(range(target, 0, -1)).ljust(256, b"\x00"))
-        pins = [(v, d) for v, d in rule.special if self.vbase <= v < self.vend]
+        pins = self.pins(rule)
         if pins or b"\x00" in gaps or b"\x01" in gaps:
             self.index()
             gaps = bytearray(gaps)
@@ -1170,17 +1199,24 @@ def grow_frontier(surf: Triangulation, rings: int,
     neighbours and planned vertices `surf` has worked out.  `budget` is
     the only limit on the result: a ring that would take the surface past
     `budget` triangles raises GrowthLimitExceeded, naming that budget,
-    before the new surface is made.
+    before the new surface is made.  A ring grown on a planned ring is
+    first measured from that ring's size and sector count
+    (`_RingPlan.next_size`), so a ring over the budget is never planned
+    where `next_accepted` shows that planning it would succeed; every
+    other refusal, and every ring added, comes from planning it.
     """
     plans = []
     total = surf.n_triangles()
     for _ in range(rings):
-        plan = plans[-1].following(surf.rule) if plans else surf._next_plan()
+        prev = plans[-1] if plans else surf._plans[-1] if surf._plans else None
+        if prev is not None:
+            over = total + prev.next_size(surf.rule)
+            if over > budget and prev.next_accepted(surf.rule):
+                raise _over_budget(over, budget)
+        plan = prev.following(surf.rule) if plans else surf._next_plan()
         total += plan.size
         if total > budget:
-            raise GrowthLimitExceeded(
-                f"next ring would make {total} triangles, over the budget"
-                f" of {budget}")
+            raise _over_budget(total, budget)
         plan.index()
         plans.append(plan)
     grown = Triangulation(
@@ -1192,3 +1228,8 @@ def grow_frontier(surf: Triangulation, rings: int,
         (tv[e], tv[(e + 1) % 3]): (t, e) for t, tv in enumerate(surf._tris)
         for e in range(3) if (t, e) not in surf._adj}
     return grown
+
+
+def _over_budget(total: int, budget: int) -> GrowthLimitExceeded:
+    return GrowthLimitExceeded(
+        f"next ring would make {total} triangles, over the budget of {budget}")

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smfgeo import smf
-from smfgeo.builders import build_flat_plane, build_semi_paradoxist, build_silo
+from smfgeo.builders import (
+    _seed_fan,
+    build_flat_plane,
+    build_semi_paradoxist,
+    build_silo,
+)
 from smfgeo.engine import (
     EdgeCrossing,
     GrowthLimit,
@@ -479,6 +484,9 @@ SILO6_PLANS = {
 }
 # The ring a 17th growth would add: (n, size, digest of ks).
 SILO6_REFUSED = (375_125, 1_357_215, "f21835b195eba54b")
+# Its refusal under the default budget.
+SILO6_OVER = ("next ring would make 2196040 triangles, over the budget of"
+              " 1000000")
 
 
 def plan_fields(plan):
@@ -674,9 +682,9 @@ class TestRingPlanKernels:
         assert (refused.n, refused.size, digest(refused.ks)) == SILO6_REFUSED
 
     def test_refused_ring_is_planned_in_little_memory(self):
-        # Planning the refused 17th ring reads the 143,285 sectors of the
-        # 16th in a few passes over byte strings, about 1.1 MiB; joining a
-        # byte string per sector took 12.5 MiB.
+        # The refused 17th ring is measured from the 16th's size and sector
+        # count, about 1 KiB; planning it would read the 16th's 143,285
+        # sectors in byte passes, about 1.1 MiB.
         surf = silo6_at_16_rings()
         tracemalloc.start()
         try:
@@ -685,6 +693,84 @@ class TestRingPlanKernels:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert str(exc.value) == ("next ring would make 2196040 triangles,"
-                                  " over the budget of 1000000")
-        assert peak < 2 * 2**20
+        assert str(exc.value) == SILO6_OVER
+        assert peak < 64 * 2**10
+
+    def test_refusing_the_17th_ring_plans_nothing(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(_RingPlan, name)
+
+            def wrapper(self, *args):
+                calls.append(name)
+                return real(self, *args)
+            return wrapper
+
+        surf = silo6_at_16_rings()
+        for name in ("following", "outer_degrees", "__init__"):
+            monkeypatch.setattr(_RingPlan, name, counted(name))
+        with pytest.raises(GrowthLimitExceeded) as exc:
+            grow_frontier(surf, 1)
+        assert str(exc.value) == SILO6_OVER
+        assert calls == [] and surf._next is None
+
+    def test_growing_after_a_refusal_plans_the_refused_ring(self):
+        # The refusal caches no plan, so a larger budget plans the 17th
+        # ring afresh: the ring and surface the refused ring would make.
+        surf = silo6_at_16_rings()
+        with pytest.raises(GrowthLimitExceeded):
+            grow_frontier(surf, 1)
+        grown = grow_frontier(surf, 1, 3 * 10**6)
+        ring = grown._plans[-1]
+        assert (ring.n, ring.size, digest(ring.ks)) == SILO6_REFUSED
+        assert grown.n_triangles() == 2_196_040
+        assert grown.content_hash() == "72204c06d200edaa"
+
+    @settings(max_examples=100, deadline=None)
+    @given(gaps=gap_strings, target=st.integers(5, 9), pin=st.data())
+    def test_next_size_is_the_size_following_plans(self, gaps, target, pin):
+        # The closed form is the next ring's size wherever `following`
+        # plans it and no pin lies on this ring's new vertices, and a ring
+        # `next_accepted` vouches for is one `following` plans: the
+        # shortcut never hides a short gap or a closing ring.
+        plan = _RingPlan(3, 100, 1000, tuple(range(len(gaps))), gaps)
+        special = ()
+        if pin.draw(st.booleans()):
+            v = pin.draw(st.integers(plan.vbase - 2, plan.vend + 1))
+            special = ((v, pin.draw(st.integers(4, 9))),)
+        rule = GenerationRule("r", (target,), special)
+        try:
+            size = plan.following(rule).size
+        except SurfaceError:
+            assert not plan.next_accepted(rule)
+            return
+        if not any(plan.vbase <= v < plan.vend for v, _ in special):
+            assert plan.next_size(rule) == size
+
+
+# Rings refused for their shape, whatever the budget, on a degree-5 seed
+# fan: (rule, rings grown first, refusal).  The (5, 7, 5) and closing
+# rings are grown on a plan whose closed form passes a budget of the
+# surface's own size; `following` still decides them.
+SHAPE_REFUSALS = [
+    (GenerationRule("short", (5, 3)), 0,
+     "rule short leaves vertex 1 with gap 1 < 2"),
+    (GenerationRule("r", (5, 7, 5)), 2,
+     "rule r leaves vertex 22 with gap 1 < 2"),
+    (GenerationRule("closing", (5,)), 1,
+     "ring would close the surface; unsupported"),
+]
+
+
+@pytest.mark.parametrize("rule,rings,refusal", SHAPE_REFUSALS,
+                         ids=["short", "short_after_plans", "closing"])
+def test_shape_refusal_comes_before_the_budget(rule, rings, refusal):
+    surf = grow_frontier(_seed_fan(5, rule), rings)
+    budget = surf.n_triangles()
+    if surf._plans:
+        assert surf._plans[-1].next_size(rule) > 0
+    with pytest.raises(SurfaceError) as exc:
+        grow_frontier(surf, 1, budget)
+    assert type(exc.value) is SurfaceError
+    assert str(exc.value) == refusal
