@@ -546,13 +546,13 @@ class Probe:
     __slots__ = ("dvec", "fwd", "bwd", "status", "corners", "keys")
 
     def __init__(self, dvec: tuple, fwd: EndResult, bwd: EndResult, status,
-                 corners: list = None, keys: frozenset = None):
+                 corners: list = None, keys: tuple = None):
         self.dvec = dvec
         self.fwd = fwd
         self.bwd = bwd
         self.status = status
         self.corners = corners  # see _Partitioner; None until a cone reads it
-        self.keys = keys        # the corner list's vertex keys
+        self.keys = keys        # the corner list's vertex directions, as met
 
     def signature(self):
         return (_sig(self.fwd), _sig(self.bwd))
@@ -660,6 +660,22 @@ def _fold_key(h):
     return -x / (abs(x) + y)
 
 
+def _split_points(ctx, given):
+    """The folded directions of `given`, one per direction, in fold-key
+    order: sorted by `_fold_key`, a direction joins the run before it when
+    the sign of its cross product with the run's first is 0 (exactly
+    parallel in exact mode, within eps in float mode), and each run keeps
+    its earliest-given entry."""
+    runs = []  # [first in fold-key order, earliest index, earliest entry]
+    for i, w in sorted(enumerate(given), key=lambda iw: _fold_key(iw[1])):
+        run = runs[-1] if runs else None
+        if run is None or ctx.sign(cross(*run[0], *w)) != 0:
+            runs.append([w, i, w])
+        elif i < run[1]:
+            run[1:] = i, w
+    return [w for _, _, w in runs]
+
+
 class _Partitioner:
     """Partition of the direction circle at P into uniform intervals.
 
@@ -668,6 +684,12 @@ class _Partitioner:
     (-1, 0).  A cone is a 30-degree seed or a piece of one, so it never
     wraps past the fold; one whose ends have no positive cross sign
     (narrower than eps in float) holds no direction.
+
+    A direction is its folded vector, in both number modes: one entry
+    per vector in the probe cache, `boundaries`, corner lists and
+    `corner_keys`.  Only `_split_points` decides that two vectors are one
+    direction, through the run's scalars: for a cone's inside corners,
+    an interval's asymptotic flips and `critical_directions`.
 
     A cone (u, v) closes on one of five events, never on its width.  In
     the order `run` checks them:
@@ -679,7 +701,8 @@ class _Partitioner:
       the cone, so every direction of the cone passes m's edges;
     - blend pair: its probes at 1/1024 and 1023/1024 agree;
     - split depth: its halvings reached `Budgets.split_depth` (an
-      unknown arc).  Any other cone is halved at m.
+      unknown arc, as is every cone left once the corner splits pass
+      3,000).  Any other cone is halved at m.
 
     Every probe is traced once, keeping each crossing's motion.  The
     first time a cone reads its corners, the frames are composed from
@@ -687,12 +710,12 @@ class _Partitioner:
     in P's chart, of the triangle corners its traces developed and of the
     two ends of a chord of l it crossed.  A corner list is
 
-    - built at most once per probe, with its vertex keys (`Probe.keys`),
-      which enter `corner_keys` once the probe bounds a cone;
-    - deduplicated: one entry per direction key, placed where the key
-      was first met and holding the direction last met, and a vertex
-      shared with the previous strip triangle is not developed again;
-      a chord end leaves an entry with its key as it is;
+    - built at most once per probe, with its vertex directions
+      (`Probe.keys`), which enter `corner_keys` once the probe bounds a
+      cone;
+    - one entry per folded vector, placed where it was first met, and a
+      vertex shared with the previous strip triangle is not developed
+      again; a chord end adds an entry only for a vector not met;
     - folded, and sorted by its fold key, a pseudo-angle in the run's
       scalars, so that a cone takes its corners as one span found by
       bisection.
@@ -720,13 +743,13 @@ class _Partitioner:
             raise ValueError("classification base point must not be a vertex")
         self.cache = {}
         self.intervals = []   # (u, v, probe) closed uniform
-        self.unknowns = []    # (u, v)
-        self.boundaries = {}  # key -> (dvec, probe)
-        self.corner_keys = set()
+        self.unknowns = []    # (u, v, reason)
+        self.boundaries = {}  # folded direction -> (dvec, probe)
+        self.corner_keys = {}  # folded vertex corners, as met (ordered set)
         self.splits = 0
 
     def probe(self, d) -> Probe:
-        key = self._key(d)
+        key = _halfcirc(self.ctx, d)
         got = self.cache.get(key)
         if got is None:
             got = _probe(self.P, d, self.lctx, self.analysis, self.budgets)
@@ -735,19 +758,9 @@ class _Partitioner:
             self.cache[key] = got
         return got
 
-    def _key(self, d):
-        return self._folded_key(_halfcirc(self.ctx, d))
-
-    def _folded_key(self, h):
-        """`_key` of a direction `_halfcirc` has folded already."""
-        if self.ctx.exact:
-            return (h[0], h[1])
-        n = math.hypot(float(h[0]), float(h[1])) or 1.0
-        return (round(float(h[0]) / n, 12), round(float(h[1]) / n, 12))
-
     def _corner_list(self, pr: Probe):
         """Corner list of `pr`, (fold key, order met, folded direction)
-        entries sorted by fold key, built with its vertex keys from its
+        entries sorted by fold key, built with its vertex directions from its
         frames on the first call, which drops the frames.  A crossed
         chord's ends develop with the crossing end's last frame.  Each
         direction is `Isometry.offset`, one integer expression in exact
@@ -758,8 +771,7 @@ class _Partitioner:
         surf = self.surf
         triangle = surf.triangle
         cs = chart.corners(ctx)
-        # direction key -> (order first met, folded direction last met)
-        met = {}
+        met = {}  # folded direction -> order first met
         ends = []
         for res in ((pr.fwd,) if pr.bwd is pr.fwd else (pr.fwd, pr.bwd)):
             # The carrier chart turns into P's by the link's inverse.
@@ -767,12 +779,9 @@ class _Partitioner:
             pc = res.carrier_xy
 
             def develop(frame, c):
-                # (key, folded direction) from P to c placed by `frame`
+                # The folded direction from P to c placed by `frame`.
                 w0 = frame.offset(c, pc, k)
-                if w0 is None:
-                    return None
-                h = _halfcirc(ctx, w0)
-                return self._folded_key(h), h
+                return None if w0 is None else _halfcirc(ctx, w0)
 
             prev = None
             for tri, frame, crossed in res.frames:
@@ -781,18 +790,17 @@ class _Partitioner:
                 done = triangle(prev) if crossed else ()
                 prev = tri
                 for c, vtx in zip(cs, triangle(tri)):
-                    got = None if vtx in done else develop(frame, c)
-                    if got is not None:
-                        seen = met.get(got[0])
-                        met[got[0]] = (seen[0] if seen else len(met), got[1])
+                    h = None if vtx in done else develop(frame, c)
+                    if h is not None:
+                        met.setdefault(h, len(met))
             if res.chord is not None:
                 ends += (develop(res.frame, c)
                          for c in (res.chord.a, res.chord.b))
-        keys = frozenset(met)
-        for got in ends:
-            if got is not None and got[0] not in met:
-                met[got[0]] = (len(met), got[1])
-        entries = [(_fold_key(h), i, h) for i, h in met.values()]
+        keys = tuple(met)
+        for h in ends:
+            if h is not None:
+                met.setdefault(h, len(met))
+        entries = [(_fold_key(h), i, h) for h, i in met.items()]
         entries.sort(key=itemgetter(0))
         pr.corners, pr.keys = entries, keys
         pr.fwd.frames = pr.bwd.frames = None
@@ -824,18 +832,6 @@ class _Partitioner:
                    for res in (pm.fwd, pm.bwd)) \
             and next(self._inside(self._corner_list(pm), u, v), None) is None
 
-    def _split_points(self, raw):
-        """Folded corners from `raw` in fold-key order, one per direction:
-        a corner merges into the one before it when the sign of their
-        cross product is 0, which is exactly parallel in exact mode and
-        within eps in float mode."""
-        ctx = self.ctx
-        corners = []
-        for w in sorted(raw, key=_fold_key):
-            if not corners or ctx.sign(cross(*corners[-1], *w)) != 0:
-                corners.append(w)
-        return corners
-
     def run(self):
         ctx = self.ctx
         # Each cone's second end lies strictly CCW of its first, the last
@@ -849,16 +845,15 @@ class _Partitioner:
             u, v, depth = work.pop()
             pu = self.probe(u)
             pv = self.probe(v)
-            self.boundaries.setdefault(self._key(u), (u, pu))
-            self.boundaries.setdefault(self._key(v), (v, pv))
-            corners = self._split_points(
-                self._corners_inside(pu, u, v) +
-                self._corners_inside(pv, u, v))
-            self.corner_keys.update(pu.keys, pv.keys)
+            self.boundaries.setdefault(_halfcirc(ctx, u), (u, pu))
+            self.boundaries.setdefault(_halfcirc(ctx, v), (v, pv))
+            corners = _split_points(ctx, self._corners_inside(pu, u, v) +
+                                    self._corners_inside(pv, u, v))
+            self.corner_keys.update(dict.fromkeys(pu.keys + pv.keys))
             if corners:
                 self.splits += len(corners)
                 if self.splits > 3000:
-                    self.unknowns.append((u, v))
+                    self.unknowns.append((u, v, "split cap passed"))
                     continue
                 pts = [u] + corners + [v]
                 for i in range(len(pts) - 1):
@@ -882,7 +877,7 @@ class _Partitioner:
                 self.intervals.append((u, v, None))
                 continue
             if depth >= self.budgets.split_depth:
-                self.unknowns.append((u, v))
+                self.unknowns.append((u, v, "split depth reached"))
                 continue
             work.append((u, m, depth + 1))
             work.append((m, v, depth + 1))
@@ -900,7 +895,7 @@ class _Partitioner:
         for (u, v, _) in self.intervals:
             w = _blend(ctx, u, v, 1, 2)
             pr = self.probe(w)
-            cands = {}
+            cands = []
             for res in (pr.fwd, pr.bwd):
                 # Only an end that crossed edges alone is turned by its
                 # frame's rotation: a vertex bends the line.
@@ -914,19 +909,18 @@ class _Partitioner:
                     cand = chart.rotate(ctx, res.frame.k - fk, *tdir)
                     cand = _halfcirc(ctx, inv.apply_vec(*cand))
                     if _strictly_between(ctx, u, v, cand):
-                        cands[self._key(cand)] = cand
+                        cands.append(cand)
             if not cands:
                 out.append((u, v, pr))
                 continue
-            pts = [u] + sorted(cands.values(), key=_fold_key) + [v]
+            pts = [u] + _split_points(ctx, cands) + [v]
             for i in range(len(pts) - 1):
                 a, b = pts[i], pts[i + 1]
                 wm = _blend(ctx, a, b, 1, 2)
                 out.append((a, b, self.probe(wm)))
                 if i + 1 < len(pts) - 1:
-                    self.boundaries.setdefault(
-                        self._key(pts[i + 1]),
-                        (pts[i + 1], self.probe(pts[i + 1])))
+                    self.boundaries.setdefault(_halfcirc(ctx, b),
+                                               (b, self.probe(b)))
         self.intervals = out
 
     def _finalize(self):
@@ -935,15 +929,17 @@ class _Partitioner:
             lo, hi = _theta_deg(u), _theta_deg(v)
             return lo, hi + 180.0 if hi < lo else hi
 
+        # An unknown arc's witness is its midpoint, probed or not.
         self.result_intervals = [
             DirectionInterval(*degrees(u, v), pr.status,
-                              (float(pr.dvec[0]), float(pr.dvec[1])))
-            for (u, v, pr) in self.intervals]
+                              tuple(map(float, pr.dvec)))
+            for (u, v, pr) in self.intervals] + [
+            DirectionInterval(*degrees(u, v), Unknown(reason),
+                              tuple(map(float, _blend(self.ctx, u, v, 1, 2))))
+            for (u, v, reason) in self.unknowns]
         self.result_isolated = sorted(
-            (IsolatedDirection(_theta_deg(d), (float(d[0]), float(d[1])),
-                               pr.status)
+            (IsolatedDirection(_theta_deg(d), tuple(map(float, d)), pr.status)
              for d, pr in self.boundaries.values()), key=itemgetter(0))
-        self.result_unknown = [degrees(u, v) for (u, v) in self.unknowns]
 
 
 def _strictly_between(ctx, u, v, w) -> bool:
@@ -969,10 +965,9 @@ def classify_point(P: SurfacePoint, lctx: LineContext,
 def _tally(part) -> PointClassification:
     intervals = part.result_intervals
     isolated = part.result_isolated
-    unknown_arcs = len(part.result_unknown)
     par_arcs = sum(1 for i in intervals if i.status.kind == "parallel")
     cross_arcs = sum(1 for i in intervals if i.status.kind == "crossing")
-    unknown_arcs += sum(1 for i in intervals if i.status.kind == "unknown")
+    unknown_arcs = sum(1 for i in intervals if i.status.kind == "unknown")
     iso_par = [i for i in isolated if i.status.kind == "parallel"]
     iso_cross = [i for i in isolated if i.status.kind == "crossing"]
     iso_unknown = [i for i in isolated if i.status.kind == "unknown"]
@@ -1002,14 +997,17 @@ def _tally(part) -> PointClassification:
 
 def critical_directions(P: SurfacePoint, lctx: LineContext,
                         analysis: ModelAnalysis, budgets: Budgets):
-    """Sorted vertex-hitting line directions at P, in degrees [0, 180).
+    """Sorted vertex-hitting line directions at P, as float degrees in
+    [0, 180).
 
     Found by adaptive subdivision: an interval closes when its endpoint
-    itineraries match and the swept corridor holds no vertex; corridor
-    corners are returned exactly.  A P at a vertex is a ValueError.
+    itineraries match and the swept corridor holds no vertex.  The
+    corners the partition met merge into one per direction through the
+    run's scalars (`_split_points`), and only then turn into degrees.  A
+    P at a vertex is a ValueError.
     """
     part = _Partitioner(P, lctx, analysis, budgets).run()
-    return sorted({round(_theta_deg(d), 9) for d in part.corner_keys})
+    return sorted(map(_theta_deg, _split_points(part.ctx, part.corner_keys)))
 
 
 # -- other classifier operations -----------------------------------------------

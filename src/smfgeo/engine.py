@@ -583,23 +583,18 @@ def detect_closure(path: GeodesicPath):
 # -- intersections ---------------------------------------------------------
 
 
-def _point_key(surf, ctx, pt: SurfacePoint):
-    cp = canonicalize_point(pt, surf, ctx)
-    if ctx.exact:
-        return (cp.tri, cp.bary)
-    return (cp.tri, tuple(round(float(x), 7) for x in cp.bary))
-
-
 def intersect_paths(a: GeodesicPath, b: GeodesicPath, surf: Triangulation,
                     ctx: Scalars):
-    """All common surface points, deduplicated through canonical form."""
+    """All common surface points in the order found, canonical, one per
+    point: a point equal by `ctx.eq` in every barycentric to one found
+    before on the same triangle adds nothing."""
     self_mode = a is b
     closed = self_mode and detect_closure(a) is not None
     n = len(a.segments)
     by_tri = {}
     for i, seg in enumerate(b.segments):
         by_tri.setdefault(seg.tri, []).append((i, seg))
-    found = {}
+    found = []
     for i, seg in enumerate(a.segments):
         for j, other in by_tri.get(seg.tri, ()):
             if self_mode:
@@ -612,9 +607,12 @@ def intersect_paths(a: GeodesicPath, b: GeodesicPath, surf: Triangulation,
             pts = chart.segment_intersection(ctx, seg.a, seg.b, other.a, other.b)
             for x, y in pts:
                 bpt = normalize_bary(ctx, chart.bary_of_xy(ctx, x, y))
-                sp = SurfacePoint(seg.tri, bpt)
-                found[_point_key(surf, ctx, sp)] = canonicalize_point(sp, surf, ctx)
-    return list(found.values())
+                cp = canonicalize_point(SurfacePoint(seg.tri, bpt), surf, ctx)
+                if not any(q.tri == cp.tri
+                           and all(map(ctx.eq, q.bary, cp.bary))
+                           for q in found):
+                    found.append(cp)
+    return found
 
 
 # -- chart links -----------------------------------------------------------

@@ -119,6 +119,21 @@ def test_classify_report(files, tmp_path):
         assert r["config"]["arc_budget"] == 200.0
 
 
+def test_report_lists_every_unknown_arc(files, tmp_path):
+    # At arc budget 2 the partition at silo Qp closes 4 cones at split
+    # depth; the report lists them with the unknown intervals, so it
+    # lists as many as `unknown_arcs` counts.
+    scene = tmp_path / "c.scn"
+    scene.write_text("classify Qp l arc=2\n")
+    out_path = tmp_path / "rep.json"
+    assert cli.main(["classify", files["silo.smf"], str(scene),
+                     "-o", str(out_path)]) == 0
+    report, = json.loads(out_path.read_text())["reports"]
+    unknown = [i for i in report["evidence"]["intervals"]
+               if i["status"] == "unknown"]
+    assert len(unknown) == report["result"]["unknown_arcs"] == 198
+
+
 def test_classify_unknown_label_exit_1(files, tmp_path, capsys):
     scene = tmp_path / "c.scn"
     scene.write_text("classify NOPE l\n")

@@ -122,3 +122,54 @@ def test_budget_checker_tells_named_from_inline():
     assert budget_literals("m", source) == [
         (1_000_000, "m", "GROWTH_BUDGET"), (200.0, "m", None),
         (200, "m", None), (1_000_000, "m", None)]
+
+
+# `round` makes a private tolerance of its own: two values within eps of
+# each other that straddle a rounding boundary round apart.  The package
+# rounds only where it formats output (the report and trace writers),
+# where `BandFrame.carry` takes a whole count of strip periods and where
+# `Scalars.direction` parses a whole number of degrees.
+ROUNDS = {
+    ("smfgeo.cli", "_dispatch"),
+    ("smfgeo.cli", "_event_summary"),
+    ("smfgeo.smf", "classification_report"),
+    ("smfgeo.farfield", "BandFrame.carry"),
+    ("smfgeo.numbers", "Scalars.direction"),
+}
+
+
+def round_sites(name, source):
+    """(module, qualified name of the innermost def or class, or '') of
+    each `round(...)` call in `source`."""
+    sites = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "round":
+            sites.add((name, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(ast.parse(source), "")
+    return sites
+
+
+def test_round_only_where_named():
+    found = set()
+    for name in sorted(MODULES):
+        module = importlib.import_module(name)
+        with open(module.__file__, encoding="utf-8") as f:
+            found |= round_sites(name, f.read())
+    assert found == ROUNDS
+
+
+def test_round_checker_names_the_enclosing_def():
+    source = ("X = round(0.5)\n"
+              "class A:\n"
+              "    def f(self, x):\n"
+              "        return [round(v, 3) for v in x]\n"
+              "def g(x):\n"
+              "    return x.round(2)\n")
+    assert round_sites("m", source) == {("m", ""), ("m", "A.f")}
